@@ -15,15 +15,16 @@ Two backends are provided:
   :class:`concurrent.futures.ProcessPoolExecutor`; worthwhile for large sweeps
   because every run is an independent, deterministic, CPU-bound simulation.
 
-Both backends additionally understand *batch tasks*
-(:data:`~repro.simulation.batch.BatchTask`): chunks of a system build executed
-through the round-major :class:`~repro.simulation.batch.BatchSimulator` via
-``run_batches`` — the fan-out unit :func:`repro.systems.interpreted.build_system`
-uses, so ``--parallel`` parallelises over pattern chunks instead of individual
-runs.  The :class:`~repro.store.CachingExecutor` implements ``run_batches``
-too (cache-aware, forwarding whole missing batches to its inner backend), so
-``--cache`` composes with the batched engine; executors that only implement
-``run_tasks`` still work everywhere — callers fall back to per-run tasks.
+Both backends additionally implement ``scan_runs``, which applies a per-run
+scan kernel over a finished system (see :mod:`repro.api.scans`); the parallel
+backend shards it across forked workers through shared memory.  That and
+``run_tasks`` for sweeps are the two fan-outs that pay.  System construction
+(:func:`repro.systems.interpreted.build_system`) always runs in-process through
+one :class:`~repro.simulation.batch.BatchSimulator`: it only asks the executor
+for an optional ``checkpoint()`` hook, called before each construction chunk
+(the job service's cooperative cancel).  Both backends keep ``run_batches``
+(batched-construction work items, :data:`~repro.simulation.batch.BatchTask`),
+which no library code calls any more.
 
 Tasks and traces cross process boundaries by pickling, which every protocol,
 failure pattern, and trace in the library supports (they are plain dataclasses
@@ -90,6 +91,9 @@ class Executor(Protocol):
     """The execution-backend interface.
 
     Implementations must return exactly one trace per task, in task order.
+    An executor may also define ``checkpoint()``, which
+    :func:`~repro.systems.interpreted.build_system` calls before each
+    construction chunk; whatever it raises aborts the build.
     """
 
     def run_tasks(self, tasks: Sequence[RunTask]) -> List[RunTrace]:  # pragma: no cover
@@ -106,8 +110,8 @@ class SerialExecutor:
         """Run batched-construction work items in-process, in order.
 
         Consecutive batches of the same ``(protocol, n)`` share one
-        :class:`~repro.simulation.batch.BatchSimulator`, so serially executing
-        a chunked system build loses none of the cross-run sharing.
+        :class:`~repro.simulation.batch.BatchSimulator`, so chunking loses
+        none of the cross-run sharing.
         """
         return execute_batches(batches)
 
@@ -240,15 +244,15 @@ class ParallelExecutor:
         """Fan batched-construction work items out over the pool, preserving order.
 
         Each batch (a contiguous chunk of failure patterns crossed with the
-        preference vectors; when :func:`repro.systems.interpreted.build_system`
-        builds from orbits, chunk boundaries respect orbit boundaries) runs
-        through one worker-side
-        :class:`~repro.simulation.batch.BatchSimulator`, so the round-major
-        sharing survives inside every chunk while the chunks themselves run in
-        parallel.  Chunk results are reassembled in submission order, and each
-        batch is a pure function of its task, so the concatenated traces are
-        identical to :meth:`SerialExecutor.run_batches`'s for any chunking —
-        including after a mid-sweep pool rebuild (see :meth:`_map_chunks`).
+        preference vectors) runs through one worker-side
+        :class:`~repro.simulation.batch.BatchSimulator`.  Chunk results are
+        reassembled in submission order, and each batch is a pure function of
+        its task, so the concatenated traces are identical to
+        :meth:`SerialExecutor.run_batches`'s for any chunking — including after
+        a mid-sweep pool rebuild (see :meth:`_map_chunks`).  The traces come
+        back without the simulator's partitions, so the caller pays to unpickle
+        and re-intern every state; :func:`~repro.systems.interpreted.build_system`
+        does not use this for that reason.
         """
         batches = list(batches)
         workers = min(self._effective_workers(), max(1, len(batches)))
@@ -271,10 +275,8 @@ class ParallelExecutor:
     def scan_runs(self, system, kernel, *, row_shape=(), dtype="int16"):
         """Shard a per-run scan kernel across forked workers via shared memory.
 
-        The check-phase counterpart of :meth:`run_batches`: where batch tasks
-        parallelise system *construction*, scan kernels parallelise the
-        per-run remainder of the *check* phase (the safety scan's zero-chain
-        receipts).  Dispatches to :func:`repro.api.scans.scan_runs`, which
+        Scan kernels parallelise the per-run remainder of the *check* phase
+        (the safety scan's zero-chain receipts).  Dispatches to :func:`repro.api.scans.scan_runs`, which
         inherits the already-built system into fork children copy-on-write and
         assembles rows through one shared-memory block — falling back to an
         in-process call whenever sharding cannot pay (small systems, one

@@ -144,9 +144,10 @@ def measure(n: int = 3, t: int = 1, include_equivalence: bool = True,
 def report(n: int = 3, t: int = 1, executor=None, store=None) -> str:
     """Render the implementation checks as a table.
 
-    ``executor`` (e.g. the CLI's ``--parallel --jobs N`` backend) parallelises
-    the exhaustive run enumeration that builds each context's system; ``store``
-    serves the system builds and the finished reports from the artifact cache
+    ``executor`` is forwarded to each context's system build, which runs
+    in-process whatever the executor (see
+    :func:`~repro.systems.interpreted.build_system`); ``store`` serves the
+    system builds and the finished reports from the artifact cache
     (see :mod:`repro.store`).
     """
     measurements = measure(n, t, executor=executor, store=store)

@@ -163,9 +163,9 @@ def check_safety(protocol: ActionProtocol, context: EBAContext,
     """Check the Definition 6.2 safety condition for ``protocol`` in ``context``.
 
     The system ``I_{γ, P}`` is built by exhaustive enumeration unless provided
-    (``executor`` optionally parallelises the build, and — on the vectorized
-    scan — shards the per-run 0-chain receipt pass across processes through
-    ``executor.scan_runs``).  Points at the final time of the bounded system
+    (the build always runs in-process; ``executor`` supplies its optional
+    ``checkpoint()`` hook and — on the vectorized scan — shards the per-run
+    0-chain receipt pass across processes through ``executor.scan_runs``).  Points at the final time of the bounded system
     are skipped for clause 2 (the "deciding in round m + 1" witness lies
     beyond the horizon there, and the paper's protocols have all decided by
     then anyway).

@@ -7,8 +7,8 @@ the shared :class:`~repro.store.ArtifactStore`), and posts the rendered
 payload back.  Threads are the right grain here because the work itself is
 either store-served (I/O) or dominated by long-running simulation/model
 checking — and a worker can additionally be handed a
-:class:`~repro.api.executors.ParallelExecutor` to fan one job's runs out over
-a process pool.
+:class:`~repro.api.executors.ParallelExecutor` to fan one sweep's runs out
+over a process pool.
 
 Supervision (the crash-safety layer) wraps every execution:
 
@@ -23,8 +23,9 @@ Supervision (the crash-safety layer) wraps every execution:
   the traceback.
 * **Cooperative cancellation** — the executor handed to the request is
   wrapped in a chunking guard that checks :attr:`Job.cancel_requested`
-  between task/batch chunks and raises :class:`JobCancelled`, which the
-  worker confirms via :meth:`JobQueue.mark_cancelled`.
+  between task chunks and construction chunks and raises
+  :class:`JobCancelled`, which the worker confirms via
+  :meth:`JobQueue.mark_cancelled`.
 
 Worker exceptions never escape the loop: the job moves to ``failed`` (or back
 to ``queued`` for a retry) carrying the traceback, the worker picks up the
@@ -76,11 +77,13 @@ def probe_warm(request: JobRequest, store) -> Optional[dict]:
 class _CancelGuard:
     """An executor wrapper that checks for cancellation between chunks.
 
-    Splits ``run_tasks``/``run_batches`` work into chunks, checking
-    :attr:`Job.cancel_requested` (the client's cooperative cancel) and its own
-    :attr:`abort` event (set when the supervising worker times the job out)
-    before each chunk and raising :class:`JobCancelled`.  Chunks are sized to
-    keep a parallel inner executor's pool busy between checks and to bound
+    :meth:`checkpoint` raises :class:`JobCancelled` once
+    :attr:`Job.cancel_requested` (the client's cooperative cancel) or the
+    guard's own :attr:`abort` event (set when the supervising worker times the
+    job out) is set.  ``run_tasks`` splits its work into chunks and checks
+    before each one; :func:`~repro.systems.interpreted.build_system` calls
+    :meth:`checkpoint` before each construction chunk.  Task chunks are sized
+    to keep a parallel inner executor's pool busy between checks and to bound
     the number of checks on huge sweeps (at most ~8 per call), so the guard
     costs cancellation *latency*, never throughput or determinism — the
     concatenated chunk results are identical to one unchunked call.
@@ -92,7 +95,7 @@ class _CancelGuard:
         self.job = job
         self.abort = threading.Event()
 
-    def _check(self) -> None:
+    def checkpoint(self) -> None:
         if self.job.cancel_requested or self.abort.is_set():
             raise JobCancelled(self.job.key)
 
@@ -106,17 +109,8 @@ class _CancelGuard:
         step = self._step(len(tasks))
         results = []
         for start in range(0, len(tasks), step):
-            self._check()
+            self.checkpoint()
             results.extend(self.inner.run_tasks(tasks[start:start + step]))
-        return results
-
-    def run_batches(self, batches):
-        batches = list(batches)
-        step = self._step(len(batches))
-        results = []
-        for start in range(0, len(batches), step):
-            self._check()
-            results.extend(self.inner.run_batches(batches[start:start + step]))
         return results
 
 
@@ -162,7 +156,7 @@ class WorkerPool:
         (``None`` = no caching; coalescing still deduplicates in-flight work).
     executor:
         Optional :class:`~repro.api.executors.Executor` handed to every
-        execution (e.g. a process pool for big builds); ``None`` = serial.
+        execution (e.g. a process pool for big sweeps); ``None`` = serial.
     workers:
         Thread count.  Identical submissions coalesce *before* reaching the
         pool, so extra workers only help genuinely distinct jobs.

@@ -40,9 +40,9 @@ agent's interned local state, it can also emit the per-agent
 system directly (:meth:`BatchSimulator.partitions`) — a run-major relabelling
 pass over precomputed class ids instead of re-hashing every local state.
 
-This module parallelises the *build* phase; its check-phase counterpart is
-:func:`repro.api.scans.scan_runs`, which shards per-run kernels over the
-finished system's run space through shared memory with the same
+This module batches the *build* phase, which always runs in-process; the
+check phase's per-run remainder is sharded by :func:`repro.api.scans.scan_runs`
+over the finished system's run space through shared memory, with a
 byte-identical-to-serial contract.
 """
 

@@ -115,64 +115,5 @@ class CachingExecutor:
                 results[index] = trace
         return results
 
-    def run_batches(self, batches: Sequence) -> List:
-        """Batched-construction work items, cache-aware.
-
-        Each batch (a :data:`~repro.simulation.batch.BatchTask` — a pattern
-        chunk crossed with the preference vectors) expands to its per-run
-        tasks and is looked up under the *same* per-run content keys as
-        ``run_tasks``, so traces cached by one entry path are hits for the
-        other.  A batch with any missing run is recomputed **whole** through
-        the inner backend's ``run_batches`` — forwarding only the missing runs
-        would shatter the round-major sharing the batch engine exists for —
-        and every fresh trace is persisted individually, keeping sweeps
-        resumable at per-run granularity.
-
-        Before this method existed, :func:`~repro.systems.interpreted.build_system`
-        saw a ``run_tasks``-only executor and silently fell back to per-run
-        simulation whenever ``--cache`` was on — caching *disabled* the ~18×
-        batched engine.  Now the fan-out is preserved: the inner executor
-        still receives batch work items (orbit-aligned chunks under
-        ``--parallel``), pinned by ``tests/test_store_caching.py``.
-        """
-        batches = list(batches)
-        per_batch: List[Optional[List]] = []
-        missing: List[int] = []
-        missing_keys: List[List[str]] = []
-        for index, batch in enumerate(batches):
-            protocol, n, preference_vectors, patterns, horizon = batch
-            keys = [run_task_key((protocol, n, preferences, pattern, horizon))
-                    for pattern in patterns
-                    for preferences in preference_vectors]
-            traces = [self.store.get(key) for key in keys]
-            if any(trace is None for trace in traces):
-                per_batch.append(None)
-                missing.append(index)
-                missing_keys.append(keys)
-            else:
-                per_batch.append(traces)
-        if missing:
-            to_run = [batches[index] for index in missing]
-            if hasattr(self.inner, "run_batches"):
-                fresh = list(self.inner.run_batches(to_run))
-            else:
-                fresh = self.inner.run_tasks([
-                    (protocol, n, preferences, pattern, horizon)
-                    for protocol, n, preference_vectors, patterns, horizon in to_run
-                    for pattern in patterns
-                    for preferences in preference_vectors
-                ])
-            cursor = 0
-            for index, keys in zip(missing, missing_keys):
-                chunk = fresh[cursor:cursor + len(keys)]
-                cursor += len(keys)
-                for key, trace in zip(keys, chunk):
-                    self.store.put(key, trace, kind="run")
-                per_batch[index] = chunk
-        results: List = []
-        for traces in per_batch:
-            results.extend(traces)
-        return results
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CachingExecutor(store={self.store!r}, inner={self.inner!r})"

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING, Tupl
 from ..core.errors import ModelCheckingError
 from ..core.types import PreferenceVector, Value
 from ..exchange.base import LocalState
-from ..failures.models import FailureModel, PatternOrbit
+from ..failures.models import FailureModel
 from ..failures.pattern import FailurePattern
 from ..obs import trace as _trace
 from ..protocols.base import ActionProtocol
@@ -378,50 +378,35 @@ class InterpretedSystem:
 #: The construction engines ``build_system`` dispatches between.
 ENGINES = ("batched", "per-run")
 
+#: Failure patterns simulated per construction chunk.  ``build_system`` calls
+#: the executor's optional ``checkpoint()`` before each chunk, which bounds how
+#: long a cancelled build keeps running; the chunks share one simulator, so
+#: their size changes nothing about the result.
+BUILD_CHUNK_PATTERNS = 1024
 
-def _normalize_patterns(patterns: Iterable["FailurePattern | PatternOrbit"],
+
+def _normalize_patterns(patterns: Iterable[FailurePattern],
                         pattern_weights: Optional[Sequence[int]],
-                        ) -> Tuple[List[FailurePattern], List[Tuple[FailurePattern, ...]],
-                                   Optional[List[int]]]:
-    """Expand orbits, validate weights, and reject duplicate patterns.
+                        ) -> Tuple[List[FailurePattern], Optional[List[int]]]:
+    """Validate weights and reject duplicate patterns.
 
-    Returns ``(pattern_list, groups, weights)``: the flat pattern list in
-    build order, the orbit grouping (used to keep orbit members in one
-    parallel chunk), and the per-pattern weights (``None`` when every pattern
-    counts once).
+    Returns ``(pattern_list, weights)``: the pattern list in build order and
+    the per-pattern weights (``None`` when every pattern counts once).
     """
-    entries = list(patterns)
-    if not entries:
+    pattern_list = list(patterns)
+    if not pattern_list:
         raise ModelCheckingError("cannot build a system from an empty set of failure patterns")
+    weights: Optional[List[int]] = None
     if pattern_weights is not None:
-        weight_list = list(pattern_weights)
-        if any(isinstance(entry, PatternOrbit) for entry in entries):
+        weights = list(pattern_weights)
+        if len(weights) != len(pattern_list):
             raise ModelCheckingError(
-                "pattern_weights cannot be combined with PatternOrbit entries; "
-                "orbits carry their own multiplicities")
-        if len(weight_list) != len(entries):
-            raise ModelCheckingError(
-                f"pattern_weights has {len(weight_list)} entries for "
-                f"{len(entries)} patterns")
-        for weight in weight_list:
+                f"pattern_weights has {len(weights)} entries for "
+                f"{len(pattern_list)} patterns")
+        for weight in weights:
             if not isinstance(weight, int) or weight < 1:
                 raise ModelCheckingError(
                     f"pattern weights must be positive integers, got {weight!r}")
-    else:
-        weight_list = None
-    pattern_list: List[FailurePattern] = []
-    groups: List[Tuple[FailurePattern, ...]] = []
-    weights: List[int] = []
-    for index, entry in enumerate(entries):
-        if isinstance(entry, PatternOrbit):
-            members = entry.expand()
-            groups.append(members)
-            pattern_list.extend(members)
-            weights.extend([1] * len(members))
-        else:
-            groups.append((entry,))
-            pattern_list.append(entry)
-            weights.append(1 if weight_list is None else weight_list[index])
     seen: Dict[FailurePattern, int] = {}
     for position, pattern in enumerate(pattern_list):
         first = seen.get(pattern)
@@ -433,35 +418,13 @@ def _normalize_patterns(patterns: Iterable["FailurePattern | PatternOrbit"],
                 "tallies"
             )
         seen[pattern] = position
-    if all(weight == 1 for weight in weights):
-        return pattern_list, groups, None
-    return pattern_list, groups, weights
-
-
-def _chunk_groups(groups: Sequence[Tuple[FailurePattern, ...]],
-                  target_chunks: int = 64) -> List[Tuple[FailurePattern, ...]]:
-    """Pack pattern groups into at most ``target_chunks`` contiguous chunks.
-
-    Chunk boundaries fall only between groups, so the members of one pattern
-    orbit always land in the same parallel batch (and therefore share one
-    worker-side simulator).
-    """
-    total = sum(len(group) for group in groups)
-    chunk_size = max(1, -(-total // target_chunks))
-    chunks: List[Tuple[FailurePattern, ...]] = []
-    current: List[FailurePattern] = []
-    for group in groups:
-        current.extend(group)
-        if len(current) >= chunk_size:
-            chunks.append(tuple(current))
-            current = []
-    if current:
-        chunks.append(tuple(current))
-    return chunks
+    if weights is None or all(weight == 1 for weight in weights):
+        return pattern_list, None
+    return pattern_list, weights
 
 
 def build_system(protocol: ActionProtocol, n: int, horizon: int,
-                 patterns: Iterable["FailurePattern | PatternOrbit"],
+                 patterns: Iterable[FailurePattern],
                  preference_vectors: Optional[Iterable[PreferenceVector]] = None,
                  executor: Optional["Executor"] = None,
                  store: "StoreLike" = None,
@@ -481,28 +444,22 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         to time ``horizon`` exists in every run.
     patterns:
         The failure patterns of the failure model ``F`` (use
-        ``FailureModel.enumerate`` for exhaustive small systems).  Entries may
-        also be :class:`~repro.failures.models.PatternOrbit`\\ s (from
-        ``FailureModel.enumerate_orbits``), which are expanded in place to
-        their full membership in canonical order.  Duplicate patterns are
-        rejected with :class:`~repro.core.errors.ModelCheckingError` — a
-        duplicated pattern would silently inflate every run count downstream.
+        ``FailureModel.enumerate`` for exhaustive small systems).  Duplicate
+        patterns are rejected with
+        :class:`~repro.core.errors.ModelCheckingError` — a duplicated pattern
+        would silently inflate every run count downstream.
     preference_vectors:
         The initial preference vectors to include; defaults to all ``2^n``.
     executor:
-        Optional :class:`~repro.api.executors.Executor` to simulate the runs
-        on (e.g. :class:`~repro.api.executors.ParallelExecutor` for a process
-        pool).  Run ordering is deterministic — pattern-major,
-        preference-minor — on every backend; ``None`` runs in-process.  With
-        the batched engine, executors exposing ``run_batches`` receive
-        contiguous pattern chunks (each chunk one worker-side batch
-        simulator); when ``patterns`` contains orbits, chunk boundaries
-        respect orbit boundaries, so an orbit's members always share a
-        simulator.  Executors with only ``run_tasks`` fall back to per-run
-        simulation.  The :class:`~repro.store.CachingExecutor` keeps the
-        batched fan-out (its ``run_batches`` serves fully cached chunks and
-        forwards whole missing chunks inward) while still caching at per-run
-        granularity.
+        Optional :class:`~repro.api.executors.Executor`.  Construction always
+        runs in-process, whatever the executor: shipping pattern chunks to a
+        process pool costs more in pickling and re-interning on the way back
+        than building the whole system here (see docs/performance.md).  The
+        executor is consulted only for an optional ``checkpoint()`` method,
+        called before each chunk of :data:`BUILD_CHUNK_PATTERNS` patterns;
+        whatever it raises aborts the build with nothing stored (the job
+        service's cooperative cancel).  Run ordering is pattern-major,
+        preference-minor.
     store:
         Optional :class:`~repro.store.ArtifactStore` (or cache-directory
         path): the built system — runs *and* interned partitions — is served
@@ -511,18 +468,19 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         repo's exponential hot path, so this is the store's flagship artifact.
     engine:
         ``"batched"`` (default) advances all runs together one round at a
-        time through a :class:`~repro.simulation.batch.BatchSimulator`,
+        time through one :class:`~repro.simulation.batch.BatchSimulator`,
         sharing exchange construction, ``act``/``messages_for`` evaluations,
-        and whole round transitions across runs; ``"per-run"`` is the
-        original one-:func:`~repro.simulation.engine.simulate`-call-per-run
-        path, kept as a differential-testing oracle.  Both produce
-        byte-identical traces (per-trace pickle).
+        and whole round transitions across runs, and adopts the partitions it
+        emits; ``"per-run"`` is the original
+        one-:func:`~repro.simulation.engine.simulate`-call-per-run path, kept
+        as a differential-testing oracle.  Both produce byte-identical traces
+        (per-trace pickle).
     pattern_weights:
         Optional per-pattern orbit multiplicities (one positive integer per
-        ``patterns`` entry; incompatible with orbit entries, which carry their
-        own sizes).  When any weight exceeds 1 the system records per-run
-        weights (:attr:`InterpretedSystem.run_weights`) so counting paths can
-        recover exact full-enumeration totals from a symmetry-reduced build.
+        ``patterns`` entry).  When any weight exceeds 1 the system records
+        per-run weights (:attr:`InterpretedSystem.run_weights`) so counting
+        paths can recover exact full-enumeration totals from a
+        symmetry-reduced build.
     """
     from ..store import resolve_store, system_key
     if engine not in ENGINES:
@@ -537,7 +495,7 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
                 f"preference vector {vector!r} has length {len(vector)}, "
                 f"expected {n} (one preference per agent)"
             )
-    pattern_list, groups, weights = _normalize_patterns(patterns, pattern_weights)
+    pattern_list, weights = _normalize_patterns(patterns, pattern_weights)
     run_weights: Optional[Tuple[int, ...]] = None
     if weights is not None:
         run_weights = tuple(
@@ -558,41 +516,20 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
             if cached is not None:
                 span.set("cached", True)
                 return cached
-        partitions = None
-        if engine == "per-run":
-            if executor is None:
-                runs: List[RunTrace] = [
-                    simulate(protocol, n, preferences, pattern=pattern, horizon=horizon)
-                    for pattern in pattern_list
-                    for preferences in preference_list
-                ]
+        checkpoint = getattr(executor, "checkpoint", None)
+        simulator = BatchSimulator(protocol, n) if engine == "batched" else None
+        runs: List[RunTrace] = []
+        for start in range(0, len(pattern_list), BUILD_CHUNK_PATTERNS):
+            if checkpoint is not None:
+                checkpoint()
+            chunk = pattern_list[start:start + BUILD_CHUNK_PATTERNS]
+            if simulator is None:
+                runs.extend(simulate(protocol, n, preferences, pattern=pattern,
+                                     horizon=horizon)
+                            for pattern in chunk for preferences in preference_list)
             else:
-                tasks = [
-                    (protocol, n, preferences, pattern, horizon)
-                    for pattern in pattern_list
-                    for preferences in preference_list
-                ]
-                runs = list(executor.run_tasks(tasks))
-        elif executor is None:
-            simulator = BatchSimulator(protocol, n)
-            runs = simulator.simulate_patterns(pattern_list, preference_list, horizon)
-            partitions = simulator.partitions(runs, horizon)
-        elif hasattr(executor, "run_batches"):
-            prefs = tuple(preference_list)
-            batches = [
-                (protocol, n, prefs, chunk, horizon)
-                for chunk in _chunk_groups(groups)
-            ]
-            runs = list(executor.run_batches(batches))
-        else:
-            # Executors exposing only run_tasks (custom backends)
-            # keep their per-run semantics.
-            tasks = [
-                (protocol, n, preferences, pattern, horizon)
-                for pattern in pattern_list
-                for preferences in preference_list
-            ]
-            runs = list(executor.run_tasks(tasks))
+                runs.extend(simulator.simulate_patterns(chunk, preference_list, horizon))
+        partitions = None if simulator is None else simulator.partitions(runs, horizon)
         with _trace.span("build.intern", "build"):
             system = InterpretedSystem(n=n, horizon=horizon, runs=runs,
                                        protocol_name=protocol.name,
@@ -606,7 +543,7 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
 
 
 #: The symmetry-handling modes of :func:`build_system_for_model`.
-SYMMETRY_MODES = ("none", "expand", "reduce")
+SYMMETRY_MODES = ("none", "reduce")
 
 
 def build_system_for_model(protocol: ActionProtocol, model: FailureModel, horizon: int,
@@ -621,9 +558,6 @@ def build_system_for_model(protocol: ActionProtocol, model: FailureModel, horizo
 
     * ``"none"`` (default) — enumerate patterns in the model's native slot
       order (byte-compatible with every earlier build);
-    * ``"expand"`` — enumerate canonical orbits and expand each back to its
-      full membership: the same pattern *set*, in canonical orbit order, with
-      orbit members contiguous (so parallel chunks align with orbits);
     * ``"reduce"`` — build only one representative per orbit and record the
       orbit sizes as :attr:`InterpretedSystem.run_weights`.  The reduced
       system has ~``1/n!`` of the runs; agent-symmetric counting statistics
@@ -637,16 +571,12 @@ def build_system_for_model(protocol: ActionProtocol, model: FailureModel, horizo
         raise ModelCheckingError(
             f"unknown symmetry mode {symmetry!r}; use one of {SYMMETRY_MODES}")
     if symmetry == "none":
-        patterns: Iterable["FailurePattern | PatternOrbit"] = model.enumerate(
+        patterns: Iterable[FailurePattern] = model.enumerate(
             horizon) if max_faulty is None else model.enumerate(horizon, max_faulty=max_faulty)
         weights = None
     else:
         orbits = list(model.enumerate_orbits(horizon, max_faulty=max_faulty))
-        if symmetry == "expand":
-            patterns = orbits
-            weights = None
-        else:
-            patterns = [orbit.representative for orbit in orbits]
-            weights = [orbit.size for orbit in orbits]
+        patterns = [orbit.representative for orbit in orbits]
+        weights = [orbit.size for orbit in orbits]
     return build_system(protocol, model.n, horizon, patterns, executor=executor,
                         store=store, engine=engine, pattern_weights=weights)

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.errors import ServiceError, ServiceUnavailable
 from repro.service import (
+    JobCancelled,
     JobQueue,
     JobServer,
     ServiceClient,
@@ -28,7 +29,8 @@ from repro.service import (
     sweep_request,
     wire,
 )
-from repro.service.jobs import CANCELLED, QUEUED, RUNNING
+from repro.service.jobs import CANCELLED, QUEUED, RUNNING, Job
+from repro.service.workers import _CancelGuard
 from repro.store import ArtifactStore
 from repro.testing import FailOnceProtocol, ServerHarness, SlowProtocol
 
@@ -192,6 +194,17 @@ class TestRetryAndTimeout:
 
 
 class TestCooperativeCancel:
+    def test_checkpoint_raises_once_cancel_or_abort_is_set(self):
+        for trigger in ("cancel_requested", "abort"):
+            guard = _CancelGuard(None, Job(decode_request(run_body())))
+            guard.checkpoint()  # neither flag set: a no-op
+            if trigger == "abort":
+                guard.abort.set()
+            else:
+                guard.job.cancel_requested = True
+            with pytest.raises(JobCancelled):
+                guard.checkpoint()
+
     def test_cancel_a_running_sweep(self, monkeypatch):
         monkeypatch.setitem(wire.PROTOCOL_FACTORIES, "slow",
                             lambda t: SlowProtocol(t, delay=0.05))

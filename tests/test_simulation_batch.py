@@ -6,8 +6,8 @@ for every protocol, failure model, and scenario — and systems whose interned
 partitions are identical to the per-run path's.  These tests enforce that
 promise across the SO / RO / GO models and all three paper protocols, plus a
 randomized scenario sweep, and pin the supporting behaviours: duplicate-pattern
-rejection, executor batch fan-out, and the engine/symmetry knobs of
-``build_system``.
+rejection, in-process chunked construction under every executor (with its
+cancel checkpoint), and the engine/symmetry knobs of ``build_system``.
 """
 
 import pickle
@@ -133,30 +133,81 @@ class TestEngineEquivalenceInBuildSystem:
             gamma_min(3, 1).build_system(MinProtocol(1), engine="turbo")
 
 
+def _partition_fields(partitions):
+    return [(part.class_states, part.class_masks, part.class_first_indices)
+            for part in partitions]
+
+
+def _system_partitions(system):
+    return _partition_fields(map(system.partition, range(system.n)))
+
+
+class _CheckpointCounter:
+    """An executor whose ``checkpoint()`` raises on its ``fail_at``-th call."""
+
+    def __init__(self, fail_at=None):
+        self.calls = 0
+        self.fail_at = fail_at
+
+    def checkpoint(self):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError("cancelled")
+
+
 class TestExecutorBatchFanOut:
-    def test_serial_and_parallel_batches_match_in_process_build(self):
+    def test_serial_and_parallel_batches_match_in_process_build(self, monkeypatch):
+        """Every executor builds in-process, in chunks, without starting a pool.
+
+        Runs and partitions equal the ``executor=None`` build and one unchunked
+        pass of a single simulator, whatever the executor.
+        """
+        import concurrent.futures
+
+        from repro.service import decode_request, run_request
+        from repro.service.jobs import Job
+        from repro.service.workers import _CancelGuard
+        from repro.systems import interpreted
+
         context = gamma_min(3, 1)
+        patterns = list(context.patterns())
+        prefs = [tuple(p) for p in enumerate_preferences(3)]
+        simulator = BatchSimulator(MinProtocol(1), 3)
+        one_pass = simulator.simulate_patterns(patterns, prefs, context.horizon)
+        one_pass_partitions = simulator.partitions(one_pass, context.horizon)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("system construction started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(interpreted, "BUILD_CHUNK_PATTERNS", 16)
+        assert len(patterns) > 2 * interpreted.BUILD_CHUNK_PATTERNS
         reference = context.build_system(MinProtocol(1))
-        serial = context.build_system(MinProtocol(1), executor=SerialExecutor())
-        parallel = context.build_system(
-            MinProtocol(1), executor=ParallelExecutor(max_workers=2, chunksize=1))
-        assert _trace_bytes(serial.runs) == _trace_bytes(reference.runs)
-        assert _trace_bytes(parallel.runs) == _trace_bytes(reference.runs)
+        assert _trace_bytes(reference.runs) == _trace_bytes(one_pass)
+        assert (_system_partitions(reference)
+                == _partition_fields(one_pass_partitions.values()))
+        guard = _CancelGuard(None, Job(decode_request(run_request("min", 1, 3, [1, 0, 1]))))
+        for executor in (SerialExecutor(), ParallelExecutor(max_workers=2, chunksize=1),
+                         guard):
+            system = context.build_system(MinProtocol(1), executor=executor)
+            assert _trace_bytes(system.runs) == _trace_bytes(reference.runs)
+            assert _system_partitions(system) == _system_partitions(reference)
 
-    def test_run_tasks_only_executors_fall_back_to_per_run(self):
-        class TasksOnly:
-            def __init__(self):
-                self.calls = 0
-
-            def run_tasks(self, tasks):
-                self.calls += 1
-                return SerialExecutor().run_tasks(tasks)
-
-        executor = TasksOnly()
-        system = gamma_min(3, 1).build_system(MinProtocol(1), executor=executor)
-        assert executor.calls == 1
-        reference = gamma_min(3, 1).build_system(MinProtocol(1))
-        assert _trace_bytes(system.runs) == _trace_bytes(reference.runs)
+    def test_checkpoint_before_every_chunk_and_raising_stores_nothing(self, monkeypatch,
+                                                                      tmp_path):
+        from repro.store import default_store
+        from repro.systems import interpreted
+        monkeypatch.setattr(interpreted, "BUILD_CHUNK_PATTERNS", 16)
+        context = gamma_min(3, 1)
+        executor = _CheckpointCounter()
+        context.build_system(MinProtocol(1), executor=executor)
+        assert executor.calls == -(-len(list(context.patterns())) // 16)
+        store = default_store(tmp_path)
+        executor = _CheckpointCounter(fail_at=3)
+        with pytest.raises(RuntimeError, match="cancelled"):
+            context.build_system(MinProtocol(1), executor=executor, store=store)
+        assert executor.calls == 3
+        assert store.stats().entries == 0
 
     def test_execute_batches_shares_a_simulator_across_chunks(self):
         protocol = MinProtocol(1)
@@ -207,15 +258,6 @@ class TestValidation:
 
 
 class TestSymmetryModes:
-    def test_expand_builds_the_same_pattern_set(self):
-        model = SendingOmissionModel(n=3, t=1)
-        full = build_system_for_model(MinProtocol(1), model, 2)
-        expanded = build_system_for_model(MinProtocol(1), model, 2, symmetry="expand")
-        assert len(expanded.runs) == len(full.runs)
-        assert ({run.pattern for run in expanded.runs}
-                == {run.pattern for run in full.runs})
-        assert expanded.run_weights is None
-
     def test_reduce_records_exact_weighted_run_count(self):
         model = SendingOmissionModel(n=3, t=1)
         full = build_system_for_model(MinProtocol(1), model, 2)

@@ -73,108 +73,6 @@ class TestCachingExecutor:
         assert traces == reference  # order and content identical to uncached
 
 
-class CountingBatchExecutor:
-    """A serial executor recording whether work arrived batched or per-run."""
-
-    def __init__(self) -> None:
-        self.batches_run: List[tuple] = []
-        self.tasks_run: List[tuple] = []
-
-    def run_tasks(self, tasks: Sequence[tuple]):
-        self.tasks_run.extend(tasks)
-        return SerialExecutor().run_tasks(tasks)
-
-    def run_batches(self, batches: Sequence[tuple]):
-        self.batches_run.extend(batches)
-        from repro.simulation.batch import execute_batches
-        return execute_batches(batches)
-
-
-def two_batches():
-    """Two one-pattern batch work items over the same preference vectors."""
-    prefs = ((1, 1, 1), (1, 0, 1))
-    return [
-        (MinProtocol(1), 3, prefs, (FailurePattern.failure_free(3),), 3),
-        (MinProtocol(1), 3, prefs,
-         (FailurePattern.silent(3, faulty=[0], horizon=3),), 3),
-    ]
-
-
-class TestCachingExecutorBatches:
-    """``--cache`` must compose with the batched engine, not disable it.
-
-    Before ``CachingExecutor.run_batches`` existed, ``build_system`` saw a
-    ``run_tasks``-only executor whenever caching was on and silently fell back
-    to per-run simulation — caching turned the batched engine off.
-    """
-
-    def test_batches_reach_the_inner_backend_as_batches(self, store):
-        inner = CountingBatchExecutor()
-        batches = two_batches()
-        CachingExecutor(store, inner).run_batches(batches)
-        assert inner.batches_run == batches
-        assert inner.tasks_run == []  # never shattered into per-run tasks
-
-    def test_miss_then_hit(self, store):
-        from repro.simulation.batch import execute_batches
-        batches = two_batches()
-        first = CachingExecutor(store, CountingBatchExecutor()).run_batches(batches)
-        inner = CountingBatchExecutor()
-        second = CachingExecutor(store, inner).run_batches(batches)
-        assert inner.batches_run == [] and inner.tasks_run == []
-        assert first == second == execute_batches(batches)
-
-    def test_partially_warm_batch_recomputes_whole(self, store):
-        """A batch with any missing run re-runs whole: forwarding fragments
-        would destroy the round-major sharing the batch engine exists for."""
-        batch_a, batch_b = two_batches()
-        CachingExecutor(store).run_batches([batch_a])
-        # Warm exactly one of batch_b's runs through the per-task path.
-        protocol, n, prefs, patterns, horizon = batch_b
-        CachingExecutor(store).run_tasks([(protocol, n, prefs[0], patterns[0],
-                                           horizon)])
-        inner = CountingBatchExecutor()
-        traces = CachingExecutor(store, inner).run_batches([batch_a, batch_b])
-        assert inner.batches_run == [batch_b]
-        from repro.simulation.batch import execute_batches
-        assert traces == execute_batches([batch_a, batch_b])
-
-    def test_batch_and_task_paths_share_keys(self, store):
-        """Traces cached by ``run_tasks`` are hits for ``run_batches``."""
-        batches = two_batches()
-        tasks = [(protocol, n, preferences, pattern, horizon)
-                 for protocol, n, prefs, patterns, horizon in batches
-                 for pattern in patterns
-                 for preferences in prefs]
-        CachingExecutor(store).run_tasks(tasks)
-        inner = CountingBatchExecutor()
-        CachingExecutor(store, inner).run_batches(batches)
-        assert inner.batches_run == [] and inner.tasks_run == []
-
-    def test_run_tasks_only_inner_still_works(self, store):
-        """An inner backend without ``run_batches`` gets flattened tasks."""
-        from repro.simulation.batch import execute_batches
-        inner = CountingExecutor()
-        traces = CachingExecutor(store, inner).run_batches(two_batches())
-        assert traces == execute_batches(two_batches())
-        assert len(inner.tasks_run) == 4  # 2 batches x 2 preference vectors
-
-    def test_build_system_keeps_batched_fanout_under_caching(self, store):
-        """The regression pin: ``build_system`` with a ``CachingExecutor``
-        dispatches batch work items, exactly like the uncached engine."""
-        patterns = [FailurePattern.failure_free(3),
-                    FailurePattern.silent(3, faulty=[0], horizon=3)]
-        inner = CountingBatchExecutor()
-        cold = build_system(MinProtocol(1), 3, 3, patterns,
-                            executor=CachingExecutor(store, inner))
-        assert inner.batches_run and not inner.tasks_run
-        rerun_inner = CountingBatchExecutor()
-        warm = build_system(MinProtocol(1), 3, 3, patterns,
-                            executor=CachingExecutor(store, rerun_inner))
-        assert rerun_inner.batches_run == [] and rerun_inner.tasks_run == []
-        assert warm.runs == cold.runs
-
-
 # --------------------------------------------------------------------------- specs
 
 
