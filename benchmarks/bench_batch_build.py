@@ -6,9 +6,10 @@ full ``γ_min`` system at (n=4, t=1) — no artifact store, nothing warm — mus
 at least **5× faster** batched than per-run, with byte-identical traces.  This
 file measures exactly that, at (n=3, t=1) and (n=4, t=1):
 
-* ``per_run`` — the original engine: one ``simulate()`` call per
-  (pattern, preference-vector) pair, exchange constructed per run;
-* ``batched`` — the default engine: all runs advance together one round at a
+* ``per_run`` — the naive oracle: one ``simulate()`` call per
+  (pattern, preference-vector) pair, exchange constructed per run, wrapped in
+  an ``InterpretedSystem`` that interns its local states lazily;
+* ``batched`` — ``build_system``: all runs advance together one round at a
   time, sharing ``act``/``messages_for`` per distinct local state and whole
   round transitions per distinct (global state, blocked-edge set) class, with
   the agent partitions emitted during construction.
@@ -28,7 +29,9 @@ import pickle
 import pytest
 
 from repro.protocols import MinProtocol
-from repro.systems import gamma_min
+from repro.simulation.engine import simulate
+from repro.systems import InterpretedSystem, gamma_min
+from repro.workloads.preferences import enumerate_preferences
 
 SIZES = [(3, 1), (4, 1)]
 
@@ -41,15 +44,27 @@ MIN_SPEEDUP = 5.0
 _PER_RUN_SECONDS = {}
 
 
-def _build(n, t, engine):
-    return gamma_min(n, t).build_system(MinProtocol(t), engine=engine)
+def _build_batched(n, t):
+    return gamma_min(n, t).build_system(MinProtocol(t))
+
+
+def _build_per_run(n, t):
+    """The construction oracle, interned like a built system so both sides do the same work."""
+    context, protocol = gamma_min(n, t), MinProtocol(t)
+    prefs = [tuple(p) for p in enumerate_preferences(n)]
+    runs = [simulate(protocol, n, p, pattern=pattern, horizon=context.horizon)
+            for pattern in context.patterns() for p in prefs]
+    system = InterpretedSystem(n=n, horizon=context.horizon, runs=runs,
+                               protocol_name=protocol.name)
+    system.intern_states()
+    return system
 
 
 @pytest.mark.parametrize("size", SIZES, ids=lambda size: f"n{size[0]}_t{size[1]}")
 def test_bench_per_run_build(benchmark, size):
-    """The oracle engine: one simulate() call per run."""
+    """The oracle: one simulate() call per run."""
     n, t = size
-    system = benchmark.pedantic(lambda: _build(n, t, "per-run"), rounds=1, iterations=1)
+    system = benchmark.pedantic(lambda: _build_per_run(n, t), rounds=1, iterations=1)
     _PER_RUN_SECONDS[size] = benchmark.stats.stats.mean
     assert len(system.runs) > 0
 
@@ -58,13 +73,13 @@ def test_bench_per_run_build(benchmark, size):
 def test_bench_batched_build(benchmark, size):
     """The batched engine, asserted ≥ 5× faster at n=4 and byte-identical at n=3."""
     n, t = size
-    system = benchmark.pedantic(lambda: _build(n, t, "batched"),
+    system = benchmark.pedantic(lambda: _build_batched(n, t),
                                 rounds=3, iterations=1)
     batched_seconds = benchmark.stats.stats.mean
     per_run_seconds = _PER_RUN_SECONDS.get(size)
     assert per_run_seconds is not None, "per-run benchmark must run first"
     if n == 3:
-        reference = _build(n, t, "per-run")
+        reference = _build_per_run(n, t)
         assert len(system.runs) == len(reference.runs)
         for batched_trace, per_run_trace in zip(system.runs, reference.runs):
             assert pickle.dumps(batched_trace) == pickle.dumps(per_run_trace)

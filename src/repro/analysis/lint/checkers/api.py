@@ -4,8 +4,7 @@
 defining module (:data:`~..registry.DEPRECATED_SYMBOLS`) and call sites are
 resolved through the file's imports, so ``simulate`` imported from
 ``repro.simulation.engine`` (the real engine) is never confused with the
-legacy ``repro.simulation.runner.simulate`` shim.  Legacy keyword arguments
-(``engine="per-run"``) are flagged the same way.
+legacy ``repro.simulation.runner.simulate`` shim.
 
 **API002** — an executor-accepting function that calls another
 executor-accepting function without forwarding its ``executor``.  The callee
@@ -20,7 +19,7 @@ import ast
 from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from ..findings import Finding
-from ..registry import Checker, DEPRECATED_KEYWORDS, DEPRECATED_SYMBOLS, FileContext, register
+from ..registry import Checker, DEPRECATED_SYMBOLS, FileContext, register
 
 __all__ = ["ApiSurfaceChecker", "index_executor_functions"]
 
@@ -141,8 +140,7 @@ def _local_defs_without_executor(tree: ast.Module) -> Set[str]:
 class ApiSurfaceChecker(Checker):
     family = "API"
     codes = {
-        "API001": ("call to a deprecated shim (legacy entry points, "
-                   "engine=\"per-run\") outside the shim modules"),
+        "API001": "call to a deprecated shim outside the shim modules",
         "API002": ("executor-accepting function drops the executor when "
                    "calling an executor-accepting callee"),
     }
@@ -176,16 +174,6 @@ class ApiSurfaceChecker(Checker):
                             node, "API001",
                             f"call to deprecated shim {module}.{attr}; use "
                             "the RunSpec/Sweep builders")
-            for keyword in node.keywords:
-                legacy = DEPRECATED_KEYWORDS.get(keyword.arg or "")
-                if not legacy:
-                    continue
-                value = keyword.value
-                if isinstance(value, ast.Constant) and value.value in legacy:
-                    yield ctx.finding(
-                        node, "API001",
-                        f"legacy keyword {keyword.arg}={value.value!r}; the "
-                        "per-run engine era is over, drop the argument")
 
     def _check_executor_threading(self, ctx: FileContext) -> Iterator[Finding]:
         callees = set(ctx.project.executor_functions)

@@ -110,11 +110,6 @@ DEPRECATED_SYMBOLS: Mapping[str, Tuple[str, ...]] = {
     "repro": ("set_resume_notifier",),
 }
 
-#: Keyword arguments whose presence marks a call as legacy.
-DEPRECATED_KEYWORDS: Mapping[str, Tuple[str, ...]] = {
-    "engine": ("per-run",),
-}
-
 
 @dataclass(frozen=True)
 class LintConfig:

@@ -10,9 +10,9 @@ that maps a contiguous run range to a fixed-dtype array with one row per run.
 ``scan_runs`` shards ``[0, num_runs)`` into contiguous blocks and runs the
 kernel over them:
 
-* **in-process** when there is nothing to gain (one worker, few runs, numpy or
-  the ``fork`` start method unavailable) — the fallback is always correct,
-  parallelism is purely an optimisation;
+* **in-process** when there is nothing to gain (one worker, few runs, or no
+  ``fork`` start method) — the fallback is always correct, parallelism is
+  purely an optimisation;
 * **forked workers + shared memory** otherwise.  The parent stashes the
   (large, already-built) :class:`~repro.systems.interpreted.InterpretedSystem`
   and the kernel in a module global *before* forking, so children inherit them
@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import multiprocessing
 from typing import Callable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..logic import words as _words
 from ..obs import trace as _trace
@@ -60,8 +62,6 @@ def fork_available() -> bool:
 def _worker(item: Tuple[str, Tuple[int, ...], str, int, int]) -> Tuple[int, int]:
     """One shard: run the stashed kernel and write its rows into shared memory."""
     from multiprocessing import shared_memory
-
-    import numpy as np
 
     shm_name, total_shape, dtype_str, start, stop = item
     system, kernel = _SCAN_STATE  # type: ignore[misc]  # set pre-fork
@@ -105,7 +105,7 @@ def scan_runs(system: InterpretedSystem, kernel: ScanKernel, *,
     workers:
         Desired process count.  The call falls back to one in-process kernel
         invocation whenever sharding cannot help (``workers <= 1``, fewer than
-        :data:`MIN_RUNS_TO_FORK` runs, no numpy, or no ``fork``).
+        :data:`MIN_RUNS_TO_FORK` runs, or no ``fork``).
 
     Returns the assembled ``(num_runs, *row_shape)`` array (a plain in-process
     copy; the shared-memory block is unlinked before returning).
@@ -113,27 +113,16 @@ def scan_runs(system: InterpretedSystem, kernel: ScanKernel, *,
     global _SCAN_STATE
 
     num_runs = len(system.runs)
-    serial = (
-        workers <= 1
-        or num_runs < MIN_RUNS_TO_FORK
-        or not _words.HAVE_NUMPY
-        or not fork_available()
-    )
+    serial = workers <= 1 or num_runs < MIN_RUNS_TO_FORK or not fork_available()
     scan_span = _trace.NOOP
     if _trace.is_active():
         scan_span = _trace.span("scan.runs", "exec", {
             "runs": num_runs, "workers": workers, "serial": serial})
     with scan_span as span:
         if serial:
-            result = kernel(system, 0, num_runs)
-            if _words.HAVE_NUMPY:
-                import numpy as np
-                return np.asarray(result, dtype=np.dtype(dtype))
-            return result
+            return np.asarray(kernel(system, 0, num_runs), dtype=np.dtype(dtype))
 
         from multiprocessing import shared_memory
-
-        import numpy as np
 
         total_shape = (num_runs,) + tuple(row_shape)
         dt = np.dtype(dtype)

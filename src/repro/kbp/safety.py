@@ -22,34 +22,31 @@ condition exhaustively over the enumerated system; that is what
 ``P_basic`` — the definition quantifies over all implementations, and Theorems
 6.5 / 6.6 identify these as the implementations in their contexts).
 
-Two scan strategies implement the check, selected by ``scan=``:
-
-* ``"vector"`` (the default with numpy) turns the per-point quantifier
-  alternation into word-array / per-class reductions over the whole system at
-  once — "``j`` decides 0 in round ``m + 1``" is a shift-and-mask pipeline
-  over the decided masks, "some indistinguishable point with X" is one
-  ``np.bincount`` class reduction — and shards the one irreducibly per-run
-  ingredient (the 0-chain receipt table) across processes through
-  ``executor.scan_runs`` (see :mod:`repro.api.scans`).  This is what makes the
-  n=5 Def 6.2 scan feasible.
-* ``"per-point"`` is the original nested-loop implementation, retained as the
-  numpy-free fallback and as the differential oracle: both scans produce
-  identical reports — same counters, same violations in the same order —
-  which ``tests/test_kbp_safety.py`` asserts on every system it checks.
+The check turns the per-point quantifier alternation into word-array /
+per-class reductions over the whole system at once — "``j`` decides 0 in
+round ``m + 1``" is a shift-and-mask pipeline over the decided masks, "some
+indistinguishable point with X" is one ``np.bincount`` class reduction — and
+shards the one irreducibly per-run ingredient (the 0-chain receipt table)
+across processes through ``executor.scan_runs`` (see :mod:`repro.api.scans`).
+This is what makes the n=5 Def 6.2 scan feasible.  The original
+point-by-point scan is kept in :mod:`repro.kbp.reference` as the
+differential oracle; ``tests/test_kbp_safety.py`` asserts that both produce
+identical reports — same counters, same violations in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import monotonic as _monotonic
-from typing import Dict, List, Optional, Set, TYPE_CHECKING, Tuple
+from typing import List, Optional, TYPE_CHECKING
+
+import numpy as np
 
 from ..analysis.chains import zero_chains
-from ..core.errors import ModelCheckingError
 from ..core.types import AgentId
 from ..logic import words as _words
 from ..logic.formula import Knows, nobody_deciding
-from ..logic.semantics import ModelChecker, PointSet
+from ..logic.semantics import ModelChecker
 from ..obs import trace as _trace
 from ..protocols.base import ActionProtocol
 from ..systems.contexts import EBAContext
@@ -59,9 +56,6 @@ from ..systems.points import Point
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.executors import Executor
     from ..store import StoreLike
-
-#: The scan strategies :func:`check_safety` dispatches between.
-SCANS = ("auto", "vector", "per-point")
 
 
 @dataclass(frozen=True)
@@ -103,28 +97,14 @@ _CLAUSE1_DETAIL = "no indistinguishable point with all initial preferences 1"
 _CLAUSE2_DETAIL = "no indistinguishable nonfaulty-witness point found"
 
 
-def _chain_receipt_table(system: InterpretedSystem) -> Dict[Tuple[int, AgentId], int]:
-    """Map ``(run_index, agent)`` to the earliest time a 0-chain ends at the agent (or -1)."""
-    table: Dict[Tuple[int, AgentId], int] = {}
-    for run_index, trace in enumerate(system.runs):
-        for chain in zero_chains(trace):
-            key = (run_index, chain.last_agent)
-            current = table.get(key)
-            if current is None or chain.length < current:
-                table[key] = chain.length
-    return table
-
-
 def _chain_receipt_kernel(system: InterpretedSystem, start: int, stop: int):
     """Scan kernel: per-run earliest 0-chain receipt times, one ``int16`` row per run.
 
     ``rows[r - start][agent]`` is the earliest time a 0-chain ends at
-    ``agent`` in run ``r`` (-1 if none) — :func:`_chain_receipt_table` as a
-    dense array over a contiguous run range, the fan-out unit of
-    :func:`repro.api.scans.scan_runs`.
+    ``agent`` in run ``r`` (-1 if none) — the receipt table of
+    :func:`repro.kbp.reference.chain_receipt_table` as a dense array over a
+    contiguous run range, the fan-out unit of :func:`repro.api.scans.scan_runs`.
     """
-    import numpy as np
-
     rows = np.full((stop - start, system.n), -1, dtype=np.int16)
     for offset in range(stop - start):
         for chain in zero_chains(system.runs[start + offset]):
@@ -144,49 +124,25 @@ def _chain_receipts(system: InterpretedSystem, executor: Optional["Executor"]):
                      row_shape=(system.n,), dtype="int16", workers=1)
 
 
-def _decides_zero_in_round(system: InterpretedSystem, run_index: int, agent: AgentId,
-                           round_number: int) -> bool:
-    """Whether the agent performs ``decide(0)`` in the given 1-based round of the run."""
-    trace = system.runs[run_index]
-    if not 1 <= round_number <= trace.horizon:
-        return False
-    action = trace.action_of(agent, round_number - 1)
-    return action.is_decision and action.value == 0
-
-
 def check_safety(protocol: ActionProtocol, context: EBAContext,
                  system: Optional[InterpretedSystem] = None,
                  max_violations: int = 10,
                  executor: Optional["Executor"] = None,
-                 store: "StoreLike" = None,
-                 scan: str = "auto") -> SafetyReport:
+                 store: "StoreLike" = None) -> SafetyReport:
     """Check the Definition 6.2 safety condition for ``protocol`` in ``context``.
 
     The system ``I_{γ, P}`` is built by exhaustive enumeration unless provided
     (the build always runs in-process; ``executor`` supplies its optional
-    ``checkpoint()`` hook and — on the vectorized scan — shards the per-run
-    0-chain receipt pass across processes through ``executor.scan_runs``).  Points at the final time of the bounded system
-    are skipped for clause 2 (the "deciding in round m + 1" witness lies
-    beyond the horizon there, and the paper's protocols have all decided by
-    then anyway).
-
-    ``scan`` selects the strategy: ``"vector"`` (word-array reductions),
-    ``"per-point"`` (the original nested loops, the differential oracle), or
-    ``"auto"`` (vector whenever numpy is available).  Both produce identical
-    reports — counters, violations, and violation order included.
+    ``checkpoint()`` hook and shards the per-run 0-chain receipt pass across
+    processes through ``executor.scan_runs``).  Points at the final time of
+    the bounded system are skipped for clause 2 (the "deciding in round
+    m + 1" witness lies beyond the horizon there, and the paper's protocols
+    have all decided by then anyway).
 
     ``store`` caches the finished report (and the system build) by content
     key; as with :func:`~repro.kbp.implementation.check_implements`, the
     report cache is only consulted when the system is built here.
     """
-    if scan not in SCANS:
-        raise ModelCheckingError(f"unknown safety scan {scan!r}; use one of {SCANS}")
-    if scan == "auto":
-        scan = "vector" if _words.HAVE_NUMPY else "per-point"
-    elif scan == "vector" and not _words.HAVE_NUMPY:
-        raise ModelCheckingError(
-            "the vectorized safety scan requires numpy; install it or use "
-            "check_safety(..., scan='per-point')")
     from ..store import resolve_store, safety_report_key
     resolved_store = resolve_store(store) if system is None else None
     report_key = None
@@ -200,126 +156,14 @@ def check_safety(protocol: ActionProtocol, context: EBAContext,
     scan_span = _trace.NOOP
     if _trace.is_active():
         scan_span = _trace.span("safety.check", "check", {
-            "protocol": protocol.name, "context": context.name, "scan": scan,
+            "protocol": protocol.name, "context": context.name,
             "points": system.num_points})
     with scan_span:
-        if scan == "vector":
-            report = _check_safety_vector(protocol, context, system,
-                                          max_violations, executor)
-        else:
-            report = _check_safety_per_point(protocol, context, system,
-                                             max_violations)
+        report = _check_safety_vector(protocol, context, system,
+                                      max_violations, executor)
     if resolved_store is not None and report_key is not None:
         resolved_store.put(report_key, report, kind="safety-report")
     return report
-
-
-# ---------------------------------------------------------------------- per-point scan
-
-
-def _check_safety_per_point(protocol: ActionProtocol, context: EBAContext,
-                            system: InterpretedSystem,
-                            max_violations: int) -> SafetyReport:
-    """The original point-by-point scan: the numpy-free differential oracle."""
-    per_point_span = _trace.NOOP
-    if _trace.is_active():
-        per_point_span = _trace.span("safety.per_point", "check",
-                                     {"points": system.num_points})
-    with per_point_span:
-        return _scan_per_point(protocol, context, system, max_violations)
-
-
-def _scan_per_point(protocol: ActionProtocol, context: EBAContext,
-                    system: InterpretedSystem,
-                    max_violations: int) -> SafetyReport:
-    checker = ModelChecker(system, backend="int")
-    report = SafetyReport(protocol_name=protocol.name, context_name=context.name)
-    chain_table = _chain_receipt_table(system)
-    n = system.n
-
-    # Pre-compute, for clause 2's trigger, where each agent *cannot* rule out a
-    # 0 decision this round (the complement of K_i "nobody is deciding 0").
-    cannot_rule_out: Dict[AgentId, PointSet] = {}
-    for agent in range(n):
-        knows_no_zero = Knows(agent, nobody_deciding(n, 0))
-        satisfied = checker.satisfying_mask(knows_no_zero)
-        cannot_rule_out[agent] = system.point_set(system.full_mask & ~satisfied)
-
-    all_ones_runs: Set[int] = {
-        run_index for run_index, trace in enumerate(system.runs)
-        if all(value == 1 for value in trace.preferences)
-    }
-
-    for point in system.points:
-        run_index, time = point
-        report.points_checked += 1
-        for agent in range(n):
-            # ---- clause 1: no chain received => an all-ones run is indistinguishable.
-            earliest_chain = chain_table.get((run_index, agent))
-            received_chain = earliest_chain is not None and earliest_chain <= time
-            if not received_chain:
-                report.clause1_checks += 1
-                witnesses = system.indistinguishable(agent, point)
-                if not any(peer.run_index in all_ones_runs for peer in witnesses):
-                    if len(report.violations) < max_violations:
-                        report.violations.append(SafetyViolation(
-                            clause=1, agent=agent, point=point,
-                            detail=_CLAUSE1_DETAIL))
-                    continue
-            # ---- clause 2: cannot rule out a 0 decision => a nonfaulty witness exists.
-            if time >= system.horizon:
-                continue
-            state = system.local_state(point, agent)
-            if state.decided is not None:
-                continue
-            if point not in cannot_rule_out[agent]:
-                continue
-            report.clause2_checks += 1
-            if not _clause2_holds(system, agent, point):
-                if len(report.violations) < max_violations:
-                    report.violations.append(SafetyViolation(
-                        clause=2, agent=agent, point=point,
-                        detail=_CLAUSE2_DETAIL))
-    return report
-
-
-def _clause2_holds(system: InterpretedSystem, agent: AgentId, point: Point) -> bool:
-    """The existential part of clause 2 of Definition 6.2 at one point."""
-    time = point.time
-    for peer in system.indistinguishable(agent, point):
-        peer_run = system.runs[peer.run_index]
-        if agent not in peer_run.nonfaulty:
-            continue
-        for witness in sorted(peer_run.nonfaulty):
-            if not _decides_zero_in_round(system, peer.run_index, witness, time + 1):
-                continue
-            if time == 0:
-                return True
-            if _clause2_second_witness(system, witness, peer.run_index, time):
-                return True
-    return False
-
-
-def _clause2_second_witness(system: InterpretedSystem, witness: AgentId, run_index: int,
-                            time: int) -> bool:
-    """The nested witness of clause 2(c): a run where the chain is one step shorter.
-
-    There must be a run ``r''`` in which ``witness`` has the same local state at
-    ``time``, both ``witness`` and some ``j'`` are nonfaulty, and ``j'`` decides
-    0 in round ``time``.
-    """
-    anchor = Point(run_index, time)
-    for peer in system.indistinguishable(witness, anchor):
-        peer_run = system.runs[peer.run_index]
-        if witness not in peer_run.nonfaulty:
-            continue
-        for other in sorted(peer_run.nonfaulty):
-            if _decides_zero_in_round(system, peer.run_index, other, time):
-                return True
-    return False
-
-
-# ---------------------------------------------------------------------- vectorized scan
 
 
 def _check_safety_vector(protocol: ActionProtocol, context: EBAContext,
@@ -333,8 +177,8 @@ def _check_safety_vector(protocol: ActionProtocol, context: EBAContext,
     * ``A0_j`` — "``j`` decides 0 in round ``m + 1``" — is
       ``decided_j = ⊥`` now AND ``decided_j = 0`` next: a word-level AND with
       one cross-word shift (decisions are exactly the ⊥→value edges of the
-      monotone ``decided`` component, the same reading
-      :func:`_decides_zero_in_round` takes from the action log);
+      monotone ``decided`` component, the same reading the per-point oracle
+      takes from the action log);
     * ``B0_j`` (" … in round ``m``") is ``A0_j`` shifted one step later;
     * every "some point indistinguishable to ``i`` with property X" is one
       :func:`~repro.logic.words.class_any` reduction over ``i``'s interned
@@ -343,14 +187,12 @@ def _check_safety_vector(protocol: ActionProtocol, context: EBAContext,
       :func:`_chain_receipts`, sharded across processes when the executor
       supports ``scan_runs``.
 
-    Counter and violation parity with :func:`_check_safety_per_point` (same
-    counts, same violations, same ``(point, agent)`` order, capped at
-    ``max_violations``) is asserted differentially in
-    ``tests/test_kbp_safety.py``.
+    Counter and violation parity with
+    :func:`repro.kbp.reference.scan_per_point` (same counts, same violations,
+    same ``(point, agent)`` order, capped at ``max_violations``) is asserted
+    differentially in ``tests/test_kbp_safety.py``.
     """
-    import numpy as np
-
-    checker = ModelChecker(system, backend="words")
+    checker = ModelChecker(system)
     report = SafetyReport(protocol_name=protocol.name, context_name=context.name)
     n = system.n
     num_runs = len(system.runs)
@@ -457,7 +299,7 @@ def _check_safety_vector(protocol: ActionProtocol, context: EBAContext,
     if tracing:
         _trace.complete("safety.clause_scan", phase_start, _monotonic(), "check")
 
-    # ---- violations, in the per-point scan's (point, agent) order -------------
+    # ---- violations, in the per-point oracle's (point, agent) order -----------
     if violation_points:
         points = np.concatenate(violation_points)
         agents = np.concatenate(violation_agents)

@@ -1,31 +1,22 @@
-"""Bitset-based model checking of epistemic temporal formulas over finite systems.
+"""Word-array model checking of epistemic temporal formulas over finite systems.
 
 The evaluator computes, for each sub-formula, the set of points of the
-interpreted system at which it holds (memoised per formula object).  Two
-backends share the same semantics:
+interpreted system at which it holds (memoised per formula object), as a numpy
+``uint64`` word array (point ``p`` = bit ``p % 64`` of word ``p // 64``; see
+:mod:`repro.logic.words`).  The propositional connectives are vectorized word
+operations, the temporal operators are cross-word shift pipelines, the
+``K_i``/``E_S``/``C_S`` sweeps run word-level AND/OR over the system's stacked
+class-mask matrix (or an ``np.bincount`` class reduction when an agent has
+many classes), and :meth:`ModelChecker.counterexamples` recovers failing
+points with ``np.nonzero`` instead of Python bit iteration.
 
-* ``backend="words"`` (the default whenever numpy is importable) stores each
-  satisfying set as a numpy ``uint64`` word array (point ``p`` = bit
-  ``p % 64`` of word ``p // 64``; see :mod:`repro.logic.words`).  The
-  propositional connectives are vectorized word operations, the temporal
-  operators are cross-word shift pipelines, the ``K_i``/``E_S``/``C_S``
-  sweeps run word-level AND/OR over the system's stacked class-mask matrix
-  (or an ``np.bincount`` class reduction when an agent has many classes), and
-  :meth:`ModelChecker.counterexamples` recovers failing points with
-  ``np.nonzero`` instead of Python bit iteration.
-
-* ``backend="int"`` is the original dense Python ``int`` representation — one
-  big integer per formula, big-integer connectives, shift-and-mask temporal
-  pipelines, and a per-class Python sweep for the knowledge operators.  It is
-  retained both as the numpy-free fallback and as a second differential
-  oracle: the three-way suite in ``tests/test_logic_bitset_reference.py``
-  checks reference vs int-bitmask vs word-array on every formula constructor.
-
-The public API is backend-independent and still speaks sets of points:
+The public API still speaks sets of points:
 :meth:`ModelChecker.satisfying_points` returns a
-:class:`~repro.systems.points.PointSet`, a drop-in stand-in for the previous
-``frozenset[Point]`` representation.  The straightforward set-based evaluator
-is retained in :mod:`repro.logic.reference` as the ground-truth oracle.
+:class:`~repro.systems.points.PointSet`, a drop-in stand-in for a
+``frozenset[Point]``.  The straightforward set-based evaluator is retained in
+:mod:`repro.logic.reference` as the ground-truth oracle; the differential
+suite in ``tests/test_logic_bitset_reference.py`` checks the two against each
+other on every formula constructor.
 
 Temporal operators are given the natural *bounded-horizon* semantics: ``⃝ φ``
 is false at the final time of the system (there is no next point), and ``□``,
@@ -37,7 +28,9 @@ paper uses (their temporal depth is one).
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Optional, TYPE_CHECKING
+from typing import Any, Dict, FrozenSet, TYPE_CHECKING
+
+import numpy as np
 
 from ..core.errors import ModelCheckingError
 from ..obs import trace as _trace
@@ -69,46 +62,19 @@ from .formula import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy.typing as npt
 
-__all__ = ["BACKENDS", "ModelChecker", "PointSet", "holds", "satisfying_points", "valid"]
-
-#: The evaluation backends :class:`ModelChecker` dispatches between.
-BACKENDS = ("words", "int")
-
-
-def default_backend() -> str:
-    """The backend a bare ``ModelChecker(system)`` uses on this interpreter."""
-    return "words" if _words.HAVE_NUMPY else "int"
+__all__ = ["ModelChecker", "PointSet", "holds", "satisfying_points", "valid"]
 
 
 class ModelChecker:
-    """Evaluates formulas over one interpreted system, caching per-formula results.
+    """Evaluates formulas over one interpreted system, caching per-formula results."""
 
-    ``backend`` selects the satisfying-set representation: ``"words"`` (numpy
-    ``uint64`` word arrays, the default when numpy is available) or ``"int"``
-    (dense Python ints, the numpy-free fallback and differential oracle).
-    Results are identical bit for bit; only the evaluation machinery differs.
-    """
-
-    def __init__(self, system: InterpretedSystem, backend: Optional[str] = None) -> None:
-        if backend is None:
-            backend = default_backend()
-        if backend not in BACKENDS:
-            raise ModelCheckingError(
-                f"unknown model-checker backend {backend!r}; use one of {BACKENDS}")
-        if backend == "words" and not _words.HAVE_NUMPY:
-            raise ModelCheckingError(
-                "the word-array backend requires numpy; install it or use "
-                "ModelChecker(system, backend='int')")
+    def __init__(self, system: InterpretedSystem) -> None:
         self.system = system
-        self.backend = backend
         self._cache: Dict[Formula, int] = {}
-        self._full: int = system.full_mask
-        self._all_points: PointSet = system.point_set(self._full)
-        if backend == "words":
-            self._wcache: Dict[Formula, "npt.NDArray[Any]"] = {}
-            self._full_words: "npt.NDArray[Any]" = system.full_words()
-            self._final_words: "npt.NDArray[Any]" = system.time_words(system.horizon)
-            self._initial_words: "npt.NDArray[Any]" = system.time_words(0)
+        self._wcache: Dict[Formula, "npt.NDArray[Any]"] = {}
+        self._full_words: "npt.NDArray[Any]" = system.full_words()
+        self._final_words: "npt.NDArray[Any]" = system.time_words(system.horizon)
+        self._initial_words: "npt.NDArray[Any]" = system.time_words(0)
 
     # ------------------------------------------------------------------ public API
 
@@ -120,33 +86,19 @@ class ModelChecker:
         """The satisfying set as a raw bitmask over the dense point index."""
         mask = self._cache.get(formula)
         if mask is None:
-            if self.backend == "words":
-                mask = _words.words_to_mask(self.satisfying_words(formula))
-            elif _trace.is_active():
-                # Guarded: the disabled path must not allocate the attrs
-                # dict per cache miss (this is the checker's hot loop).
-                with _trace.span("mc.eval", "check", {
-                        "constructor": type(formula).__name__,
-                        "backend": self.backend}) as span:
-                    mask = self._evaluate(formula)
-                    span.set("cardinality", mask.bit_count())
-            else:
-                mask = self._evaluate(formula)
+            mask = _words.words_to_mask(self.satisfying_words(formula))
             self._cache[formula] = mask
         return mask
 
     def satisfying_words(self, formula: Formula) -> "npt.NDArray[Any]":
-        """The satisfying set as a canonical ``uint64`` word array (words backend only)."""
-        if self.backend != "words":
-            raise ModelCheckingError(
-                "satisfying_words is only available on the words backend; "
-                "use satisfying_mask")
+        """The satisfying set as a canonical ``uint64`` word array."""
         result = self._wcache.get(formula)
         if result is None:
             if _trace.is_active():
+                # Guarded: the disabled path must not allocate the attrs
+                # dict per cache miss (this is the checker's hot loop).
                 with _trace.span("mc.eval", "check", {
-                        "constructor": type(formula).__name__,
-                        "backend": self.backend}) as span:
+                        "constructor": type(formula).__name__}) as span:
                     result = self._evaluate_words(formula)
                     span.set("cardinality", int(
                         _words.unpack_words(result, self.system.num_points).sum()))
@@ -157,35 +109,26 @@ class ModelChecker:
 
     def holds(self, formula: Formula, point: Point) -> bool:
         """Whether ``formula`` holds at ``point``."""
-        if self.backend == "words":
-            index = self.system.point_index(point)
-            word = self.satisfying_words(formula)[index >> 6]
-            return bool((int(word) >> (index & 63)) & 1)
-        return point in self.satisfying_points(formula)
+        index = self.system.point_index(point)
+        word = self.satisfying_words(formula)[index >> 6]
+        return bool((int(word) >> (index & 63)) & 1)
 
     def valid(self, formula: Formula) -> bool:
         """Whether ``formula`` holds at every point of the system."""
-        if self.backend == "words":
-            import numpy as np
-            return bool(np.array_equal(self.satisfying_words(formula), self._full_words))
-        return self.satisfying_mask(formula) == self._full
+        return bool(np.array_equal(self.satisfying_words(formula), self._full_words))
 
     def counterexamples(self, formula: Formula, limit: int = 5) -> list[Point]:
         """Up to ``limit`` points at which ``formula`` fails (for diagnostics).
 
         Counterexamples are listed in the system's deterministic point order
-        (run-major, time-minor), independent of the set representation — on
-        the words backend the failing points are recovered with an
+        (run-major, time-minor); the failing points are recovered with an
         ``np.nonzero``-style vectorized scan instead of Python bit iteration
         (the ordering/limit contract is pinned by regression tests against
-        all three checker implementations).
+        the reference checker).
         """
-        if self.backend == "words":
-            failing = self._full_words & ~self.satisfying_words(formula)
-            indices = _words.indices_of_words(failing, self.system.num_points)
-            return [self.system.point_at(int(index)) for index in indices[:limit]]
-        failing = self._full & ~self.satisfying_mask(formula)
-        return list(self.system.point_set(failing).first(limit))
+        failing = self._full_words & ~self.satisfying_words(formula)
+        indices = _words.indices_of_words(failing, self.system.num_points)
+        return [self.system.point_at(int(index)) for index in indices[:limit]]
 
     # ------------------------------------------------------------------ group resolution
 
@@ -200,138 +143,13 @@ class ModelChecker:
         raise ModelCheckingError(f"unsupported group specification: {group!r}")
 
     # ------------------------------------------------------------------ evaluation
-
-    def _evaluate(self, formula: Formula) -> int:
-        if isinstance(formula, TrueFormula):
-            return self._full
-        if isinstance(formula, InitEquals):
-            return self.system.init_mask(formula.agent, formula.value)
-        if isinstance(formula, DecidedEquals):
-            return self.system.decided_mask(formula.agent, formula.value)
-        if isinstance(formula, TimeEquals):
-            return self.system.time_mask(formula.time)
-        if isinstance(formula, IsNonfaulty):
-            return self.system.nonfaulty_mask(formula.agent)
-        if isinstance(formula, Not):
-            return self._full & ~self.satisfying_mask(formula.operand)
-        if isinstance(formula, And):
-            result = self._full
-            for operand in formula.operands:
-                result &= self.satisfying_mask(operand)
-            return result
-        if isinstance(formula, Or):
-            result = 0
-            for operand in formula.operands:
-                result |= self.satisfying_mask(operand)
-            return result
-        if isinstance(formula, Knows):
-            return self._evaluate_knows(formula.agent, self.satisfying_mask(formula.operand))
-        if isinstance(formula, EveryoneKnows):
-            return self._evaluate_everyone_knows(formula.group,
-                                                 self.satisfying_mask(formula.operand))
-        if isinstance(formula, CommonKnowledge):
-            return self._evaluate_common_knowledge(formula.group,
-                                                   self.satisfying_mask(formula.operand))
-        if isinstance(formula, Next):
-            return self._shift_earlier(self.satisfying_mask(formula.operand))
-        if isinstance(formula, Previous):
-            return self._shift_later(self.satisfying_mask(formula.operand))
-        if isinstance(formula, AlwaysFuture):
-            return self._always_future(self.satisfying_mask(formula.operand))
-        if isinstance(formula, Always):
-            return self._always(self.satisfying_mask(formula.operand))
-        if isinstance(formula, Eventually):
-            return self._eventually(self.satisfying_mask(formula.operand))
-        raise ModelCheckingError(f"unsupported formula type: {type(formula).__name__}")
-
-    # ------------------------------------------------------------------ temporal operators
     #
-    # All five operators stay within each run's ``horizon + 1``-bit segment:
-    # ``mask >> 1`` moves the value at ``(r, m + 1)`` onto ``(r, m)``, and the
+    # Every helper keeps its result canonical (tail bits of the last word
+    # zero), so word-wise equality is set equality throughout.  The temporal
+    # operators stay within each run's ``horizon + 1``-bit segment: a shift
+    # down moves the value at ``(r, m + 1)`` onto ``(r, m)``, and the
     # final-time mask keeps the low bit of run ``r + 1`` from leaking into the
-    # last time of run ``r`` (symmetrically for ``<< 1`` and time 0).
-
-    def _shift_earlier(self, inner: int) -> int:
-        """``⃝ φ``: the value at the next time, false at the final time."""
-        return (inner >> 1) & ~self.system.time_mask(self.system.horizon)
-
-    def _shift_later(self, inner: int) -> int:
-        """``⊖ φ``: the value at the previous time, false at time 0."""
-        return (inner << 1) & ~self.system.time_mask(0) & self._full
-
-    def _always_future(self, inner: int) -> int:
-        """``□ φ``: φ at every time from now to the horizon (suffix AND per run)."""
-        final = self.system.time_mask(self.system.horizon)
-        result = inner
-        for _ in range(self.system.horizon):
-            result &= ((result >> 1) & ~final) | final
-        return result
-
-    def _eventually(self, inner: int) -> int:
-        """``◇ φ``: φ at some time from now to the horizon (suffix OR per run)."""
-        final = self.system.time_mask(self.system.horizon)
-        result = inner
-        for _ in range(self.system.horizon):
-            result |= (result >> 1) & ~final
-        return result
-
-    def _always(self, inner: int) -> int:
-        """``⊡ φ``: φ at every time of the run — all-or-nothing per run segment."""
-        initial = self.system.time_mask(0)
-        whole_runs = self._always_future(inner) & initial
-        result = whole_runs
-        for _ in range(self.system.horizon):
-            result |= (result << 1) & ~initial
-        return result & self._full
-
-    # ------------------------------------------------------------------ epistemic operators
-
-    def _evaluate_knows(self, agent: int, inner: int) -> int:
-        """``K_agent``: a class mask contained in ``inner`` contributes wholesale."""
-        result = 0
-        for class_mask in self.system.partition(agent).class_masks:
-            if class_mask & ~inner == 0:
-                result |= class_mask
-        return result
-
-    def _everyone_knows_mask(self, group: Group, inner: int) -> int:
-        """The ``E_S`` mask given the operand's mask (no per-formula caching)."""
-        if isinstance(group, str):
-            if group != NONFAULTY:
-                raise ModelCheckingError(f"unsupported group specification: {group!r}")
-            # i must know φ wherever i is nonfaulty: (i ∈ N) ⇒ K_i φ, for all i.
-            result = self._full
-            for agent in range(self.system.n):
-                knows = self._evaluate_knows(agent, inner)
-                result &= knows | (self._full & ~self.system.nonfaulty_mask(agent))
-            return result
-        # Any other group kind is an explicit, point-independent collection of
-        # agents; an indexical kind would need its own membership-mask case
-        # like NONFAULTY above.
-        if isinstance(group, (frozenset, set, tuple, list)):
-            result = self._full
-            for agent in group:
-                result &= self._evaluate_knows(agent, inner)
-            return result
-        raise ModelCheckingError(f"unsupported group specification: {group!r}")
-
-    def _evaluate_everyone_knows(self, group: Group, inner: int) -> int:
-        return self._everyone_knows_mask(group, inner)
-
-    def _evaluate_common_knowledge(self, group: Group, inner: int) -> int:
-        """Greatest fixpoint of ``X = E_S(φ ∧ X)`` (standard characterization of ``C_S φ``)."""
-        current = self._full
-        while True:
-            updated = current & self._everyone_knows_mask(group, inner & current)
-            if updated == current:
-                return updated
-            current = updated
-
-    # ------------------------------------------------------------------ word-array evaluation
-    #
-    # Mirrors ``_evaluate`` constructor by constructor on numpy uint64 word
-    # arrays.  Every helper keeps its result canonical (tail bits of the last
-    # word zero), so word-wise equality is set equality throughout.
+    # last time of run ``r`` (symmetrically for a shift up and time 0).
 
     def _evaluate_words(self, formula: Formula) -> "npt.NDArray[Any]":
         system = self.system
@@ -382,7 +200,7 @@ class ModelChecker:
         raise ModelCheckingError(f"unsupported formula type: {type(formula).__name__}")
 
     def _always_future_words(self, inner: "npt.NDArray[Any]") -> "npt.NDArray[Any]":
-        """``□ φ`` on word arrays: the same suffix-AND pipeline as ``_always_future``."""
+        """``□ φ``: φ at every time from now to the horizon (suffix AND per run)."""
         final = self._final_words
         result = inner.copy()
         for _ in range(self.system.horizon):
@@ -390,7 +208,7 @@ class ModelChecker:
         return result
 
     def _eventually_words(self, inner: "npt.NDArray[Any]") -> "npt.NDArray[Any]":
-        """``◇ φ`` on word arrays: suffix OR per run."""
+        """``◇ φ``: φ at some time from now to the horizon (suffix OR per run)."""
         final = self._final_words
         result = inner.copy()
         for _ in range(self.system.horizon):
@@ -398,7 +216,7 @@ class ModelChecker:
         return result
 
     def _always_words(self, inner: "npt.NDArray[Any]") -> "npt.NDArray[Any]":
-        """``⊡ φ`` on word arrays: all-or-nothing per run segment."""
+        """``⊡ φ``: φ at every time of the run — all-or-nothing per run segment."""
         initial = self._initial_words
         result = self._always_future_words(inner) & initial
         for _ in range(self.system.horizon):
@@ -406,7 +224,7 @@ class ModelChecker:
         return result
 
     def _knows_words(self, agent: int, inner: "npt.NDArray[Any]") -> "npt.NDArray[Any]":
-        """``K_agent`` on word arrays.
+        """``K_agent``: a class contained in ``inner`` contributes wholesale.
 
         Two vectorized strategies, selected by the agent's class count:
 
@@ -418,7 +236,6 @@ class ModelChecker:
           reduce per class id with :func:`repro.logic.words.class_all`, which
           stays linear in points regardless of how many classes there are.
         """
-        import numpy as np
         partition = self.system.partition(agent)
         num_classes = len(partition.class_masks)
         if num_classes <= _words.DENSE_CLASS_LIMIT:
@@ -436,15 +253,19 @@ class ModelChecker:
 
     def _everyone_knows_words(self, group: Group,
                               inner: "npt.NDArray[Any]") -> "npt.NDArray[Any]":
-        """``E_S`` on word arrays (same NONFAULTY indexical handling as the int path)."""
+        """``E_S``: every member of the group knows the operand."""
         if isinstance(group, str):
             if group != NONFAULTY:
                 raise ModelCheckingError(f"unsupported group specification: {group!r}")
+            # i must know φ wherever i is nonfaulty: (i ∈ N) ⇒ K_i φ, for all i.
             result = self._full_words.copy()
             for agent in range(self.system.n):
                 knows = self._knows_words(agent, inner)
                 result &= knows | (self._full_words & ~self.system.nonfaulty_words(agent))
             return result
+        # Any other group kind is an explicit, point-independent collection of
+        # agents; an indexical kind would need its own membership-mask case
+        # like NONFAULTY above.
         if isinstance(group, (frozenset, set, tuple, list)):
             result = self._full_words.copy()
             for agent in group:
@@ -454,8 +275,7 @@ class ModelChecker:
 
     def _common_knowledge_words(self, group: Group,
                                 inner: "npt.NDArray[Any]") -> "npt.NDArray[Any]":
-        """Greatest fixpoint of ``X = E_S(φ ∧ X)`` on word arrays."""
-        import numpy as np
+        """Greatest fixpoint of ``X = E_S(φ ∧ X)`` (standard characterization of ``C_S φ``)."""
         current = self._full_words.copy()
         while True:
             updated = current & self._everyone_knows_words(group, inner & current)

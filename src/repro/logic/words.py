@@ -1,52 +1,36 @@
-"""uint64 word-array kernels behind the vectorized model-checking hot paths.
+"""uint64 word-array kernels behind the model checker and the safety scan.
 
-The bitset :class:`~repro.logic.semantics.ModelChecker` stores each formula's
-satisfying set as one dense Python ``int`` (bit ``run * stride + time``).  The
-propositional connectives on that representation are single big-integer
-operations, but everything that has to look *inside* the mask — the per-class
-``K_i`` sweeps, the Definition 6.2 safety scan, counterexample extraction —
-historically fell back to per-point (or per-bit) Python loops.
-
-This module re-lays the same bitmasks as numpy ``uint64`` word arrays (little
-endian, point ``p`` lives in bit ``p % 64`` of word ``p // 64``) and provides
-the primitives the vectorized paths are built from:
+The interpreted system interns its atoms and indistinguishability classes as
+dense Python ``int`` bitmasks (bit ``run * stride + time``).  This module
+re-lays those bitmasks as numpy ``uint64`` word arrays (little endian, point
+``p`` lives in bit ``p % 64`` of word ``p // 64``) and provides the primitives
+that :class:`~repro.logic.semantics.ModelChecker` and the Definition 6.2
+safety scan are built from:
 
 * lossless conversions between ``int`` masks, word arrays, and per-point bit
   vectors (with careful handling of the garbage tail bits of the last word
   when the point count is not a multiple of 64 — pinned by the property tests
   in ``tests/test_properties.py``);
-* word-level shift pipelines for the temporal operators (cross-word carries,
-  same run-boundary masking discipline as the ``int`` path);
+* word-level shift pipelines for the temporal operators (cross-word carries;
+  callers mask the run boundaries);
 * per-equivalence-class reductions (``class_all`` / ``class_any``) over a
   point-indexed class-id vector, which turn the per-class membership sweeps of
   ``K_i`` and the safety condition into ``np.bincount`` calls;
 * ``np.nonzero``-style point-index recovery for counterexample extraction.
 
-numpy is an *optional* dependency: every import is gated behind
-:data:`HAVE_NUMPY`, and callers (the model checker, the safety scan) fall back
-to the pure-``int`` implementations when it is absent.  The ``int`` path is
-retained everywhere as a differential oracle — see
-``tests/test_logic_bitset_reference.py`` for the three-way reference /
-int-bitmask / word-array suite.
+numpy is a required dependency.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, TYPE_CHECKING, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every word-kernel test
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy.typing as npt
 
 __all__ = [
-    "HAVE_NUMPY",
     "WORD_BITS",
     "word_count",
     "full_words",
@@ -69,17 +53,9 @@ WORD_BITS = 64
 #: Explicit little-endian uint64: the byte layout of a word array is defined
 #: identically on every platform, so ``tobytes``/``frombuffer`` round-trips
 #: agree with ``int.to_bytes(..., "little")``.
-if HAVE_NUMPY:
-    WORD_DTYPE = np.dtype("<u8")
-    _ONE = np.uint64(1)
-    _SIXTY_THREE = np.uint64(63)
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:  # pragma: no cover - the container bakes numpy in
-        raise RuntimeError(
-            "the word-array kernel requires numpy; use the int-bitmask path "
-            "(ModelChecker(system, backend='int'), check_safety(scan='per-point'))")
+WORD_DTYPE = np.dtype("<u8")
+_ONE = np.uint64(1)
+_SIXTY_THREE = np.uint64(63)
 
 
 def word_count(num_points: int) -> int:
@@ -94,7 +70,6 @@ def full_words(num_points: int) -> "npt.NDArray[Any]":
     this is the canonical form every kernel maintains, so word-wise equality
     is set equality.
     """
-    _require_numpy()
     words = np.full(word_count(num_points), np.uint64(0xFFFFFFFFFFFFFFFF),
                     dtype=WORD_DTYPE)
     tail = num_points % WORD_BITS
@@ -105,13 +80,11 @@ def full_words(num_points: int) -> "npt.NDArray[Any]":
 
 def zero_words(num_points: int) -> "npt.NDArray[Any]":
     """The empty set as a word array over ``num_points`` points."""
-    _require_numpy()
     return np.zeros(word_count(num_points), dtype=WORD_DTYPE)
 
 
 def mask_to_words(mask: int, num_points: int) -> "npt.NDArray[Any]":
     """Convert an ``int`` bitmask over ``num_points`` points to a word array."""
-    _require_numpy()
     if mask < 0:
         raise ValueError("a point-set mask must be non-negative")
     if mask.bit_length() > num_points:
@@ -167,7 +140,6 @@ def indices_of_mask(mask: int) -> "npt.NDArray[Any]":
     converting the (sparse, variable-length) interned class masks of a big
     system costs memory proportional to the ints themselves.
     """
-    _require_numpy()
     if mask < 0:
         raise ValueError("a point-set mask must be non-negative")
     if mask == 0:
@@ -180,8 +152,8 @@ def indices_of_mask(mask: int) -> "npt.NDArray[Any]":
 def shift_down_words(words: "npt.NDArray[Any]") -> "npt.NDArray[Any]":
     """``mask >> 1`` over the packed array: bit ``p`` receives bit ``p + 1``.
 
-    Pure shift with cross-word carries; callers apply the same final-time
-    masking as the ``int`` path to stop run segments leaking into each other.
+    Pure shift with cross-word carries; callers mask off the final time of
+    each run to stop run segments leaking into each other.
     """
     out = words >> _ONE
     if len(words) > 1:
@@ -234,7 +206,6 @@ def masks_to_matrix(masks: Tuple[int, ...], num_points: int) -> "npt.NDArray[Any
     small (the ``K_i`` sweep caps it at :data:`DENSE_CLASS_LIMIT` and falls
     back to the :func:`class_all` reduction beyond that).
     """
-    _require_numpy()
     nwords = word_count(num_points)
     matrix = np.zeros((len(masks), nwords), dtype=WORD_DTYPE)
     for row, mask in enumerate(masks):
@@ -260,7 +231,6 @@ def class_ids_from_masks(masks: Tuple[int, ...], num_points: int) -> "npt.NDArra
     ids follow the masks' order (first appearance in system point order, per
     :class:`~repro.systems.interpreted.AgentPartition`).
     """
-    _require_numpy()
     ids = np.zeros(num_points, dtype=np.int32)
     covered = 0
     for cid, mask in enumerate(masks):

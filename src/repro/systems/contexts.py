@@ -75,21 +75,18 @@ class EBAContext:
 
     def build_system(self, protocol: ActionProtocol,
                      executor: Optional["Executor"] = None,
-                     store: "StoreLike" = None,
-                     engine: str = "batched") -> InterpretedSystem:
+                     store: "StoreLike" = None) -> InterpretedSystem:
         """Build ``I_{γ, P}`` for the given action protocol.
 
-        ``executor`` optionally fans the run simulations out over a
-        :class:`~repro.api.executors.Executor` backend (run ordering is
-        deterministic on every backend).  ``store`` serves the built system
-        from the content-addressed artifact cache (see :mod:`repro.store`)
-        when an identical ``(γ, P)`` build was done before.  ``engine``
-        selects the construction engine — the batched round-major default or
-        the per-run oracle (see
-        :func:`repro.systems.interpreted.build_system`).
+        The build always runs in-process (see
+        :func:`repro.systems.interpreted.build_system`); ``executor`` is only
+        consulted for its optional ``checkpoint()`` cancel hook.  ``store``
+        serves the built system from the content-addressed artifact cache
+        (see :mod:`repro.store`) when an identical ``(γ, P)`` build was done
+        before.
         """
         return build_system(protocol, self.n, self.horizon, self.patterns(),
-                            executor=executor, store=store, engine=engine)
+                            executor=executor, store=store)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"{self.name}(n={self.n}, t={self.t}, horizon={self.horizon}, "

@@ -33,7 +33,6 @@ from ..failures.pattern import FailurePattern
 from ..obs import trace as _trace
 from ..protocols.base import ActionProtocol
 from ..simulation.batch import BatchSimulator
-from ..simulation.engine import simulate
 from ..simulation.trace import RunTrace
 from ..workloads.preferences import enumerate_preferences
 from .points import Point, PointSet, iter_mask_points
@@ -375,9 +374,6 @@ class InterpretedSystem:
                 f"runs={len(self.runs)}, protocol={self.protocol_name!r})")
 
 
-#: The construction engines ``build_system`` dispatches between.
-ENGINES = ("batched", "per-run")
-
 #: Failure patterns simulated per construction chunk.  ``build_system`` calls
 #: the executor's optional ``checkpoint()`` before each chunk, which bounds how
 #: long a cancelled build keeps running; the chunks share one simulator, so
@@ -428,10 +424,17 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
                  preference_vectors: Optional[Iterable[PreferenceVector]] = None,
                  executor: Optional["Executor"] = None,
                  store: "StoreLike" = None,
-                 engine: str = "batched",
                  pattern_weights: Optional[Sequence[int]] = None,
                  ) -> InterpretedSystem:
     """Build the interpreted system ``I_{γ, P}`` by simulating every run.
+
+    All runs advance together one round at a time through one
+    :class:`~repro.simulation.batch.BatchSimulator`, sharing exchange
+    construction, ``act``/``messages_for`` evaluations, and whole round
+    transitions across runs, and the system adopts the agent partitions the
+    simulator emits.  The traces are byte-identical (per-trace pickle) to one
+    :func:`~repro.simulation.engine.simulate` call per (pattern, preference
+    vector) pair, the naive oracle the differential tests build directly.
 
     Parameters
     ----------
@@ -466,15 +469,6 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         from the content-addressed cache when an identical configuration was
         built before, and persisted otherwise.  System construction is the
         repo's exponential hot path, so this is the store's flagship artifact.
-    engine:
-        ``"batched"`` (default) advances all runs together one round at a
-        time through one :class:`~repro.simulation.batch.BatchSimulator`,
-        sharing exchange construction, ``act``/``messages_for`` evaluations,
-        and whole round transitions across runs, and adopts the partitions it
-        emits; ``"per-run"`` is the original
-        one-:func:`~repro.simulation.engine.simulate`-call-per-run path, kept
-        as a differential-testing oracle.  Both produce byte-identical traces
-        (per-trace pickle).
     pattern_weights:
         Optional per-pattern orbit multiplicities (one positive integer per
         ``patterns`` entry).  When any weight exceeds 1 the system records
@@ -483,9 +477,6 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         symmetry-reduced build.
     """
     from ..store import resolve_store, system_key
-    if engine not in ENGINES:
-        raise ModelCheckingError(
-            f"unknown construction engine {engine!r}; use one of {ENGINES}")
     if preference_vectors is None:
         preference_vectors = enumerate_preferences(n)
     preference_list = [tuple(vector) for vector in preference_vectors]
@@ -504,7 +495,7 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
     if _trace.is_active():
         build_span = _trace.span("build.system", "build", {
             "protocol": protocol.name, "n": n, "horizon": horizon,
-            "engine": engine, "patterns": len(pattern_list),
+            "patterns": len(pattern_list),
             "runs": len(pattern_list) * len(preference_list)})
     with build_span as span:
         resolved_store = resolve_store(store)
@@ -517,25 +508,19 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
                 span.set("cached", True)
                 return cached
         checkpoint = getattr(executor, "checkpoint", None)
-        simulator = BatchSimulator(protocol, n) if engine == "batched" else None
+        simulator = BatchSimulator(protocol, n)
         runs: List[RunTrace] = []
         for start in range(0, len(pattern_list), BUILD_CHUNK_PATTERNS):
             if checkpoint is not None:
                 checkpoint()
             chunk = pattern_list[start:start + BUILD_CHUNK_PATTERNS]
-            if simulator is None:
-                runs.extend(simulate(protocol, n, preferences, pattern=pattern,
-                                     horizon=horizon)
-                            for pattern in chunk for preferences in preference_list)
-            else:
-                runs.extend(simulator.simulate_patterns(chunk, preference_list, horizon))
-        partitions = None if simulator is None else simulator.partitions(runs, horizon)
+            runs.extend(simulator.simulate_patterns(chunk, preference_list, horizon))
+        partitions = simulator.partitions(runs, horizon)
         with _trace.span("build.intern", "build"):
             system = InterpretedSystem(n=n, horizon=horizon, runs=runs,
                                        protocol_name=protocol.name,
                                        run_weights=run_weights)
-            if partitions is not None:
-                system.adopt_partitions(partitions)
+            system.adopt_partitions(partitions)
             system.intern_states()
         if resolved_store is not None and key is not None:
             resolved_store.put(key, system, kind="system")
@@ -550,7 +535,6 @@ def build_system_for_model(protocol: ActionProtocol, model: FailureModel, horizo
                            max_faulty: Optional[int] = None,
                            executor: Optional["Executor"] = None,
                            store: "StoreLike" = None,
-                           engine: str = "batched",
                            symmetry: str = "none") -> InterpretedSystem:
     """Convenience wrapper: build the system for every pattern of a failure model.
 
@@ -579,4 +563,4 @@ def build_system_for_model(protocol: ActionProtocol, model: FailureModel, horizo
         patterns = [orbit.representative for orbit in orbits]
         weights = [orbit.size for orbit in orbits]
     return build_system(protocol, model.n, horizon, patterns, executor=executor,
-                        store=store, engine=engine, pattern_weights=weights)
+                        store=store, pattern_weights=weights)

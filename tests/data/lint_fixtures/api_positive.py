@@ -13,11 +13,6 @@ def legacy_batch(protocol, n, scenarios):
     return run_batch(protocol, n, scenarios)
 
 
-def legacy_engine(run_sweep, protocols, scenarios):
-    # API001: the per-run engine era is over
-    return run_sweep(protocols, scenarios, engine="per-run")
-
-
 def measure_everything(tasks, executor=None):
     results = []
     for task in tasks:

@@ -92,7 +92,6 @@ class TestApiRules:
         messages = [f.message for f in result.findings if f.rule == "API001"]
         assert any("runner.simulate" in m for m in messages)
         assert any("runner.run_batch" in m for m in messages)
-        assert any("per-run" in m for m in messages)
         api2 = [f for f in result.findings if f.rule == "API002"]
         assert len(api2) == 1
         assert "run_measurement" in api2[0].message

@@ -13,7 +13,8 @@ import pytest
 from repro.api import scans
 from repro.api.executors import ParallelExecutor, SerialExecutor
 from repro.api.scans import fork_available, scan_runs
-from repro.kbp.safety import _chain_receipt_kernel, _chain_receipt_table, check_safety
+from repro.kbp.reference import chain_receipt_table
+from repro.kbp.safety import _chain_receipt_kernel, check_safety
 from repro.logic.words import blocks
 from repro.protocols import MinProtocol
 from repro.systems import gamma_min
@@ -45,7 +46,7 @@ class TestBlocks:
 
 class TestChainReceiptKernel:
     def test_kernel_rows_match_the_dict_table(self, system):
-        table = _chain_receipt_table(system)
+        table = chain_receipt_table(system)
         rows = _chain_receipt_kernel(system, 0, len(system.runs))
         assert rows.shape == (len(system.runs), system.n)
         for run_index in range(len(system.runs)):
@@ -119,10 +120,9 @@ class TestExecutorDispatch:
         """check_safety through a sharding executor = check_safety serial."""
         monkeypatch.setattr(scans, "MIN_RUNS_TO_FORK", 0)
         context = gamma_min(3, 1)
-        baseline = check_safety(MinProtocol(1), context, system=system,
-                                scan="vector")
+        baseline = check_safety(MinProtocol(1), context, system=system)
         sharded = check_safety(MinProtocol(1), context, system=system,
-                               scan="vector", executor=ParallelExecutor(max_workers=2))
+                               executor=ParallelExecutor(max_workers=2))
         assert sharded.points_checked == baseline.points_checked
         assert sharded.clause1_checks == baseline.clause1_checks
         assert sharded.clause2_checks == baseline.clause2_checks

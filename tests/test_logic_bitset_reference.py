@@ -1,14 +1,12 @@
-"""Three-way differential tests: reference vs int-bitmask vs word-array checkers.
+"""Differential tests: the reference checker vs the word-array checker.
 
-Every formula constructor must evaluate identically under all three
+Every formula constructor must evaluate identically under both
 implementations:
 
 * :class:`~repro.logic.reference.ReferenceModelChecker` — the original
   ``frozenset[Point]`` evaluator, the ground truth;
-* ``ModelChecker(system, backend="int")`` — the dense Python-int bitmask
-  path (the numpy-free fallback, kept as a second differential oracle);
-* ``ModelChecker(system, backend="words")`` — the vectorized numpy ``uint64``
-  word-array kernel (the default).
+* :class:`~repro.logic.semantics.ModelChecker` — the vectorized numpy
+  ``uint64`` word-array kernel.
 
 Formulas are generated by a seeded recursive sampler that covers all 16
 constructors — atoms, connectives, epistemic operators (individual, everyone,
@@ -16,7 +14,7 @@ common; indexical and concrete groups, including the *empty* group), and
 temporal operators — over randomised small systems (n ≤ 3, horizon ≤ 3).
 Dedicated cases pin the edges where a vectorized kernel typically diverges:
 empty satisfying classes, all-points-fail formulas, and both ``K_i``
-strategies of the word backend (dense class-matrix and bincount reduction,
+strategies of the word-array checker (dense class-matrix and bincount reduction,
 forced via :data:`repro.logic.words.DENSE_CLASS_LIMIT`).
 """
 
@@ -107,42 +105,33 @@ def small_systems():
 
 
 @pytest.fixture(scope="module", params=[0, 1, 2], ids=lambda s: f"system{s}")
-def system_trio(request):
-    """One small system with all three checker implementations attached."""
+def system_pair(request):
+    """One small system with both checker implementations attached."""
     system = small_systems()[request.param]
-    return (system,
-            ReferenceModelChecker(system),
-            ModelChecker(system, backend="int"),
-            ModelChecker(system, backend="words"))
+    return system, ReferenceModelChecker(system), ModelChecker(system)
 
 
-def assert_three_way_agreement(system, reference, int_checker, word_checker,
-                               formula, limit=4):
-    """All three checkers agree on the satisfying set and every derived API."""
+def assert_agreement(system, reference, word_checker, formula, limit=4):
+    """Both checkers agree on the satisfying set and every derived API."""
     expected = reference.satisfying_points(formula)
-    via_int = int_checker.satisfying_points(formula)
     via_words = word_checker.satisfying_points(formula)
-    assert via_int == expected, formula
     assert via_words == expected, formula
     assert expected == via_words, formula  # reflected comparison path
     assert frozenset(via_words) == expected, formula
-    assert (int_checker.satisfying_mask(formula)
-            == word_checker.satisfying_mask(formula)), formula
-    assert int_checker.valid(formula) == reference.valid(formula), formula
+    assert word_checker.satisfying_mask(formula) == sum(
+        1 << system.point_index(point) for point in expected), formula
     assert word_checker.valid(formula) == reference.valid(formula), formula
     expected_cx = reference.counterexamples(formula, limit=limit)
-    assert int_checker.counterexamples(formula, limit=limit) == expected_cx, formula
     assert word_checker.counterexamples(formula, limit=limit) == expected_cx, formula
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_random_formulas_agree_across_backends(system_trio, seed):
-    system, reference, int_checker, word_checker = system_trio
+def test_random_formulas_agree_across_backends(system_pair, seed):
+    system, reference, word_checker = system_pair
     rng = random.Random(seed)
     for _ in range(25):
         formula = random_formula(rng, system.n, system.horizon, depth=3)
-        assert_three_way_agreement(system, reference, int_checker, word_checker,
-                                   formula)
+        assert_agreement(system, reference, word_checker, formula)
 
 
 def test_every_constructor_appears_in_the_sample():
@@ -166,15 +155,13 @@ def test_every_constructor_appears_in_the_sample():
     } <= seen
 
 
-def test_holds_agrees_pointwise(system_trio):
-    system, reference, int_checker, word_checker = system_trio
+def test_holds_agrees_pointwise(system_pair):
+    system, reference, word_checker = system_pair
     rng = random.Random(99)
     for _ in range(10):
         formula = random_formula(rng, system.n, system.horizon, depth=2)
         for point in system.points[:: max(1, len(system.points) // 50)]:
-            expected = reference.holds(formula, point)
-            assert int_checker.holds(formula, point) == expected
-            assert word_checker.holds(formula, point) == expected
+            assert word_checker.holds(formula, point) == reference.holds(formula, point)
 
 
 class TestEdgeCases:
@@ -196,19 +183,17 @@ class TestEdgeCases:
         yield Eventually(self.FALSE)
         yield Always(TRUE)
 
-    def test_edge_formulas_agree(self, system_trio):
-        system, reference, int_checker, word_checker = system_trio
+    def test_edge_formulas_agree(self, system_pair):
+        system, reference, word_checker = system_pair
         for formula in self.edge_formulas(system.n):
-            assert_three_way_agreement(system, reference, int_checker, word_checker,
-                                       formula, limit=10_000)
+            assert_agreement(system, reference, word_checker, formula, limit=10_000)
 
-    def test_all_points_fail_counterexamples_are_every_point(self, system_trio):
-        system, _, int_checker, word_checker = system_trio
+    def test_all_points_fail_counterexamples_are_every_point(self, system_pair):
+        system, reference, word_checker = system_pair
         everything = list(system.points)
-        assert int_checker.counterexamples(self.FALSE, limit=len(everything) + 7) \
-            == everything
-        assert word_checker.counterexamples(self.FALSE, limit=len(everything) + 7) \
-            == everything
+        for checker in (reference, word_checker):
+            assert checker.counterexamples(self.FALSE, limit=len(everything) + 7) \
+                == everything
 
 
 class TestCounterexampleOrderingRegression:
@@ -224,12 +209,10 @@ class TestCounterexampleOrderingRegression:
     """
 
     def checkers(self, system):
-        return (ReferenceModelChecker(system),
-                ModelChecker(system, backend="int"),
-                ModelChecker(system, backend="words"))
+        return ReferenceModelChecker(system), ModelChecker(system)
 
-    def test_time_equals_counterexamples_in_dense_order(self, system_trio):
-        system = system_trio[0]
+    def test_time_equals_counterexamples_in_dense_order(self, system_pair):
+        system = system_pair[0]
         stride = system.horizon + 1
         # TimeEquals(1) fails exactly at the points whose time is not 1.
         expected = [point for point in system.points if point.time != 1]
@@ -244,14 +227,14 @@ class TestCounterexampleOrderingRegression:
             assert checker.counterexamples(TimeEquals(1), limit=6) == expected[:6]
             assert checker.counterexamples(TimeEquals(1), limit=10 ** 9) == expected
 
-    def test_limit_zero_and_satisfied_formulas_yield_nothing(self, system_trio):
-        system = system_trio[0]
+    def test_limit_zero_and_satisfied_formulas_yield_nothing(self, system_pair):
+        system = system_pair[0]
         for checker in self.checkers(system):
             assert checker.counterexamples(Not(TRUE), limit=0) == []
             assert checker.counterexamples(TRUE, limit=10) == []
 
-    def test_truncation_is_a_prefix_of_the_full_list(self, system_trio):
-        system = system_trio[0]
+    def test_truncation_is_a_prefix_of_the_full_list(self, system_pair):
+        system = system_pair[0]
         formula = Not(DecidedEquals(0, None))
         for checker in self.checkers(system):
             full = checker.counterexamples(formula, limit=system.num_points)
@@ -260,7 +243,7 @@ class TestCounterexampleOrderingRegression:
 
 
 class TestBothKnowledgeStrategies:
-    """The word backend's dense-matrix and bincount ``K_i`` paths must agree.
+    """The checker's dense-matrix and bincount ``K_i`` paths must agree.
 
     ``DENSE_CLASS_LIMIT`` selects the strategy per agent at evaluation time;
     forcing it to 0 routes every ``K_i`` through the class-id / bincount
@@ -268,10 +251,10 @@ class TestBothKnowledgeStrategies:
     """
 
     @pytest.mark.parametrize("limit", [0, 10_000], ids=["bincount", "dense"])
-    def test_knowledge_formulas_agree(self, system_trio, monkeypatch, limit):
-        system, reference, int_checker, _ = system_trio
+    def test_knowledge_formulas_agree(self, system_pair, monkeypatch, limit):
+        system, reference, _ = system_pair
         monkeypatch.setattr(words, "DENSE_CLASS_LIMIT", limit)
-        word_checker = ModelChecker(system, backend="words")
+        word_checker = ModelChecker(system)
         rng = random.Random(2024)
         for _ in range(40):
             operand = random_formula(rng, system.n, system.horizon, depth=2)
@@ -279,23 +262,5 @@ class TestBothKnowledgeStrategies:
             for formula in (Knows(agent, operand),
                             EveryoneKnows(NONFAULTY, operand),
                             CommonKnowledge(frozenset(range(system.n)), operand)):
-                assert_three_way_agreement(system, reference, int_checker,
-                                           word_checker, formula)
+                assert_agreement(system, reference, word_checker, formula)
 
-
-class TestBackendSelection:
-    def test_default_backend_is_words_with_numpy(self, system_trio):
-        system = system_trio[0]
-        assert words.HAVE_NUMPY  # the test environment bakes numpy in
-        assert ModelChecker(system).backend == "words"
-
-    def test_unknown_backend_is_rejected(self, system_trio):
-        from repro.core.errors import ModelCheckingError
-        with pytest.raises(ModelCheckingError, match="unknown model-checker backend"):
-            ModelChecker(system_trio[0], backend="simd")
-
-    def test_satisfying_words_requires_words_backend(self, system_trio):
-        from repro.core.errors import ModelCheckingError
-        checker = ModelChecker(system_trio[0], backend="int")
-        with pytest.raises(ModelCheckingError, match="words backend"):
-            checker.satisfying_words(TRUE)

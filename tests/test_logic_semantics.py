@@ -151,6 +151,10 @@ class TestGroupKnowledge:
 
 
 class TestHelpers:
+    def test_there_is_no_backend_selector(self, small_system):
+        with pytest.raises(TypeError):
+            ModelChecker(small_system, backend="int")
+
     def test_counterexamples_listed(self, checker):
         failures = checker.counterexamples(TimeEquals(0), limit=3)
         assert len(failures) == 3

@@ -24,6 +24,7 @@ from repro.analysis import compare_traces, zero_chains
 from repro.exchange import CommGraph
 from repro.failures import FailurePattern, SendingOmissionModel
 from repro.logic import ModelChecker, words
+from repro.logic.reference import ReferenceModelChecker
 from repro.protocols import BasicProtocol, MinProtocol, OptimalFipProtocol
 from repro.simulation import simulate
 from repro.spec import check_eba
@@ -273,13 +274,11 @@ class TestWordArrayRoundTrip:
 
 @pytest.fixture(scope="module")
 def counterexample_system():
-    """One small system with both backend checkers, for the scan properties."""
+    """One small system with both checkers, for the scan properties."""
     model = SendingOmissionModel(n=3, t=1)
     patterns = list(model.enumerate(2))[:8]
     system = build_system(MinProtocol(1), 3, 2, patterns)
-    return (system,
-            ModelChecker(system, backend="int"),
-            ModelChecker(system, backend="words"))
+    return system, ReferenceModelChecker(system), ModelChecker(system)
 
 
 class TestCounterexampleScanProperties:
@@ -292,7 +291,7 @@ class TestCounterexampleScanProperties:
                                                   seed, limit):
         from test_logic_bitset_reference import random_formula
 
-        system, int_checker, word_checker = counterexample_system
+        system, reference, word_checker = counterexample_system
         formula = random_formula(random.Random(seed), system.n, system.horizon,
                                  depth=3)
         result = word_checker.counterexamples(formula, limit=limit)
@@ -304,10 +303,10 @@ class TestCounterexampleScanProperties:
         # Ordering: strictly increasing dense indices — sorted, no duplicates.
         indices = [system.point_index(point) for point in result]
         assert indices == sorted(set(indices))
-        # Every reported point really fails, per both backends.
+        # Every reported point really fails.
         assert all(not word_checker.holds(formula, point) for point in result)
-        # The vectorized recovery agrees with the int-path extraction exactly.
-        assert result == int_checker.counterexamples(formula, limit=limit)
+        # The vectorized recovery agrees with the reference extraction exactly.
+        assert result == reference.counterexamples(formula, limit=limit)
 
 
 class TestFailurePatternProperties:

@@ -1,13 +1,15 @@
-"""Differential tests: the batched round-major engine vs the per-run engine.
+"""Differential tests: the batched round-major engine vs per-run ``simulate()``.
 
 The batched engine (:mod:`repro.simulation.batch`) promises traces that are
 **byte-identical** (per-trace pickle) to :func:`repro.simulation.engine.simulate`'s
 for every protocol, failure model, and scenario — and systems whose interned
-partitions are identical to the per-run path's.  These tests enforce that
-promise across the SO / RO / GO models and all three paper protocols, plus a
-randomized scenario sweep, and pin the supporting behaviours: duplicate-pattern
-rejection, in-process chunked construction under every executor (with its
-cancel checkpoint), and the engine/symmetry knobs of ``build_system``.
+partitions are identical to those of the per-run oracle (one ``simulate()``
+call per run, wrapped in an :class:`~repro.systems.interpreted.InterpretedSystem`
+that interns lazily).  These tests enforce that promise across the SO / RO / GO
+models and all three paper protocols, plus a randomized scenario sweep, and pin
+the supporting behaviours: duplicate-pattern rejection, in-process chunked
+construction under every executor (with its cancel checkpoint), and the
+symmetry knob of ``build_system_for_model``.
 """
 
 import pickle
@@ -28,7 +30,13 @@ from repro.kbp import check_implements, make_p0
 from repro.protocols import BasicProtocol, MinProtocol, OptimalFipProtocol
 from repro.simulation.batch import BatchSimulator, execute_batches, simulate_batch
 from repro.simulation.engine import simulate
-from repro.systems import build_system, build_system_for_model, gamma_basic, gamma_min
+from repro.systems import (
+    InterpretedSystem,
+    build_system,
+    build_system_for_model,
+    gamma_basic,
+    gamma_min,
+)
 from repro.workloads.preferences import enumerate_preferences
 
 MODELS = ["sending-omission", "receive-omission", "general-omission"]
@@ -46,6 +54,15 @@ CONTEXT_MODELS = [
 
 def _trace_bytes(traces):
     return [pickle.dumps(trace) for trace in traces]
+
+
+def _per_run_system(protocol, context):
+    """The construction oracle: one ``simulate()`` call per (pattern, preferences) pair."""
+    prefs = [tuple(p) for p in enumerate_preferences(context.n)]
+    runs = [simulate(protocol, context.n, p, pattern=pattern, horizon=context.horizon)
+            for pattern in context.patterns() for p in prefs]
+    return InterpretedSystem(n=context.n, horizon=context.horizon, runs=runs,
+                             protocol_name=protocol.name)
 
 
 class TestTraceByteIdentity:
@@ -103,7 +120,7 @@ class TestEngineEquivalenceInBuildSystem:
     def test_build_system_engines_agree(self, model_name):
         context = gamma_min(3, 1, failure_model=model_name)
         batched = context.build_system(MinProtocol(1))
-        per_run = context.build_system(MinProtocol(1), engine="per-run")
+        per_run = _per_run_system(MinProtocol(1), context)
         assert _trace_bytes(batched.runs) == _trace_bytes(per_run.runs)
         for agent in range(3):
             fast = batched.partition(agent)
@@ -123,14 +140,20 @@ class TestEngineEquivalenceInBuildSystem:
                 system=context.build_system(claim_protocol))
             per_run = check_implements(
                 claim_protocol, make_p0(3), context,
-                system=context.build_system(claim_protocol, engine="per-run"))
+                system=_per_run_system(claim_protocol, context))
             assert repr(batched) == repr(per_run)
             assert batched.checked_states == per_run.checked_states
             assert [repr(m) for m in batched.mismatches] == [repr(m) for m in per_run.mismatches]
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ModelCheckingError, match="engine"):
-            gamma_min(3, 1).build_system(MinProtocol(1), engine="turbo")
+    @pytest.mark.parametrize("build", [
+        lambda: build_system(MinProtocol(1), 3, 3, [], engine="per-run"),
+        lambda: build_system_for_model(MinProtocol(1), SendingOmissionModel(n=3, t=1), 3,
+                                       engine="per-run"),
+        lambda: gamma_min(3, 1).build_system(MinProtocol(1), engine="per-run"),
+    ], ids=["build_system", "build_system_for_model", "EBAContext.build_system"])
+    def test_there_is_no_engine_selector(self, build):
+        with pytest.raises(TypeError):
+            build()
 
 
 def _partition_fields(partitions):

@@ -10,12 +10,12 @@ construction engine made reachable at all):
 * **Theorem 6.5** — ``P_min`` implements ``P0`` in γ_min(5, 1);
 * **Theorem 6.6** — ``P_basic`` implements ``P0`` in γ_basic(5, 1); and
 * the **Definition 6.2 safety condition** for both canonical
-  implementations, via the vectorized word-array scan
-  (``check_safety(scan="vector")``) — the per-point scan extrapolates to
-  hours at this size, the vectorized one finishes in about a minute.
+  implementations, via the vectorized word-array scan of ``check_safety``
+  — the per-point oracle extrapolates to hours at this size, the vectorized
+  scan finishes in about a minute.
 
 The n = 4 remainder (program equivalence over both limited contexts, the
-safety condition under the default scan) and the n = 3 general-omission
+safety condition) and the n = 3 general-omission
 theorem table round out the tier.
 """
 
@@ -90,19 +90,19 @@ class TestTheorem66AtN5:
 class TestSafetyConditionAtN5:
     """The Definition 6.2 safety scan at n = 5, t = 1 (Proposition 6.4's regime).
 
-    Open until the vectorized scan landed: the per-point scan walks 2.6M
+    Open until the vectorized scan landed: the per-point oracle walks 2.6M
     points × 5 agents through nested class sweeps (extrapolating to hours),
     while the word-array scan reduces each clause to shift pipelines and
     per-class ``bincount`` reductions over the whole system at once.
     """
 
     def test_p0_safe_in_gamma_min_5_1(self):
-        report = check_safety(MinProtocol(1), gamma_min(5, 1), scan="vector")
+        report = check_safety(MinProtocol(1), gamma_min(5, 1))
         assert report.safe, report.violations
         assert report.points_checked == 2_621_568
 
     def test_p0_safe_in_gamma_basic_5_1(self):
-        report = check_safety(BasicProtocol(1), gamma_basic(5, 1), scan="vector")
+        report = check_safety(BasicProtocol(1), gamma_basic(5, 1))
         assert report.safe, report.violations
         assert report.points_checked == 2_621_568
 
