@@ -1,21 +1,14 @@
-"""Shared configuration for the benchmark harness.
+"""Shared configuration for the pytest-benchmark suites in ``benchmarks/``.
 
-Every benchmark regenerates one of the paper's quantitative results (see
-DESIGN.md's per-experiment index and EXPERIMENTS.md for the measured values).
-The benchmarks assert the qualitative *shape* of each claim — who wins and by
-roughly what factor — and time the experiment driver that produces it.
+Each ``bench_*.py`` file regenerates one of the paper's quantitative results
+or one of the library's performance claims (docs/performance.md quotes the
+measured values).  The benchmarks assert the qualitative *shape* of each claim
+— who wins and by roughly what factor — and time the code that produces it.
+This file adds one hook: the per-session dump ``tools/bench_summary.py`` reads.
 """
 
 import json
 import os
-
-import pytest
-
-
-@pytest.fixture(scope="session")
-def medium_size():
-    """The (n, t) used by the medium-sized benchmark runs."""
-    return 10, 4
 
 
 def pytest_sessionfinish(session, exitstatus):

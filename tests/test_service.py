@@ -352,8 +352,12 @@ class TestJobServer:
                 receipt = client.submit(tiny_run_body())
                 with pytest.raises(ServiceTimeout, match="still"):
                     client.wait(receipt["job"], poll_interval=0.01, timeout=0.25)
+                # Release the worker before leaving the with block: stop()
+                # joins the workers, and a blocked one would hold it for the
+                # pool's whole shutdown timeout.
+                gate.set()
         finally:
-            gate.set()  # release the worker so shutdown joins promptly
+            gate.set()  # backstop if the server failed before the release above
 
     def test_client_retries_then_reports_unreachable(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=0.2,
