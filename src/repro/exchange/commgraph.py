@@ -10,30 +10,27 @@ full-information state at time ``m`` by a *communication graph* ``G_{i,m}``:
 * each vertex ``(j, 0)`` carries a preference label in ``{0, 1, ?}`` recording
   whether ``i`` knows agent ``j``'s initial preference.
 
-Because the full-information protocol sends the entire graph every round, an
-agent's graph at time ``m + 1`` is the merge of its own graph, the graphs it
-received, and its direct observations of which round-``(m + 1)`` messages
-arrived.
+The full-information protocol sends the entire graph every round, so an
+agent's graph at time ``m + 1`` merges its own graph, the graphs it received,
+and its direct observations of which round-``(m + 1)`` messages arrived.
 
-This module also provides the derived quantities used by the polynomial-time
-protocol ``P_opt``:
+A graph holds the 2 bits per edge label that :meth:`CommGraph.bit_size`
+counts.  At a fixed ``n`` the edge ``sender -> receiver`` of round
+``round_index + 1`` is bit ``round_index·n² + sender·n + receiver`` of two ints,
+set in ``_known`` when the label is 0 or 1 and in ``_delivered`` when it is 1;
+the API speaks ``True``, ``False`` and ``None`` (?).  Graphs received in one
+round never disagree on a shared edge, so merging them is an OR.
 
-* the *hears-from* reachability frontier (Definition A.1): for each agent ``j``,
-  the latest time ``m'`` such that ``(j, m')`` hears-into the graph's anchor
-  point — this is ``last_ij(r, m)`` of Definition A.6;
-* the cone restriction ``G_{j,m'}`` reconstructed from ``G_{i,m}`` for points
-  that ``i`` has heard from (full information makes this possible);
-* the sets ``f(j, m', G)`` and ``D(S, m', G)`` of faulty agents known to ``j``
-  (respectively, distributed-known to ``S``) at time ``m'``;
-* the sets ``V(j, m', G)`` of initial values known to ``j`` at time ``m'``.
-
-The labels use Python values ``True`` (delivered), ``False`` (not delivered),
-and *absence* for ``?``.
+The derived quantities ``P_opt`` uses are computed on the bits: the hears-from
+frontier ``last_ij`` (Definitions A.1 and A.6), the cone restriction
+``G_{j,m'}`` for a point that ``i`` has heard from, the faulty sets
+``f(j, m', G)`` and ``D(S, m', G)``, and the known values ``V(j, m', G)``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import ModelCheckingError
 from ..core.types import AgentId, Value
@@ -44,6 +41,21 @@ from ..core.types import AgentId, Value
 LabelledEdge = Tuple[int, AgentId, AgentId, bool]
 
 
+@lru_cache(maxsize=None)
+def _column_mask(n: int, receiver: AgentId, rounds: int) -> int:
+    """The bits of every edge into ``receiver`` in rounds ``0 .. rounds - 1``."""
+    column = sum(1 << (sender * n + receiver) for sender in range(n))
+    return sum(column << (m * n * n) for m in range(rounds))
+
+
+def _from_bits(n: int, time: int, prefs: Tuple[Optional[Value], ...],
+               known: int, delivered: int) -> "CommGraph":
+    """A graph from its five canonical fields (also the unpickling hook)."""
+    graph: CommGraph = object.__new__(CommGraph)
+    graph._assign(n, time, prefs, known, delivered)
+    return graph
+
+
 class CommGraph:
     """An immutable communication graph at a given time.
 
@@ -51,71 +63,63 @@ class CommGraph:
     agents, the time, the known preference labels, and the known edge labels.
     """
 
-    __slots__ = ("n", "time", "_prefs", "_labels", "_label_set", "_hash")
+    __slots__ = ("n", "time", "_prefs", "_known", "_delivered", "_hash")
 
     def __init__(self, n: int, time: int,
                  prefs: Mapping[AgentId, Value] | Sequence[Optional[Value]],
                  labels: Iterable[LabelledEdge]) -> None:
-        self.n = n
-        self.time = time
         if isinstance(prefs, Mapping):
             pref_tuple = tuple(prefs.get(j) for j in range(n))
         else:
             pref_tuple = tuple(prefs)
             if len(pref_tuple) != n:
                 raise ModelCheckingError(f"expected {n} preference labels, got {len(pref_tuple)}")
-        self._prefs: Tuple[Optional[Value], ...] = pref_tuple
-        label_dict: Dict[Tuple[int, AgentId, AgentId], bool] = {}
-        for (round_index, sender, receiver, delivered) in labels:
-            label_dict[(round_index, sender, receiver)] = bool(delivered)
-        self._labels = label_dict
-        self._label_set: FrozenSet[LabelledEdge] = frozenset(
-            (m, s, r, d) for (m, s, r), d in label_dict.items()
-        )
-        self._hash = hash((self.n, self.time, self._prefs, self._label_set))
+        known = delivered = 0
+        for (round_index, sender, receiver, flag) in labels:
+            if round_index < 0 or not (0 <= sender < n and 0 <= receiver < n):
+                raise ModelCheckingError(f"edge {(round_index, sender, receiver)} outside an {n}-agent graph")
+            bit = 1 << ((round_index * n + sender) * n + receiver)
+            known |= bit
+            delivered = delivered | bit if flag else delivered & ~bit
+        self._assign(n, time, pref_tuple, known, delivered)
+
+    def _assign(self, n: int, time: int, prefs: Tuple[Optional[Value], ...],
+                known: int, delivered: int) -> None:
+        self.n, self.time, self._prefs, self._known, self._delivered = n, time, prefs, known, delivered
+        self._hash = hash((n, time, prefs, known, delivered))
 
     # ------------------------------------------------------------------ construction
 
     @classmethod
     def initial(cls, n: int, agent: AgentId, init: Value) -> "CommGraph":
         """The time-0 graph of ``agent``: it knows only its own preference."""
-        prefs: Dict[AgentId, Value] = {agent: init}
-        return cls(n=n, time=0, prefs=prefs, labels=())
+        return cls(n=n, time=0, prefs={agent: init}, labels=())
 
     def advance(self, receiver: AgentId,
                 received: Sequence[Optional["CommGraph"]]) -> "CommGraph":
-        """The graph after one more round, merging received graphs and observations.
-
-        Parameters
-        ----------
-        receiver:
-            The agent owning this graph (needed to record its direct
-            observations of which messages arrived).
-        received:
-            ``received[j]`` is the graph received from agent ``j`` this round,
-            or ``None`` if no message arrived from ``j``.
+        """The graph after one more round: this graph, owned by ``receiver``, merged
+        with ``received[j]``, the graph received from agent ``j`` this round
+        (``None`` if nothing arrived), and with ``receiver``'s direct
+        observations of which of those messages arrived.
         """
-        if len(received) != self.n:
-            raise ModelCheckingError(f"expected {self.n} received slots, got {len(received)}")
-        labels: Dict[Tuple[int, AgentId, AgentId], bool] = dict(self._labels)
-        prefs: List[Optional[Value]] = list(self._prefs)
+        n = self.n
+        if len(received) != n:
+            raise ModelCheckingError(f"expected {n} received slots, got {len(received)}")
+        known, delivered, prefs = self._known, self._delivered, self._prefs
+        base = self.time * n * n
+        observed = _column_mask(n, receiver, 1) << base  # our round-(time + 1) in-edges
+        arrived = 0
         for sender, graph in enumerate(received):
             if graph is None:
                 continue
-            for (key, delivered) in graph._labels.items():
-                labels.setdefault(key, delivered)
-            for j, pref in enumerate(graph._prefs):
-                if pref is not None and prefs[j] is None:
-                    prefs[j] = pref
-        # Direct observations: which round-(time + 1) messages reached us.
-        for sender in range(self.n):
-            labels[(self.time, sender, receiver)] = received[sender] is not None
-        return CommGraph(
-            n=self.n,
-            time=self.time + 1,
-            prefs=prefs,
-            labels=((m, s, r, d) for (m, s, r), d in labels.items()),
-        )
+            arrived |= 1 << (base + sender * n + receiver)
+            known |= graph._known
+            delivered |= graph._delivered
+            if None in prefs:
+                prefs = tuple(mine if mine is not None else theirs
+                              for mine, theirs in zip(prefs, graph._prefs))
+        return _from_bits(n, self.time + 1, prefs, known | observed,
+                          (delivered & ~observed) | arrived)
 
     # ------------------------------------------------------------------ basic queries
 
@@ -124,7 +128,12 @@ class CommGraph:
 
         Returns ``True`` (delivered), ``False`` (not delivered), or ``None`` (unknown).
         """
-        return self._labels.get((round_index, sender, receiver))
+        n = self.n
+        bit = (round_index * n + sender) * n + receiver
+        if round_index < 0 or not (0 <= sender < n and 0 <= receiver < n) or \
+                not self._known >> bit & 1:
+            return None
+        return bool(self._delivered >> bit & 1)
 
     def preference(self, agent: AgentId) -> Optional[Value]:
         """Agent ``agent``'s initial preference, if known; ``None`` otherwise."""
@@ -135,8 +144,14 @@ class CommGraph:
         return {j: v for j, v in enumerate(self._prefs) if v is not None}
 
     def labelled_edges(self) -> FrozenSet[LabelledEdge]:
-        """The set of edges with a known (0/1) label."""
-        return self._label_set
+        """The set of edges with a known (0/1) label, decoded from the bits."""
+        n, known, edges = self.n, self._known, []
+        while known:
+            low = known & -known
+            round_index, slot = divmod(low.bit_length() - 1, n * n)
+            edges.append((round_index, slot // n, slot % n, bool(self._delivered & low)))
+            known ^= low
+        return frozenset(edges)
 
     def bit_size(self) -> int:
         """The encoded size of the graph in bits.
@@ -165,21 +180,20 @@ class CommGraph:
         """
         if anchor_time is None:
             anchor_time = self.time
-        frontier = [-1] * self.n
+        n = self.n
+        frontier = [-1] * n
         frontier[anchor_agent] = anchor_time
-        # Work backwards in time: a delivered edge (j, m) -> (k, m + 1) extends
-        # j's frontier to at least m whenever k's frontier is at least m + 1.
-        changed = True
-        while changed:
-            changed = False
-            for (round_index, sender, receiver), delivered in self._labels.items():
-                if not delivered:
-                    continue
-                if round_index + 1 > anchor_time:
-                    continue
-                if frontier[receiver] >= round_index + 1 and frontier[sender] < round_index:
-                    frontier[sender] = round_index
-                    changed = True
+        # Sweep rounds backwards: ``heard`` holds the agents with frontier > m, and
+        # a sender outside it with a delivered edge into it has frontier m.
+        heard = 1 << anchor_agent
+        for m in range(anchor_time - 1, -1, -1):
+            rows = self._delivered >> (m * n * n)
+            reached = heard
+            for sender in range(n):
+                if not heard >> sender & 1 and rows >> (sender * n) & heard:
+                    frontier[sender] = m
+                    reached |= 1 << sender
+            heard = reached
         return frontier
 
     def hears_from(self, source: Tuple[AgentId, int], anchor_agent: AgentId,
@@ -197,18 +211,11 @@ class CommGraph:
         entire state); the restriction is the sub-graph of labels and
         preferences that could have reached the anchor.
         """
+        n = self.n
         frontier = self.heard_frontier(anchor_agent, anchor_time)
-        prefs: Dict[AgentId, Value] = {
-            j: v
-            for j, v in enumerate(self._prefs)
-            if v is not None and frontier[j] >= 0
-        }
-        labels = [
-            (m, s, r, d)
-            for (m, s, r), d in self._labels.items()
-            if m + 1 <= frontier[r]
-        ]
-        return CommGraph(n=self.n, time=anchor_time, prefs=prefs, labels=labels)
+        prefs = tuple(v if frontier[j] >= 0 else None for j, v in enumerate(self._prefs))
+        mask = sum(_column_mask(n, receiver, last) for receiver, last in enumerate(frontier))
+        return _from_bits(n, anchor_time, prefs, self._known & mask, self._delivered & mask)
 
     # ------------------------------------------------------------------ knowledge of failures / values
 
@@ -221,34 +228,29 @@ class CommGraph:
         message to ``agent`` is recorded as *not* delivered, and (c) what
         ``agent`` already knew at ``time - 1``.
         """
-        memo: Dict[Tuple[AgentId, int], FrozenSet[AgentId]] = {}
-        return self._known_faulty(agent, time, memo)
-
-    def _known_faulty(self, agent: AgentId, time: int,
-                      memo: Dict[Tuple[AgentId, int], FrozenSet[AgentId]]) -> FrozenSet[AgentId]:
-        if time <= 0:
-            return frozenset()
-        key = (agent, time)
-        if key in memo:
-            return memo[key]
-        memo[key] = frozenset()  # guard against (impossible) cycles
-        result: Set[AgentId] = set(self._known_faulty(agent, time - 1, memo))
-        for sender in range(self.n):
-            label = self.label(time - 1, sender, agent)
-            if label is True:
-                result |= self._known_faulty(sender, time - 1, memo)
-            elif label is False:
-                result.add(sender)
-        memo[key] = frozenset(result)
-        return memo[key]
+        return self.distributed_faulty((agent,), time)
 
     def distributed_faulty(self, agents: Iterable[AgentId], time: int) -> FrozenSet[AgentId]:
         """``D(S, time, G)``: the union of ``f(k, time, G)`` over ``k`` in ``agents``."""
-        memo: Dict[Tuple[AgentId, int], FrozenSet[AgentId]] = {}
-        result: Set[AgentId] = set()
+        n = self.n
+        faulty = [0] * n  # f(a, m, G) for every agent a, as agent bitmasks
+        for m in range(time):
+            known = self._known >> (m * n * n)
+            delivered = self._delivered >> (m * n * n)
+            step = []
+            for receiver in range(n):
+                mask = faulty[receiver]
+                for sender in range(n):
+                    if delivered >> (sender * n + receiver) & 1:
+                        mask |= faulty[sender]
+                    elif known >> (sender * n + receiver) & 1:
+                        mask |= 1 << sender
+                step.append(mask)
+            faulty = step
+        mask = 0
         for agent in agents:
-            result |= self._known_faulty(agent, time, memo)
-        return frozenset(result)
+            mask |= faulty[agent]
+        return frozenset(j for j in range(n) if mask >> j & 1)
 
     def possibly_nonfaulty(self, agent: AgentId, time: Optional[int] = None) -> FrozenSet[AgentId]:
         """``f̄(agent, time, G)``: the agents this graph does not show to be faulty."""
@@ -265,30 +267,26 @@ class CommGraph:
         callers treat points outside the owner's cone specially).
         """
         frontier = self.heard_frontier(agent, time)
-        values: Set[Value] = set()
-        for j in range(self.n):
-            if frontier[j] >= 0 and self._prefs[j] is not None:
-                values.add(self._prefs[j])
-        return frozenset(values)
+        return frozenset(v for j, v in enumerate(self._prefs)
+                         if v is not None and frontier[j] >= 0)
 
     # ------------------------------------------------------------------ value-object protocol
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CommGraph):
             return NotImplemented
-        return (self.n == other.n and self.time == other.time
-                and self._prefs == other._prefs and self._label_set == other._label_set)
+        return (self._hash == other._hash and self.n == other.n and self.time == other.time
+                and (self._prefs, self._known, self._delivered)
+                == (other._prefs, other._known, other._delivered))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
-        # Serialize through sorted labels: frozenset iteration order is not
-        # stable across pickle round trips, and equal graphs must pickle to
-        # identical bytes (the executor-equivalence guarantee of repro.api).
-        return (self.__class__,
-                (self.n, self.time, self._prefs, tuple(sorted(self._label_set))))
+        # The five fields are canonical, so equal graphs pickle to identical
+        # bytes (the executor-equivalence guarantee of repro.api).
+        return (_from_bits, (self.n, self.time, self._prefs, self._known, self._delivered))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CommGraph(n={self.n}, time={self.time}, "
-                f"known_prefs={len(self.known_preferences())}, labels={len(self._labels)})")
+                f"known_prefs={len(self.known_preferences())}, labels={bin(self._known).count('1')})")

@@ -138,15 +138,17 @@ def indices_of_mask(mask: int) -> "npt.NDArray[Any]":
 
     Only the bytes up to the mask's highest set bit are materialised, so
     converting the (sparse, variable-length) interned class masks of a big
-    system costs memory proportional to the ints themselves.
+    system costs memory proportional to the ints themselves; only the nonzero
+    bytes are unpacked to bits.
     """
     if mask < 0:
         raise ValueError("a point-set mask must be non-negative")
     if mask == 0:
         return np.empty(0, dtype=np.int64)
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    return np.nonzero(bits)[0]
+    data = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    where = np.flatnonzero(data)
+    rows, bits = np.nonzero(np.unpackbits(data[where, None], axis=1, bitorder="little"))
+    return where[rows] * 8 + bits
 
 
 def shift_down_words(words: "npt.NDArray[Any]") -> "npt.NDArray[Any]":

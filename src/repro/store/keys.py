@@ -25,7 +25,8 @@ The token rules cover everything the library keys by construction: primitives,
 sequences, mappings, sets (sorted), enums, frozen dataclasses (protocols,
 patterns, models, contexts, specs, formulas), named callables (by qualified
 name; a bound method also by the instance it is bound to — lambdas and local
-functions are refused, since closures from one factory share a name), and
+functions are refused, since closures from one factory share a name),
+``functools.partial`` objects (by function, arguments and keywords), and
 plain objects via their ``__dict__``.  A class can override the generic
 treatment with a ``__store_token__()`` method returning any tokenisable value.
 """
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import operator
 import types
@@ -145,6 +147,10 @@ def token(obj: object) -> object:
         return ("set", _sorted_tokens(token(item) for item in obj))
     if isinstance(obj, type):
         return ("type", _qualified_name(obj))
+    if isinstance(obj, functools.partial):
+        # A partial's behaviour is its function and bound arguments; its
+        # (usually empty) __dict__ would let every partial of one type collide.
+        return ("partial", token(obj.func), token(obj.args), token(obj.keywords))
     if callable(obj) and hasattr(obj, "__qualname__"):
         # Functions and factory callables key by qualified name (the code
         # fingerprint covers their behaviour); a bound method also keys by
@@ -254,6 +260,10 @@ def _encode_type(obj: type) -> str:
     return f"('type', {_qualified_name(obj)!r})"
 
 
+def _encode_partial(obj: "functools.partial[Any]") -> str:
+    return f"('partial', {_encode(obj.func)}, {_encode(obj.args)}, {_encode(obj.keywords)})"
+
+
 def _enum_encoder(cls: type) -> Encoder:
     head = f"('enum', {_qualified_name(cls)!r}, "
 
@@ -342,6 +352,8 @@ def _plan(cls: type) -> Encoder:
         return _encode_map
     if issubclass(cls, (set, frozenset)):
         return _encode_set
+    if issubclass(cls, functools.partial):
+        return _encode_partial
     return _other_encoder(cls)
 
 

@@ -13,13 +13,17 @@ Covers the correctness properties the cache must not lose:
 
 from __future__ import annotations
 
+import gzip
+import json
+import pickle
 import threading
 
 import pytest
 
 from repro.core.errors import StoreError
 from repro.failures import FailurePattern, SendingOmissionModel
-from repro.protocols import BasicProtocol, MinProtocol
+from repro.protocols import BasicProtocol, MinProtocol, OptimalFipProtocol
+from repro.simulation import simulate
 from repro.store import (
     ArtifactStore,
     FilesystemBackend,
@@ -379,6 +383,38 @@ class TestArtifactStore:
         stats = store.stats()
         assert stats.io_errors == 1  # the failed walk itself is included
         assert stats.entries == 0
+
+
+class TestPayloadFormat:
+    """Bodies are written at gzip level 1; entries written at level 9 still load."""
+
+    @staticmethod
+    def _fip_trace():
+        # Carries communication graphs, whose pickles must be canonical.
+        pattern = FailurePattern.silent(3, faulty=[0], horizon=4)
+        return simulate(OptimalFipProtocol(1), 3, [0, 1, 1], pattern)
+
+    @pytest.mark.parametrize("serializer", ["pickle", "json"])
+    def test_level_9_payload_decodes_to_the_same_object(self, serializer, tmp_path):
+        artifact = self._fip_trace() if serializer == "pickle" else {"rows": [1, 2], "ok": True}
+        body = (pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL) if serializer == "pickle"
+                else json.dumps(artifact, sort_keys=True).encode("utf-8"))
+        legacy = b"\n".join([store_module.MAGIC, b"trace", serializer.encode("utf-8"),
+                             gzip.compress(body, compresslevel=9, mtime=0)])
+        assert store_module._decode(legacy) == artifact
+        store = default_store(tmp_path)
+        store.backend.put("9" * 64, legacy)
+        assert default_store(tmp_path).get("9" * 64) == artifact
+
+    def test_encoding_is_deterministic_at_level_1(self):
+        trace = self._fip_trace()
+        payload = store_module._encode(trace, "trace", "pickle")
+        assert store_module._encode(trace, "trace", "pickle") == payload
+        # An equal artifact built separately encodes to the same bytes.
+        assert store_module._encode(self._fip_trace(), "trace", "pickle") == payload
+        body = payload.split(b"\n", 3)[3]
+        assert body[8] == 4  # RFC 1952 XFL: 4 = fastest compression (level 1)
+        assert store_module._decode(payload) == trace
 
 
 # --------------------------------------------------------------------------- resolution

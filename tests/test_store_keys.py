@@ -12,15 +12,18 @@ These tests pin the two together:
   of silently orphaning every existing cache entry;
 * for callables — a bound method keys by the instance it is bound to, and
   lambdas and local functions (which share a qualified name with every other
-  closure from the same factory) are refused rather than keyed.
+  closure from the same factory) are refused rather than keyed, and a
+  ``functools.partial`` keys by its function, arguments and keywords.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import math
+import operator
 from typing import Callable, Dict
 
 import pytest
@@ -266,6 +269,40 @@ def test_family_key_matches_oracle(family, monkeypatch):
 def test_family_key_matches_golden_digest(family, monkeypatch):
     monkeypatch.setattr(keys_module, "code_fingerprint", lambda: FINGERPRINT)
     assert FAMILIES[family]() == GOLDEN[family]
+
+
+class TestPartialKeys:
+    """A ``functools.partial`` keys by its function, arguments and keywords.
+
+    It used to key through its empty ``__dict__``, so every partial collided.
+    """
+
+    def test_bound_arguments_separate_keys(self):
+        one, two = functools.partial(operator.add, 1), functools.partial(operator.add, 2)
+        assert content_key("run", one) != content_key("run", two)
+        assert token(one) != token(two)
+        assert content_key("run", one) == content_key("run", functools.partial(operator.add, 1))
+
+    def test_function_and_keywords_separate_keys(self):
+        base = functools.partial(module_function, 1, scale=2)
+        assert content_key("run", base) != content_key("run", functools.partial(Plain.build, 1, scale=2))
+        assert content_key("run", base) != content_key("run", functools.partial(module_function, 1, scale=3))
+        assert content_key("run", base) != content_key("run", functools.partial(module_function, 1))
+
+    @pytest.mark.parametrize("value", [
+        functools.partial(operator.add, 1),
+        functools.partial(module_function),
+        functools.partial(module_function, None, (1, 2.5), key={"b": 1, "a": [True]}),
+        functools.partial(functools.partial(operator.mul, 3), 4),
+        [functools.partial(Plain({"x": 1}).method, "y")],
+    ], ids=["args", "bare", "keywords", "nested", "bound-in-list"])
+    def test_encoder_matches_oracle(self, value):
+        assert content_key("run", value) == oracle_key("run", value)
+
+    def test_token_shape(self):
+        assert token(functools.partial(module_function, 1, k=None)) == (
+            "partial", ("callable", f"{__name__}.module_function"),
+            ("seq", (("int", 1),)), ("map", ((("str", "k"), ("none",)),)))
 
 
 # ------------------------------------------------------------- callables
