@@ -239,7 +239,7 @@ def _check_safety_vector(protocol: ActionProtocol, context: EBAContext,
     witness_ok = np.zeros(num_points, dtype=bool)
     for j in range(n):
         class_ids = system.class_id_array(j)
-        num_classes = len(system.partition(j).class_masks)
+        num_classes = len(system.partition(j).class_states)
         second = _words.class_any(
             class_ids, num_classes,
             _words.unpack_words(nonfaulty_w[j] & second_decider, num_points))
@@ -266,7 +266,7 @@ def _check_safety_vector(protocol: ActionProtocol, context: EBAContext,
     violation_clauses: List[np.ndarray] = []
     for agent in range(n):
         class_ids = system.class_id_array(agent)
-        num_classes = len(system.partition(agent).class_masks)
+        num_classes = len(system.partition(agent).class_states)
 
         per_point_earliest = np.repeat(earliest[:, agent], stride)
         received = (per_point_earliest >= 0) & (per_point_earliest <= times)

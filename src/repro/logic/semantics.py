@@ -237,7 +237,7 @@ class ModelChecker:
           stays linear in points regardless of how many classes there are.
         """
         partition = self.system.partition(agent)
-        num_classes = len(partition.class_masks)
+        num_classes = len(partition.class_states)
         if num_classes <= _words.DENSE_CLASS_LIMIT:
             matrix = self.system.partition_words(agent)
             if not len(matrix):

@@ -1,11 +1,12 @@
 """uint64 word-array kernels behind the model checker and the safety scan.
 
-The interpreted system interns its atoms and indistinguishability classes as
-dense Python ``int`` bitmasks (bit ``run * stride + time``).  This module
-re-lays those bitmasks as numpy ``uint64`` word arrays (little endian, point
-``p`` lives in bit ``p % 64`` of word ``p // 64``) and provides the primitives
-that :class:`~repro.logic.semantics.ModelChecker` and the Definition 6.2
-safety scan are built from:
+The interpreted system interns its atoms as dense Python ``int`` bitmasks (bit
+``run * stride + time``) and each agent's indistinguishability classes as a
+point-indexed class-id vector.  This module re-lays the bitmasks as numpy
+``uint64`` word arrays (little endian, point ``p`` lives in bit ``p % 64`` of
+word ``p // 64``) and provides the primitives that
+:class:`~repro.logic.semantics.ModelChecker` and the Definition 6.2 safety scan
+are built from:
 
 * lossless conversions between ``int`` masks, word arrays, and per-point bit
   vectors (with careful handling of the garbage tail bits of the last word
@@ -14,8 +15,9 @@ safety scan are built from:
 * word-level shift pipelines for the temporal operators (cross-word carries;
   callers mask the run boundaries);
 * per-equivalence-class reductions (``class_all`` / ``class_any``) over a
-  point-indexed class-id vector, which turn the per-class membership sweeps of
-  ``K_i`` and the safety condition into ``np.bincount`` calls;
+  point-indexed class-id vector (narrowed by :func:`class_id_dtype`), which
+  turn the per-class membership sweeps of ``K_i`` and the safety condition
+  into ``np.bincount`` calls;
 * ``np.nonzero``-style point-index recovery for counterexample extraction.
 
 numpy is a required dependency.
@@ -40,11 +42,11 @@ __all__ = [
     "unpack_words",
     "pack_bits",
     "indices_of_words",
-    "indices_of_mask",
     "shift_down_words",
     "shift_up_words",
     "class_all",
     "class_any",
+    "class_id_dtype",
 ]
 
 #: Bits per word of the packed representation.
@@ -133,24 +135,6 @@ def indices_of_words(words: "npt.NDArray[Any]", num_points: int) -> "npt.NDArray
     return np.nonzero(unpack_words(words, num_points))[0]
 
 
-def indices_of_mask(mask: int) -> "npt.NDArray[Any]":
-    """The sorted dense point indices of an ``int`` bitmask's set bits.
-
-    Only the bytes up to the mask's highest set bit are materialised, so
-    converting the (sparse, variable-length) interned class masks of a big
-    system costs memory proportional to the ints themselves; only the nonzero
-    bytes are unpacked to bits.
-    """
-    if mask < 0:
-        raise ValueError("a point-set mask must be non-negative")
-    if mask == 0:
-        return np.empty(0, dtype=np.int64)
-    data = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    where = np.flatnonzero(data)
-    rows, bits = np.nonzero(np.unpackbits(data[where, None], axis=1, bitorder="little"))
-    return where[rows] * 8 + bits
-
-
 def shift_down_words(words: "npt.NDArray[Any]") -> "npt.NDArray[Any]":
     """``mask >> 1`` over the packed array: bit ``p`` receives bit ``p + 1``.
 
@@ -200,24 +184,6 @@ def class_any(class_ids: "npt.NDArray[Any]", num_classes: int,
     return (hits > 0)[class_ids]
 
 
-def masks_to_matrix(masks: Tuple[int, ...], num_points: int) -> "npt.NDArray[Any]":
-    """Stack ``int`` class masks into a dense ``(num_classes, num_words)`` array.
-
-    The word-array view of an agent's interned class masks: row ``c`` is class
-    ``c``'s membership mask.  Dense is only sensible while the class count is
-    small (the ``K_i`` sweep caps it at :data:`DENSE_CLASS_LIMIT` and falls
-    back to the :func:`class_all` reduction beyond that).
-    """
-    nwords = word_count(num_points)
-    matrix = np.zeros((len(masks), nwords), dtype=WORD_DTYPE)
-    for row, mask in enumerate(masks):
-        if mask:
-            data = mask.to_bytes((mask.bit_length() + 63) // 64 * 8, "little")
-            chunk = np.frombuffer(data, dtype=WORD_DTYPE)
-            matrix[row, :len(chunk)] = chunk
-    return matrix
-
-
 #: Class-count ceiling for the dense ``(num_classes, num_words)`` ``K_i``
 #: sweep; above it the memory of the stacked matrix stops paying for itself
 #: and :class:`~repro.logic.semantics.ModelChecker` switches to the
@@ -226,24 +192,17 @@ def masks_to_matrix(masks: Tuple[int, ...], num_points: int) -> "npt.NDArray[Any
 DENSE_CLASS_LIMIT = 64
 
 
-def class_ids_from_masks(masks: Tuple[int, ...], num_points: int) -> "npt.NDArray[Any]":
-    """Build the point-indexed class-id vector from interned ``int`` class masks.
+def class_id_dtype(num_classes: int) -> "np.dtype[Any]":
+    """The smallest unsigned integer dtype that holds class ids ``0 .. num_classes - 1``.
 
-    The masks partition the point space, so every point gets exactly one id;
-    ids follow the masks' order (first appearance in system point order, per
-    :class:`~repro.systems.interpreted.AgentPartition`).
+    Point-indexed class-id vectors are the largest per-agent arrays a system
+    keeps, so they are stored no wider than the class count needs.
+    :func:`numpy.bincount` and fancy indexing accept every dtype returned here.
     """
-    ids = np.zeros(num_points, dtype=np.int32)
-    covered = 0
-    for cid, mask in enumerate(masks):
-        indices = indices_of_mask(mask)
-        ids[indices] = cid
-        covered += len(indices)
-    if covered != num_points:
-        raise ValueError(
-            f"class masks cover {covered} of {num_points} points; they must "
-            "partition the point space")
-    return ids
+    for dtype in (np.uint8, np.uint16):
+        if num_classes <= np.iinfo(dtype).max + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.uint32)
 
 
 def blocks(num_items: int, num_blocks: int) -> List[Tuple[int, int]]:

@@ -37,8 +37,9 @@ unchanged.  ``tests/test_simulation_batch.py`` enforces this differentially.
 Because the simulator already knows, for every interned global state, each
 agent's interned local state, it can also emit the per-agent
 :class:`~repro.systems.interpreted.AgentPartition` structures for the finished
-system directly (:meth:`BatchSimulator.partitions`) — a run-major relabelling
-pass over precomputed class ids instead of re-hashing every local state.
+system directly (:meth:`BatchSimulator.partitions`): one global-state row id
+per point, then a numpy gather and first-appearance relabel of precomputed
+class ids per agent, instead of re-hashing every local state.
 
 This module batches the *build* phase, which always runs in-process; the
 check phase's per-run remainder is sharded by :func:`repro.api.scans.scan_runs`
@@ -48,7 +49,10 @@ byte-identical-to-serial contract.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING, Tuple
+
+import numpy as np
 
 from ..core.errors import ConfigurationError, ProtocolError
 from ..core.types import Action, PreferenceVector, validate_preferences
@@ -100,8 +104,11 @@ class BatchSimulator:
         #: canonical global-state tuples, keyed by their element object ids
         #: (valid because elements are canonical; cheap because ids are ints).
         self._states_intern: Dict[Tuple[int, ...], Tuple[LocalState, ...]] = {}
-        #: id(canonical tuple) -> per-agent raw class id (see partitions()).
-        self._tuple_cids: Dict[int, Tuple[int, ...]] = {}
+        #: id(canonical tuple) -> its row in ``_cid_table`` (see partitions()).
+        self._tuple_rows: Dict[int, int] = {}
+        #: the ``(tuples × n)`` raw class-id table, flat and row-major: row
+        #: ``r`` holds each agent's raw class id in global-state tuple ``r``.
+        self._cid_table = array("i")
         #: per agent: id(canonical state) -> raw class id, and raw id -> state.
         self._agent_raw: List[Dict[int, int]] = [dict() for _ in range(n)]
         self._agent_states: List[List[LocalState]] = [[] for _ in range(n)]
@@ -131,7 +138,7 @@ class BatchSimulator:
         canonical = self._states_intern.get(key)
         if canonical is None:
             self._states_intern[key] = states
-            cids = []
+            self._tuple_rows[id(states)] = len(self._tuple_rows)
             for agent, state in enumerate(states):
                 raw_by_id = self._agent_raw[agent]
                 cid = raw_by_id.get(id(state))
@@ -139,8 +146,7 @@ class BatchSimulator:
                     cid = len(self._agent_states[agent])
                     raw_by_id[id(state)] = cid
                     self._agent_states[agent].append(state)
-                cids.append(cid)
-            self._tuple_cids[id(states)] = tuple(cids)
+                self._cid_table.append(cid)
             canonical = states
         return canonical
 
@@ -329,57 +335,51 @@ class BatchSimulator:
         system in run order.  The result is identical to what
         :meth:`~repro.systems.interpreted.InterpretedSystem.partition` computes
         — classes numbered by first appearance in run-major point order — but
-        costs one id lookup per point plus one integer relabel per (point,
-        agent), instead of re-hashing every local state.
+        costs one id lookup per point, instead of re-hashing every local state,
+        and a few numpy passes: the first point of every global-state row once,
+        then per agent the first point of every raw class id through the tuple
+        table, a first-appearance relabel, and one gather of the per-row labels.
         """
+        from ..logic.words import class_id_dtype
         from ..systems.interpreted import AgentPartition
 
-        n = self.n
-        stride = horizon + 1
-        num_points = len(traces) * stride
-        nbytes = (num_points + 7) // 8
-        final_of_raw: List[Dict[int, int]] = [dict() for _ in range(n)]
-        class_bits: List[List[bytearray]] = [[] for _ in range(n)]
-        class_states: List[List[LocalState]] = [[] for _ in range(n)]
-        first_indices: List[List[int]] = [[] for _ in range(n)]
-        tuple_cids = self._tuple_cids
-        agent_states = self._agent_states
-        index = 0
-        for trace in traces:
-            if len(trace.rounds) != horizon:
-                raise ConfigurationError(
-                    f"trace has {len(trace.rounds)} rounds, expected horizon {horizon}")
-            states = trace.initial_states
-            for time in range(stride):
-                if time:
-                    states = trace.rounds[time - 1].states_after
-                cids = tuple_cids.get(id(states))
-                if cids is None:
+        rows = array("q")
+        row_of = self._tuple_rows.__getitem__
+        try:
+            for trace in traces:
+                if len(trace.rounds) != horizon:
                     raise ConfigurationError(
-                        "trace was not produced by this BatchSimulator "
-                        "(unknown global state tuple)")
-                for agent in range(n):
-                    raw = cids[agent]
-                    remap = final_of_raw[agent]
-                    cid = remap.get(raw)
-                    if cid is None:
-                        cid = len(class_bits[agent])
-                        remap[raw] = cid
-                        class_bits[agent].append(bytearray(nbytes))
-                        class_states[agent].append(agent_states[agent][raw])
-                        first_indices[agent].append(index)
-                    bits = class_bits[agent][cid]
-                    bits[index >> 3] |= 1 << (index & 7)
-                index += 1
-        return {
-            agent: AgentPartition(
-                class_masks=tuple(int.from_bytes(bits, "little")
-                                  for bits in class_bits[agent]),
-                class_states=tuple(class_states[agent]),
-                class_first_indices=tuple(first_indices[agent]),
+                        f"trace has {len(trace.rounds)} rounds, expected horizon {horizon}")
+                rows.append(row_of(id(trace.initial_states)))
+                rows.extend([row_of(id(record.states_after)) for record in trace.rounds])
+        except KeyError:
+            raise ConfigurationError(
+                "trace was not produced by this BatchSimulator "
+                "(unknown global state tuple)") from None
+        point_rows = np.frombuffer(rows, dtype=np.int64)
+        num_points = len(point_rows)
+        # First point of every global-state row, then of every raw class id
+        # through the tuple table; rows and ids these traces never reach keep
+        # the sentinel and get no class.
+        first_row = np.full(len(self._tuple_rows), num_points, dtype=np.intc)
+        np.minimum.at(first_row, point_rows, np.arange(num_points, dtype=np.intc))
+        table = np.frombuffer(self._cid_table, dtype=np.intc).reshape(-1, self.n)
+        result = {}
+        for agent in range(self.n):
+            column = table[:, agent]
+            first = np.full(len(self._agent_states[agent]), num_points, dtype=np.intc)
+            np.minimum.at(first, column, first_row)
+            present = np.flatnonzero(first < num_points)
+            order = present[np.argsort(first[present])]
+            relabel = np.zeros(len(first), dtype=class_id_dtype(len(order)))
+            relabel[order] = np.arange(len(order), dtype=relabel.dtype)
+            states = self._agent_states[agent]
+            result[agent] = AgentPartition(
+                class_ids=relabel[column][point_rows],
+                class_states=tuple(states[raw_id] for raw_id in order.tolist()),
+                class_first_indices=tuple(first[order].tolist()),
             )
-            for agent in range(n)
-        }
+        return result
 
 
 def simulate_batch(protocol: ActionProtocol, n: int,

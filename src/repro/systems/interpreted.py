@@ -14,16 +14,20 @@ knowledge-based programs.
 
 To keep the model checker fast the system *interns* its local states: each
 agent's points are partitioned into indistinguishability classes exactly once
-(hashing every local state once per agent, not once per formula per point),
-and the classes — together with the atoms ``init_i = v``, ``decided_i = v``,
-``time = k`` and ``i ∈ N`` — are cached as dense bitmasks over the point index
-``run_index * (horizon + 1) + time`` (see :mod:`repro.systems.points`).
+(hashing every local state once per agent, not once per formula per point).
+The classes are kept as one class id per point, and the atoms ``init_i = v``,
+``decided_i = v``, ``time = k`` and ``i ∈ N`` are cached as dense bitmasks;
+both are indexed by the dense point index ``run_index * (horizon + 1) + time``
+(see :mod:`repro.systems.points`).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING, Tuple
+
+import numpy as np
 
 from ..core.errors import ModelCheckingError
 from ..core.types import PreferenceVector, Value
@@ -35,21 +39,25 @@ from ..protocols.base import ActionProtocol
 from ..simulation.batch import BatchSimulator
 from ..simulation.trace import RunTrace
 from ..workloads.preferences import enumerate_preferences
-from .points import Point, PointSet, iter_mask_points
+from .points import Point, PointSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy.typing as npt
+
     from ..api.executors import Executor
     from ..store import StoreLike
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentPartition:
     """One agent's interned indistinguishability structure.
 
     Attributes
     ----------
-    class_masks:
-        ``class_masks[cid]`` is the bitmask of the points in class ``cid``.
+    class_ids:
+        ``class_ids[p]`` is the class id of dense point ``p``: a read-only
+        numpy vector of the smallest unsigned dtype that holds the class count
+        (:func:`repro.logic.words.class_id_dtype`).
     class_states:
         ``class_states[cid]`` is the (interned) local state shared by the
         points of class ``cid``; classes are numbered in order of first
@@ -58,11 +66,50 @@ class AgentPartition:
         ``class_first_indices[cid]`` is the dense index of the first point of
         class ``cid`` — a canonical representative for evaluations that only
         depend on the local state (knowledge-based-program prescriptions).
+
+    Equality compares ``class_ids`` by dtype and contents; pickling goes
+    through the constructor, so an unpickled partition is read-only too.
     """
 
-    class_masks: Tuple[int, ...]
+    class_ids: "npt.NDArray[Any]"
     class_states: Tuple[LocalState, ...]
     class_first_indices: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        self.class_ids.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AgentPartition):
+            return NotImplemented
+        return (self.class_states == other.class_states
+                and self.class_first_indices == other.class_first_indices
+                and self.class_ids.dtype == other.class_ids.dtype
+                and np.array_equal(self.class_ids, other.class_ids))
+
+    def __reduce__(self):
+        return (AgentPartition,
+                (self.class_ids, self.class_states, self.class_first_indices))
+
+    def class_words(self) -> "npt.NDArray[Any]":
+        """The class masks as a ``(num_classes, num_words)`` word matrix.
+
+        Row ``c`` is class ``c``'s membership set.  Costs one pass over the
+        points per class, so it only suits agents with few classes (the dense
+        ``K_i`` sweep) and tests.
+        """
+        from ..logic import words as _words
+        ids = self.class_ids
+        matrix = np.zeros((len(self.class_states), _words.word_count(len(ids))),
+                          dtype=_words.WORD_DTYPE)
+        for cid in range(len(matrix)):
+            matrix[cid] = _words.pack_bits(ids == cid)
+        return matrix
+
+    @property
+    def class_masks(self) -> Tuple[int, ...]:
+        """``class_masks[cid]``: class ``cid``'s points as an ``int`` bitmask (derived)."""
+        from ..logic import words as _words
+        return tuple(_words.words_to_mask(row) for row in self.class_words())
 
 
 @dataclass
@@ -106,7 +153,7 @@ class InterpretedSystem:
         self._full_mask: Optional[int] = None
         # numpy word-array views of the int masks above (lazily built, see the
         # "word-array views" section); keyed by ("full",), ("time", t),
-        # ("nonfaulty", agent), ("matrix", agent), ("class_ids", agent).
+        # ("nonfaulty", agent), ("matrix", agent).
         self._word_views: Dict[Tuple, object] = {}
 
     # ------------------------------------------------------------------ dense indexing
@@ -172,16 +219,15 @@ class InterpretedSystem:
 
         Every local state is hashed exactly once here; all downstream
         consumers (the model checker's ``K_i`` sweep, the frozenset-facing
-        :meth:`equivalence_classes`) reuse the interned class ids and masks.
+        :meth:`equivalence_classes`) reuse the interned class ids.
         """
         if agent not in self._partitions:
+            from ..logic import words as _words
             ids_by_state: Dict[LocalState, int] = {}
             lookup = ids_by_state.get
-            class_bits: List[bytearray] = []
             first_indices: List[int] = []
-            nbytes = (self.num_points + 7) // 8
+            ids = array("i")
             stride = self.stride
-            index = 0
             for trace in self.runs:
                 rounds = trace.rounds
                 state = trace.initial_states[agent]
@@ -190,14 +236,13 @@ class InterpretedSystem:
                         state = rounds[time - 1].states_after[agent]
                     cid = lookup(state)
                     if cid is None:
-                        cid = len(class_bits)
+                        cid = len(first_indices)
                         ids_by_state[state] = cid
-                        class_bits.append(bytearray(nbytes))
-                        first_indices.append(index)
-                    class_bits[cid][index >> 3] |= 1 << (index & 7)
-                    index += 1
+                        first_indices.append(len(ids))
+                    ids.append(cid)
             self._partitions[agent] = AgentPartition(
-                class_masks=tuple(int.from_bytes(bits, "little") for bits in class_bits),
+                class_ids=np.frombuffer(ids, dtype=np.intc).astype(
+                    _words.class_id_dtype(len(first_indices))),
                 class_states=tuple(ids_by_state),
                 class_first_indices=tuple(first_indices),
             )
@@ -222,7 +267,7 @@ class InterpretedSystem:
         finished :class:`AgentPartition` structures over instead of having
         :meth:`partition` re-hash every local state.  The structures are
         identical to what :meth:`partition` would compute (same first-appearance
-        class order, masks, and anchors) — differentially tested in
+        class order, class ids and dtype, and anchors) — differentially tested in
         ``tests/test_simulation_batch.py``.
         """
         for agent, partition in partitions.items():
@@ -248,10 +293,19 @@ class InterpretedSystem:
         """
         if agent not in self._classes:
             partition = self.partition(agent)
-            self._classes[agent] = {
-                state: tuple(iter_mask_points(mask, self.stride))
-                for state, mask in zip(partition.class_states, partition.class_masks)
-            }
+            ids = partition.class_ids
+            # A stable sort groups the point indices by class, each group in
+            # dense (run-major) order.
+            order = np.argsort(ids, kind="stable").tolist()
+            ends = np.cumsum(np.bincount(ids, minlength=len(partition.class_states)))
+            stride = self.stride
+            classes: Dict[object, Tuple[Point, ...]] = {}
+            start = 0
+            for state, end in zip(partition.class_states, ends.tolist()):
+                classes[state] = tuple(Point(*divmod(index, stride))
+                                       for index in order[start:end])
+                start = end
+            self._classes[agent] = classes
         return self._classes[agent]
 
     def indistinguishable(self, agent: int, point: Point) -> Tuple[Point, ...]:
@@ -261,22 +315,24 @@ class InterpretedSystem:
 
     # ------------------------------------------------------------------ atom masks
 
-    def _mask_of_runs(self, run_indices: Iterable[int]) -> int:
-        """The bitmask covering every point of the given runs."""
-        run_block = (1 << self.stride) - 1
-        mask = 0
-        for run_index in run_indices:
-            mask |= run_block << (run_index * self.stride)
-        return mask
+    @staticmethod
+    def _mask_of_points(bits: "npt.NDArray[Any]") -> int:
+        """The bitmask of a per-point bool vector."""
+        from ..logic import words as _words
+        return _words.words_to_mask(_words.pack_bits(bits))
+
+    def _mask_of_runs(self, run_flags: Iterable[bool]) -> int:
+        """The bitmask covering every point of the runs whose flag is set (one flag per run)."""
+        flags = np.fromiter(run_flags, dtype=bool, count=len(self.runs))
+        return self._mask_of_points(np.repeat(flags, self.stride))
 
     def time_mask(self, time: int) -> int:
         """The bitmask of the points at global time ``time`` (0 outside the horizon)."""
         if self._time_masks is None:
-            stride = self.stride
-            column = 0
-            for run_index in range(len(self.runs)):
-                column |= 1 << (run_index * stride)
-            self._time_masks = tuple(column << time for time in range(stride))
+            times = np.arange(self.stride)
+            self._time_masks = tuple(
+                self._mask_of_points(np.tile(times == time, len(self.runs)))
+                for time in range(self.stride))
         if 0 <= time < self.stride:
             return self._time_masks[time]
         return 0
@@ -285,9 +341,7 @@ class InterpretedSystem:
         """The bitmask of the points at which ``agent ∈ N``."""
         if agent not in self._nonfaulty_masks:
             self._nonfaulty_masks[agent] = self._mask_of_runs(
-                run_index for run_index, trace in enumerate(self.runs)
-                if agent in trace.nonfaulty
-            )
+                agent not in trace.pattern.faulty for trace in self.runs)
         return self._nonfaulty_masks[agent]
 
     def init_mask(self, agent: int, value: Value) -> int:
@@ -295,9 +349,7 @@ class InterpretedSystem:
         key = (agent, value)
         if key not in self._init_masks:
             self._init_masks[key] = self._mask_of_runs(
-                run_index for run_index, trace in enumerate(self.runs)
-                if trace.preferences[agent] == value
-            )
+                trace.preferences[agent] == value for trace in self.runs)
         return self._init_masks[key]
 
     def decided_mask(self, agent: int, value: Optional[Value]) -> int:
@@ -305,11 +357,9 @@ class InterpretedSystem:
         key = (agent, value)
         if key not in self._decided_masks:
             partition = self.partition(agent)
-            mask = 0
-            for state, class_mask in zip(partition.class_states, partition.class_masks):
-                if state.decided == value:
-                    mask |= class_mask
-            self._decided_masks[key] = mask
+            flags = np.fromiter((state.decided == value for state in partition.class_states),
+                                dtype=bool, count=len(partition.class_states))
+            self._decided_masks[key] = self._mask_of_points(flags[partition.class_ids])
         return self._decided_masks[key]
 
     # ------------------------------------------------------------------ word-array views
@@ -346,26 +396,21 @@ class InterpretedSystem:
         return self._word_views[key]
 
     def partition_words(self, agent: int):
-        """``agent``'s interned class masks stacked into a ``(num_classes, num_words)`` matrix.
+        """``agent``'s classes as a ``(num_classes, num_words)`` word matrix.
 
-        The dense word-array view of :meth:`partition`'s ``class_masks`` — row
-        ``c`` is class ``c``'s membership mask, in interned class order.
+        Row ``c`` is class ``c``'s membership mask, in interned class order
+        (:meth:`AgentPartition.class_words`); only the dense ``K_i`` sweep asks
+        for it, for agents with at most
+        :data:`~repro.logic.words.DENSE_CLASS_LIMIT` classes.
         """
         key = ("matrix", agent)
         if key not in self._word_views:
-            from ..logic import words as _words
-            self._word_views[key] = _words.masks_to_matrix(
-                self.partition(agent).class_masks, self.num_points)
+            self._word_views[key] = self.partition(agent).class_words()
         return self._word_views[key]
 
     def class_id_array(self, agent: int):
-        """Per-point interned class id of ``agent`` (``int32``, dense point order)."""
-        key = ("class_ids", agent)
-        if key not in self._word_views:
-            from ..logic import words as _words
-            self._word_views[key] = _words.class_ids_from_masks(
-                self.partition(agent).class_masks, self.num_points)
-        return self._word_views[key]
+        """Per-point interned class id of ``agent`` (dense point order, read-only)."""
+        return self.partition(agent).class_ids
 
     # ------------------------------------------------------------------ misc
 

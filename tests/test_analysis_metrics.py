@@ -11,9 +11,10 @@ from repro.analysis import (
     nonfaulty_decision_rounds,
     run_metrics,
 )
+from repro.api import Sweep
 from repro.failures import FailurePattern
 from repro.protocols import BasicProtocol, MinProtocol
-from repro.simulation import run_batch, simulate
+from repro.simulation import simulate
 from repro.workloads import all_ones, random_scenarios
 
 
@@ -47,8 +48,8 @@ class TestRunMetrics:
 class TestAggregation:
     def test_aggregate_over_batch(self):
         scenarios = random_scenarios(4, 1, count=6, seed=2)
-        batch = run_batch(MinProtocol(1), 4, scenarios)
-        aggregate = aggregate_metrics(list(batch))
+        traces = Sweep.of(MinProtocol(1)).on(scenarios, n=4).run()["P_min"]
+        aggregate = aggregate_metrics(list(traces))
         assert aggregate.runs == 6
         assert aggregate.protocol_name == "P_min"
         assert aggregate.max_last_decision_round <= 3

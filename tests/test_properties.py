@@ -257,7 +257,6 @@ class TestWordArrayRoundTrip:
         array = words.mask_to_words(mask, num_points)
         expected = [i for i in range(num_points) if (mask >> i) & 1]
         assert list(words.indices_of_words(array, num_points)) == expected
-        assert list(words.indices_of_mask(mask)) == expected
 
     @settings(max_examples=120, deadline=None)
     @given(pair=masked_widths())

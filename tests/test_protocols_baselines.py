@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.api import Sweep
 from repro.protocols import DelayedMinProtocol, EagerOneProtocol, MinProtocol, NaiveZeroBiasedProtocol
-from repro.simulation import corresponding_runs, simulate
+from repro.simulation import simulate
 from repro.spec import check_eba
 from repro.workloads import all_ones, hidden_chain_scenario, intro_counterexample
 
@@ -35,9 +36,9 @@ class TestDelayedMin:
     def test_strictly_dominated_by_pmin_on_all_ones(self):
         from repro.failures import FailurePattern
 
-        runs = corresponding_runs(
-            [MinProtocol(2), DelayedMinProtocol(2, delay=2)], 5, all_ones(5),
-            pattern=FailurePattern.failure_free(5))
+        runs = (Sweep.of(MinProtocol(2), DelayedMinProtocol(2, delay=2))
+                .on([(all_ones(5), FailurePattern.failure_free(5))])
+                .run().corresponding(0))
         assert runs["P_min"].last_decision_round() == 4
         assert runs["P_min_delayed(2)"].last_decision_round() == 6
 

@@ -15,6 +15,7 @@ symmetry knob of ``build_system_for_model``.
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.api import ParallelExecutor, SerialExecutor
@@ -27,6 +28,7 @@ from repro.failures.models import (
 )
 from repro.failures.pattern import FailurePattern
 from repro.kbp import check_implements, make_p0
+from repro.logic.words import class_id_dtype
 from repro.protocols import BasicProtocol, MinProtocol, OptimalFipProtocol
 from repro.simulation.batch import BatchSimulator, execute_batches, simulate_batch
 from repro.simulation.engine import simulate
@@ -35,6 +37,7 @@ from repro.systems import (
     build_system,
     build_system_for_model,
     gamma_basic,
+    gamma_fip,
     gamma_min,
 )
 from repro.workloads.preferences import enumerate_preferences
@@ -154,6 +157,72 @@ class TestEngineEquivalenceInBuildSystem:
     def test_there_is_no_engine_selector(self, build):
         with pytest.raises(TypeError):
             build()
+
+
+def _assert_same_partition(batched, lazy):
+    """Field-by-field equality of two partitions, class-id dtype included."""
+    assert batched.class_ids.dtype == lazy.class_ids.dtype
+    assert np.array_equal(batched.class_ids, lazy.class_ids)
+    assert batched.class_states == lazy.class_states
+    assert batched.class_first_indices == lazy.class_first_indices
+    assert batched == lazy
+
+
+class TestBatchedPartitions:
+    """``BatchSimulator.partitions`` against the lazy ``InterpretedSystem.partition``.
+
+    Both see the same runs, so this isolates the numpy gather-and-relabel from
+    the per-point hashing it replaces.  GO runs at horizon 2 to keep its
+    98 312-run full-horizon system out of tier-1.
+    """
+
+    @pytest.mark.parametrize("protocol, gamma, model_name, horizon, dtype", [
+        (MinProtocol(1), gamma_min, "sending-omission", None, np.uint8),
+        (BasicProtocol(1), gamma_basic, "receive-omission", None, np.uint8),
+        (MinProtocol(1), gamma_min, "general-omission", 2, np.uint8),
+        # More than 256 classes per agent.
+        (OptimalFipProtocol(1), gamma_fip, "sending-omission", None, np.uint16),
+    ], ids=["SO-min", "RO-basic", "GO-min", "SO-fip"])
+    def test_batched_partitions_equal_lazy_partitions(self, protocol, gamma, model_name,
+                                                      horizon, dtype):
+        context = gamma(3, 1, horizon=horizon, failure_model=model_name)
+        system = context.build_system(protocol)
+        lazy = InterpretedSystem(n=3, horizon=system.horizon, runs=system.runs,
+                                 protocol_name=protocol.name)
+        for agent in range(3):
+            batched = system.partition(agent)
+            _assert_same_partition(batched, lazy.partition(agent))
+            assert batched.class_ids.dtype == dtype
+            assert batched.class_ids.dtype == class_id_dtype(len(batched.class_states))
+            assert not batched.class_ids.flags.writeable
+
+    def test_subset_of_the_simulated_runs(self):
+        """States interned for runs outside ``traces`` get no class."""
+        prefs = [tuple(p) for p in enumerate_preferences(3)]
+        patterns = list(SendingOmissionModel(n=3, t=1).enumerate(2))
+        simulator = BatchSimulator(MinProtocol(1), 3)
+        traces = simulator.simulate_patterns(patterns, prefs, 2)
+        subset = traces[5:37]
+        batched = simulator.partitions(subset, 2)
+        lazy = InterpretedSystem(n=3, horizon=2, runs=subset)
+        for agent in range(3):
+            _assert_same_partition(batched[agent], lazy.partition(agent))
+
+    def test_trace_from_another_simulator_rejected(self):
+        prefs = [(0, 1, 1), (1, 1, 1)]
+        patterns = list(SendingOmissionModel(n=3, t=1).enumerate(1))[:3]
+        producer = BatchSimulator(MinProtocol(1), 3)
+        traces = producer.simulate_patterns(patterns, prefs, 1)
+        with pytest.raises(ConfigurationError, match="not produced by this BatchSimulator"):
+            BatchSimulator(MinProtocol(1), 3).partitions(traces, 1)
+
+    def test_wrong_horizon_rejected(self):
+        prefs = [(0, 1, 1), (1, 1, 1)]
+        patterns = list(SendingOmissionModel(n=3, t=1).enumerate(2))[:3]
+        simulator = BatchSimulator(MinProtocol(1), 3)
+        traces = simulator.simulate_patterns(patterns, prefs, 2)
+        with pytest.raises(ConfigurationError, match="expected horizon 1"):
+            simulator.partitions(traces, 1)
 
 
 def _partition_fields(partitions):

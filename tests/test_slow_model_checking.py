@@ -14,15 +14,21 @@ construction engine made reachable at all):
   — the per-point oracle extrapolates to hours at this size, the vectorized
   scan finishes in about a minute.
 
-At n = 4 it checks **Theorem A.21** — ``P_opt`` implements ``P1`` in
-γ_fip(4, 1), the paper's headline full-information claim, reachable since
-communication graphs are bit-packed.  The n = 4 remainder (program
-equivalence over both limited contexts, the safety condition) and the n = 3
-general-omission theorem table round out the tier.
+It checks **Theorem A.21** — ``P_opt`` implements ``P1`` in γ_fip(n, 1), the
+paper's headline full-information claim — at n = 4, with a peak-memory guard,
+and at n = 5.  The n = 4 remainder (program equivalence over both limited
+contexts, the safety condition) and the n = 3 general-omission theorem table
+round out the tier.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.kbp import check_implements, make_p0, make_p1, programs_equivalent
 from repro.kbp.safety import check_safety
 from repro.protocols import BasicProtocol, MinProtocol
@@ -41,11 +47,24 @@ class TestSection7EquivalenceAtN4:
         assert programs_equivalent(make_p0(4), make_p1(4, 1), system)
 
 
+#: Peak-RSS ceiling for the n = 4 Theorem A.21 check in a fresh process.
+A21_N4_PEAK_RSS_MB = 300
+
+#: Prints the process's own peak RSS in kB.  ``VmHWM`` belongs to the address
+#: space, which ``exec`` replaces; ``ru_maxrss`` would instead carry over the
+#: high-water mark of the test process that spawned it.
+_PEAK_RSS_SCRIPT = """
+from repro.experiments.implementation_check import check_theorem_a21
+assert check_theorem_a21(4, 1).ok
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
 class TestTheoremA21AtN4:
     """Theorem A.21 over the full γ_fip system at n = 4, t = 1 (3 464 local states).
 
-    On a 2-vCPU container the build and check take ~9 s at ~0.9 GB peak RSS;
-    with dict-and-frozenset communication graphs they took ~20 s at 1.1 GB.
+    On a 2-vCPU container the build and check take ~3 s at ~116 MB peak RSS.
     """
 
     def test_p_opt_implements_p1_in_gamma_fip_4_1(self):
@@ -54,6 +73,35 @@ class TestTheoremA21AtN4:
         report = check_theorem_a21(4, 1)
         assert report.ok, report.mismatches
         assert report.checked_states == 3_464
+
+    def test_peak_rss_stays_under_300_mb(self):
+        """The whole check, imports included, in its own process."""
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("reads the peak RSS from /proc (Linux)")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            path for path in (src, env.get("PYTHONPATH")) if path)
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        peak_mb = int(proc.stdout.split()[-1]) / 1024
+        assert peak_mb <= A21_N4_PEAK_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
+
+
+class TestTheoremA21AtN5:
+    """Theorem A.21 over the full γ_fip system at n = 5, t = 1 (22 570 local states).
+
+    The largest full-information check in the repo; the system holds 655 392
+    runs (2 621 568 points).  On a 2-vCPU container the build takes ~72 s and
+    the check ~5 s, at ~1.5 GB peak RSS.
+    """
+
+    def test_p_opt_implements_p1_in_gamma_fip_5_1(self):
+        from repro.experiments.implementation_check import check_theorem_a21
+
+        report = check_theorem_a21(5, 1)
+        assert report.ok, report.mismatches
+        assert report.checked_states == 22_570
 
 
 class TestSafetyConditionAtN4:

@@ -1,12 +1,17 @@
 """Unit tests for interpreted systems and context descriptors."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.api import SerialExecutor
 from repro.core.errors import ModelCheckingError
 from repro.failures import SendingOmissionModel
+from repro.logic import words
 from repro.protocols import BasicProtocol, MinProtocol
 from repro.systems import (
+    AgentPartition,
     Point,
     PointSet,
     build_system,
@@ -88,6 +93,7 @@ class TestDenseIndexing:
             # The first index is the lowest set bit of the class mask.
             for mask, first in zip(partition.class_masks, partition.class_first_indices):
                 assert mask & -mask == 1 << first
+            assert system.class_id_array(agent) is partition.class_ids
 
     def test_atom_masks_match_pointwise_definitions(self):
         model = SendingOmissionModel(n=3, t=1)
@@ -126,6 +132,86 @@ class TestDenseIndexing:
         assert not at_zero < at_zero
         assert hash(at_zero) == hash(frozenset(at_zero))
         assert "not a point" not in at_zero
+
+
+def _naive_mask(system, predicate):
+    """Big-int reference: set bit ``index`` for every point satisfying ``predicate``."""
+    mask = 0
+    for index, point in enumerate(system.points):
+        if predicate(point):
+            mask |= 1 << index
+    return mask
+
+
+def _odd_sized_system(num_patterns, num_preferences, horizon=2):
+    """A system whose point count is deliberately not a multiple of 8 or 64."""
+    model = SendingOmissionModel(n=3, t=1)
+    patterns = list(model.enumerate(horizon))[:num_patterns]
+    preferences = [(0, 0, 1), (1, 1, 1), (0, 1, 0), (1, 0, 1), (0, 0, 0)][:num_preferences]
+    system = build_system(BasicProtocol(1), 3, horizon=horizon, patterns=patterns,
+                          preference_vectors=preferences)
+    assert system.num_points % 8 != 0
+    return system
+
+
+class TestAtomMasksAgainstBigIntReference:
+    """The numpy-built atom masks equal a per-point big-int reference."""
+
+    @pytest.mark.parametrize("num_patterns, num_preferences", [(5, 3), (23, 5), (1, 1)])
+    def test_masks_equal_reference(self, num_patterns, num_preferences):
+        system = _odd_sized_system(num_patterns, num_preferences)
+        for time in range(-1, system.stride + 1):
+            assert system.time_mask(time) == _naive_mask(
+                system, lambda point: point.time == time)
+        for agent in range(system.n):
+            assert system.nonfaulty_mask(agent) == _naive_mask(
+                system, lambda point: agent in system.run(point).nonfaulty)
+            for value in (0, 1):
+                assert system.init_mask(agent, value) == _naive_mask(
+                    system, lambda point: system.run(point).preferences[agent] == value)
+            for value in (None, 0, 1):
+                assert system.decided_mask(agent, value) == _naive_mask(
+                    system, lambda point: system.local_state(point, agent).decided == value)
+
+
+class TestAgentPartition:
+    def test_pickle_round_trip_preserves_equality(self):
+        system = _odd_sized_system(23, 5)
+        for agent in range(3):
+            partition = system.partition(agent)
+            copy = pickle.loads(pickle.dumps(partition))
+            assert copy == partition
+            assert copy.class_ids.dtype == partition.class_ids.dtype
+            assert not copy.class_ids.flags.writeable
+            assert pickle.dumps(copy) == pickle.dumps(partition)
+
+    def test_equality_compares_dtype_and_contents(self):
+        partition = _odd_sized_system(5, 3).partition(0)
+        widened = AgentPartition(partition.class_ids.astype(np.uint32),
+                                 partition.class_states, partition.class_first_indices)
+        assert widened != partition
+        changed = partition.class_ids.copy()
+        changed[0] = 1  # point 0 always opens class 0
+        assert AgentPartition(changed, partition.class_states,
+                              partition.class_first_indices) != partition
+        assert partition != "not a partition"
+
+    def test_equivalence_classes_group_points_by_local_state(self):
+        system = _odd_sized_system(23, 5)
+        for agent in range(3):
+            naive = {}
+            for point in system.points:
+                naive.setdefault(system.local_state(point, agent), []).append(point)
+            classes = system.equivalence_classes(agent)
+            assert list(classes) == list(naive)
+            assert classes == {state: tuple(points) for state, points in naive.items()}
+
+    @pytest.mark.parametrize("num_classes, dtype", [
+        (0, np.uint8), (256, np.uint8), (257, np.uint16),
+        (65_536, np.uint16), (65_537, np.uint32),
+    ])
+    def test_class_id_dtype_is_the_narrowest_that_fits(self, num_classes, dtype):
+        assert words.class_id_dtype(num_classes) == dtype
 
 
 class TestEquivalenceClasses:
