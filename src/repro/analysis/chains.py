@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.types import AgentId
-from ..exchange.messages import DecideNotification, GraphMessage
+from ..exchange.messages import DecideNotification, GraphMessage, Message
 from ..simulation.trace import RunTrace
 
 
@@ -69,14 +69,14 @@ def _decision_visible(trace: RunTrace, round_index: int, sender: AgentId,
     for the full-information exchange any delivered message suffices (the
     receiver can recompute the sender's decision from its graph).
     """
-    message = trace.delivered_message(round_index, sender, receiver)
-    if message is None:
-        return False
+    return reveals_zero_decision(trace.delivered_message(round_index, sender, receiver))
+
+
+def reveals_zero_decision(message: Message) -> bool:
+    """Whether a delivered ``message`` (``None`` = nothing) is the witness of :func:`_decision_visible`."""
     if isinstance(message, DecideNotification):
         return message.value == 0
-    if isinstance(message, GraphMessage):
-        return True
-    return False
+    return isinstance(message, GraphMessage)
 
 
 def zero_chains(trace: RunTrace) -> List[ZeroChain]:

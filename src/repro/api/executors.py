@@ -17,8 +17,10 @@ Two backends are provided:
 
 Both backends additionally implement ``scan_runs``, which applies a per-run
 scan kernel over a finished system (see :mod:`repro.api.scans`); the parallel
-backend shards it across forked workers through shared memory.  That and
-``run_tasks`` for sweeps are the two fan-outs that pay.  System construction
+backend shards it across forked workers through shared memory.  No library
+code calls it any more: the Definition 6.2 safety scan computes its receipts
+in-process, once per shared round record.  ``run_tasks`` for sweeps is the
+fan-out that pays.  System construction
 (:func:`repro.systems.interpreted.build_system`) always runs in-process through
 one :class:`~repro.simulation.batch.BatchSimulator`: it only asks the executor
 for an optional ``checkpoint()`` hook, called before each construction chunk
@@ -275,8 +277,7 @@ class ParallelExecutor:
     def scan_runs(self, system, kernel, *, row_shape=(), dtype="int16"):
         """Shard a per-run scan kernel across forked workers via shared memory.
 
-        Scan kernels parallelise the per-run remainder of the *check* phase
-        (the safety scan's zero-chain receipts).  Dispatches to :func:`repro.api.scans.scan_runs`, which
+        Dispatches to :func:`repro.api.scans.scan_runs`, which
         inherits the already-built system into fork children copy-on-write and
         assembles rows through one shared-memory block — falling back to an
         in-process call whenever sharding cannot pay (small systems, one

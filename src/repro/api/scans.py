@@ -1,11 +1,10 @@
 """Run-space scans: shard per-run kernels across processes via shared memory.
 
-The vectorized check phase (the Definition 6.2 safety scan in
-:mod:`repro.kbp.safety`) reduces almost everything to word-array pipelines —
-but one ingredient, the zero-chain receipt of clause (2), inspects each run's
-delivered messages and stays per-run Python.  This module is the fan-out for
-exactly that shape of work: a *scan kernel* ``kernel(system, start, stop)``
-that maps a contiguous run range to a fixed-dtype array with one row per run.
+This module is the fan-out for a *scan kernel* ``kernel(system, start,
+stop)`` that maps a contiguous run range to a fixed-dtype array with one row
+per run.  It was built for the 0-chain receipts of the Definition 6.2 safety
+scan (:mod:`repro.kbp.safety`), which now computes them in-process, once per
+shared round record; no library code calls ``scan_runs`` any more.
 
 ``scan_runs`` shards ``[0, num_runs)`` into contiguous blocks and runs the
 kernel over them:

@@ -39,9 +39,9 @@ Examples
 
 Both commands execute through the :mod:`repro.api` orchestration layer;
 ``--parallel`` switches the sweep-shaped experiments to the process-pool
-backend and shards the Definition 6.2 receipt scan behind e11 over forked
-workers; system construction (e7, e11, e12) always runs in-process, because
-shipping it to workers costs more than it saves.  ``--jobs N`` implies
+backend; system construction (e7, e11, e12) and the Definition 6.2 safety
+scan behind e11 always run in-process, because shipping them to workers
+costs more than it saves.  ``--jobs N`` implies
 ``--parallel`` with ``N`` workers (``repro-eba experiment e4 --jobs 8`` runs on eight worker
 processes; it used to fall back to a serial run silently).  ``--cache`` (optionally with
 ``--cache-dir PATH``) serves repeated runs, sweeps, system builds, and theorem
@@ -155,9 +155,9 @@ def _make_store(args: argparse.Namespace) -> Optional[ArtifactStore]:
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--parallel", action="store_true",
-                        help="execute sweep runs and the safety scan on worker "
-                             "processes (repro.api.ParallelExecutor); systems "
-                             "are always built in-process")
+                        help="execute sweep runs on worker processes "
+                             "(repro.api.ParallelExecutor); systems are always "
+                             "built, and safety scans run, in-process")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes; implies --parallel (with --parallel "
                              "alone: all cores)")
@@ -650,10 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
     cache_parser.add_argument("--safety", action="store_true",
                               help="also warm the Definition 6.2 safety reports")
     cache_parser.add_argument("--parallel", action="store_true",
-                              help="shard the --safety scans over worker processes "
-                                   "while warming (systems are built in-process)")
+                              help="no effect: warming builds systems and runs "
+                                   "the --safety scans in-process")
     cache_parser.add_argument("--jobs", type=int, default=None,
-                              help="worker processes; implies --parallel")
+                              help="no effect (implies --parallel)")
     cache_parser.set_defaults(handler=_cmd_cache)
 
     from .service.server import DEFAULT_PORT

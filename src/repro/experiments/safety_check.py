@@ -91,9 +91,9 @@ def measure(n: int = 3, t: int = 1, executor=None, store=None) -> List[SafetyRow
 def report(n: int = 3, t: int = 1, executor=None, store=None) -> str:
     """Render the safety-condition check as a table.
 
-    ``executor`` (e.g. the CLI's ``--parallel --jobs N`` backend) shards the
-    per-run 0-chain receipt scan over worker processes (the systems are built
-    in-process either way); ``store`` serves
+    ``executor`` (e.g. the CLI's ``--parallel --jobs N`` backend) is only
+    consulted for the system builds' optional ``checkpoint()`` hook: builds
+    and scans run in-process either way; ``store`` serves
     the system builds and the finished safety reports from the artifact cache
     (see :mod:`repro.store`).
     """

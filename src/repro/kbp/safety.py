@@ -26,9 +26,9 @@ The check turns the per-point quantifier alternation into word-array /
 per-class reductions over the whole system at once — "``j`` decides 0 in
 round ``m + 1``" is a shift-and-mask pipeline over the decided masks, "some
 indistinguishable point with X" is one ``np.bincount`` class reduction — and
-shards the one irreducibly per-run ingredient (the 0-chain receipt table)
-across processes through ``executor.scan_runs`` (see :mod:`repro.api.scans`).
-This is what makes the n=5 Def 6.2 scan feasible.  The original
+computes the 0-chain receipt table once per shared round record rather than
+once per run (:func:`_chain_receipt_kernel`), all in-process.  This is what
+makes the n=5 Def 6.2 scan take seconds.  The original
 point-by-point scan is kept in :mod:`repro.kbp.reference` as the
 differential oracle; ``tests/test_kbp_safety.py`` asserts that both produce
 identical reports — same counters, same violations in the same order.
@@ -36,13 +36,14 @@ identical reports — same counters, same violations in the same order.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from time import monotonic as _monotonic
-from typing import List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from ..analysis.chains import zero_chains
+from ..analysis.chains import reveals_zero_decision
 from ..core.types import AgentId
 from ..logic import words as _words
 from ..logic.formula import Knows, nobody_deciding
@@ -97,31 +98,97 @@ _CLAUSE1_DETAIL = "no indistinguishable point with all initial preferences 1"
 _CLAUSE2_DETAIL = "no indistinguishable nonfaulty-witness point found"
 
 
-def _chain_receipt_kernel(system: InterpretedSystem, start: int, stop: int):
-    """Scan kernel: per-run earliest 0-chain receipt times, one ``int16`` row per run.
+def _chain_receipt_kernel(system: InterpretedSystem, start: int, stop: int) -> np.ndarray:
+    """Earliest 0-chain receipt times for runs ``[start, stop)``, one ``int16`` row per run.
 
     ``rows[r - start][agent]`` is the earliest time a 0-chain ends at
-    ``agent`` in run ``r`` (-1 if none) — the receipt table of
-    :func:`repro.kbp.reference.chain_receipt_table` as a dense array over a
-    contiguous run range, the fan-out unit of :func:`repro.api.scans.scan_runs`.
+    ``agent`` in run ``r`` (-1 if none): the receipt table of
+    :func:`repro.kbp.reference.chain_receipt_table` as a dense array, i.e.
+    exactly what :func:`~repro.analysis.chains.zero_chains` finds per run.
+
+    One pass over the runs maps each ``(run, round)`` to a row of a small
+    per-record table, memoised by ``id(record)``: the batched engine shares
+    one :class:`~repro.simulation.trace.RoundRecord` per distinct transition,
+    so the table has a row per transition, not per run (sharing only makes
+    it smaller; the result never depends on it).  A row holds the record's
+    decides-0 agents and, per receiver, the senders whose decision its inbox
+    reveals, as bitmasks.  ``zero_chains``' rules then run as a numpy pass
+    over rounds × predecessors, across all runs at once:
+
+    * in round 0 a chain starts at each init-0 agent deciding 0;
+    * a later decider extends the chain of the *first* predecessor, in
+      ascending order, that has a chain one round earlier, is not already on
+      it and whose decision it saw;
+    * failing that, an init-0 decider gets the length-0 singleton chain.
     """
-    rows = np.full((stop - start, system.n), -1, dtype=np.int16)
-    for offset in range(stop - start):
-        for chain in zero_chains(system.runs[start + offset]):
-            current = rows[offset, chain.last_agent]
-            if current < 0 or chain.length < current:
-                rows[offset, chain.last_agent] = chain.length
-    return rows
+    n = system.n
+    runs = system.runs[start:stop]
+    width = max((len(trace.rounds) for trace in runs), default=0)
+    # Row 0 is the padding round of a short trace: nobody decides, nothing is seen.
+    deciders_rows = [0]
+    seen_rows = [(0,) * n]
+    row_of: Dict[int, int] = {}
+    zero_of: Dict[Tuple[int, ...], int] = {}
+    zero_prefs: List[int] = []
+    row_ids = array("i")
+    for trace in runs:
+        prefs = trace.preferences
+        zero = zero_of.get(prefs)
+        if zero is None:
+            zero = zero_of[prefs] = sum(1 << agent for agent, value in enumerate(prefs)
+                                        if value == 0)
+        zero_prefs.append(zero)
+        rounds = trace.rounds
+        for record in rounds:
+            row = row_of.get(id(record))
+            if row is None:
+                row = row_of[id(record)] = len(deciders_rows)
+                deciders_rows.append(sum(
+                    1 << agent for agent, action in enumerate(record.actions)
+                    if action.is_decision and action.value == 0))
+                seen_rows.append(tuple(
+                    sum(1 << sender for sender, message in enumerate(inbox)
+                        if reveals_zero_decision(message))
+                    for inbox in record.delivered))
+            row_ids.append(row)
+        if len(rounds) < width:
+            row_ids.extend([0] * (width - len(rounds)))
 
+    earliest = np.full((len(runs), n), -1, dtype=np.int16)
+    if not width:
+        return earliest
+    rows = np.frombuffer(row_ids, dtype=np.intc).reshape(len(runs), width)
+    mask_type = np.min_scalar_type((1 << n) - 1)
+    deciders = np.asarray(deciders_rows, dtype=mask_type)[rows]
+    seen = np.asarray(seen_rows, dtype=mask_type)[rows]
+    agent_bits = (1 << np.arange(n)).astype(mask_type)
+    init_zero = (np.asarray(zero_prefs, dtype=mask_type)[:, None] & agent_bits) != 0
 
-def _chain_receipts(system: InterpretedSystem, executor: Optional["Executor"]):
-    """The full ``(num_runs, n)`` receipt array, sharded when the executor can."""
-    if executor is not None and hasattr(executor, "scan_runs"):
-        return executor.scan_runs(system, _chain_receipt_kernel,
-                                  row_shape=(system.n,), dtype="int16")
-    from ..api.scans import scan_runs
-    return scan_runs(system, _chain_receipt_kernel,
-                     row_shape=(system.n,), dtype="int16", workers=1)
+    has_chain = np.zeros((len(runs), n), dtype=bool)
+    length = np.zeros((len(runs), n), dtype=np.int16)
+    members = np.zeros((len(runs), n), dtype=mask_type)
+    for round_index in range(width):
+        deciding = (deciders[:, round_index, None] & agent_bits) != 0
+        extended = np.zeros_like(deciding)
+        next_length = np.zeros_like(length)
+        next_members = np.zeros_like(members)
+        if round_index:
+            seen_before = seen[:, round_index - 1]
+            for predecessor in range(n):
+                extend = (deciding & ~extended & has_chain[:, predecessor, None]
+                          & ((members[:, predecessor, None] & agent_bits) == 0)
+                          & ((seen_before & agent_bits[predecessor]) != 0))
+                next_length = np.where(extend, length[:, predecessor, None] + 1, next_length)
+                next_members = np.where(extend, members[:, predecessor, None], next_members)
+                extended |= extend
+        # In round 0 this is every chain: the init-0 agents deciding 0.
+        singleton = deciding & ~extended & init_zero
+        has_chain = extended | singleton
+        length = next_length
+        members = np.where(has_chain, next_members | agent_bits, 0).astype(mask_type)
+        improves = has_chain & ((earliest < 0) | (length < earliest))
+        earliest[improves] = length[improves]
+    return earliest
 
 
 def check_safety(protocol: ActionProtocol, context: EBAContext,
@@ -132,9 +199,8 @@ def check_safety(protocol: ActionProtocol, context: EBAContext,
     """Check the Definition 6.2 safety condition for ``protocol`` in ``context``.
 
     The system ``I_{γ, P}`` is built by exhaustive enumeration unless provided
-    (the build always runs in-process; ``executor`` supplies its optional
-    ``checkpoint()`` hook and shards the per-run 0-chain receipt pass across
-    processes through ``executor.scan_runs``).  Points at the final time of
+    (the build and the scan always run in-process; ``executor`` supplies only
+    the build's optional ``checkpoint()`` hook).  Points at the final time of
     the bounded system are skipped for clause 2 (the "deciding in round
     m + 1" witness lies beyond the horizon there, and the paper's protocols
     have all decided by then anyway).
@@ -159,16 +225,14 @@ def check_safety(protocol: ActionProtocol, context: EBAContext,
             "protocol": protocol.name, "context": context.name,
             "points": system.num_points})
     with scan_span:
-        report = _check_safety_vector(protocol, context, system,
-                                      max_violations, executor)
+        report = _check_safety_vector(protocol, context, system, max_violations)
     if resolved_store is not None and report_key is not None:
         resolved_store.put(report_key, report, kind="safety-report")
     return report
 
 
 def _check_safety_vector(protocol: ActionProtocol, context: EBAContext,
-                         system: InterpretedSystem, max_violations: int,
-                         executor: Optional["Executor"]) -> SafetyReport:
+                         system: InterpretedSystem, max_violations: int) -> SafetyReport:
     """Whole-system Definition 6.2 scan on word arrays and class reductions.
 
     The quantifier structure maps onto the kernels of
@@ -183,9 +247,8 @@ def _check_safety_vector(protocol: ActionProtocol, context: EBAContext,
     * every "some point indistinguishable to ``i`` with property X" is one
       :func:`~repro.logic.words.class_any` reduction over ``i``'s interned
       class ids;
-    * the 0-chain receipt table — the only per-run Python left — comes from
-      :func:`_chain_receipts`, sharded across processes when the executor
-      supports ``scan_runs``.
+    * the 0-chain receipt table comes from :func:`_chain_receipt_kernel`,
+      whose only per-run Python is one table lookup per round.
 
     Counter and violation parity with
     :func:`repro.kbp.reference.scan_per_point` (same counts, same violations,
@@ -255,9 +318,9 @@ def _check_safety_vector(protocol: ActionProtocol, context: EBAContext,
     if tracing:
         _trace.complete("safety.primitives", phase_start, _monotonic(), "check")
 
-    # ---- chain receipts (the sharded per-run pass) ----------------------------
+    # ---- chain receipts -------------------------------------------------------
     with _trace.span("safety.chain_receipts", "check"):
-        earliest = np.asarray(_chain_receipts(system, executor), dtype=np.int16)
+        earliest = _chain_receipt_kernel(system, 0, num_runs)
 
     # ---- per-agent clause checks ---------------------------------------------
     phase_start = _monotonic() if tracing else 0.0

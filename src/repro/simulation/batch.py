@@ -41,10 +41,10 @@ system directly (:meth:`BatchSimulator.partitions`): one global-state row id
 per point, then a numpy gather and first-appearance relabel of precomputed
 class ids per agent, instead of re-hashing every local state.
 
-This module batches the *build* phase, which always runs in-process; the
-check phase's per-run remainder is sharded by :func:`repro.api.scans.scan_runs`
-over the finished system's run space through shared memory, with a
-byte-identical-to-serial contract.
+This module batches the *build* phase, which always runs in-process.  The
+check phase leans on the same sharing: the Definition 6.2 safety scan reads
+each shared :class:`~repro.simulation.trace.RoundRecord` once, not once per
+run (:func:`repro.kbp.safety._chain_receipt_kernel`).
 """
 
 from __future__ import annotations

@@ -117,7 +117,7 @@ class TestExecutorDispatch:
 
     @pytest.mark.skipif(not fork_available(), reason="no fork start method")
     def test_sharded_safety_scan_report_is_identical(self, system, monkeypatch):
-        """check_safety through a sharding executor = check_safety serial."""
+        """check_safety with a ParallelExecutor = check_safety serial."""
         monkeypatch.setattr(scans, "MIN_RUNS_TO_FORK", 0)
         context = gamma_min(3, 1)
         baseline = check_safety(MinProtocol(1), context, system=system)

@@ -19,13 +19,16 @@ The contracts that matter:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import trace as obs_trace
+from repro.protocols import MinProtocol
 
 GOLDEN = Path(__file__).parent / "data" / "trace_golden.jsonl"
 
@@ -195,8 +198,28 @@ class TestDisabledIsFree:
         assert elapsed < 1.0  # generous CI bound; typical is ~20ms
 
 
+#: Set before a pool forks; each worker's first ``act`` waits on it.
+_FIRST_TASK_BARRIER = None
+_waited_at_barrier = False
+
+
+class BarrierMinProtocol(MinProtocol):
+    """``P_min`` whose first ``act`` in each process waits for a second process.
+
+    Two forked workers then each hold a task at once, so neither can drain
+    the whole queue alone before the other starts.
+    """
+
+    def act(self, state):
+        global _waited_at_barrier
+        if _FIRST_TASK_BARRIER is not None and not _waited_at_barrier:
+            _waited_at_barrier = True
+            _FIRST_TASK_BARRIER.wait(timeout=30)
+        return super().act(state)
+
+
 class TestForkMerge:
-    def test_parallel_executor_spans_merge_into_one_file(self, tmp_path):
+    def test_parallel_executor_spans_merge_into_one_file(self, tmp_path, monkeypatch):
         """Forked pool workers inherit the tracer and append to the same
         file; the parent's trace ends up holding every process's spans."""
         from repro.api.executors import ParallelExecutor
@@ -205,11 +228,12 @@ class TestForkMerge:
         if not fork_available():  # pragma: no cover - non-POSIX platforms
             pytest.skip("fork start method unavailable")
         from repro.failures import FailurePattern
-        from repro.protocols import MinProtocol
 
+        monkeypatch.setattr(sys.modules[__name__], "_FIRST_TASK_BARRIER",
+                            multiprocessing.get_context("fork").Barrier(2))
         # A RunTask is the executors' plain tuple shape:
         # (protocol, n, preferences, pattern, horizon).
-        tasks = [(MinProtocol(1), 3,
+        tasks = [(BarrierMinProtocol(1), 3,
                   (bits >> 2 & 1, bits >> 1 & 1, bits & 1),
                   FailurePattern.failure_free(3), None)
                  for bits in range(8)]
