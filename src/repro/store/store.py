@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from ..core.allocation import bulk_allocation
 from ..core.errors import StoreError
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -169,7 +170,9 @@ def _decode(payload: bytes) -> object:
     if serializer == b"json":
         return json.loads(body.decode("utf-8"))
     if serializer == b"pickle":
-        return pickle.loads(body)
+        # A stored system unpickles into a large acyclic graph: no GC passes.
+        with bulk_allocation():
+            return pickle.loads(body)
     raise ValueError(f"unknown serializer {serializer!r}")
 
 

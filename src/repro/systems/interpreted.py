@@ -29,6 +29,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING,
 
 import numpy as np
 
+from ..core.allocation import bulk_allocation
 from ..core.errors import ModelCheckingError
 from ..core.types import PreferenceVector, Value
 from ..exchange.base import LocalState
@@ -480,6 +481,10 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
     simulator emits.  The traces are byte-identical (per-trace pickle) to one
     :func:`~repro.simulation.engine.simulate` call per (pattern, preference
     vector) pair, the naive oracle the differential tests build directly.
+    Simulation, partitioning and interning allocate a few acyclic containers
+    per run, so cyclic GC is paused for them
+    (:func:`~repro.core.allocation.bulk_allocation`); the caller's GC state is
+    restored however the build ends.
 
     Parameters
     ----------
@@ -553,20 +558,21 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
                 span.set("cached", True)
                 return cached
         checkpoint = getattr(executor, "checkpoint", None)
-        simulator = BatchSimulator(protocol, n)
-        runs: List[RunTrace] = []
-        for start in range(0, len(pattern_list), BUILD_CHUNK_PATTERNS):
-            if checkpoint is not None:
-                checkpoint()
-            chunk = pattern_list[start:start + BUILD_CHUNK_PATTERNS]
-            runs.extend(simulator.simulate_patterns(chunk, preference_list, horizon))
-        partitions = simulator.partitions(runs, horizon)
-        with _trace.span("build.intern", "build"):
-            system = InterpretedSystem(n=n, horizon=horizon, runs=runs,
-                                       protocol_name=protocol.name,
-                                       run_weights=run_weights)
-            system.adopt_partitions(partitions)
-            system.intern_states()
+        with bulk_allocation():
+            simulator = BatchSimulator(protocol, n)
+            runs: List[RunTrace] = []
+            for start in range(0, len(pattern_list), BUILD_CHUNK_PATTERNS):
+                if checkpoint is not None:
+                    checkpoint()
+                chunk = pattern_list[start:start + BUILD_CHUNK_PATTERNS]
+                runs.extend(simulator.simulate_patterns(chunk, preference_list, horizon))
+            partitions = simulator.partitions(runs, horizon)
+            with _trace.span("build.intern", "build"):
+                system = InterpretedSystem(n=n, horizon=horizon, runs=runs,
+                                           protocol_name=protocol.name,
+                                           run_weights=run_weights)
+                system.adopt_partitions(partitions)
+                system.intern_states()
         if resolved_store is not None and key is not None:
             resolved_store.put(key, system, kind="system")
         return system

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.api import ParallelExecutor, SerialExecutor
-from repro.core.errors import ConfigurationError, ModelCheckingError
+from repro.core.errors import ConfigurationError, ModelCheckingError, ProtocolError
 from repro.failures.models import (
     GeneralOmissionModel,
     ReceiveOmissionModel,
@@ -223,6 +223,109 @@ class TestBatchedPartitions:
         traces = simulator.simulate_patterns(patterns, prefs, 2)
         with pytest.raises(ConfigurationError, match="expected horizon 1"):
             simulator.partitions(traces, 1)
+
+
+class _RefusingMinProtocol(MinProtocol):
+    """``P_min`` that refuses every time-1 state of a 1-preferring agent that saw a 0-decision."""
+
+    def act(self, state):
+        if state.time == 1 and state.init == 1 and state.jd == 0:
+            raise ProtocolError(f"refusing {state!r}")
+        return super().act(state)
+
+
+class TestRoundLoop:
+    """The vectorised round loop: reuse across calls, mixed inputs, error order."""
+
+    def test_reused_simulator_partitions_any_selection_of_its_traces(self):
+        """Calls of several horizons and chunk sizes share one simulator; any
+        same-horizon selection of their traces partitions like the lazy system."""
+        prefs = [tuple(p) for p in enumerate_preferences(3)]
+        patterns = list(SendingOmissionModel(n=3, t=1).enumerate(2))
+        protocol = MinProtocol(1)
+        simulator = BatchSimulator(protocol, 3)
+        calls = {2: [], 3: []}
+        for start, stop, horizon in ((0, 40, 2), (40, 41, 2), (0, 30, 3),
+                                     (41, 120, 2), (120, len(patterns), 2)):
+            traces = simulator.simulate_patterns(patterns[start:stop], prefs, horizon)
+            per_run = [simulate(protocol, 3, p, pattern=pattern, horizon=horizon)
+                       for pattern in patterns[start:stop] for p in prefs]
+            assert _trace_bytes(traces) == _trace_bytes(per_run)
+            calls[horizon].append(traces)
+        rng = random.Random(19)
+        shuffled = [trace for traces in calls[2] for trace in traces]
+        rng.shuffle(shuffled)
+
+        def check(selection, horizon):
+            batched = simulator.partitions(selection, horizon)
+            lazy = InterpretedSystem(n=3, horizon=horizon, runs=selection)
+            for agent in range(3):
+                _assert_same_partition(batched[agent], lazy.partition(agent))
+
+        check(calls[2][3], 2)          # one call
+        check(shuffled, 2)             # every call, shuffled
+        check(shuffled[::7], 2)        # a subset
+        check(calls[3][0], 3)
+        # A call made after a read adds a piece to what that read merged.
+        later = simulator.simulate_patterns(patterns[30:45], prefs, 3)
+        check(later + calls[3][0][::-1], 3)
+        with pytest.raises(ConfigurationError, match="3 rounds, expected horizon 2"):
+            simulator.partitions(calls[2][0][:3] + later[:1], 2)
+
+    def test_failure_free_and_real_patterns_mixed(self):
+        rng = random.Random(5)
+        model = GeneralOmissionModel(n=3, t=1)
+        scenarios = []
+        for _ in range(30):
+            preferences = tuple(rng.randint(0, 1) for _ in range(3))
+            pattern = None if rng.random() < 0.4 else model.sample(rng, 3)
+            scenarios.append((preferences, pattern))
+        per_run = [simulate(BasicProtocol(1), 3, p, pattern=pattern, horizon=3)
+                   for p, pattern in scenarios]
+        batched = simulate_batch(BasicProtocol(1), 3, scenarios, 3)
+        assert _trace_bytes(batched) == _trace_bytes(per_run)
+
+    def test_preference_vectors_as_lists(self):
+        patterns = list(ReceiveOmissionModel(n=3, t=1).enumerate(2))[:20]
+        scenarios = [([a, b, 1], pattern) for pattern in patterns
+                     for a in (0, 1) for b in (0, 1)]
+        per_run = [simulate(MinProtocol(1), 3, p, pattern=pattern, horizon=2)
+                   for p, pattern in scenarios]
+        batched = simulate_batch(MinProtocol(1), 3, scenarios, 2)
+        assert _trace_bytes(batched) == _trace_bytes(per_run)
+        assert all(type(trace.preferences) is tuple for trace in batched)
+
+    def test_invalid_preferences_rejected_like_simulate(self):
+        for bad in ([0, 1], [0, 2, 1], [[0], 1, 1]):
+            with pytest.raises(ValueError) as per_run:
+                simulate(MinProtocol(1), 3, bad, horizon=1)
+            with pytest.raises(ValueError) as batched:
+                simulate_batch(MinProtocol(1), 3, [((1, 1, 1), None), (bad, None)], 1)
+            assert str(batched.value) == str(per_run.value)
+
+    def test_protocol_error_matches_the_per_run_engine(self):
+        """The first failing run, in scenario order, names the same state.
+
+        Runs 1 and 2 fail on different agents' states.  Run 2 starts from the
+        first-interned initial state, so a loop that took each round's
+        transitions in (state, blocked-set) key order would report it instead.
+        """
+        scenarios = [
+            ((1, 0, 1), FailurePattern.silent(3, faulty=[1], horizon=1)),
+            ((0, 1, 1), None),
+            ((1, 0, 1), FailurePattern.from_blocked(3, [(0, 1, 0)])),
+        ]
+        protocol = _RefusingMinProtocol(1)
+        errors = []
+        for preferences, pattern in scenarios:
+            try:
+                simulate(protocol, 3, preferences, pattern=pattern, horizon=2)
+            except ProtocolError as error:
+                errors.append(str(error))
+        assert len(errors) == 2 and errors[0] != errors[1]
+        with pytest.raises(ProtocolError) as excinfo:
+            simulate_batch(protocol, 3, scenarios, 2)
+        assert str(excinfo.value) == errors[0]
 
 
 def _partition_fields(partitions):

@@ -7,7 +7,8 @@ moved to ``test_model_checking_n4.py``.  The tier now covers, at n = 5
 (655 392-run / 2 621 568-point systems that the batched round-major
 construction engine made reachable at all):
 
-* **Theorem 6.5** — ``P_min`` implements ``P0`` in γ_min(5, 1);
+* **Theorem 6.5** — ``P_min`` implements ``P0`` in γ_min(5, 1), with a
+  peak-memory guard on the build;
 * **Theorem 6.6** — ``P_basic`` implements ``P0`` in γ_basic(5, 1); and
 * the **Definition 6.2 safety condition** for both canonical
   implementations, via the vectorized word-array scan of ``check_safety``
@@ -51,15 +52,30 @@ class TestSection7EquivalenceAtN4:
 #: Peak-RSS ceiling for the n = 4 Theorem A.21 check in a fresh process.
 A21_N4_PEAK_RSS_MB = 300
 
-#: Prints the process's own peak RSS in kB.  ``VmHWM`` belongs to the address
-#: space, which ``exec`` replaces; ``ru_maxrss`` would instead carry over the
-#: high-water mark of the test process that spawned it.
-_PEAK_RSS_SCRIPT = """
-from repro.experiments.implementation_check import check_theorem_a21
-assert check_theorem_a21(4, 1).ok
+#: Peak-RSS ceiling for the n = 5 γ_min build in a fresh process.  Cyclic GC
+#: is paused during builds, so this also catches garbage piling up meanwhile.
+GAMMA_MIN_N5_BUILD_PEAK_RSS_MB = 280
+
+#: Appended to a script to print the process's own peak RSS in kB.  ``VmHWM``
+#: belongs to the address space, which ``exec`` replaces; ``ru_maxrss`` would
+#: instead carry over the high-water mark of the test process that spawned it.
+_PRINT_PEAK_RSS = """
 with open("/proc/self/status") as status:
     print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
+
+
+def _peak_rss_mb(script):
+    """Run ``script`` in a fresh interpreter, imports included; its peak RSS in MB."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads the peak RSS from /proc (Linux)")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, env.get("PYTHONPATH")) if path)
+    proc = subprocess.run([sys.executable, "-c", script + _PRINT_PEAK_RSS], env=env,
+                          capture_output=True, text=True, check=True)
+    return int(proc.stdout.split()[-1]) / 1024
 
 
 class TestTheoremA21AtN4:
@@ -77,15 +93,9 @@ class TestTheoremA21AtN4:
 
     def test_peak_rss_stays_under_300_mb(self):
         """The whole check, imports included, in its own process."""
-        if not os.path.exists("/proc/self/status"):
-            pytest.skip("reads the peak RSS from /proc (Linux)")
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            path for path in (src, env.get("PYTHONPATH")) if path)
-        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT], env=env,
-                              capture_output=True, text=True, check=True)
-        peak_mb = int(proc.stdout.split()[-1]) / 1024
+        peak_mb = _peak_rss_mb(
+            "from repro.experiments.implementation_check import check_theorem_a21\n"
+            "assert check_theorem_a21(4, 1).ok\n")
         assert peak_mb <= A21_N4_PEAK_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
 
 
@@ -119,12 +129,19 @@ class TestTheorem65AtN5:
     """Theorem 6.5 over the full γ_min system at n = 5, t = 1.
 
     The largest exhaustive check in the repo: 20 481 SO(1) patterns × 32
-    preference vectors = 655 392 runs (2 621 568 points).  On the development
-    container the batched build takes ~8 s and the implementation check ~40 s
-    in ~0.3 GB — out of reach for the per-run engine's sequential simulate()
-    loop at any comfortable budget (the build alone extrapolates to ~2 min,
-    and historically n = 4 was the practical ceiling).
+    preference vectors = 655 392 runs (2 621 568 points).  On a 2-vCPU
+    container the batched build takes ~2 s and peaks at ~260 MB; the
+    per-run engine's sequential simulate() loop takes ~5-7 s at n = 4 alone,
+    and historically n = 4 was the practical ceiling.
     """
+
+    def test_build_peak_rss_stays_under_280_mb(self):
+        """The build alone, imports included, in its own process."""
+        peak_mb = _peak_rss_mb(
+            "from repro.protocols import MinProtocol\n"
+            "from repro.systems import gamma_min\n"
+            "assert len(gamma_min(5, 1).build_system(MinProtocol(1)).runs) == 655_392\n")
+        assert peak_mb <= GAMMA_MIN_N5_BUILD_PEAK_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
 
     def test_p_min_implements_p0_in_gamma_min_5_1(self):
         context = gamma_min(5, 1)
