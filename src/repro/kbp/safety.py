@@ -36,10 +36,9 @@ identical reports — same counters, same violations in the same order.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from time import monotonic as _monotonic
-from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
+from typing import List, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -106,14 +105,16 @@ def _chain_receipt_kernel(system: InterpretedSystem, start: int, stop: int) -> n
     :func:`repro.kbp.reference.chain_receipt_table` as a dense array, i.e.
     exactly what :func:`~repro.analysis.chains.zero_chains` finds per run.
 
-    One pass over the runs maps each ``(run, round)`` to a row of a small
-    per-record table, memoised by ``id(record)``: the batched engine shares
-    one :class:`~repro.simulation.trace.RoundRecord` per distinct transition,
-    so the table has a row per transition, not per run (sharing only makes
-    it smaller; the result never depends on it).  A row holds the record's
-    decides-0 agents and, per receiver, the senders whose decision its inbox
-    reveals, as bitmasks.  ``zero_chains``' rules then run as a numpy pass
-    over rounds × predecessors, across all runs at once:
+    It reads the system's :class:`~repro.simulation.batch.RunTable`: each
+    shared :class:`~repro.simulation.trace.RoundRecord` is read once, into a
+    row of its decides-0 agents and, per receiver, the senders whose
+    decision its inbox reveals, as bitmasks; the table's round-major
+    record-id matrix then gathers those rows for every run at once.  The
+    batched engine shares one record per distinct transition, so that is a
+    few thousand rows, not one per run and round (sharing only makes the
+    table smaller; the result never depends on it).  ``zero_chains``' rules
+    then run as a numpy pass over rounds × predecessors, across all runs at
+    once:
 
     * in round 0 a chain starts at each init-0 agent deciding 0;
     * a later decider extends the chain of the *first* predecessor, in
@@ -122,58 +123,47 @@ def _chain_receipt_kernel(system: InterpretedSystem, start: int, stop: int) -> n
     * failing that, an init-0 decider gets the length-0 singleton chain.
     """
     n = system.n
-    runs = system.runs[start:stop]
-    width = max((len(trace.rounds) for trace in runs), default=0)
-    # Row 0 is the padding round of a short trace: nobody decides, nothing is seen.
-    deciders_rows = [0]
-    seen_rows = [(0,) * n]
-    row_of: Dict[int, int] = {}
-    zero_of: Dict[Tuple[int, ...], int] = {}
-    zero_prefs: List[int] = []
-    row_ids = array("i")
-    for trace in runs:
-        prefs = trace.preferences
-        zero = zero_of.get(prefs)
-        if zero is None:
-            zero = zero_of[prefs] = sum(1 << agent for agent, value in enumerate(prefs)
-                                        if value == 0)
-        zero_prefs.append(zero)
-        rounds = trace.rounds
-        for record in rounds:
-            row = row_of.get(id(record))
-            if row is None:
-                row = row_of[id(record)] = len(deciders_rows)
-                deciders_rows.append(sum(
-                    1 << agent for agent, action in enumerate(record.actions)
-                    if action.is_decision and action.value == 0))
-                seen_rows.append(tuple(
-                    sum(1 << sender for sender, message in enumerate(inbox)
-                        if reveals_zero_decision(message))
-                    for inbox in record.delivered))
-            row_ids.append(row)
-        if len(rounds) < width:
-            row_ids.extend([0] * (width - len(rounds)))
-
-    earliest = np.full((len(runs), n), -1, dtype=np.int16)
-    if not width:
+    table = system.run_table()
+    record_ids = table.record_ids[:, start:stop]
+    width, count = record_ids.shape
+    earliest = np.full((count, n), -1, dtype=np.int16)
+    if not width or not count:
         return earliest
-    rows = np.frombuffer(row_ids, dtype=np.intc).reshape(len(runs), width)
-    mask_type = np.min_scalar_type((1 << n) - 1)
-    deciders = np.asarray(deciders_rows, dtype=mask_type)[rows]
-    seen = np.asarray(seen_rows, dtype=mask_type)[rows]
-    agent_bits = (1 << np.arange(n)).astype(mask_type)
-    init_zero = (np.asarray(zero_prefs, dtype=mask_type)[:, None] & agent_bits) != 0
+    records = table.records
+    if not isinstance(table.lengths, int):
+        # The last row is the padding round past a short trace's end:
+        # nobody decides, nothing is seen.
+        record_ids = np.where(np.arange(width)[:, None] < table.lengths[start:stop],
+                              record_ids, len(records))
+    deciders_rows = [sum(1 << agent for agent, action in enumerate(record.actions)
+                         if action.is_decision and action.value == 0)
+                     for record in records]
+    seen_rows = [tuple(sum(1 << sender for sender, message in enumerate(inbox)
+                           if reveals_zero_decision(message))
+                       for inbox in record.delivered)
+                 for record in records]
+    deciders_rows.append(0)
+    seen_rows.append((0,) * n)
+    zero_prefs = [sum(1 << agent for agent, value in enumerate(prefs) if value == 0)
+                  for prefs in table.preferences]
 
-    has_chain = np.zeros((len(runs), n), dtype=bool)
-    length = np.zeros((len(runs), n), dtype=np.int16)
-    members = np.zeros((len(runs), n), dtype=mask_type)
+    mask_type = np.min_scalar_type((1 << n) - 1)
+    deciders = np.asarray(deciders_rows, dtype=mask_type)[record_ids]
+    seen = np.asarray(seen_rows, dtype=mask_type)[record_ids]
+    agent_bits = (1 << np.arange(n)).astype(mask_type)
+    init_zero = (np.asarray(zero_prefs, dtype=mask_type)[
+        table.run_preferences[start:stop]][:, None] & agent_bits) != 0
+
+    has_chain = np.zeros((count, n), dtype=bool)
+    length = np.zeros((count, n), dtype=np.int16)
+    members = np.zeros((count, n), dtype=mask_type)
     for round_index in range(width):
-        deciding = (deciders[:, round_index, None] & agent_bits) != 0
+        deciding = (deciders[round_index, :, None] & agent_bits) != 0
         extended = np.zeros_like(deciding)
         next_length = np.zeros_like(length)
         next_members = np.zeros_like(members)
         if round_index:
-            seen_before = seen[:, round_index - 1]
+            seen_before = seen[round_index - 1]
             for predecessor in range(n):
                 extend = (deciding & ~extended & has_chain[:, predecessor, None]
                           & ((members[:, predecessor, None] & agent_bits) == 0)
@@ -248,7 +238,8 @@ def _check_safety_vector(protocol: ActionProtocol, context: EBAContext,
       :func:`~repro.logic.words.class_any` reduction over ``i``'s interned
       class ids;
     * the 0-chain receipt table comes from :func:`_chain_receipt_kernel`,
-      whose only per-run Python is one table lookup per round.
+      which has no per-run Python: it reads each shared round record once
+      and gathers through the system's run table.
 
     Counter and violation parity with
     :func:`repro.kbp.reference.scan_per_point` (same counts, same violations,
@@ -311,9 +302,10 @@ def _check_safety_vector(protocol: ActionProtocol, context: EBAContext,
         witness_ok |= deciding & (at_time_zero | second)
 
     # ---- clause 1 witness: an all-ones run in the class -----------------------
+    table = system.run_table()
     all_ones = np.fromiter(
-        (all(value == 1 for value in trace.preferences) for trace in system.runs),
-        dtype=bool, count=num_runs)
+        (all(value == 1 for value in prefs) for prefs in table.preferences),
+        dtype=bool, count=len(table.preferences))[table.run_preferences]
     all_ones_points = np.repeat(all_ones, stride).astype(np.uint8)
     if tracing:
         _trace.complete("safety.primitives", phase_start, _monotonic(), "check")

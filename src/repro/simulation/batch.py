@@ -27,14 +27,15 @@ at a time, and shares every piece of work that can be shared:
   pattern compiled into per-round blocked-edge sets (interned to small integer
   ids), once per call, so the round loop never consults
   :meth:`~repro.failures.pattern.FailurePattern.delivered`;
-* the run state lives in numpy arrays — each run's global-state row (the
-  interned tuple's index) per time, and its blocked-edge id per round — and
-  each round is one pass over the *distinct* ``row × blocked id`` keys
+* the run state lives in numpy arrays — each run's current global-state row
+  (the interned tuple's index) and its blocked-edge id per round — and each
+  round is one pass over the *distinct* ``row × blocked id`` keys
   (``np.unique``), taken in first-appearance order so that interning, row
   numbering and any :class:`~repro.core.errors.ProtocolError` happen exactly
-  as in a per-run loop; new rows and record ids are then gathered back to
-  the runs, and one object-array gather of the record ids yields every run's
-  ``rounds`` list.
+  as in a per-run loop; every new transition appends its
+  :class:`~repro.simulation.trace.RoundRecord` to one simulator-wide record
+  list, record ids and new rows are gathered back to the runs, and one
+  object-array gather of the record ids yields every run's ``rounds`` list.
 
 The produced traces are **byte-identical** (per-trace pickle) to the per-run
 engine's: the transition function is the same deterministic function, and the
@@ -43,25 +44,31 @@ two states or messages are equal (the agent id and the time are part of every
 local state), so the intra-trace object topology that pickling observes is
 unchanged.  ``tests/test_simulation_batch.py`` enforces this differentially.
 
-Because the simulator already knows, for every interned global state, each
-agent's interned local state, it can also emit the per-agent
-:class:`~repro.systems.interpreted.AgentPartition` structures for the finished
-system directly (:meth:`BatchSimulator.partitions`): it reads the point rows
-the round loop stored, then takes a numpy gather and first-appearance relabel
-of precomputed class ids per agent, instead of re-hashing every local state.
+Each call keeps what it already computed — its runs' record ids and their
+preference/pattern slots — and nothing per point.  From that the simulator
+hands a finished system two things instead of having it re-derive them from
+the traces:
 
-This module batches the *build* phase, which always runs in-process.  The
-check phase leans on the same sharing: the Definition 6.2 safety scan reads
-each shared :class:`~repro.simulation.trace.RoundRecord` once, not once per
-run (:func:`repro.kbp.safety._chain_receipt_kernel`).
+* a :class:`RunTable` (:meth:`BatchSimulator.run_table`): the runs as shared
+  object tables plus small integer index arrays.  The system pickles from it,
+  and the Definition 6.2 safety scan reads each shared record once through it
+  (:func:`repro.kbp.safety._chain_receipt_kernel`);
+* the per-agent :class:`~repro.systems.interpreted.AgentPartition` structures
+  (:meth:`BatchSimulator.partitions`): each point's global-state row comes
+  from the table (an initial row per preference slot, then the new row of
+  each round's record), then a numpy gather and first-appearance relabel of
+  precomputed class ids per agent replaces re-hashing every local state.
+
+This module batches the *build* phase, which always runs in-process.
 """
 
 from __future__ import annotations
 
 import operator
 from array import array
-from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING, Tuple
+from dataclasses import dataclass
+from itertools import chain, repeat, zip_longest
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, TYPE_CHECKING, Tuple, Union
 
 import numpy as np
 
@@ -75,6 +82,8 @@ from ..protocols.base import ActionProtocol
 from .trace import RoundRecord, RunTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy.typing as npt
+
     from ..exchange.messages import Message
     from ..systems.interpreted import AgentPartition
 
@@ -90,6 +99,161 @@ BatchTask = Tuple[ActionProtocol, int, Tuple[PreferenceVector, ...],
 _EdgeSet = frozenset
 
 
+def _index_dtype(count: int) -> "np.dtype[Any]":
+    """The smallest unsigned dtype for indices into a table of ``count`` entries."""
+    # Imported here: repro.logic's package init imports the systems layer,
+    # which imports this module.
+    from ..logic.words import class_id_dtype
+    return class_id_dtype(count)
+
+
+def _identity_table(objects: Sequence[Any]) -> Tuple[Tuple[Any, ...], "npt.NDArray[Any]"]:
+    """The distinct objects of ``objects`` by identity, and each entry's index into them.
+
+    The table is in first-appearance order (``np.unique`` over the ``id()``s,
+    relabelled by first index), so it never depends on where objects live in
+    memory.
+    """
+    ids = np.fromiter(map(id, objects), dtype=np.uint64, count=len(objects))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    table = tuple(objects[index] for index in first[order].tolist())
+    return table, rank[inverse.reshape(-1)].astype(_index_dtype(len(table)))
+
+
+@dataclass(frozen=True, eq=False)
+class RunTable:
+    """A system's runs as shared-object tables plus small integer index arrays.
+
+    Run ``r`` is the trace ``RunTrace(*headers[h], preferences[p],
+    patterns[q], initial_states[s], rounds)`` with ``p = run_preferences[r]``,
+    ``q = run_patterns[r]``, ``s = run_initial_states[r]``, ``h =
+    run_headers[r]`` (``0`` when ``run_headers`` is ``None``: every run has
+    the same ``(n, protocol name, exchange name)`` header), and ``rounds[t]
+    = records[record_ids[t, r]]`` for ``t`` below the run's length.
+    ``lengths`` is one ``int`` when every run has that many rounds, else one
+    entry per run; ``record_ids`` is round-major, ``(max length × runs)``,
+    and its entries past a short run's end are padding.
+
+    Every table is in first-appearance order and every index array has the
+    smallest unsigned dtype that holds its table's indices (arrays are
+    read-only).  The batched engine emits a system's table at build time
+    (:meth:`BatchSimulator.run_table`); :meth:`from_runs` derives one from
+    any list of traces.  The tables *are* the sharing between runs: traces
+    rebuilt by :meth:`traces` share every record, preference vector,
+    pattern and initial-state tuple the way the table lists them.
+    """
+
+    records: Tuple[RoundRecord, ...]
+    record_ids: "npt.NDArray[Any]"
+    lengths: Union[int, "npt.NDArray[Any]"]
+    preferences: Tuple[PreferenceVector, ...]
+    run_preferences: "npt.NDArray[Any]"
+    patterns: Tuple[FailurePattern, ...]
+    run_patterns: "npt.NDArray[Any]"
+    initial_states: Tuple[Tuple[LocalState, ...], ...]
+    run_initial_states: "npt.NDArray[Any]"
+    headers: Tuple[Tuple[int, str, str], ...]
+    run_headers: Optional["npt.NDArray[Any]"] = None
+
+    def __post_init__(self) -> None:
+        for index in (self.record_ids, self.lengths, self.run_preferences,
+                      self.run_patterns, self.run_initial_states, self.run_headers):
+            if isinstance(index, np.ndarray):
+                index.flags.writeable = False
+
+    def __reduce__(self):
+        return (RunTable, (self.records, self.record_ids, self.lengths,
+                           self.preferences, self.run_preferences,
+                           self.patterns, self.run_patterns,
+                           self.initial_states, self.run_initial_states,
+                           self.headers, self.run_headers))
+
+    @property
+    def num_runs(self) -> int:
+        """The number of runs the table describes."""
+        return len(self.run_preferences)
+
+    @classmethod
+    def from_runs(cls, runs: Sequence[RunTrace]) -> "RunTable":
+        """The table of arbitrary traces, in one first-appearance identity pass.
+
+        Records are listed in round-major order of first appearance; equal
+        but distinct objects stay distinct entries, so the table keeps
+        exactly the sharing the traces have.
+        """
+        columns = [trace.rounds for trace in runs]
+        run_lengths = np.fromiter(map(len, columns), dtype=np.intp, count=len(columns))
+        width = int(run_lengths.max(initial=0))
+        rounds = chain.from_iterable(zip_longest(*columns))
+        ragged = bool(columns) and int(run_lengths.min()) != width
+        if ragged:
+            rounds = (record for record in rounds if record is not None)
+        records, labels = _identity_table(list(rounds))
+        if ragged:
+            record_ids = np.zeros((width, len(columns)), dtype=labels.dtype)
+            record_ids[np.arange(width)[:, None] < run_lengths] = labels
+            lengths: Union[int, "npt.NDArray[Any]"] = run_lengths.astype(_index_dtype(width + 1))
+        else:
+            record_ids = labels.reshape(width, len(columns))
+            lengths = width
+        preferences, run_preferences = _identity_table([trace.preferences for trace in runs])
+        patterns, run_patterns = _identity_table([trace.pattern for trace in runs])
+        initial_states, run_initial_states = _identity_table(
+            [trace.initial_states for trace in runs])
+        header_slots: Dict[Tuple[int, str, str], int] = {}
+        slots = [header_slots.setdefault((trace.n, trace.protocol_name, trace.exchange_name),
+                                         len(header_slots))
+                 for trace in runs]
+        run_headers = None
+        if len(header_slots) > 1:
+            run_headers = np.asarray(slots, dtype=_index_dtype(len(header_slots)))
+        return cls(records, record_ids, lengths, preferences, run_preferences,
+                   patterns, run_patterns, initial_states, run_initial_states,
+                   tuple(header_slots), run_headers)
+
+    def traces(self) -> List[RunTrace]:
+        """The runs as :class:`~repro.simulation.trace.RunTrace` objects, in run order.
+
+        One object-array gather of the record ids yields every run's
+        ``rounds`` list; each trace pickles byte-identically to the trace the
+        table was made from.
+        """
+        objects = np.empty(len(self.records), dtype=object)
+        objects[:] = self.records
+        rounds = objects[self.record_ids.T].tolist()
+        if not isinstance(self.lengths, int):
+            rounds = [run_rounds[:length]
+                      for run_rounds, length in zip(rounds, self.lengths.tolist())]
+        headers = self.headers
+        header_slots: Iterable[int] = repeat(0)
+        if self.run_headers is not None:
+            header_slots = self.run_headers.tolist()
+        preferences, patterns, initial_states = (
+            self.preferences, self.patterns, self.initial_states)
+        return [
+            RunTrace(*headers[header], preferences[prefs], patterns[pattern],
+                     initial_states[initial], run_rounds)
+            for header, prefs, pattern, initial, run_rounds in zip(
+                header_slots, self.run_preferences.tolist(), self.run_patterns.tolist(),
+                self.run_initial_states.tolist(), rounds)
+        ]
+
+
+class _Call(NamedTuple):
+    """What one :meth:`BatchSimulator.simulate_scenarios` call keeps for later reads."""
+
+    traces: Tuple[RunTrace, ...]
+    #: ``(horizon × runs)``: each run's simulator-wide record index per round.
+    record_ids: "npt.NDArray[Any]"
+    run_preferences: "npt.NDArray[Any]"
+    run_patterns: "npt.NDArray[Any]"
+    preferences: Tuple[PreferenceVector, ...]
+    patterns: Tuple[FailurePattern, ...]
+
+
 class BatchSimulator:
     """Round-major batched simulation of many runs of one ``(E, P)`` pair.
 
@@ -97,7 +261,8 @@ class BatchSimulator:
     states, transition classes, blocked-edge ids) across every call, so
     simulating several pattern chunks through the same instance keeps the
     sharing; a fresh instance starts cold.  It also keeps every trace it
-    returns, with the traces' point rows, for :meth:`partitions`.
+    returns, with the traces' record ids and preference/pattern slots, for
+    :meth:`run_table` and :meth:`partitions`.
     """
 
     def __init__(self, protocol: ActionProtocol, n: int) -> None:
@@ -125,16 +290,19 @@ class BatchSimulator:
         #: per agent: id(canonical state) -> raw class id, and raw id -> state.
         self._agent_raw: List[Dict[int, int]] = [dict() for _ in range(n)]
         self._agent_states: List[List[LocalState]] = [[] for _ in range(n)]
-        #: (row, blocked id) -> (new row, RoundRecord).
-        self._transitions: Dict[Tuple[int, int], Tuple[int, RoundRecord]] = {}
+        #: (row, blocked id) -> index of its transition's record in ``_records``.
+        self._transitions: Dict[Tuple[int, int], int] = {}
+        #: every distinct RoundRecord, in the order the transitions were first
+        #: computed, and the global-state row each one leads to.
+        self._records: List[RoundRecord] = []
+        self._record_rows = array("i")
         #: blocked-edge set -> small id, and id -> set (delivery application).
         self._blocked_ids: Dict[_EdgeSet, int] = {}
         self._blocked_sets: List[_EdgeSet] = []
         #: preference vector -> row of its initial global state.
         self._initial: Dict[PreferenceVector, int] = {}
-        #: per horizon, the ``(traces, point rows)`` of every call with it: the
-        #: ``(runs × (horizon + 1))`` int32 rows are what partitions() reads.
-        self._produced: Dict[int, List[Tuple[Tuple[RunTrace, ...], np.ndarray]]] = {}
+        #: per horizon, what every call with it produced (merged on first read).
+        self._produced: Dict[int, List[_Call]] = {}
 
     # ------------------------------------------------------------------ interning
 
@@ -310,16 +478,16 @@ class BatchSimulator:
             run_prefs.append(slot)
             run_patterns.append(index)
         count = len(run_prefs)
-        # -- run state: rows per time, blocked-edge ids per round ------------
-        # ``rows[:, t]`` is each run's global-state row at time ``t``;
-        # ``record_ids[t]`` indexes ``records`` for each run's round ``t``.
-        rows = np.empty((count, horizon + 1), dtype=np.int32)
-        rows[:, 0] = np.asarray(initial_rows, dtype=np.int32)[
+        # -- run state: current rows, blocked-edge ids per round -------------
+        # ``current`` is each run's global-state row at the current time;
+        # ``record_ids[t]`` indexes ``_records`` for each run's round ``t``.
+        current = np.asarray(initial_rows, dtype=np.int32)[
             np.frombuffer(run_prefs, dtype=np.intc)]
         blocked = np.array(compiled, dtype=np.int32).reshape(len(compiled), horizon)[
             np.frombuffer(run_patterns, dtype=np.intc)]
         record_ids = np.empty((horizon, count), dtype=np.int32)
-        records: List[RoundRecord] = []
+        records = self._records
+        record_rows = self._record_rows
         transitions = self._transitions
         width = max(len(self._blocked_sets), 1)
         # Observability is opt-in and must cost nothing otherwise: the round
@@ -336,30 +504,34 @@ class BatchSimulator:
                 round_span = _trace.span("build.round", "build",
                                          {"round": time, "runs": count})
             with round_span:
-                keys = rows[:, time].astype(np.int64) * width + blocked[:, time]
+                keys = current.astype(np.int64) * width + blocked[:, time]
                 distinct, first, inverse = np.unique(
                     keys, return_index=True, return_inverse=True)
                 round_span.set("distinct", len(distinct))
                 # First-appearance order: transitions are computed, states
                 # interned and errors raised exactly as a per-run loop would.
                 order = np.argsort(first)
+                indices = array("i")
                 new_rows = array("i")
                 for key in distinct[order].tolist():
                     pair = divmod(key, width)
-                    hit = transitions.get(pair)
-                    if hit is None:
-                        hit = self._transition(pair[0], pair[1], time)
-                        transitions[pair] = hit
-                    new_rows.append(hit[0])
-                    records.append(hit[1])
+                    index = transitions.get(pair)
+                    if index is None:
+                        new_row, record = self._transition(pair[0], pair[1], time)
+                        index = transitions[pair] = len(records)
+                        records.append(record)
+                        record_rows.append(new_row)
+                    indices.append(index)
+                    new_rows.append(record_rows[index])
+                record_of = np.empty(len(distinct), dtype=np.int32)
+                record_of[order] = np.frombuffer(indices, dtype=np.intc)
                 new_row_of = np.empty(len(distinct), dtype=np.int32)
                 new_row_of[order] = np.frombuffer(new_rows, dtype=np.intc)
-                record_of = np.empty(len(distinct), dtype=np.int32)
-                record_of[order] = np.arange(len(records) - len(distinct), len(records))
-                rows[:, time + 1] = new_row_of[inverse]
                 record_ids[time] = record_of[inverse]
+                current = new_row_of[inverse]
             if reporter is not None:
                 reporter.advance()
+        record_ids = record_ids.astype(_index_dtype(len(records)))
         # -- traces: one object-array gather of every run's records ----------
         table = np.empty(len(records), dtype=object)
         table[:] = records
@@ -373,7 +545,12 @@ class BatchSimulator:
                      patterns_seen[index], initial_states[slot], run_rounds)
             for slot, index, run_rounds in zip(run_prefs, run_patterns, rounds)
         ]
-        self._produced.setdefault(horizon, []).append((tuple(traces), rows))
+        self._produced.setdefault(horizon, []).append(_Call(
+            tuple(traces), record_ids,
+            np.frombuffer(run_prefs, dtype=np.intc).astype(_index_dtype(len(prefs_seen))),
+            np.frombuffer(run_patterns, dtype=np.intc).astype(
+                _index_dtype(len(patterns_seen))),
+            tuple(prefs_seen), tuple(patterns_seen)))
         return traces
 
     def simulate_patterns(self, patterns: Iterable[FailurePattern],
@@ -386,21 +563,55 @@ class BatchSimulator:
             horizon,
         )
 
-    def _point_rows(self, traces: Sequence[RunTrace], horizon: int) -> np.ndarray:
-        """Every point's global-state row, run-major, read from the stored call rows."""
-        pieces = self._produced.setdefault(horizon, [])
-        if len(pieces) != 1:
-            # Merge once, so later calls read one piece and the per-call rows
-            # are freed before partitions() allocates its point-sized arrays.
-            merged = (tuple(chain.from_iterable(produced for produced, _ in pieces)),
-                      np.concatenate([rows for _, rows in pieces]
-                                     or [np.empty((0, horizon + 1), dtype=np.int32)]))
-            pieces[:] = [merged]
-        produced, all_rows = pieces[0]
+    def _merged(self, horizon: int) -> _Call:
+        """Every call with ``horizon``, merged into one (once, on first read)."""
+        calls = self._produced.setdefault(horizon, [])
+        if len(calls) != 1:
+            # Merge once, so later reads take one piece and the per-call
+            # arrays are freed before partitions() allocates its point rows.
+            # The tables are merged first, so each call's slots are remapped
+            # straight into their final smallest dtype (no per-run int64).
+            preference_slots: Dict[PreferenceVector, int] = {}
+            pattern_slots: Dict[int, int] = {}
+            patterns: List[FailurePattern] = []
+            remaps = []
+            for call in calls:
+                pattern_remap = []
+                for pattern in call.patterns:
+                    slot = pattern_slots.get(id(pattern))
+                    if slot is None:
+                        slot = pattern_slots[id(pattern)] = len(patterns)
+                        patterns.append(pattern)
+                    pattern_remap.append(slot)
+                remaps.append(([preference_slots.setdefault(prefs, len(preference_slots))
+                                for prefs in call.preferences], pattern_remap))
+            total = sum(len(call.traces) for call in calls)
+            run_preferences = np.empty(total, dtype=_index_dtype(len(preference_slots)))
+            run_patterns = np.empty(total, dtype=_index_dtype(len(patterns)))
+            start = 0
+            for call, (preference_remap, pattern_remap) in zip(calls, remaps):
+                stop = start + len(call.traces)
+                run_preferences[start:stop] = np.asarray(
+                    preference_remap, dtype=run_preferences.dtype)[call.run_preferences]
+                run_patterns[start:stop] = np.asarray(
+                    pattern_remap, dtype=run_patterns.dtype)[call.run_patterns]
+                start = stop
+            calls[:] = [_Call(
+                tuple(chain.from_iterable(call.traces for call in calls)),
+                np.concatenate([call.record_ids for call in calls]
+                               or [np.empty((horizon, 0), dtype=np.uint8)], axis=1),
+                run_preferences, run_patterns,
+                tuple(preference_slots), tuple(patterns))]
+        return calls[0]
+
+    @staticmethod
+    def _selection(traces: Sequence[RunTrace], produced: Tuple[RunTrace, ...],
+                   horizon: int) -> Optional["npt.NDArray[Any]"]:
+        """Where each of ``traces`` sits in ``produced`` (``None``: all of them, in order)."""
         # build_system passes every trace in order; that needs no lookup, whose
         # temporaries would add ~24 MB to the n=5 build's peak RSS.
         if len(traces) == len(produced) and all(map(operator.is_, traces, produced)):
-            return all_rows.reshape(-1)
+            return None
         # Any other selection: find each trace by identity.  The simulator
         # holds every trace it returned, so equal ids mean the same object.
         total = len(produced)
@@ -418,7 +629,32 @@ class BatchSimulator:
             raise ConfigurationError(
                 "trace was not produced by this BatchSimulator "
                 "(unknown global state tuple)")
-        return all_rows[sorter[slots]].reshape(-1)
+        return sorter[slots]
+
+    def run_table(self, traces: Sequence[RunTrace], horizon: int) -> RunTable:
+        """The :class:`RunTable` of ``traces``, from what the round loop kept.
+
+        ``traces`` must all have been produced by *this* simulator with this
+        ``horizon``; no trace is read.  The record table is every record the
+        simulator made, and the preference and pattern tables those of its
+        calls with ``horizon``, in the order it first met them: for the fresh
+        simulator of :func:`~repro.systems.interpreted.build_system`, exactly
+        what the runs use.
+        """
+        call = self._merged(horizon)
+        record_ids, run_preferences, run_patterns = (
+            call.record_ids, call.run_preferences, call.run_patterns)
+        selection = self._selection(traces, call.traces, horizon)
+        if selection is not None:
+            record_ids = record_ids[:, selection]
+            run_preferences = run_preferences[selection]
+            run_patterns = run_patterns[selection]
+        row_states = self._row_states
+        return RunTable(
+            tuple(self._records), record_ids, horizon, call.preferences, run_preferences,
+            call.patterns, run_patterns,
+            tuple(row_states[self._initial[prefs]] for prefs in call.preferences),
+            run_preferences, ((self.n, self.protocol.name, self.exchange.name),))
 
     def partitions(self, traces: Sequence[RunTrace],
                    horizon: int) -> Dict[int, "AgentPartition"]:
@@ -429,31 +665,40 @@ class BatchSimulator:
         result is identical to what
         :meth:`~repro.systems.interpreted.InterpretedSystem.partition` computes
         — classes numbered by first appearance in run-major point order — but
-        reads each point's global-state row from what the round loop stored,
-        instead of re-hashing every local state, and takes a few numpy passes:
-        the first point of every global-state row once, then per agent the
-        first point of every raw class id through the tuple table, a
-        first-appearance relabel, and one gather of the per-row labels.
+        derives each point's global-state row from the :class:`RunTable` (a
+        run's row at time 0 is its preference slot's initial row, at ``t + 1``
+        the new row of its round-``t`` record) instead of re-hashing every
+        local state, and takes a few numpy passes: the first point of every
+        global-state row once, then per agent the first point of every raw
+        class id through the tuple table, a first-appearance relabel, and one
+        gather of the per-row labels.
         """
-        from ..logic.words import class_id_dtype
         from ..systems.interpreted import AgentPartition
 
-        point_rows = self._point_rows(traces, horizon)
+        table = self.run_table(traces, horizon)
+        initial_rows = np.asarray([self._initial[prefs] for prefs in table.preferences],
+                                  dtype=np.intc)
+        record_rows = np.frombuffer(self._record_rows, dtype=np.intc).copy()
+        point_rows = np.empty((table.num_runs, horizon + 1), dtype=np.intc)
+        point_rows[:, 0] = initial_rows[table.run_preferences]
+        for time in range(horizon):
+            point_rows[:, time + 1] = record_rows[table.record_ids[time]]
+        point_rows = point_rows.reshape(-1)
         num_points = len(point_rows)
         # First point of every global-state row, then of every raw class id
         # through the tuple table; rows and ids these traces never reach keep
         # the sentinel and get no class.
         first_row = np.full(len(self._row_states), num_points, dtype=np.intc)
         np.minimum.at(first_row, point_rows, np.arange(num_points, dtype=np.intc))
-        table = np.frombuffer(self._cid_table, dtype=np.intc).reshape(-1, self.n)
+        cid_table = np.frombuffer(self._cid_table, dtype=np.intc).reshape(-1, self.n)
         result = {}
         for agent in range(self.n):
-            column = table[:, agent]
+            column = cid_table[:, agent]
             first = np.full(len(self._agent_states[agent]), num_points, dtype=np.intc)
             np.minimum.at(first, column, first_row)
             present = np.flatnonzero(first < num_points)
             order = present[np.argsort(first[present])]
-            relabel = np.zeros(len(first), dtype=class_id_dtype(len(order)))
+            relabel = np.zeros(len(first), dtype=_index_dtype(len(order)))
             relabel[order] = np.arange(len(order), dtype=relabel.dtype)
             states = self._agent_states[agent]
             result[agent] = AgentPartition(

@@ -322,6 +322,10 @@ class ArtifactStore:
         """
         if serializer not in _SERIALIZERS:
             raise StoreError(f"unknown serializer {serializer!r}; use one of {_SERIALIZERS}")
+        # The kind is one line of the payload header: a newline in it would
+        # shift the header, and every later get() would drop the entry.
+        if not isinstance(kind, str) or "\n" in kind:
+            raise StoreError(f"artifact kind must be a str without newlines, got {kind!r}")
         payload = _encode(artifact, kind, serializer)
         if not _trace.is_active():
             self._put_impl(key, payload, artifact)

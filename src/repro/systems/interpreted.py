@@ -37,7 +37,7 @@ from ..failures.models import FailureModel
 from ..failures.pattern import FailurePattern
 from ..obs import trace as _trace
 from ..protocols.base import ActionProtocol
-from ..simulation.batch import BatchSimulator
+from ..simulation.batch import BatchSimulator, RunTable
 from ..simulation.trace import RunTrace
 from ..workloads.preferences import enumerate_preferences
 from .points import Point, PointSet
@@ -156,6 +156,15 @@ class InterpretedSystem:
         # "word-array views" section); keyed by ("full",), ("time", t),
         # ("nonfaulty", agent), ("matrix", agent).
         self._word_views: Dict[Tuple, object] = {}
+        self._run_table: Optional[RunTable] = None
+
+    def __reduce__(self):
+        # Pickle the run table, not the traces: the runs share a few
+        # thousand round records, and the table is that sharing (see
+        # _rebuild_system).  Interned partitions travel with it.
+        return (_rebuild_system, (self.n, self.horizon, self.protocol_name,
+                                  self.run_weights, self.run_table(),
+                                  dict(sorted(self._partitions.items()))))
 
     # ------------------------------------------------------------------ dense indexing
 
@@ -273,6 +282,30 @@ class InterpretedSystem:
         """
         for agent, partition in partitions.items():
             self._partitions[agent] = partition
+
+    def run_table(self) -> RunTable:
+        """The runs as a :class:`~repro.simulation.batch.RunTable`.
+
+        :func:`build_system` hands over the table the batched engine emits;
+        a system assembled from arbitrary traces computes it on first use, in
+        one identity pass over the runs (as :meth:`partition` does for the
+        partitions).  The system's pickle and the Definition 6.2 receipt
+        kernel read it.
+        """
+        if self._run_table is None:
+            self._run_table = RunTable.from_runs(self.runs)
+        return self._run_table
+
+    def adopt_run_table(self, table: RunTable) -> None:
+        """Install the run table the batched engine emitted for exactly these runs.
+
+        Like :meth:`adopt_partitions`, it is trusted: it must describe
+        ``runs`` run for run (:meth:`RunTable.traces` would rebuild them).
+        """
+        if table.num_runs != len(self.runs):
+            raise ModelCheckingError(
+                f"run table has {table.num_runs} runs, the system {len(self.runs)}")
+        self._run_table = table
 
     @property
     def weighted_run_count(self) -> int:
@@ -420,6 +453,17 @@ class InterpretedSystem:
                 f"runs={len(self.runs)}, protocol={self.protocol_name!r})")
 
 
+def _rebuild_system(n: int, horizon: int, protocol_name: str,
+                    run_weights: Optional[Tuple[int, ...]], table: RunTable,
+                    partitions: Dict[int, AgentPartition]) -> InterpretedSystem:
+    """Unpickle an :class:`InterpretedSystem`: its traces come from one table gather."""
+    system = InterpretedSystem(n=n, horizon=horizon, runs=table.traces(),
+                               protocol_name=protocol_name, run_weights=run_weights)
+    system.adopt_partitions(partitions)
+    system.adopt_run_table(table)
+    return system
+
+
 #: Failure patterns simulated per construction chunk.  ``build_system`` calls
 #: the executor's optional ``checkpoint()`` before each chunk, which bounds how
 #: long a cancelled build keeps running; the chunks share one simulator, so
@@ -477,10 +521,15 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
     All runs advance together one round at a time through one
     :class:`~repro.simulation.batch.BatchSimulator`, sharing exchange
     construction, ``act``/``messages_for`` evaluations, and whole round
-    transitions across runs, and the system adopts the agent partitions the
-    simulator emits.  The traces are byte-identical (per-trace pickle) to one
-    :func:`~repro.simulation.engine.simulate` call per (pattern, preference
-    vector) pair, the naive oracle the differential tests build directly.
+    transitions across runs, and the system adopts the agent partitions and
+    the :class:`~repro.simulation.batch.RunTable` the simulator emits: the
+    partitions from the point rows the table implies, the table from the
+    record ids and preference/pattern slots the round loop already has.  The
+    system pickles from that table (the store's system entries), and the
+    Definition 6.2 receipt kernel reads it.  The traces are byte-identical
+    (per-trace pickle) to one :func:`~repro.simulation.engine.simulate` call
+    per (pattern, preference vector) pair, the naive oracle the differential
+    tests build directly.
     Simulation, partitioning and interning allocate a few acyclic containers
     per run, so cyclic GC is paused for them
     (:func:`~repro.core.allocation.bulk_allocation`); the caller's GC state is
@@ -515,9 +564,10 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         preference-minor.
     store:
         Optional :class:`~repro.store.ArtifactStore` (or cache-directory
-        path): the built system — runs *and* interned partitions — is served
-        from the content-addressed cache when an identical configuration was
-        built before, and persisted otherwise.  System construction is the
+        path): the built system — its run table *and* interned partitions
+        (see :meth:`InterpretedSystem.run_table`) — is served from the
+        content-addressed cache when an identical configuration was built
+        before, and persisted otherwise.  System construction is the
         repo's exponential hot path, so this is the store's flagship artifact.
     pattern_weights:
         Optional per-pattern orbit multiplicities (one positive integer per
@@ -567,11 +617,13 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
                 chunk = pattern_list[start:start + BUILD_CHUNK_PATTERNS]
                 runs.extend(simulator.simulate_patterns(chunk, preference_list, horizon))
             partitions = simulator.partitions(runs, horizon)
+            table = simulator.run_table(runs, horizon)
             with _trace.span("build.intern", "build"):
                 system = InterpretedSystem(n=n, horizon=horizon, runs=runs,
                                            protocol_name=protocol.name,
                                            run_weights=run_weights)
                 system.adopt_partitions(partitions)
+                system.adopt_run_table(table)
                 system.intern_states()
         if resolved_store is not None and key is not None:
             resolved_store.put(key, system, kind="system")

@@ -49,7 +49,8 @@ class TestDocLinks:
 
     def test_the_expected_docs_exist(self):
         for name in ("README.md", "docs/architecture.md", "docs/performance.md",
-                     "docs/observability.md", "docs/static-analysis.md"):
+                     "docs/benchmark.md", "docs/observability.md",
+                     "docs/static-analysis.md"):
             assert (REPO_ROOT / name).exists(), name
 
     def test_expected_pages_match_check_links(self):

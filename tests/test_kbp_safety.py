@@ -244,6 +244,19 @@ class TestZeroChainEdgeCases:
         system = InterpretedSystem(n=3, horizon=long.horizon, runs=[short, long, short])
         assert np.array_equal(kernel_receipts(system), oracle_receipts(system))
 
+    def test_runs_of_different_lengths_round_trip(self):
+        """Pickled from its run table, each run comes back with its own rounds."""
+        short = hand_trace(*HAND_CASES["late_init_zero_singleton"][:2])
+        long = hand_trace(*HAND_CASES["already_on_the_chain"][:2])
+        system = InterpretedSystem(n=3, horizon=long.horizon, runs=[short, long, short])
+        assert system.run_table().lengths.tolist() == [3, 4, 3]
+        clone = pickle.loads(pickle.dumps(system))
+        assert [len(trace.rounds) for trace in clone.runs] == [3, 4, 3]
+        assert [pickle.dumps(trace) for trace in clone.runs] == [
+            pickle.dumps(trace) for trace in system.runs]
+        assert clone.runs[0].rounds[0] is clone.runs[2].rounds[0]
+        assert np.array_equal(kernel_receipts(clone), oracle_receipts(system))
+
 
 #: Receipt parity at the sizes tier-1 cannot afford: ``(protocol, context,
 #: n, failure model)``.

@@ -200,6 +200,17 @@ class TestArtifactStore:
         with pytest.raises(StoreError, match="serializer"):
             ArtifactStore().put("c" * 64, 1, serializer="yaml")
 
+    @pytest.mark.parametrize("kind", ["report\nv2", "\n", 7, None, b"report"])
+    def test_unreadable_kind_rejected_before_writing(self, kind, tmp_path):
+        """A kind that cannot be one header line would write an entry no get() reads."""
+        store = default_store(tmp_path)
+        with pytest.raises(StoreError, match="kind"):
+            store.put("a" * 64, {"a": 1}, kind=kind)
+        stats = store.stats()
+        assert (stats.entries, stats.puts) == (0, 0)
+        store.put("a" * 64, {"a": 1}, kind="report v2")
+        assert default_store(tmp_path).get("a" * 64) == {"a": 1}
+
     def test_memory_lru_serves_after_backend_loss(self, tmp_path):
         store = default_store(tmp_path)
         store.put("d" * 64, [1, 2, 3])

@@ -30,6 +30,7 @@ EXPECTED_PAGES = (
     "ROADMAP.md",
     "docs/architecture.md",
     "docs/performance.md",
+    "docs/benchmark.md",
     "docs/observability.md",
     "docs/static-analysis.md",
 )
