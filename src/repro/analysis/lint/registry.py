@@ -105,9 +105,6 @@ BUILTIN_GUARDS: Mapping[str, GuardSpec] = {
 DEPRECATED_SYMBOLS: Mapping[str, Tuple[str, ...]] = {
     "repro.simulation.runner": (
         "simulate", "run_protocol", "run_batch", "corresponding_runs", "sweep"),
-    "repro.api.specs": ("set_resume_notifier",),
-    "repro.api": ("set_resume_notifier",),
-    "repro": ("set_resume_notifier",),
 }
 
 

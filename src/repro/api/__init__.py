@@ -63,7 +63,7 @@ from .executors import (
     resolve_executor,
 )
 from .results import ResultSet
-from .specs import RunSpec, Scenario, Sweep, SweepSpec, set_resume_notifier
+from .specs import RunSpec, Scenario, Sweep, SweepSpec
 
 __all__ = [
     "ArtifactStore",
@@ -86,7 +86,6 @@ __all__ = [
     "resolve_store",
     "run",
     "run_sweep",
-    "set_resume_notifier",
 ]
 
 

@@ -32,40 +32,9 @@ from ..simulation.runner import Scenario
 from ..simulation.trace import RunTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from typing import Callable
     from ..store import StoreLike
     from .executors import Executor
     from .results import ResultSet
-
-
-#: Deprecated single-purpose observer predating the :data:`repro.obs.bus.BUS`
-#: event bus.  When installed it is still called with ``(spec, remaining,
-#: total)`` on a partial resume — in addition to the ``sweep.resume`` bus
-#: event every resume now emits.  New code should subscribe to the bus.
-_RESUME_NOTIFIER: "Optional[Callable[[SweepSpec, int, int], None]]" = None
-
-
-def set_resume_notifier(callback) -> "Optional[Callable[[SweepSpec, int, int], None]]":
-    """Install the legacy sweep-resume observer; returns the previous one.
-
-    .. deprecated::
-        Subscribe to the ``"sweep.resume"`` event on
-        :data:`repro.obs.bus.BUS` instead — the bus carries the same
-        ``spec``/``remaining``/``total`` payload without claiming a single
-        global slot.  This shim keeps existing callers working: the installed
-        callback is invoked exactly as before (and a ``DeprecationWarning``
-        is emitted at install time).  Pass ``None`` to uninstall (silently).
-    """
-    global _RESUME_NOTIFIER
-    if callback is not None:
-        import warnings
-        warnings.warn(
-            "set_resume_notifier is deprecated; subscribe to the "
-            "'sweep.resume' event on repro.obs.bus.BUS instead",
-            DeprecationWarning, stacklevel=2)
-    previous = _RESUME_NOTIFIER
-    _RESUME_NOTIFIER = callback
-    return previous
 
 
 def _duplicate_names(protocols: Sequence[ActionProtocol]) -> Tuple[str, ...]:
@@ -276,11 +245,9 @@ class SweepSpec:
             cached = resolved_store.get(spec_key)
             if cached is not None:
                 return cached
-            if _RESUME_NOTIFIER is not None or BUS.has_subscribers("sweep.resume"):
+            if BUS.has_subscribers("sweep.resume"):
                 remaining = len(self.missing_tasks(resolved_store))
                 if 0 < remaining < len(self):
-                    if _RESUME_NOTIFIER is not None:
-                        _RESUME_NOTIFIER(self, remaining, len(self))
                     BUS.emit("sweep.resume", spec=self, remaining=remaining,
                              total=len(self))
             runner: "Executor" = CachingExecutor(resolved_store, executor)

@@ -9,8 +9,7 @@ The operational substrate of the reproduction pipeline, in four pieces:
   and histograms behind ``GET /metrics``, the ``/stats`` ``metrics`` block,
   and ``repro-eba obs``.
 * :mod:`repro.obs.bus` — the observer event bus (``progress``,
-  ``sweep.resume``, ``pool.rebuild`` events) that generalizes the old
-  ``api.set_resume_notifier`` hook, plus throttled
+  ``sweep.resume``, ``pool.rebuild`` events), plus throttled
   :class:`~repro.obs.bus.ProgressReporter`.
 * :mod:`repro.obs.logs` — the ``repro.*`` :mod:`logging` hierarchy and the
   logger-level one-shot warning dedup.

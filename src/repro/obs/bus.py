@@ -1,7 +1,6 @@
 """The observer event bus and throttled progress reporting.
 
-The generalization of what ``api.set_resume_notifier`` used to be: a
-process-wide publish/subscribe :data:`BUS` any layer can emit structured
+A process-wide publish/subscribe :data:`BUS` any layer can emit structured
 events into, and any front end (the CLI, the job server's workers, a test)
 can subscribe to — without the emitting layer knowing who is listening.
 
@@ -13,7 +12,7 @@ kind                   payload (beyond ``kind`` and ``thread``)
 ``progress``           ``phase``, ``done``, ``total`` (may be ``None``),
                        ``unit``, ``elapsed``, ``eta`` (may be ``None``)
 ``sweep.resume``       ``spec``, ``remaining``, ``total`` — a cached sweep
-                       resuming part-way (the old resume-notifier hook)
+                       resuming part-way
 ``pool.rebuild``       ``pending`` — a broken process pool being rebuilt
 =====================  ====================================================
 

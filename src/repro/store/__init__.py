@@ -29,6 +29,7 @@ The CLI exposes the store as ``--cache`` / ``--cache-dir`` flags and the
 from .backends import FilesystemBackend, MemoryBackend, StoreBackend, StoreEntry
 from .caching import (
     CachingExecutor,
+    context_system_key,
     implementation_report_key,
     run_task_key,
     safety_report_key,
@@ -59,6 +60,7 @@ __all__ = [
     "cache_enabled_by_env",
     "code_fingerprint",
     "content_key",
+    "context_system_key",
     "default_cache_dir",
     "default_store",
     "implementation_report_key",

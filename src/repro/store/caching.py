@@ -11,6 +11,11 @@ kind                      keyed by
                           pattern, horizon)
 ``resultset``             a whole :class:`~repro.api.specs.SweepSpec`
 ``system``                (protocol, n, horizon, patterns, preference vectors)
+``context-system``        (protocol, n, t, horizon, failure model,
+                          max_faulty_enumerated, all ``2^n`` preference
+                          vectors): a system built by
+                          :meth:`~repro.systems.contexts.EBAContext.build_system`,
+                          keyed by the context's definition, not its patterns
 ``implementation-report`` (protocol, program, context, max_time,
                           max_mismatches)
 ``safety-report``         (protocol, context, max_violations)
@@ -24,6 +29,16 @@ cost one store read.  Per-task caching is also what makes sweeps resumable: an
 interrupted sweep has already persisted every completed run, so rerunning it
 restarts at the first missing key (see
 :meth:`repro.api.specs.SweepSpec.missing_tasks`).
+
+A context-built system is a pure function of the context's definition and the
+protocol, so ``context-system`` keys that definition instead of listing and
+hashing every failure pattern (2 049 at n=4, 20 481 at n=5): a store hit
+enumerates nothing.  That is as sound as keying by content because every key
+folds in :func:`~repro.store.keys.code_fingerprint`, so the enumeration code
+is part of the key.  It holds only while that code lies inside ``repro``: an
+:class:`~repro.systems.contexts.EBAContext` subclass, or a failure model whose
+class is defined outside the package, is keyed by ``system`` (its patterns)
+instead.
 """
 
 from __future__ import annotations
@@ -71,6 +86,22 @@ def system_key(protocol, n: int, horizon: int, patterns: Sequence,
     return content_key("system", protocol, n, horizon, tuple(patterns),
                        tuple(preference_vectors),
                        ("pattern-weights", tuple(pattern_weights)))
+
+
+def context_system_key(protocol, context) -> str:
+    """The definition key of ``context.build_system(protocol)``'s system.
+
+    Folds in the protocol and the context's ``n``, ``t``, ``horizon``,
+    ``failure_model`` and ``max_faulty_enumerated``, plus a tag for the full
+    preference enumeration; ``name`` is informational and left out.  Never
+    equal to a :func:`system_key`, whose kind differs.  Sound only when the
+    code fingerprint covers the context's enumeration (see the module
+    docstring); :meth:`~repro.systems.contexts.EBAContext.build_system` checks
+    that before using it.
+    """
+    return content_key("context-system", protocol, context.n, context.t,
+                       context.horizon, context.failure_model,
+                       context.max_faulty_enumerated, "all-preference-vectors")
 
 
 def implementation_report_key(protocol, program, context,

@@ -16,12 +16,12 @@ paper: ``gamma_min(n, t).build_system(MinProtocol(t))`` is the system
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, TYPE_CHECKING
+from typing import Iterable, Iterator, Optional, TYPE_CHECKING
 
 from ..failures.models import FailureModel, PatternOrbit, SendingOmissionModel, resolve_model
 from ..failures.pattern import FailurePattern
 from ..protocols.base import ActionProtocol
-from .interpreted import InterpretedSystem, build_system
+from .interpreted import DefinedPatterns, InterpretedSystem, build_system
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.executors import Executor
@@ -83,9 +83,20 @@ class EBAContext:
         consulted for its optional ``checkpoint()`` cancel hook.  ``store``
         serves the built system from the content-addressed artifact cache
         (see :mod:`repro.store`) when an identical ``(γ, P)`` build was done
-        before.
+        before.  The system is keyed by the context's definition
+        (:func:`~repro.store.context_system_key`), so a hit enumerates no
+        pattern, unless the code fingerprint does not cover the enumeration:
+        a subclass of this class, or a failure model defined outside
+        ``repro``, keys by the patterns themselves.
         """
-        return build_system(protocol, self.n, self.horizon, self.patterns(),
+        model_in_repro = type(self.failure_model).__module__.split(".")[0] == "repro"
+        if type(self) is EBAContext and model_in_repro:
+            from ..store import context_system_key
+            patterns: Iterable[FailurePattern] = DefinedPatterns(
+                self.patterns, lambda: context_system_key(protocol, self))
+        else:
+            patterns = self.patterns()
+        return build_system(protocol, self.n, self.horizon, patterns,
                             executor=executor, store=store)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -471,6 +471,27 @@ def _rebuild_system(n: int, horizon: int, protocol_name: str,
 BUILD_CHUNK_PATTERNS = 1024
 
 
+class DefinedPatterns:
+    """A context's failure patterns, named by the context's definition.
+
+    :meth:`~repro.systems.contexts.EBAContext.build_system` passes one to
+    :func:`build_system` in place of a pattern list: the store keys the system
+    by ``key()`` (the context's definition) and ``enumerate()`` runs only on a
+    miss, so a store hit neither enumerates nor hashes a single pattern.  It
+    always pairs with the full preference enumeration and no weights.
+    """
+
+    __slots__ = ("enumerate", "key")
+
+    def __init__(self, enumerate: Callable[[], Iterable[FailurePattern]],
+                 key: Callable[[], str]) -> None:
+        self.enumerate = enumerate
+        self.key = key
+
+    def __iter__(self) -> Iterator[FailurePattern]:
+        return iter(self.enumerate())
+
+
 def _normalize_patterns(patterns: Iterable[FailurePattern],
                         pattern_weights: Optional[Sequence[int]],
                         ) -> Tuple[List[FailurePattern], Optional[List[int]]]:
@@ -549,7 +570,9 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         ``FailureModel.enumerate`` for exhaustive small systems).  Duplicate
         patterns are rejected with
         :class:`~repro.core.errors.ModelCheckingError` — a duplicated pattern
-        would silently inflate every run count downstream.
+        would silently inflate every run count downstream.  A
+        :class:`DefinedPatterns` (what a context passes) is enumerated only
+        when the store misses.
     preference_vectors:
         The initial preference vectors to include; defaults to all ``2^n``.
     executor:
@@ -567,7 +590,9 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         path): the built system — its run table *and* interned partitions
         (see :meth:`InterpretedSystem.run_table`) — is served from the
         content-addressed cache when an identical configuration was built
-        before, and persisted otherwise.  System construction is the
+        before, and persisted otherwise.  It is keyed by
+        :func:`~repro.store.system_key` over the listed patterns, or by a
+        :class:`DefinedPatterns`' own definition key.  System construction is the
         repo's exponential hot path, so this is the store's flagship artifact.
     pattern_weights:
         Optional per-pattern orbit multiplicities (one positive integer per
@@ -576,7 +601,12 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         paths can recover exact full-enumeration totals from a
         symmetry-reduced build.
     """
-    from ..store import resolve_store, system_key
+    from ..store import system_key
+    defined = patterns if isinstance(patterns, DefinedPatterns) else None
+    if defined is not None and (preference_vectors is not None
+                                or pattern_weights is not None):
+        raise ModelCheckingError(
+            "a context's patterns pair with every preference vector and no weights")
     if preference_vectors is None:
         preference_vectors = enumerate_preferences(n)
     preference_list = [tuple(vector) for vector in preference_vectors]
@@ -586,27 +616,52 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
                 f"preference vector {vector!r} has length {len(vector)}, "
                 f"expected {n} (one preference per agent)"
             )
+    if defined is not None:
+        return _build_stored(protocol, n, horizon, preference_list, defined.key,
+                             lambda: _normalize_patterns(defined.enumerate(), None),
+                             executor=executor, store=store)
     pattern_list, weights = _normalize_patterns(patterns, pattern_weights)
-    run_weights: Optional[Tuple[int, ...]] = None
-    if weights is not None:
-        run_weights = tuple(
-            weight for weight in weights for _vector in preference_list)
+    return _build_stored(
+        protocol, n, horizon, preference_list,
+        lambda: system_key(protocol, n, horizon, pattern_list, preference_list,
+                           pattern_weights=weights),
+        lambda: (pattern_list, weights), executor=executor, store=store)
+
+
+def _build_stored(protocol: ActionProtocol, n: int, horizon: int,
+                  preference_list: List[PreferenceVector], key: Callable[[], str],
+                  supply: Callable[[], Tuple[List[FailurePattern], Optional[List[int]]]],
+                  executor: Optional["Executor"], store: "StoreLike",
+                  ) -> InterpretedSystem:
+    """The one store path of every system build: look ``key()`` up, else build and put.
+
+    ``supply()`` returns the validated ``(pattern_list, weights)`` and is
+    called only on a miss (or with no store), so a key that does not list the
+    patterns spares a hit their enumeration.
+    """
+    from ..store import resolve_store
     build_span = _trace.NOOP
     if _trace.is_active():
         build_span = _trace.span("build.system", "build", {
-            "protocol": protocol.name, "n": n, "horizon": horizon,
-            "patterns": len(pattern_list),
-            "runs": len(pattern_list) * len(preference_list)})
+            "protocol": protocol.name, "n": n, "horizon": horizon})
     with build_span as span:
         resolved_store = resolve_store(store)
-        key = None
+        stored_key = None
         if resolved_store is not None:
-            key = system_key(protocol, n, horizon, pattern_list, preference_list,
-                             pattern_weights=weights)
-            cached = resolved_store.get(key)
+            stored_key = key()
+            cached = resolved_store.get(stored_key)
             if cached is not None:
                 span.set("cached", True)
+                span.set("patterns", len(cached.runs) // len(preference_list))
+                span.set("runs", len(cached.runs))
                 return cached
+        pattern_list, weights = supply()
+        span.set("patterns", len(pattern_list))
+        span.set("runs", len(pattern_list) * len(preference_list))
+        run_weights: Optional[Tuple[int, ...]] = None
+        if weights is not None:
+            run_weights = tuple(
+                weight for weight in weights for _vector in preference_list)
         checkpoint = getattr(executor, "checkpoint", None)
         with bulk_allocation():
             simulator = BatchSimulator(protocol, n)
@@ -625,8 +680,8 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
                 system.adopt_partitions(partitions)
                 system.adopt_run_table(table)
                 system.intern_states()
-        if resolved_store is not None and key is not None:
-            resolved_store.put(key, system, kind="system")
+        if resolved_store is not None and stored_key is not None:
+            resolved_store.put(stored_key, system, kind="system")
         return system
 
 

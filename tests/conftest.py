@@ -2,15 +2,39 @@
 
 from __future__ import annotations
 
+from typing import Callable, Dict
+
 import pytest
 
 from repro.failures import FailurePattern, SendingOmissionModel
 from repro.protocols import BasicProtocol, MinProtocol, OptimalFipProtocol
+from repro.protocols.base import ActionProtocol
+from repro.store import context_system_key
+from repro.systems import EBAContext, InterpretedSystem
 
 
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: long-running exhaustive checks (deselect with -m 'not slow')")
+
+
+@pytest.fixture(scope="session")
+def n3_system() -> Callable[[ActionProtocol, EBAContext], InterpretedSystem]:
+    """``context.build_system(protocol)`` for n=3 contexts, built once per session.
+
+    Test modules that check the same ``(γ, P)`` (the run-table round trips and
+    the Def 6.2 receipt parity cases) share one build, memoised under the
+    store's definition key.  The systems are shared: treat them as read-only.
+    """
+    built: Dict[str, InterpretedSystem] = {}
+
+    def build(protocol: ActionProtocol, context: EBAContext) -> InterpretedSystem:
+        assert context.n == 3, "only n=3 systems are memoised for the session"
+        key = context_system_key(protocol, context)
+        if key not in built:
+            built[key] = context.build_system(protocol)
+        return built[key]
+    return build
 
 
 @pytest.fixture

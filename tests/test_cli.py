@@ -232,10 +232,8 @@ class TestSweepResumeMessage:
         assert "cache: resuming" not in capsys.readouterr().err
 
     def test_notifier_is_uninstalled_after_the_command(self, tmp_path):
-        from repro.api import specs as specs_module
         from repro.obs.bus import BUS
         assert main(["experiment", "e2", "--n", "3", "--t", "1",
                      "--cache-dir", str(tmp_path / "cache")]) == 0
-        assert specs_module._RESUME_NOTIFIER is None
-        # The bus subscription the command installed is gone too.
+        # The bus subscription the command installed is gone.
         assert not BUS.has_subscribers("sweep.resume")

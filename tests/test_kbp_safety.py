@@ -129,17 +129,17 @@ RECEIPT_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(RECEIPT_CASES))
-def test_receipt_kernel_matches_the_oracle(case):
+def test_receipt_kernel_matches_the_oracle(case, n3_system):
     protocol, context, model = RECEIPT_CASES[case]
-    system = context(3, 1, failure_model=model).build_system(protocol(1))
+    system = n3_system(protocol(1), context(3, 1, failure_model=model))
     receipts = kernel_receipts(system)
     assert receipts.dtype == np.int16
     assert np.array_equal(receipts, oracle_receipts(system))
 
 
 @pytest.fixture(scope="module")
-def min_system():
-    return gamma_min(3, 1).build_system(MinProtocol(1))
+def min_system(n3_system):
+    return n3_system(MinProtocol(1), gamma_min(3, 1))
 
 
 def distinct_records(system):

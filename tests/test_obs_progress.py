@@ -1,9 +1,7 @@
 """Tests for the observer bus and progress reporting (:mod:`repro.obs.bus`).
 
-The bus is the generalization of the old ``set_resume_notifier`` hook, so
-this file also pins the compatibility contract: the shim still works (with a
-``DeprecationWarning``) and ``SweepSpec.run`` emits ``sweep.resume`` on the
-bus for partial cache resumes.
+It also pins that ``SweepSpec.run`` emits ``sweep.resume`` on the bus for
+partial cache resumes.
 """
 
 from __future__ import annotations
@@ -144,32 +142,12 @@ class TestProgressReporter:
         assert seen and seen[-1]["phase"] == "global"
 
 
-# ------------------------------------------------------- resume compatibility
+# ------------------------------------------------------------ sweep resume
 
 
-class TestResumeNotifierShim:
-    def test_install_warns_and_returns_previous(self):
-        from repro.api import set_resume_notifier
-
-        def observer(spec, remaining, total):
-            pass
-
-        with pytest.warns(DeprecationWarning, match="sweep.resume"):
-            previous = set_resume_notifier(observer)
-        try:
-            assert previous is None
-            with pytest.warns(DeprecationWarning):
-                assert set_resume_notifier(observer) is observer
-        finally:
-            # Uninstalling is silent (no way to pytest.warns-not, so just
-            # assert no warning escapes as an error under -W error).
-            import warnings
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert set_resume_notifier(None) is observer
-
-    def test_sweep_resume_event_reaches_bus_and_legacy_callback(self, tmp_path):
-        from repro.api import Sweep, set_resume_notifier
+class TestSweepResumeEvent:
+    def test_sweep_resume_event_reaches_bus(self, tmp_path):
+        from repro.api import Sweep
         from repro.api.executors import execute_task
         from repro.failures import FailurePattern
         from repro.protocols import MinProtocol
@@ -185,19 +163,12 @@ class TestResumeNotifierShim:
         store.put(run_task_key(task), execute_task(task), kind="run")
 
         bus_events = []
-        legacy_calls = []
         BUS.subscribe("sweep.resume", bus_events.append)
-        with pytest.warns(DeprecationWarning):
-            set_resume_notifier(
-                lambda spec, remaining, total:
-                legacy_calls.append((remaining, total)))
         try:
             spec.run(store=store)
         finally:
             BUS.unsubscribe("sweep.resume", bus_events.append)
-            set_resume_notifier(None)
 
-        assert legacy_calls == [(3, 4)]
         (event,) = bus_events
         assert event["kind"] == "sweep.resume"
         assert event["remaining"] == 3 and event["total"] == 4

@@ -50,8 +50,10 @@ SYSTEMS = {
 }
 
 
-def _build(case):
+def _build(case, n3_system):
     protocol, context, n, model = SYSTEMS[case]
+    if n == 3:
+        return n3_system(protocol(1), context(n, 1, failure_model=model))
     return context(n, 1, failure_model=model).build_system(protocol(1))
 
 
@@ -72,8 +74,8 @@ def _partitions(system):
 
 
 @pytest.mark.parametrize("case", sorted(SYSTEMS))
-def test_built_system_round_trips(case):
-    system = _build(case)
+def test_built_system_round_trips(case, n3_system):
+    system = _build(case, n3_system)
     clone = _round_trip(system)
     assert (clone.n, clone.horizon, clone.protocol_name, clone.run_weights) == (
         system.n, system.horizon, system.protocol_name, system.run_weights)
@@ -143,8 +145,8 @@ def test_encoding_is_identical_in_every_process():
 
 class TestHandedOverAndLazyTables:
     @pytest.fixture(scope="class")
-    def built(self):
-        return gamma_basic(3, 1, failure_model="ro").build_system(BasicProtocol(1))
+    def built(self, n3_system):
+        return n3_system(BasicProtocol(1), gamma_basic(3, 1, failure_model="ro"))
 
     def test_same_receipts_and_both_round_trip(self, built):
         lazy = InterpretedSystem(n=built.n, horizon=built.horizon, runs=built.runs)

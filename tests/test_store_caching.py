@@ -9,11 +9,18 @@ The pipeline-level correctness properties:
 * ``build_system`` / ``check_implements`` / ``check_safety`` consult the
   store: warm reports are byte-identical to cold ones (Theorems 6.5 / 6.6),
   and mutating any key-relevant spec field forces a recompute;
+* a context-built system is keyed by the context's definition: every
+  definition field separates keys, a hit enumerates no pattern and equals a
+  fresh build, and a failure model from outside ``repro`` falls back to the
+  pattern-listing key;
 * the CLI ``cache`` subcommand and ``--cache-dir`` flags drive the same store.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+import time
 from typing import List, Sequence
 
 import pytest
@@ -21,13 +28,14 @@ import pytest
 from repro.api import RunSpec, SerialExecutor, Sweep
 from repro.cli import main as cli_main
 from repro.experiments import decision_rounds, implementation_check
-from repro.failures import FailurePattern
+from repro.failures import FailurePattern, ReceiveOmissionModel, SendingOmissionModel
 from repro.kbp import check_implements, make_p0
 from repro.kbp.safety import check_safety
 from repro.protocols import BasicProtocol, MinProtocol
-from repro.store import CachingExecutor, default_store
-from repro.systems import build_system, gamma_basic, gamma_min
+from repro.store import CachingExecutor, context_system_key, default_store, system_key
+from repro.systems import EBAContext, build_system, gamma_basic, gamma_min
 from repro.workloads import random_scenarios
+from repro.workloads.preferences import enumerate_preferences
 
 
 class CountingExecutor:
@@ -191,6 +199,88 @@ class TestModelCheckingCaching:
                             store=default_store(store.backend.root))
         assert repr(warm) == repr(cold)
         assert warm.safe and warm.points_checked == cold.points_checked
+
+
+# --------------------------------------------------------------------------- context definition keys
+
+
+@dataclasses.dataclass(frozen=True)
+class OutsideModel(SendingOmissionModel):
+    """SO(t) under a class the code fingerprint does not cover."""
+
+
+#: One changed definition field per entry, against ``gamma_min(3, 1)`` and P_min(1).
+DEFINITION_CHANGES = {
+    "n": lambda context: (MinProtocol(1), dataclasses.replace(context, n=4)),
+    "t": lambda context: (MinProtocol(1), dataclasses.replace(context, t=2)),
+    "horizon": lambda context: (MinProtocol(1), dataclasses.replace(context, horizon=4)),
+    "model-class": lambda context: (MinProtocol(1), dataclasses.replace(
+        context, failure_model=ReceiveOmissionModel(n=3, t=1))),
+    "model-t": lambda context: (MinProtocol(1), dataclasses.replace(
+        context, failure_model=SendingOmissionModel(n=3, t=2))),
+    "max-faulty": lambda context: (MinProtocol(1), dataclasses.replace(
+        context, max_faulty_enumerated=1)),
+    "protocol-class": lambda context: (BasicProtocol(1), context),
+    "protocol-t": lambda context: (MinProtocol(2), context),
+}
+
+
+class TestContextSystemKey:
+    @pytest.mark.parametrize("field", sorted(DEFINITION_CHANGES))
+    def test_every_definition_field_separates_keys(self, field):
+        base = gamma_min(3, 1)
+        protocol, changed = DEFINITION_CHANGES[field](base)
+        assert context_system_key(protocol, changed) != context_system_key(MinProtocol(1), base)
+
+    def test_name_is_not_part_of_the_key(self):
+        base = gamma_min(3, 1)
+        renamed = dataclasses.replace(base, name="renamed")
+        assert context_system_key(MinProtocol(1), renamed) == \
+            context_system_key(MinProtocol(1), base)
+
+    def test_never_equals_the_pattern_listing_key(self):
+        context = gamma_min(3, 1)
+        listed = system_key(MinProtocol(1), 3, context.horizon, list(context.patterns()),
+                            list(enumerate_preferences(3)))
+        assert context_system_key(MinProtocol(1), context) != listed
+
+    def test_hit_equals_a_fresh_build(self, store):
+        context = gamma_min(3, 1)
+        context.build_system(MinProtocol(1), store=store)
+        warm = context.build_system(MinProtocol(1), store=default_store(store.backend.root))
+        fresh = context.build_system(MinProtocol(1))
+        assert pickle.dumps(warm.run_table()) == pickle.dumps(fresh.run_table())
+        assert [warm.partition(agent) for agent in range(3)] == \
+            [fresh.partition(agent) for agent in range(3)]
+        assert store.contains(context_system_key(MinProtocol(1), context))
+
+    def test_warm_n4_hit_enumerates_nothing(self, store, monkeypatch):
+        context = gamma_min(4, 1)
+        context.build_system(MinProtocol(1), store=store)
+        calls = []
+        original = SendingOmissionModel.enumerate
+
+        def spy(model, *args, **kwargs):
+            calls.append(args)
+            return original(model, *args, **kwargs)
+        monkeypatch.setattr(SendingOmissionModel, "enumerate", spy)
+        warm = context.build_system(MinProtocol(1), store=default_store(store.backend.root))
+        assert calls == [] and len(warm.runs) == 32784
+        timings = []
+        for _ in range(5):
+            start = time.perf_counter()
+            context_system_key(MinProtocol(1), context)
+            timings.append(time.perf_counter() - start)
+        assert min(timings) <= 0.005
+
+    def test_outside_failure_model_keys_by_patterns(self, store):
+        context = EBAContext(name="outside", n=3, t=1, horizon=3,
+                             failure_model=OutsideModel(n=3, t=1))
+        context.build_system(MinProtocol(1), store=store)
+        listed = system_key(MinProtocol(1), 3, 3, list(context.patterns()),
+                            list(enumerate_preferences(3)))
+        assert store.contains(listed)
+        assert not store.contains(context_system_key(MinProtocol(1), context))
 
 
 # --------------------------------------------------------------------------- experiments and CLI

@@ -45,6 +45,7 @@ from repro.store import (
     STORE_VERSION,
     code_fingerprint,
     content_key,
+    context_system_key,
     implementation_report_key,
     run_task_key,
     safety_report_key,
@@ -231,6 +232,7 @@ FAMILIES: Dict[str, Callable[[], str]] = {
                                  list(gamma_basic(3, 1).patterns()),
                                  list(enumerate_preferences(3))),
     "system-weighted": _system_with_weights,
+    "context-system": lambda: context_system_key(MinProtocol(1), gamma_min(3, 1)),
     "implementation-report": lambda: implementation_report_key(
         MinProtocol(1), make_p0(3), gamma_min(3, 1), None, 10),
     "safety-report": lambda: safety_report_key(BasicProtocol(1), gamma_basic(3, 1), 10),
@@ -246,6 +248,7 @@ FAMILIES: Dict[str, Callable[[], str]] = {
 #: deliberately instead of re-pinning silently.
 FINGERPRINT = "0" * 64
 GOLDEN = {
+    "context-system": "594622e275f46da8ca7fa6e728faa17a1a9f7806028e24599f20ea93337d3cb3",
     "implementation-report": "4e485c7584fcf0d53c52064e13a310a534848ff93e198e185311a34db15f1f6f",
     "request-run": "4c0bb633b2d0d4f6715e5d5efe99840c23fb0306615af82bf2b310db4edd6d3d",
     "request-sweep": "bd42ae4ec196db02dacc6f90f0df0e557caeb5860dd853bd018904393245bb7d",
