@@ -82,16 +82,36 @@ def check_theorem_a21(n: int = 3, t: int = 1,
                             store=store)
 
 
+def _equivalence_verdict(protocol, context, executor, store) -> bool:
+    """Whether ``P0`` and ``P1`` agree over ``context.build_system(protocol)``.
+
+    With a store, the verdict is cached under
+    :func:`~repro.store.equivalence_report_key`, so a hit builds no system.
+    """
+    from ..store import equivalence_report_key, resolve_store
+    first, second = make_p0(context.n), make_p1(context.n, context.t)
+    resolved_store = resolve_store(store)
+    key = None
+    if resolved_store is not None:
+        key = equivalence_report_key(first, second, protocol, context, None)
+        cached = resolved_store.get(key)
+        if cached is not None:
+            return cached
+    system = context.build_system(protocol, executor=executor, store=resolved_store)
+    verdict = programs_equivalent(first, second, system)
+    if resolved_store is not None and key is not None:
+        resolved_store.put(key, verdict, kind="equivalence-report")
+    return verdict
+
+
 def check_p0_p1_equivalence(n: int = 3, t: int = 1, executor=None,
                             store=None) -> Dict[str, bool]:
     """Section 7: ``P0`` and ``P1`` prescribe the same actions in the limited contexts."""
-    results: Dict[str, bool] = {}
-    system_min = gamma_min(n, t).build_system(MinProtocol(t), executor=executor, store=store)
-    results["gamma_min"] = programs_equivalent(make_p0(n), make_p1(n, t), system_min)
-    system_basic = gamma_basic(n, t).build_system(BasicProtocol(t), executor=executor,
-                                                  store=store)
-    results["gamma_basic"] = programs_equivalent(make_p0(n), make_p1(n, t), system_basic)
-    return results
+    return {
+        "gamma_min": _equivalence_verdict(MinProtocol(t), gamma_min(n, t), executor, store),
+        "gamma_basic": _equivalence_verdict(BasicProtocol(t), gamma_basic(n, t),
+                                            executor, store),
+    }
 
 
 def measure(n: int = 3, t: int = 1, include_equivalence: bool = True,

@@ -23,6 +23,13 @@ at a time, and shares every piece of work that can be shared:
   states, the :class:`~repro.simulation.trace.RoundRecord` — is computed once
   per distinct ``(global state, blocked-edge set)`` class and reused by every
   run in the class;
+* inside a transition, each agent's ``update`` is computed once per distinct
+  local state and inbox: an agent's next state is a function of its state,
+  its action and the messages it received (the ``δ`` of ``E``), its action is
+  a function of its state, and each received message is a function of its
+  sender's state, so the class ids of the agent and of the senders whose
+  message arrived, packed into one integer, name the update
+  (:meth:`BatchSimulator._transition`);
 * each distinct preference vector is validated, and each distinct failure
   pattern compiled into per-round blocked-edge sets (interned to small integer
   ids), once per call, so the round loop never consults
@@ -97,6 +104,10 @@ BatchTask = Tuple[ActionProtocol, int, Tuple[PreferenceVector, ...],
 #: A blocked-edge set for one round: the ``(sender, receiver)`` pairs whose
 #: message is dropped.
 _EdgeSet = frozenset
+
+#: Bits per field of a packed local-update key: raw class ids are ``int32``
+#: (the ``array("i")`` class-id table), so a sender's id + 1 fits.
+_CID_BITS = 32
 
 
 def _index_dtype(count: int) -> "np.dtype[Any]":
@@ -290,6 +301,9 @@ class BatchSimulator:
         #: per agent: id(canonical state) -> raw class id, and raw id -> state.
         self._agent_raw: List[Dict[int, int]] = [dict() for _ in range(n)]
         self._agent_states: List[List[LocalState]] = [[] for _ in range(n)]
+        #: packed (agent, raw class id, delivered senders' raw class ids) ->
+        #: the canonical next local state (see ``_transition``).
+        self._updates: Dict[int, LocalState] = {}
         #: (row, blocked id) -> index of its transition's record in ``_records``.
         self._transitions: Dict[Tuple[int, int], int] = {}
         #: every distinct RoundRecord, in the order the transitions were first
@@ -390,11 +404,23 @@ class BatchSimulator:
         Mirrors :func:`repro.simulation.engine.step` exactly (same evaluation
         order, same error behaviour); computed once per distinct
         ``(row, bid)`` pair and reused by every run in the class.
+
+        Each agent's next state is looked up in ``_updates`` by one packed
+        ``int``: the agent, its raw class id, then per sender that sender's
+        raw class id + 1, or 0 where the inbox slot is ``None``
+        (:data:`_CID_BITS` bits a field).  A canonical state fixes the
+        agent's action (``_act``) and the messages it sends (``_outgoing``),
+        so equal keys are equal ``(state, action, inbox)`` arguments of
+        ``exchange.update`` (equal messages from distinct sender states get
+        distinct keys: one more call, never a wrong state).  ``update`` is
+        called only on a miss, in the same order as the per-run engine, so a
+        raised error is the same.
         """
         n = self.n
         exchange = self.exchange
         states = self._row_states[row]
         blocked = self._blocked_sets[bid]
+        cids = self._cid_table[row * n:(row + 1) * n]
         actions = tuple(self._act_of(states[agent]) for agent in range(n))
         sent: List[Tuple["Message", ...]] = []
         bits_by_sender: List[int] = []
@@ -402,20 +428,28 @@ class BatchSimulator:
             outgoing, bits = self._outgoing_of(states[sender], actions[sender])
             sent.append(outgoing)
             bits_by_sender.append(bits)
+        updates = self._updates
         delivered: List[Tuple["Message", ...]] = []
+        new_states: List[LocalState] = []
         for receiver in range(n):
             inbox: List["Message"] = []
+            key = receiver << _CID_BITS | cids[receiver]
             for sender in range(n):
                 message = sent[sender][receiver]
+                key <<= _CID_BITS
                 if message is not None and (sender, receiver) not in blocked:
                     inbox.append(message)
+                    key |= cids[sender] + 1
                 else:
                     inbox.append(None)
-            delivered.append(tuple(inbox))
-        new_row = self._intern_row(tuple(
-            self._intern_state(exchange.update(states[agent], actions[agent], delivered[agent]))
-            for agent in range(n)
-        ))
+            received = tuple(inbox)
+            delivered.append(received)
+            state = updates.get(key)
+            if state is None:
+                state = updates[key] = self._intern_state(
+                    exchange.update(states[receiver], actions[receiver], received))
+            new_states.append(state)
+        new_row = self._intern_row(tuple(new_states))
         record = RoundRecord(
             round_index=time,
             actions=actions,
@@ -508,6 +542,7 @@ class BatchSimulator:
                 distinct, first, inverse = np.unique(
                     keys, return_index=True, return_inverse=True)
                 round_span.set("distinct", len(distinct))
+                updates_before = len(self._updates)
                 # First-appearance order: transitions are computed, states
                 # interned and errors raised exactly as a per-run loop would.
                 order = np.argsort(first)
@@ -523,6 +558,7 @@ class BatchSimulator:
                         record_rows.append(new_row)
                     indices.append(index)
                     new_rows.append(record_rows[index])
+                round_span.set("updates", len(self._updates) - updates_before)
                 record_of = np.empty(len(distinct), dtype=np.int32)
                 record_of[order] = np.frombuffer(indices, dtype=np.intc)
                 new_row_of = np.empty(len(distinct), dtype=np.int32)

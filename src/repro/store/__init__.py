@@ -30,6 +30,7 @@ from .backends import FilesystemBackend, MemoryBackend, StoreBackend, StoreEntry
 from .caching import (
     CachingExecutor,
     context_system_key,
+    equivalence_report_key,
     implementation_report_key,
     run_task_key,
     safety_report_key,
@@ -63,6 +64,7 @@ __all__ = [
     "context_system_key",
     "default_cache_dir",
     "default_store",
+    "equivalence_report_key",
     "implementation_report_key",
     "resolve_store",
     "run_task_key",

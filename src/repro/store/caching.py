@@ -19,6 +19,10 @@ kind                      keyed by
 ``implementation-report`` (protocol, program, context, max_time,
                           max_mismatches)
 ``safety-report``         (protocol, context, max_violations)
+``equivalence-report``    (first program, second program, protocol, context,
+                          max_time): whether the two programs prescribe the
+                          same actions over the protocol's system in the
+                          context (``programs_equivalent``)
 ========================  =====================================================
 
 — and the :class:`CachingExecutor`, an :class:`~repro.api.executors.Executor`
@@ -114,6 +118,13 @@ def implementation_report_key(protocol, program, context,
 def safety_report_key(protocol, context, max_violations: int) -> str:
     """The content key of a :func:`~repro.kbp.safety.check_safety` report."""
     return content_key("safety-report", protocol, context, max_violations)
+
+
+def equivalence_report_key(first, second, protocol, context,
+                           max_time: Optional[int]) -> str:
+    """The content key of a :func:`~repro.kbp.implementation.programs_equivalent`
+    verdict over ``context.build_system(protocol)``'s system."""
+    return content_key("equivalence-report", first, second, protocol, context, max_time)
 
 
 # ------------------------------------------------------------------ the executor

@@ -355,10 +355,16 @@ class InterpretedSystem:
         from ..logic import words as _words
         return _words.words_to_mask(_words.pack_bits(bits))
 
-    def _mask_of_runs(self, run_flags: Iterable[bool]) -> int:
-        """The bitmask covering every point of the runs whose flag is set (one flag per run)."""
-        flags = np.fromiter(run_flags, dtype=bool, count=len(self.runs))
-        return self._mask_of_points(np.repeat(flags, self.stride))
+    def _mask_of_entries(self, entry_flags: Sequence[bool],
+                         run_entries: "npt.NDArray[Any]") -> int:
+        """The bitmask covering every point of the runs whose run-table entry is flagged.
+
+        ``entry_flags`` holds one flag per entry of a :class:`RunTable` table
+        (its patterns or preference vectors); ``run_entries`` is that table's
+        per-run index array.
+        """
+        flags = np.asarray(entry_flags, dtype=bool)
+        return self._mask_of_points(np.repeat(flags[run_entries], self.stride))
 
     def time_mask(self, time: int) -> int:
         """The bitmask of the points at global time ``time`` (0 outside the horizon)."""
@@ -374,16 +380,20 @@ class InterpretedSystem:
     def nonfaulty_mask(self, agent: int) -> int:
         """The bitmask of the points at which ``agent ∈ N``."""
         if agent not in self._nonfaulty_masks:
-            self._nonfaulty_masks[agent] = self._mask_of_runs(
-                agent not in trace.pattern.faulty for trace in self.runs)
+            table = self.run_table()
+            self._nonfaulty_masks[agent] = self._mask_of_entries(
+                [agent not in pattern.faulty for pattern in table.patterns],
+                table.run_patterns)
         return self._nonfaulty_masks[agent]
 
     def init_mask(self, agent: int, value: Value) -> int:
         """The bitmask of the points at which ``init_agent = value``."""
         key = (agent, value)
         if key not in self._init_masks:
-            self._init_masks[key] = self._mask_of_runs(
-                trace.preferences[agent] == value for trace in self.runs)
+            table = self.run_table()
+            self._init_masks[key] = self._mask_of_entries(
+                [preferences[agent] == value for preferences in table.preferences],
+                table.run_preferences)
         return self._init_masks[key]
 
     def decided_mask(self, agent: int, value: Optional[Value]) -> int:

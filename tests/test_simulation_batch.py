@@ -7,9 +7,10 @@ partitions are identical to those of the per-run oracle (one ``simulate()``
 call per run, wrapped in an :class:`~repro.systems.interpreted.InterpretedSystem`
 that interns lazily).  These tests enforce that promise across the SO / RO / GO
 models and all three paper protocols, plus a randomized scenario sweep, and pin
-the supporting behaviours: duplicate-pattern rejection, in-process chunked
-construction under every executor (with its cancel checkpoint), and the
-symmetry knob of ``build_system_for_model``.
+the supporting behaviours: the local-update memo (one ``update`` call per
+distinct key, errors on the first transition in run order), duplicate-pattern
+rejection, in-process chunked construction under every executor (with its
+cancel checkpoint), and the symmetry knob of ``build_system_for_model``.
 """
 
 import pickle
@@ -20,6 +21,7 @@ import pytest
 
 from repro.api import ParallelExecutor, SerialExecutor
 from repro.core.errors import ConfigurationError, ModelCheckingError, ProtocolError
+from repro.exchange.minimal import MinimalExchange
 from repro.failures.models import (
     GeneralOmissionModel,
     ReceiveOmissionModel,
@@ -29,6 +31,7 @@ from repro.failures.models import (
 from repro.failures.pattern import FailurePattern
 from repro.kbp import check_implements, make_p0
 from repro.logic.words import class_id_dtype
+from repro.obs import trace as obs_trace
 from repro.protocols import BasicProtocol, MinProtocol, OptimalFipProtocol
 from repro.simulation.batch import BatchSimulator, execute_batches, simulate_batch
 from repro.simulation.engine import simulate
@@ -326,6 +329,111 @@ class TestRoundLoop:
         with pytest.raises(ProtocolError) as excinfo:
             simulate_batch(protocol, 3, scenarios, 2)
         assert str(excinfo.value) == errors[0]
+
+
+class _RefusingMinimalExchange(MinimalExchange):
+    """``E_min`` whose ``update`` refuses agent 2's undecided 1-preferring time-1 state.
+
+    The error names the inbox, so two transitions that reach the refused
+    state with different inboxes raise different errors.
+    """
+
+    def update(self, state, action, received):
+        if (state.agent, state.time, state.init, state.decided, state.jd) == (2, 1, 1, None, None):
+            raise ProtocolError(f"refusing {state!r} on {received!r}")
+        return super().update(state, action, received)
+
+
+class _RefusingUpdateProtocol(MinProtocol):
+    def make_exchange(self, n):
+        return _RefusingMinimalExchange(n)
+
+
+#: ``(protocol, context)`` of each exchange class's memo case.
+MEMO_CASES = {
+    "minimal-so-n4": (MinProtocol(1), gamma_min(4, 1)),
+    "basic-go-n3": (BasicProtocol(1), gamma_basic(3, 1, failure_model="general-omission")),
+    "fip-so-n3": (OptimalFipProtocol(1), gamma_fip(3, 1)),
+}
+
+
+class TestLocalUpdateMemo:
+    """``exchange.update`` runs once per distinct (agent state, inbox), in run order."""
+
+    @pytest.mark.parametrize("case", sorted(MEMO_CASES))
+    def test_one_update_call_per_distinct_key(self, case, monkeypatch):
+        protocol, context = MEMO_CASES[case]
+        exchange_class = type(protocol.make_exchange(context.n))
+        calls = 0
+        update = exchange_class.update
+
+        def spy(self, state, action, received):
+            nonlocal calls
+            calls += 1
+            return update(self, state, action, received)
+
+        monkeypatch.setattr(exchange_class, "update", spy)
+        simulator = BatchSimulator(protocol, context.n)
+        traces = simulator.simulate_patterns(
+            context.patterns(), enumerate_preferences(context.n), context.horizon)
+        assert calls == len(simulator._updates)
+        assert calls < len(simulator._records) * context.n
+        # The memoised states are the ones the per-run engine computes.
+        monkeypatch.undo()
+        for trace in traces[::97]:
+            per_run = simulate(protocol, context.n, trace.preferences,
+                               pattern=trace.pattern, horizon=context.horizon)
+            assert pickle.dumps(per_run) == pickle.dumps(trace)
+
+    def test_round_spans_count_the_misses(self, tmp_path):
+        protocol, context = MEMO_CASES["minimal-so-n4"]
+        simulator = BatchSimulator(protocol, context.n)
+        path = tmp_path / "trace.jsonl"
+        obs_trace.enable(path)
+        try:
+            simulator.simulate_patterns(
+                context.patterns(), enumerate_preferences(context.n), context.horizon)
+        finally:
+            obs_trace.disable()
+        rounds = [record["attrs"] for record in obs_trace.read_trace(path)
+                  if record["type"] == "span" and record["name"] == "build.round"]
+        assert len(rounds) == context.horizon
+        assert sum(attrs["updates"] for attrs in rounds) == len(simulator._updates)
+        assert all(0 <= attrs["updates"] <= attrs["distinct"] * context.n
+                   for attrs in rounds)
+
+    def test_refused_update_raises_on_its_first_transition(self):
+        """The refused state is reached by several transitions, with two inboxes.
+
+        Whichever order the scenarios come in, the batch raises the per-run
+        engine's first error; a simulator that already raised raises it again
+        (a refused update is never memoised).
+        """
+        quiet = ((1, 1, 1), None)
+        # Agent 1 decides 0 in round 0 but omits to agent 2, so agent 2 is in
+        # the same state at time 1 while agent 0 decides 0 and tells it.
+        told = ((1, 0, 1), FailurePattern.from_blocked(3, [(0, 1, 2)]))
+        # Another round-0 transition that leaves agent 2 as in ``quiet``.
+        quiet_again = ((1, 1, 1), FailurePattern.from_blocked(3, [(0, 0, 1)]))
+        protocol = _RefusingUpdateProtocol(1)
+
+        def per_run_errors(scenarios):
+            errors = []
+            for preferences, pattern in scenarios:
+                with pytest.raises(ProtocolError) as excinfo:
+                    simulate(protocol, 3, preferences, pattern=pattern, horizon=2)
+                errors.append(str(excinfo.value))
+            return errors
+
+        assert len(set(per_run_errors([quiet, told, quiet_again]))) == 2
+        for scenarios in ([quiet, told], [told, quiet], [told, quiet_again, quiet],
+                          [quiet_again, told]):
+            expected = per_run_errors(scenarios)[0]
+            simulator = BatchSimulator(protocol, 3)
+            for _ in range(2):
+                with pytest.raises(ProtocolError) as excinfo:
+                    simulator.simulate_scenarios(scenarios, 2)
+                assert str(excinfo.value) == expected
 
 
 def _partition_fields(partitions):

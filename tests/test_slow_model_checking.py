@@ -81,7 +81,8 @@ def _peak_rss_mb(script):
 class TestTheoremA21AtN4:
     """Theorem A.21 over the full γ_fip system at n = 4, t = 1 (3 464 local states).
 
-    On a 2-vCPU container the build and check take ~3 s at ~116 MB peak RSS.
+    On a 2-vCPU container the build and check take ~2.8 s at ~117 MB peak RSS
+    (fresh process, imports included).
     """
 
     def test_p_opt_implements_p1_in_gamma_fip_4_1(self):
@@ -103,8 +104,8 @@ class TestTheoremA21AtN5:
     """Theorem A.21 over the full γ_fip system at n = 5, t = 1 (22 570 local states).
 
     The largest full-information check in the repo; the system holds 655 392
-    runs (2 621 568 points).  On a 2-vCPU container the build takes ~72 s and
-    the check ~5 s, at ~1.5 GB peak RSS.
+    runs (2 621 568 points).  On a 2-vCPU container the build and check take
+    ~51 s, at ~1.55 GB peak RSS (fresh process, imports included).
     """
 
     def test_p_opt_implements_p1_in_gamma_fip_5_1(self):
@@ -130,9 +131,10 @@ class TestTheorem65AtN5:
 
     The largest exhaustive check in the repo: 20 481 SO(1) patterns × 32
     preference vectors = 655 392 runs (2 621 568 points).  On a 2-vCPU
-    container the batched build takes ~2 s and peaks at ~260 MB; the
-    per-run engine's sequential simulate() loop takes ~5-7 s at n = 4 alone,
-    and historically n = 4 was the practical ceiling.
+    container the batched build takes ~2.8 s in a fresh process, imports
+    included, and peaks at ~270 MB; the per-run engine's sequential
+    simulate() loop takes ~5-7 s at n = 4 alone, and historically n = 4 was
+    the practical ceiling.
     """
 
     def test_build_peak_rss_stays_under_280_mb(self):

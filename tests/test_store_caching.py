@@ -6,9 +6,10 @@ The pipeline-level correctness properties:
   preserves task order (so cached and uncached sweeps are byte-identical);
 * ``RunSpec.run`` / ``SweepSpec.run`` with a store are warm-idempotent, and an
   interrupted sweep resumes at the first missing key (``missing_tasks``);
-* ``build_system`` / ``check_implements`` / ``check_safety`` consult the
-  store: warm reports are byte-identical to cold ones (Theorems 6.5 / 6.6),
-  and mutating any key-relevant spec field forces a recompute;
+* ``build_system`` / ``check_implements`` / ``check_safety`` and E7's
+  ``P1 ≡ P0`` verdicts consult the store: warm reports are byte-identical to
+  cold ones (Theorems 6.5 / 6.6), a warm verdict builds no system, and
+  mutating any key-relevant spec field forces a recompute;
 * a context-built system is keyed by the context's definition: every
   definition field separates keys, a hit enumerates no pattern and equals a
   fresh build, and a failure model from outside ``repro`` falls back to the
@@ -191,6 +192,23 @@ class TestModelCheckingCaching:
         # No report was read from or written to the store for this call.
         assert store.stats().hits == hits_before
         assert store.stats().by_kind.get("implementation-report") is None
+
+    def test_equivalence_verdicts_served_without_a_build(self, store, monkeypatch):
+        """E7's ``P1 ≡ P0`` rows are report hits: a warm pass builds no system."""
+        cold = implementation_check.check_p0_p1_equivalence(3, 1, store=store)
+        assert cold == {"gamma_min": True, "gamma_basic": True}
+        assert store.stats().by_kind["equivalence-report"] == 2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm equivalence verdict built a system")
+
+        monkeypatch.setattr(EBAContext, "build_system", refuse)
+        warm = implementation_check.check_p0_p1_equivalence(
+            3, 1, store=default_store(store.backend.root))
+        assert warm == cold
+        # Another context is another key: it misses and builds.
+        with pytest.raises(AssertionError, match="built a system"):
+            implementation_check.check_p0_p1_equivalence(3, 0, store=store)
 
     def test_check_safety_warm_equals_cold(self, store):
         context = gamma_basic(3, 1)

@@ -32,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api.specs import SweepSpec
 from repro.core.errors import StoreError
 from repro.failures import FailurePattern
-from repro.kbp.programs import make_p0
+from repro.kbp.programs import make_p0, make_p1
 from repro.protocols import BasicProtocol, MinProtocol
 from repro.service.wire import (
     decode_request,
@@ -46,6 +46,7 @@ from repro.store import (
     code_fingerprint,
     content_key,
     context_system_key,
+    equivalence_report_key,
     implementation_report_key,
     run_task_key,
     safety_report_key,
@@ -236,6 +237,8 @@ FAMILIES: Dict[str, Callable[[], str]] = {
     "implementation-report": lambda: implementation_report_key(
         MinProtocol(1), make_p0(3), gamma_min(3, 1), None, 10),
     "safety-report": lambda: safety_report_key(BasicProtocol(1), gamma_basic(3, 1), 10),
+    "equivalence-report": lambda: equivalence_report_key(
+        make_p0(3), make_p1(3, 1), MinProtocol(1), gamma_min(3, 1), None),
     "request-run": lambda: _request(run_request("basic", 1, 3, [1, 0, 1], _pattern())),
     "request-sweep": lambda: _request(sweep_request(
         [("min", 1), ("basic", 1)], workload={"n": 3, "t": 1, "count": 4, "seed": 11})),
@@ -249,6 +252,7 @@ FAMILIES: Dict[str, Callable[[], str]] = {
 FINGERPRINT = "0" * 64
 GOLDEN = {
     "context-system": "594622e275f46da8ca7fa6e728faa17a1a9f7806028e24599f20ea93337d3cb3",
+    "equivalence-report": "2637d4ce21702cb96e0129148e78a15c4e7a644ff71ad716ec3ba7493a652eab",
     "implementation-report": "4e485c7584fcf0d53c52064e13a310a534848ff93e198e185311a34db15f1f6f",
     "request-run": "4c0bb633b2d0d4f6715e5d5efe99840c23fb0306615af82bf2b310db4edd6d3d",
     "request-sweep": "bd42ae4ec196db02dacc6f90f0df0e557caeb5860dd853bd018904393245bb7d",

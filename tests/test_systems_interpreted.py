@@ -1,6 +1,8 @@
 """Unit tests for interpreted systems and context descriptors."""
 
+import dataclasses
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from repro.logic import words
 from repro.protocols import BasicProtocol, MinProtocol
 from repro.systems import (
     AgentPartition,
+    InterpretedSystem,
     Point,
     PointSet,
     build_system,
@@ -172,6 +175,61 @@ class TestAtomMasksAgainstBigIntReference:
             for value in (None, 0, 1):
                 assert system.decided_mask(agent, value) == _naive_mask(
                     system, lambda point: system.local_state(point, agent).decided == value)
+
+
+
+def _per_run_mask(system, run_flag):
+    """The atom-mask definition over the traces: every point of each flagged run."""
+    run_points = (1 << system.stride) - 1
+    mask = 0
+    for run_index, trace in enumerate(system.runs):
+        if run_flag(trace):
+            mask |= run_points << (run_index * system.stride)
+    return mask
+
+
+def _assert_atoms_match_runs(system):
+    for agent in range(system.n):
+        assert system.nonfaulty_mask(agent) == _per_run_mask(
+            system, lambda trace: agent not in trace.pattern.faulty)
+        for value in (0, 1):
+            assert system.init_mask(agent, value) == _per_run_mask(
+                system, lambda trace: trace.preferences[agent] == value)
+
+
+class TestAtomMasksFromTheRunTable:
+    """``nonfaulty`` and ``init`` masks read the run table; they equal the per-run definition."""
+
+    CONTEXTS = {
+        "min-so": (MinProtocol, gamma_min, "sending-omission"),
+        "basic-ro": (BasicProtocol, gamma_basic, "receive-omission"),
+    }
+
+    @pytest.fixture(params=sorted(CONTEXTS))
+    def built(self, request, n3_system):
+        protocol, context, model = self.CONTEXTS[request.param]
+        return n3_system(protocol(1), context(3, 1, failure_model=model))
+
+    def test_built_system(self, built):
+        _assert_atoms_match_runs(built)
+
+    def test_pickle_round_trip(self, built):
+        _assert_atoms_match_runs(pickle.loads(pickle.dumps(built)))
+
+    def test_shuffled_subset_with_equal_but_distinct_entries(self, built):
+        rng = random.Random(3)
+        runs = rng.sample(built.runs, len(built.runs) // 3)
+        # Every other run gets fresh copies of its preference vector and
+        # pattern, so the table lists equal vectors and patterns more than once.
+        runs = [dataclasses.replace(trace, preferences=tuple(list(trace.preferences)),
+                                    pattern=pickle.loads(pickle.dumps(trace.pattern)))
+                if index % 2 else trace
+                for index, trace in enumerate(runs)]
+        system = InterpretedSystem(n=built.n, horizon=built.horizon, runs=runs)
+        table = system.run_table()
+        assert len(table.preferences) > len(set(table.preferences))
+        assert len(table.patterns) > len(set(table.patterns))
+        _assert_atoms_match_runs(system)
 
 
 class TestAgentPartition:
