@@ -12,14 +12,6 @@ orchestration layer:
    ``ParallelExecutor()`` to use every core);
 3. inspect the traces and check the EBA specification.
 
-Migration note — the legacy entry points map onto the api layer as follows:
-
-* ``simulate(P, n, prefs, pattern)``      → ``RunSpec(P, n, prefs, pattern).run()``
-* ``run_protocol(P, n, prefs, pattern)``  → ``RunSpec(P, n, prefs, pattern).run()``
-* ``run_batch(P, n, scenarios)``          → ``Sweep.of(P).on(scenarios).run().batch(P.name)``
-* ``corresponding_runs(Ps, n, p, f)``     → ``Sweep.of(*Ps).on([(p, f)]).run().corresponding(0)``
-* ``sweep(Ps, n, scenarios)``             → ``Sweep.of(*Ps).on(scenarios).run().batches()``
-
 Run it with:  ``python examples/quickstart.py``
 """
 

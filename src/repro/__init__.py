@@ -42,20 +42,6 @@ Sweeps run several protocols over a whole workload — on all cores, if asked:
 ...            .run(ParallelExecutor()))
 >>> results.compare("P_opt", "P_min").first_dominates
 True
-
-Migrating from the legacy entry points
---------------------------------------
-
-The pre-``repro.api`` functions still work but emit ``DeprecationWarning``:
-
-* ``simulate(P, n, prefs, pattern)``      → ``RunSpec(P, n, prefs, pattern).run()``
-* ``run_protocol(P, n, prefs, pattern)``  → ``RunSpec(P, n, prefs, pattern).run()``
-* ``run_batch(P, n, scenarios)``          → ``Sweep.of(P).on(scenarios).run().batch(P.name)``
-* ``corresponding_runs(Ps, n, p, f)``     → ``Sweep.of(*Ps).on([(p, f)]).run().corresponding(0)``
-* ``sweep(Ps, n, scenarios)``             → ``Sweep.of(*Ps).on(scenarios).run().batches()``
-
-(The low-level engine primitive is still available, non-deprecated, as
-:func:`repro.simulation.engine.simulate`.)
 """
 
 from .analysis import (
@@ -115,13 +101,6 @@ from .protocols import (
     OptimalFipProtocol,
 )
 from .simulation import RoundRecord, RunTrace
-from .simulation.runner import (  # deprecated shims over repro.api
-    corresponding_runs,
-    run_batch,
-    run_protocol,
-    simulate,
-    sweep,
-)
 from .spec import SpecReport, check_eba, require_eba
 
 __version__ = "1.1.0"
@@ -169,17 +148,12 @@ __all__ = [
     "check_eba",
     "compare_protocols",
     "make_model",
-    "corresponding_runs",
     "decide",
     "pairwise_comparison",
     "require_eba",
-    "run_batch",
     "run_metrics",
-    "run_protocol",
     "silent_adversary",
     "silent_receiver_adversary",
-    "simulate",
-    "sweep",
     "zero_chains",
     "__version__",
 ]

@@ -22,8 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING, Tupl
 
 from ..core.types import AgentId
 from ..protocols.base import ActionProtocol
-from ..simulation.runner import Scenario
-from ..simulation.trace import RunTrace
+from ..simulation.trace import RunTrace, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.executors import Executor

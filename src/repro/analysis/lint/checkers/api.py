@@ -1,11 +1,5 @@
 """API: surface-hygiene rules.
 
-**API001** — calls to deprecated shims.  Deprecated symbols are listed per
-defining module (:data:`~..registry.DEPRECATED_SYMBOLS`) and call sites are
-resolved through the file's imports, so ``simulate`` imported from
-``repro.simulation.engine`` (the real engine) is never confused with the
-legacy ``repro.simulation.runner.simulate`` shim.
-
 **API002** — an executor-accepting function that calls another
 executor-accepting function without forwarding its ``executor``.  The callee
 set is discovered project-wide in a pre-pass (every scanned ``def`` with an
@@ -16,10 +10,10 @@ parallel pipeline is caught wherever it happens.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Iterable, Iterator, Optional, Set, Tuple
 
 from ..findings import Finding
-from ..registry import Checker, DEPRECATED_SYMBOLS, FileContext, register
+from ..registry import Checker, FileContext, register
 
 __all__ = ["ApiSurfaceChecker", "index_executor_functions"]
 
@@ -38,47 +32,6 @@ def index_executor_functions(tree: ast.Module) -> Set[str]:
                 and has_executor_param(node):
             names.add(node.name)
     return names
-
-
-def _absolute_module(ctx: FileContext, node: ast.ImportFrom) -> Optional[str]:
-    """Resolve a (possibly relative) ``from ... import`` to a dotted module
-    path using the file's location under the ``repro`` package."""
-    if node.level == 0:
-        return node.module
-    parts = ctx.module_path.split("/")
-    if not parts or parts[0] != "repro":
-        return None
-    package = parts[:-1]  # drop the file name
-    if parts[-1] == "__init__.py":
-        package = parts[:-1]
-    hops = node.level - 1
-    if hops > len(package):
-        return None
-    base = package[:len(package) - hops] if hops else package
-    if node.module:
-        base = base + node.module.split(".")
-    return ".".join(base) if base else None
-
-
-def _deprecated_bindings(ctx: FileContext) -> Dict[str, str]:
-    """Local name -> "module.symbol" for imports of deprecated symbols."""
-    bindings: Dict[str, str] = {}
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ImportFrom):
-            module = _absolute_module(ctx, node)
-            if module is None:
-                continue
-            deprecated = DEPRECATED_SYMBOLS.get(module, ())
-            for alias in node.names:
-                if alias.name in deprecated:
-                    bindings[alias.asname or alias.name] = \
-                        f"{module}.{alias.name}"
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name in DEPRECATED_SYMBOLS:
-                    bindings[(alias.asname or alias.name).split(".")[0]] = \
-                        alias.name
-    return bindings
 
 
 def _call_name(node: ast.Call) -> Optional[Tuple[str, Optional[str]]]:
@@ -140,40 +93,12 @@ def _local_defs_without_executor(tree: ast.Module) -> Set[str]:
 class ApiSurfaceChecker(Checker):
     family = "API"
     codes = {
-        "API001": "call to a deprecated shim outside the shim modules",
         "API002": ("executor-accepting function drops the executor when "
                    "calling an executor-accepting callee"),
     }
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        yield from self._check_deprecated(ctx)
         yield from self._check_executor_threading(ctx)
-
-    def _check_deprecated(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.config.allows(ctx.config.deprecated_allowed, ctx.module_path):
-            return
-        bindings = _deprecated_bindings(ctx)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            named = _call_name(node)
-            if named is not None:
-                base, attr = named
-                if attr is None and base in bindings:
-                    yield ctx.finding(
-                        node, "API001",
-                        f"call to deprecated shim {bindings[base]}; use the "
-                        "RunSpec/Sweep builders")
-                elif attr is not None:
-                    target = bindings.get(base)
-                    module = target if target in DEPRECATED_SYMBOLS else None
-                    if module is None and base in DEPRECATED_SYMBOLS:
-                        module = base
-                    if module and attr in DEPRECATED_SYMBOLS[module]:
-                        yield ctx.finding(
-                            node, "API001",
-                            f"call to deprecated shim {module}.{attr}; use "
-                            "the RunSpec/Sweep builders")
 
     def _check_executor_threading(self, ctx: FileContext) -> Iterator[Finding]:
         callees = set(ctx.project.executor_functions)

@@ -99,15 +99,6 @@ BUILTIN_GUARDS: Mapping[str, GuardSpec] = {
     "MetricsRegistry": _guard(("_lock",), ("_metrics",)),
 }
 
-#: Symbols whose call sites are deprecated, keyed by defining module.  Calls
-#: are resolved through the file's imports, so a same-named symbol imported
-#: from elsewhere (e.g. ``simulation.engine.simulate``) is never flagged.
-DEPRECATED_SYMBOLS: Mapping[str, Tuple[str, ...]] = {
-    "repro.simulation.runner": (
-        "simulate", "run_protocol", "run_batch", "corresponding_runs", "sweep"),
-}
-
-
 @dataclass(frozen=True)
 class LintConfig:
     """Scan-wide policy: which module paths are exempt from which families.
@@ -124,9 +115,6 @@ class LintConfig:
     #: Paths allowed to use the unseeded module-level ``random``.
     random_allowed: Tuple[str, ...] = (
         "repro/workloads/*.py", "repro/testing/*.py")
-    #: Paths allowed to call deprecated shims (the shim modules themselves).
-    deprecated_allowed: Tuple[str, ...] = ("repro/simulation/runner.py",
-                                           "repro/api/specs.py")
     #: Required metric-name prefix and per-kind suffix rules.
     metric_prefix: str = "repro_"
 

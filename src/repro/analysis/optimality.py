@@ -27,7 +27,7 @@ from ..core.types import Action, DECIDE_0, DECIDE_1, NOOP
 from ..exchange.base import LocalState
 from ..protocols.base import ActionProtocol
 from ..simulation.engine import simulate
-from ..simulation.runner import Scenario
+from ..simulation.trace import Scenario
 from ..spec.eba import check_eba
 from ..systems.contexts import EBAContext
 from ..workloads.preferences import enumerate_preferences

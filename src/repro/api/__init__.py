@@ -1,8 +1,7 @@
 """``repro.api`` — the unified experiment-orchestration layer.
 
 This package is the single way runs are specified and executed.  It separates
-three concerns that the legacy entry points (``simulate`` / ``run_protocol`` /
-``run_batch`` / ``corresponding_runs`` / ``sweep``) each re-wired by hand:
+three concerns:
 
 * **What to run** — :class:`RunSpec` and :class:`SweepSpec`, frozen declarative
   descriptions of runs (protocols, system size, workload, horizon, seed),
@@ -15,8 +14,8 @@ three concerns that the legacy entry points (``simulate`` / ``run_protocol`` /
 * **What comes back** — :class:`ResultSet`, which plugs into the analysis
   (:meth:`~ResultSet.compare`, :meth:`~ResultSet.pairwise`), specification
   (:meth:`~ResultSet.check_eba`), and reporting (:meth:`~ResultSet.table`)
-  layers, and can still be viewed through the legacy ``BatchResult`` /
-  dict-of-traces shapes.
+  layers, and can be viewed as one ``BatchResult`` per protocol or as a
+  name→trace dict per scenario.
 
 Typical usage::
 
@@ -29,22 +28,6 @@ Typical usage::
                .with_horizon(5)
                .run(ParallelExecutor()))
     print(results.compare("P_opt", "P_min").summary())
-
-Migration from the legacy entry points
---------------------------------------
-
-====================================  ====================================================
-Legacy call                           ``repro.api`` equivalent
-====================================  ====================================================
-``simulate(P, n, prefs, pat)``        ``RunSpec(P, n, prefs, pat).run()``
-``run_protocol(P, n, prefs, pat)``    ``RunSpec(P, n, prefs, pat).run()``
-``run_batch(P, n, scenarios)``        ``Sweep.of(P).on(scenarios).run().batch(P.name)``
-``corresponding_runs(Ps, n, p, f)``   ``Sweep.of(*Ps).on([(p, f)]).run().corresponding(0)``
-``sweep(Ps, n, scenarios)``           ``Sweep.of(*Ps).on(scenarios).run().batches()``
-====================================  ====================================================
-
-The legacy functions remain importable from :mod:`repro` as deprecated shims
-over this layer.
 """
 
 from typing import Dict, Iterable, Optional, Sequence

@@ -307,8 +307,7 @@ def resolve_executor(executor: Optional[Executor]) -> Executor:
 def executor_from_flags(parallel: bool = False, jobs: Optional[int] = None) -> Executor:
     """Build the backend described by ``--parallel`` / ``--jobs``-style flags.
 
-    The single translation point from user-facing flags to a backend, shared
-    by the CLI and the benchmarks.  Passing ``jobs`` *implies* the parallel
+    The single translation point from the CLI's flags to a backend.  Passing ``jobs`` *implies* the parallel
     backend: ``--jobs 8`` without ``--parallel`` historically fell through to
     a :class:`SerialExecutor` silently, which turned an explicit request for
     eight workers into a serial run with no warning.  Now any ``jobs`` value

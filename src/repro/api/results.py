@@ -1,9 +1,7 @@
 """The unified result container produced by executing a :class:`SweepSpec`.
 
-A :class:`ResultSet` subsumes the two ad-hoc result shapes of the legacy batch
-layer — ``BatchResult`` (one protocol over a workload) and the dict-of-traces
-returned by ``corresponding_runs`` (several protocols on one scenario) — and
-plugs directly into the analysis, specification, and reporting layers:
+A :class:`ResultSet` holds every protocol's trace on every scenario of a sweep
+and plugs directly into the analysis, specification, and reporting layers:
 
 * :meth:`ResultSet.compare` / :meth:`ResultSet.pairwise` feed
   :func:`repro.analysis.compare_traces` (the Section 5 dominance relation);
@@ -12,9 +10,9 @@ plugs directly into the analysis, specification, and reporting layers:
 * :meth:`ResultSet.rows` / :meth:`ResultSet.table` feed
   :func:`repro.reporting.tables.format_table`.
 
-Indexing follows both legacy shapes: ``results["P_min"]`` is the protocol's
-trace tuple (the ``BatchResult`` view) and ``results.corresponding(i)`` is the
-scenario's name→trace mapping (the ``corresponding_runs`` view).
+It can be read by protocol or by scenario: ``results["P_min"]`` is the
+protocol's trace tuple (:meth:`ResultSet.batch` wraps it as a ``BatchResult``)
+and ``results.corresponding(i)`` is the scenario's name→trace mapping.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, TYPE_CHECKING, Tuple
 
 from ..core.errors import ConfigurationError
-from ..simulation.runner import BatchResult, Scenario
-from ..simulation.trace import RunTrace
+from ..simulation.trace import BatchResult, RunTrace, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.dominance import DominanceResult
@@ -98,14 +95,14 @@ class ResultSet:
             )
         return self.traces[0][0]
 
-    # ------------------------------------------------------------------ legacy views
+    # ------------------------------------------------------------------ views
 
     def batch(self, protocol_name: str) -> BatchResult:
-        """One protocol's results in the legacy ``BatchResult`` shape."""
+        """One protocol's results as a ``BatchResult``."""
         return BatchResult(protocol_name=protocol_name, traces=self[protocol_name])
 
     def batches(self) -> Dict[str, BatchResult]:
-        """All results in the legacy ``sweep()`` shape (name → BatchResult)."""
+        """Every protocol's results (name → BatchResult)."""
         return {name: self.batch(name) for name in self.protocol_names}
 
     def corresponding(self, scenario_index: int = 0) -> Dict[str, RunTrace]:

@@ -28,8 +28,7 @@ from ..failures.pattern import FailurePattern
 from ..obs import trace as _trace
 from ..obs.bus import BUS
 from ..protocols.base import ActionProtocol
-from ..simulation.runner import Scenario
-from ..simulation.trace import RunTrace
+from ..simulation.trace import RunTrace, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..store import StoreLike

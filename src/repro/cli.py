@@ -347,7 +347,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     # warm: pre-build the expensive model-checking artifacts for (n, t) so the
     # first real experiment/CI run starts hot.
     from .experiments import implementation_check, safety_check
-    executor = _make_executor(args)
     print(f"warming artifact store at {location} for n={args.n}, t={args.t} ...")
     for label, check in (
         ("Theorem 6.5 (P_min implements P0 in gamma_min)",
@@ -355,7 +354,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         ("Theorem 6.6 (P_basic implements P0 in gamma_basic)",
          implementation_check.check_theorem_6_6),
     ):
-        report = check(args.n, args.t, executor=executor, store=store)
+        report = check(args.n, args.t, store=store)
         print(f"  {label}: {'ok' if report.ok else 'MISMATCHES'} "
               f"({report.checked_states} states)")
     if args.safety:
@@ -363,7 +362,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             ("Definition 6.2 safety in gamma_min", safety_check.check_gamma_min),
             ("Definition 6.2 safety in gamma_basic", safety_check.check_gamma_basic),
         ):
-            report = check(args.n, args.t, executor=executor, store=store)
+            report = check(args.n, args.t, store=store)
             print(f"  {label}: {'safe' if report.safe else 'VIOLATIONS'} "
                   f"({report.points_checked} points)")
     stats = store.stats()
@@ -649,11 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="failure bound for 'warm' (default 1)")
     cache_parser.add_argument("--safety", action="store_true",
                               help="also warm the Definition 6.2 safety reports")
-    cache_parser.add_argument("--parallel", action="store_true",
-                              help="no effect: warming builds systems and runs "
-                                   "the --safety scans in-process")
-    cache_parser.add_argument("--jobs", type=int, default=None,
-                              help="no effect (implies --parallel)")
     cache_parser.set_defaults(handler=_cmd_cache)
 
     from .service.server import DEFAULT_PORT

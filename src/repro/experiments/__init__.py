@@ -16,9 +16,8 @@
 | E12| Failure-model comparison (SO vs RO vs GO)       | :mod:`repro.experiments.failure_model_comparison` |
 
 Each module exposes ``measure``-style functions returning structured rows and a
-``report()`` function rendering a plain-text table; the benchmarks in
-``benchmarks/`` and the example scripts in ``examples/`` are thin wrappers
-around these drivers.
+``report()`` function rendering a plain-text table; the CLI and the example
+scripts in ``examples/`` are thin wrappers around these drivers.
 """
 
 from . import (

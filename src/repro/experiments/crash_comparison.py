@@ -31,7 +31,7 @@ from ..protocols.baselines import NaiveZeroBiasedProtocol
 from ..protocols.pbasic import BasicProtocol
 from ..protocols.pmin import MinProtocol
 from ..reporting.tables import format_table
-from ..simulation.runner import Scenario
+from ..simulation.trace import Scenario
 from ..workloads.preferences import random_preferences
 from ..workloads.scenarios import intro_counterexample
 

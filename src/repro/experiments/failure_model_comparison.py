@@ -39,7 +39,7 @@ from ..protocols.pbasic import BasicProtocol
 from ..protocols.pmin import MinProtocol
 from ..protocols.popt import OptimalFipProtocol
 from ..reporting.tables import format_table
-from ..simulation.runner import Scenario
+from ..simulation.trace import Scenario
 from ..spec.eba import check_agreement, check_termination, check_validity
 from ..systems.contexts import gamma_basic, gamma_min
 from ..workloads.scenarios import (

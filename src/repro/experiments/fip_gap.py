@@ -21,7 +21,7 @@ from ..protocols.pbasic import BasicProtocol
 from ..protocols.pmin import MinProtocol
 from ..protocols.popt import OptimalFipProtocol
 from ..reporting.tables import format_table
-from ..simulation.runner import Scenario
+from ..simulation.trace import Scenario
 from ..workloads.scenarios import random_scenarios, silent_fault_sweep
 
 

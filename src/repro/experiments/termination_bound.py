@@ -23,7 +23,7 @@ from ..protocols.pbasic import BasicProtocol
 from ..protocols.pmin import MinProtocol
 from ..protocols.popt import OptimalFipProtocol
 from ..reporting.tables import format_table
-from ..simulation.runner import Scenario
+from ..simulation.trace import Scenario
 from ..workloads.preferences import enumerate_preferences
 from ..workloads.scenarios import hidden_chain_scenario, random_scenarios
 

@@ -83,11 +83,22 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length")
+        try:
+            length = int(header or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body cannot be delimited, so the connection carries no
+            # further request.
+            self.close_connection = True
+            raise ServiceError(f"invalid Content-Length header {header!r}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ServiceError("empty request body; expected a JSON object")

@@ -223,49 +223,52 @@ def decode_request(data: object) -> JobRequest:
     if not isinstance(data, dict):
         raise ServiceError(f"request body must be a JSON object, got {type(data).__name__}")
     kind = _require(data, "type", "job")
+    try:
+        spec = _decode_spec(kind, data)
+        return JobRequest(kind=kind, spec=spec, key=request_key(kind, spec),
+                          body=data)
+    except ServiceError:
+        raise
+    except Exception as exc:
+        # A wrong-typed field (TypeError) or a spec that fails validation
+        # (ConfigurationError etc.) is a client error too.
+        raise ServiceError(f"invalid {kind} request: {exc}") from exc
+
+
+def _decode_spec(kind: Any, data: JSONObject) -> Any:
+    """The spec object of a ``kind`` request (a :class:`JobRequest`'s ``spec``)."""
     if kind == "run":
-        protocol = decode_protocol(data, "run request")
-        spec: Any = RunSpec(
-            protocol=protocol,
+        return RunSpec(
+            protocol=decode_protocol(data, "run request"),
             n=_require(data, "n", "run request"),
             preferences=tuple(_require(data, "preferences", "run request")),
             pattern=decode_pattern(data.get("pattern"), "run request"),
             horizon=data.get("horizon"),
         )
-    elif kind == "sweep":
+    if kind == "sweep":
         protocols = tuple(decode_protocol(entry, "sweep request")
                           for entry in _require(data, "protocols", "sweep request"))
         if "workload" in data and "scenarios" in data:
             raise ServiceError("sweep request: give either 'scenarios' or "
                                "'workload', not both")
         if "workload" in data:
-            spec = _sweep_from_workload(protocols, data)
-        else:
-            scenarios = tuple(
-                _decode_scenario(entry, index, "sweep request")
-                for index, entry in enumerate(_require(data, "scenarios", "sweep request")))
-            spec = SweepSpec(protocols=protocols,
-                             n=data.get("n") or (len(scenarios[0][0]) if scenarios else 0),
-                             scenarios=scenarios,
-                             horizon=data.get("horizon"),
-                             seed=data.get("seed"))
-    elif kind == "theorem":
+            return _sweep_from_workload(protocols, data)
+        scenarios = tuple(
+            _decode_scenario(entry, index, "sweep request")
+            for index, entry in enumerate(_require(data, "scenarios", "sweep request")))
+        return SweepSpec(protocols=protocols,
+                         n=data.get("n") or (len(scenarios[0][0]) if scenarios else 0),
+                         scenarios=scenarios,
+                         horizon=data.get("horizon"),
+                         seed=data.get("seed"))
+    if kind == "theorem":
         theorem = str(_require(data, "theorem", "theorem request"))
         if theorem not in THEOREMS:
             raise ServiceError(f"unknown theorem {theorem!r}; one of {THEOREMS}")
-        spec = TheoremCheck(theorem=theorem,
+        return TheoremCheck(theorem=theorem,
                             n=_require(data, "n", "theorem request"),
                             t=_require(data, "t", "theorem request"))
-    else:
-        raise ServiceError(f"unknown request kind {kind!r}; one of {REQUEST_KINDS}")
-    try:
-        return JobRequest(kind=kind, spec=spec, key=request_key(kind, spec),
-                          body=data)
-    except ServiceError:
-        raise
-    except Exception as exc:
-        # Spec validation (ConfigurationError etc.) is a client error too.
-        raise ServiceError(f"invalid {kind} request: {exc}") from exc
+    raise ServiceError(f"unknown request kind {kind!r}; one of {REQUEST_KINDS}")
 
 
 def _sweep_from_workload(protocols: Tuple[ActionProtocol, ...],

@@ -4,14 +4,12 @@
 :class:`BatchSimulator` is the batched round-major engine that advances all
 runs of a system together, sharing work across runs (the default for
 exhaustive system construction).  Batch orchestration lives in
-:mod:`repro.api`; the legacy batch helpers in :mod:`repro.simulation.runner`
-are deprecated shims over that layer.
+:mod:`repro.api`.
 """
 
 from .batch import BatchSimulator, BatchTask, execute_batch, execute_batches, simulate_batch
 from .engine import simulate, step
-from .runner import BatchResult, Scenario, corresponding_runs, run_batch, run_protocol, sweep
-from .trace import RoundRecord, RunTrace
+from .trace import BatchResult, RoundRecord, RunTrace, Scenario
 
 __all__ = [
     "BatchResult",
@@ -20,13 +18,9 @@ __all__ = [
     "RoundRecord",
     "RunTrace",
     "Scenario",
-    "corresponding_runs",
     "execute_batch",
     "execute_batches",
-    "run_batch",
-    "run_protocol",
     "simulate",
     "simulate_batch",
     "step",
-    "sweep",
 ]

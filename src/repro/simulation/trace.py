@@ -11,13 +11,16 @@ on traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import ReproError
 from ..core.types import Action, AgentId, PreferenceVector, Value
 from ..exchange.base import LocalState
 from ..exchange.messages import Message
 from ..failures.pattern import FailurePattern
+
+#: A workload item: one initial global state (preferences plus failure pattern).
+Scenario = Tuple[Sequence[int], FailurePattern]
 
 
 @dataclass(frozen=True)
@@ -199,3 +202,17 @@ class RunTrace:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"RunTrace({self.protocol_name}, n={self.n}, horizon={self.horizon}, "
                 f"pattern={self.pattern.describe()!r})")
+
+
+@dataclass(frozen=True)
+class BatchResult:
+    """The traces produced by running one protocol over a workload."""
+
+    protocol_name: str
+    traces: Tuple[RunTrace, ...]
+
+    def __len__(self) -> int:
+        return len(self.traces)
+
+    def __iter__(self):
+        return iter(self.traces)

@@ -35,7 +35,7 @@ from ..failures.adversaries import (
 )
 from ..failures.models import FailureModel, SendingOmissionModel, resolve_model
 from ..failures.pattern import FailurePattern
-from ..simulation.runner import Scenario
+from ..simulation.trace import Scenario
 from .preferences import SeedLike, all_ones, all_zeros, random_preferences, single_zero
 
 

@@ -1,13 +1,5 @@
 """Compliant API usage — nothing may fire here."""
 
-from repro.simulation.engine import simulate
-
-
-def direct_run(protocol, n, preferences, pattern):
-    # The *engine's* simulate is the real implementation, not the shim;
-    # import resolution must keep this clean.
-    return simulate(protocol, n, preferences, pattern)
-
 
 def measure_everything(tasks, executor=None):
     results = []

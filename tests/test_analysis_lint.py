@@ -88,17 +88,12 @@ class TestObsRules:
 class TestApiRules:
     def test_positive_fixture_fires(self):
         result = lint_fixture("api_positive.py")
-        assert rules_in(result) == {"API001", "API002"}
-        messages = [f.message for f in result.findings if f.rule == "API001"]
-        assert any("runner.simulate" in m for m in messages)
-        assert any("runner.run_batch" in m for m in messages)
+        assert rules_in(result) == {"API002"}
         api2 = [f for f in result.findings if f.rule == "API002"]
         assert len(api2) == 1
         assert "run_measurement" in api2[0].message
 
     def test_negative_fixture_is_clean(self):
-        # Critically: simulate imported from simulation.engine (the real
-        # implementation) must not be mistaken for the deprecated shim.
         result = lint_fixture("api_negative.py")
         assert result.findings == []
 

@@ -42,12 +42,15 @@ class TestExecutorEquivalence:
         parallel = spec.run(ParallelExecutor(max_workers=2))
         assert serial == parallel
 
-    def test_fixed_seed_200_scenario_sweep_is_byte_identical_across_backends(self):
+    @pytest.mark.parametrize("n, t, count, seed", [(4, 1, 200, 13), (6, 2, 500, 5)])
+    def test_fixed_seed_sweep_is_byte_identical_across_backends(
+            self, n, t, count, seed):
         import pickle
-        spec = (Sweep.of(MinProtocol(1), BasicProtocol(1))
-                .on_random(4, 1, count=200, seed=13).build())
+        spec = (Sweep.of(MinProtocol(t), BasicProtocol(t))
+                .on_random(n, t, count=count, seed=seed).build())
         serial = spec.run(SerialExecutor())
         parallel = spec.run(ParallelExecutor(max_workers=3, chunksize=7))
+        assert len(serial) == count
         assert serial == parallel
         # Byte-identical contents: every trace serializes to the same bytes.
         # (Whole-ResultSet pickles can differ in memoization topology only:

@@ -116,8 +116,7 @@ class TestBackendFlags:
 
         for argv in (["run", "--jobs", "2"],
                      ["experiment", "e4", "--jobs", "2"],
-                     ["failure-models", "--jobs", "2"],
-                     ["cache", "warm", "--jobs", "2"]):
+                     ["failure-models", "--jobs", "2"]):
             executor = _make_executor(build_parser().parse_args(argv))
             assert isinstance(executor, ParallelExecutor), argv
             assert executor.max_workers == 2, argv

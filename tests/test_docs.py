@@ -1,15 +1,20 @@
-"""The docs stay honest: README doctests run, relative links resolve.
+"""The docs stay honest: README doctests run, relative links resolve, and
+every name a module's ``__all__`` exports exists.
 
-CI's docs job runs the same two checks standalone (``python -m doctest`` and
+CI's docs job runs the first two checks standalone (``python -m doctest`` and
 ``tools/check_links.py``); running them in tier-1 as well means a PR cannot
 land with a rotted quickstart or a dangling link even before CI.
 """
 
 import doctest
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import repro
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,3 +64,14 @@ class TestDocLinks:
             assert (REPO_ROOT / name).exists(), name
         assert "docs/observability.md" in check_links.EXPECTED_PAGES
         assert "docs/static-analysis.md" in check_links.EXPECTED_PAGES
+
+
+class TestPublicSurface:
+    def test_every_all_name_resolves(self):
+        """A re-export left behind by a deletion fails here, not at import time."""
+        modules = [repro] + [importlib.import_module(info.name) for info in
+                             pkgutil.walk_packages(repro.__path__, "repro.")]
+        stale = [f"{module.__name__}.{name}" for module in modules
+                 for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert len(modules) > 50
+        assert not stale, stale

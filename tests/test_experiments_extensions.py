@@ -6,9 +6,11 @@ from repro.experiments import crash_comparison, optimality_probe
 
 
 class TestCrashComparison:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return crash_comparison.measure(n=5, t=2, count=12, seed=17)
+    @pytest.fixture(scope="class", params=[(5, 2, 12), (8, 3, 25)],
+                    ids=lambda p: "n{}_t{}_count{}".format(*p))
+    def rows(self, request):
+        n, t, count = request.param
+        return crash_comparison.measure(n=n, t=t, count=count, seed=17)
 
     def test_naive_protocol_is_correct_under_crashes(self, rows):
         crash_rows = [row for row in rows if row.failure_model.startswith("Crash")]
@@ -29,7 +31,7 @@ class TestCrashComparison:
     def test_termination_bound_respected_under_crashes(self, rows):
         for row in rows:
             if row.protocol in ("P_min", "P_basic"):
-                assert row.worst_decision_round <= 2 + 2
+                assert row.worst_decision_round <= row.t + 2
 
     def test_workload_contains_staircase(self):
         scenarios = crash_comparison.crash_workload(5, 2, count=3, seed=1)
@@ -42,9 +44,18 @@ class TestCrashComparison:
 
 
 class TestOptimalityProbe:
-    def test_pmin_probe_summary(self):
-        report = optimality_probe.probe_pmin(n=3, t=1, max_deviations=8)
-        assert report.deviations_tried == 8
+    # The exhaustive probes take ~10 s each.
+    @pytest.mark.parametrize("probe, max_deviations", [
+        (optimality_probe.probe_pmin, 8),
+        pytest.param(optimality_probe.probe_pmin, None, marks=pytest.mark.slow),
+        pytest.param(optimality_probe.probe_pbasic, None, marks=pytest.mark.slow),
+    ], ids=["pmin_8", "pmin_exhaustive", "pbasic_exhaustive"])
+    def test_probe_summary(self, probe, max_deviations):
+        report = probe(n=3, t=1, max_deviations=max_deviations)
+        if max_deviations is None:
+            assert report.deviations_tried >= 20
+        else:
+            assert report.deviations_tried == max_deviations
         assert report.consistent_with_optimality
 
     def test_summarize_row_accounting(self):

@@ -34,8 +34,9 @@ class TestModelWorkload:
 
 
 class TestBehaviourSweep:
-    def test_paper_protocols_stay_correct_across_models(self):
-        rows = fmc.measure_behaviour(n=4, t=1, count=4, seed=7)
+    @pytest.mark.parametrize("n, t, count, seed", [(4, 1, 4, 7), (8, 2, 25, 23)])
+    def test_paper_protocols_stay_correct_across_models(self, n, t, count, seed):
+        rows = fmc.measure_behaviour(n=n, t=t, count=count, seed=seed)
         assert len(rows) == 9    # 3 models x 3 protocols
         for row in rows:
             assert row.agreement_violations == 0, row

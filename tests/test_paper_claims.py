@@ -1,7 +1,8 @@
 """Integration tests: the paper's headline claims, end to end.
 
-One test per claim, at sizes small enough to run in seconds.  The benchmark
-harness (``benchmarks/``) reports the same quantities at larger sizes.
+One test per claim, at sizes small enough to run in seconds.
+``test_experiments.py`` checks the same quantities through the experiment
+drivers, at larger sizes as well.
 """
 
 import pytest

@@ -15,6 +15,7 @@ Covers the four layers separately and end to end:
 from __future__ import annotations
 
 import json
+import socket
 import threading
 
 import pytest
@@ -105,6 +106,16 @@ class TestWireFormat:
         ({"type": "sweep", "protocols": [{"protocol": "min", "t": 1}],
           "workload": {"n": 3, "t": 1, "count": 2}, "scenarios": []},
          "not both"),
+        # Wrong-typed fields and specs that fail validation.
+        ({"type": "run", "protocol": "min", "t": 1, "n": 3, "preferences": 5},
+         "invalid run request"),
+        ({"type": "sweep", "protocols": 5, "scenarios": []}, "invalid sweep request"),
+        ({"type": "sweep", "protocols": [{"protocol": "min", "t": 1}], "scenarios": 5},
+         "invalid sweep request"),
+        ({"type": "sweep", "protocols": [{"protocol": "min", "t": 1}],
+          "scenarios": [[5, None]]}, "invalid sweep request"),
+        ({"type": "sweep", "protocols": [{"protocol": "min", "t": 1}], "n": "x",
+          "scenarios": [[[1, 1, 1], None]]}, "invalid sweep request"),
     ])
     def test_malformed_bodies_raise_service_error(self, body, fragment):
         with pytest.raises(ServiceError, match=fragment.replace("'", "")):
@@ -293,6 +304,23 @@ class TestJobServer:
         with pytest.raises(ServiceError, match="HTTP 400"):
             client.submit({"type": "run", "protocol": "nope", "t": 1, "n": 3,
                            "preferences": [1, 1, 1]})
+
+    def test_wrong_typed_field_is_http_400(self, client):
+        with pytest.raises(ServiceError, match="HTTP 400"):
+            client.submit({"type": "sweep", "protocols": 5, "scenarios": []})
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_invalid_content_length_is_http_400(self, server, length):
+        """The response comes at once and the server then closes the connection."""
+        body = b'{"type": "run"}'
+        with socket.create_connection(server.address, timeout=3.0) as conn:
+            conn.sendall(b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: " + length.encode() + b"\r\n\r\n" + body)
+            response = b""
+            while chunk := conn.recv(4096):
+                response += chunk
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"Content-Length" in response.split(b"\r\n\r\n", 1)[1]
 
     def test_unknown_job_is_http_404(self, client):
         with pytest.raises(ServiceError, match="HTTP 404"):

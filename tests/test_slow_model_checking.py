@@ -19,22 +19,29 @@ construction engine made reachable at all):
 It checks **Theorem A.21** — ``P_opt`` implements ``P1`` in γ_fip(n, 1), the
 paper's headline full-information claim — at n = 4, with a peak-memory guard,
 and at n = 5.  The n = 4 remainder (program equivalence over both limited
-contexts, the safety condition) and the n = 3 general-omission theorem table
-round out the tier.
+contexts, the safety condition against its per-point oracle) and the n = 3
+general-omission theorem table round out the tier, with two ≥ 5× speed gates:
+a warm store against a cold one, and the batched build against the per-run
+oracle.
 """
 
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.kbp import check_implements, make_p0, make_p1, programs_equivalent
+from repro.kbp.reference import scan_per_point
 from repro.kbp.safety import check_safety
 from repro.protocols import BasicProtocol, MinProtocol
-from repro.systems import gamma_basic, gamma_min
+from repro.simulation.engine import simulate
+from repro.store import default_store
+from repro.systems import InterpretedSystem, gamma_basic, gamma_min
+from repro.workloads.preferences import enumerate_preferences
 
 pytestmark = pytest.mark.slow
 
@@ -118,8 +125,16 @@ class TestTheoremA21AtN5:
 
 class TestSafetyConditionAtN4:
     def test_p0_safe_in_gamma_min_4_1(self):
-        report = check_safety(MinProtocol(1), gamma_min(4, 1))
+        """The vectorized scan and its per-point oracle (~20 s on 2 vCPUs) agree."""
+        context = gamma_min(4, 1)
+        system = context.build_system(MinProtocol(1))
+        report = check_safety(MinProtocol(1), context, system=system)
         assert report.safe, report.violations
+        oracle = scan_per_point(MinProtocol(1), context, system)
+        assert oracle.safe, oracle.violations
+        assert report.points_checked == oracle.points_checked == system.num_points
+        assert report.clause1_checks == oracle.clause1_checks
+        assert report.clause2_checks == oracle.clause2_checks
 
     def test_p0_safe_in_gamma_basic_4_1(self):
         report = check_safety(BasicProtocol(1), gamma_basic(4, 1))
@@ -204,3 +219,69 @@ class TestGeneralOmissionTheoremsAtN3:
         basic = by_claim["Theorem 6.6: P_basic implements P0"]
         assert not basic.holds
         assert basic.mismatches > 0
+
+
+#: The floor of both speed gates below.
+MIN_SPEEDUP = 5.0
+
+
+def _timed(call):
+    """``(result, seconds)`` for one call."""
+    start = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - start
+
+
+class TestStoreSpeedup:
+    """A warm-store Theorem 6.5 check is ≥ 5× faster than the cold one that filled it.
+
+    On a 2-vCPU container the ratio is ~50× at n = 3 and ~200× at n = 4.
+    """
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_warm_check_implements_is_5x_faster_and_identical(self, tmp_path, n):
+        def check():
+            # A fresh handle per call keeps the in-memory LRU out of the warm
+            # timings: key hashing, one disk read, one unpickle.
+            return check_implements(MinProtocol(1), make_p0(n), gamma_min(n, 1),
+                                    store=default_store(tmp_path))
+
+        cold, cold_seconds = _timed(check)
+        assert cold.ok, cold.mismatches
+        warm_runs = [_timed(check) for _ in range(5)]
+        warm_seconds = sum(seconds for _report, seconds in warm_runs) / len(warm_runs)
+        for warm, _seconds in warm_runs:
+            assert warm.ok
+            assert repr(warm) == repr(cold)
+        assert cold_seconds >= MIN_SPEEDUP * warm_seconds, (
+            f"warm {warm_seconds:.4f}s vs cold {cold_seconds:.4f}s")
+
+
+class TestBatchedBuildSpeedup:
+    """The batched γ_min(4, 1) build is ≥ 5× faster than the per-run oracle.
+
+    The oracle is one ``simulate()`` call per run, interned like a built
+    system so both sides do the same work.  On a 2-vCPU container it takes
+    ~8 s against ~0.14 s batched.
+    """
+
+    def test_batched_build_is_5x_faster_than_per_run_at_n4(self):
+        n, protocol = 4, MinProtocol(1)
+
+        def per_run():
+            context = gamma_min(n, 1)
+            prefs = [tuple(p) for p in enumerate_preferences(n)]
+            runs = [simulate(protocol, n, p, pattern=pattern, horizon=context.horizon)
+                    for pattern in context.patterns() for p in prefs]
+            system = InterpretedSystem(n=n, horizon=context.horizon, runs=runs,
+                                       protocol_name=protocol.name)
+            system.intern_states()
+            return system
+
+        oracle, per_run_seconds = _timed(per_run)
+        batched_runs = [_timed(lambda: gamma_min(n, 1).build_system(protocol))
+                        for _ in range(3)]
+        batched_seconds = sum(seconds for _system, seconds in batched_runs) / len(batched_runs)
+        assert len(batched_runs[0][0].runs) == len(oracle.runs)
+        assert per_run_seconds >= MIN_SPEEDUP * batched_seconds, (
+            f"batched {batched_seconds:.2f}s vs per-run {per_run_seconds:.2f}s")
