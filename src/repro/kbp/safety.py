@@ -24,7 +24,7 @@ condition exhaustively over the enumerated system; that is what
 
 The check turns the per-point quantifier alternation into word-array /
 per-class reductions over the whole system at once — "``j`` decides 0 in
-round ``m + 1``" is a shift-and-mask pipeline over the decided masks, "some
+round ``m + 1``" is a shift-and-mask pipeline over the decided word arrays, "some
 indistinguishable point with X" is one ``np.bincount`` class reduction — and
 computes the 0-chain receipt table once per shared round record rather than
 once per run (:func:`_chain_receipt_kernel`), all in-process.  This is what
@@ -274,9 +274,9 @@ def _check_safety_vector(protocol: ActionProtocol, context: EBAContext,
     # A0_j: j decides 0 in round m+1  (⊥ at m, 0 at m+1).
     decides_next = []
     for j in range(n):
-        none_w = _words.mask_to_words(system.decided_mask(j, None), num_points)
-        zero_w = _words.mask_to_words(system.decided_mask(j, 0), num_points)
-        decides_next.append(none_w & _words.shift_down_words(zero_w) & ~final_w)
+        decides_next.append(system.decided_words(j, None)
+                            & _words.shift_down_words(system.decided_words(j, 0))
+                            & ~final_w)
     # B0_j: j decides 0 in round m (the one-step-later shift of A0_j).
     decides_now = [_words.shift_up_words(a0, full_w) & ~initial_w
                    for a0 in decides_next]
@@ -330,9 +330,8 @@ def _check_safety_vector(protocol: ActionProtocol, context: EBAContext,
         clause1_witness = _words.class_any(class_ids, num_classes, all_ones_points)
         clause1_fails = unreceived & ~clause1_witness
 
-        undecided = _words.unpack_words(
-            _words.mask_to_words(system.decided_mask(agent, None), num_points),
-            num_points).astype(bool)
+        undecided = _words.unpack_words(system.decided_words(agent, None),
+                                        num_points).astype(bool)
         knows_no_zero = checker.satisfying_words(Knows(agent, nobody_deciding(n, 0)))
         cannot_rule_out = _words.unpack_words(full_w & ~knows_no_zero,
                                               num_points).astype(bool)

@@ -1,10 +1,10 @@
 """The naive set-based model checker, retained as a differential-testing oracle.
 
 This is the original ``frozenset[Point]`` evaluator that
-:class:`repro.logic.semantics.ModelChecker` replaced with dense bitmasks.  It
+:class:`repro.logic.semantics.ModelChecker` replaced with word arrays.  It
 is deliberately straightforward — every operator materialises explicit sets of
 :class:`~repro.systems.points.Point` objects — so that the property tests can
-assert, constructor by constructor, that the optimised bitset evaluation
+assert, constructor by constructor, that the optimised word-array evaluation
 computes *exactly* the same satisfying sets on randomised small systems (see
 ``tests/test_logic_bitset_reference.py``).
 

@@ -10,13 +10,13 @@ class-mask matrix (or an ``np.bincount`` class reduction when an agent has
 many classes), and :meth:`ModelChecker.counterexamples` recovers failing
 points with ``np.nonzero`` instead of Python bit iteration.
 
-The public API still speaks sets of points:
-:meth:`ModelChecker.satisfying_points` returns a
-:class:`~repro.systems.points.PointSet`, a drop-in stand-in for a
-``frozenset[Point]``.  The straightforward set-based evaluator is retained in
-:mod:`repro.logic.reference` as the ground-truth oracle; the differential
-suite in ``tests/test_logic_bitset_reference.py`` checks the two against each
-other on every formula constructor.
+Word arrays are the checker's only point-set representation;
+:meth:`ModelChecker.satisfying_points` decodes one into a plain
+``frozenset[Point]`` for callers that want explicit points, the same type the
+straightforward set-based evaluator in :mod:`repro.logic.reference` returns.
+That evaluator is the ground-truth oracle; the differential suite in
+``tests/test_logic_bitset_reference.py`` checks the two against each other on
+every formula constructor.
 
 Temporal operators are given the natural *bounded-horizon* semantics: ``⃝ φ``
 is false at the final time of the system (there is no next point), and ``□``,
@@ -35,7 +35,7 @@ import numpy as np
 from ..core.errors import ModelCheckingError
 from ..obs import trace as _trace
 from ..systems.interpreted import InterpretedSystem
-from ..systems.points import Point, PointSet
+from ..systems.points import Point
 from . import words as _words
 from .formula import (
     Always,
@@ -62,7 +62,7 @@ from .formula import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy.typing as npt
 
-__all__ = ["ModelChecker", "PointSet", "holds", "satisfying_points", "valid"]
+__all__ = ["ModelChecker", "holds", "satisfying_points", "valid"]
 
 
 class ModelChecker:
@@ -70,29 +70,22 @@ class ModelChecker:
 
     def __init__(self, system: InterpretedSystem) -> None:
         self.system = system
-        self._cache: Dict[Formula, int] = {}
-        self._wcache: Dict[Formula, "npt.NDArray[Any]"] = {}
+        self._cache: Dict[Formula, "npt.NDArray[Any]"] = {}
         self._full_words: "npt.NDArray[Any]" = system.full_words()
         self._final_words: "npt.NDArray[Any]" = system.time_words(system.horizon)
         self._initial_words: "npt.NDArray[Any]" = system.time_words(0)
 
     # ------------------------------------------------------------------ public API
 
-    def satisfying_points(self, formula: Formula) -> PointSet:
+    def satisfying_points(self, formula: Formula) -> FrozenSet[Point]:
         """The set of points at which ``formula`` holds."""
-        return self.system.point_set(self.satisfying_mask(formula))
-
-    def satisfying_mask(self, formula: Formula) -> int:
-        """The satisfying set as a raw bitmask over the dense point index."""
-        mask = self._cache.get(formula)
-        if mask is None:
-            mask = _words.words_to_mask(self.satisfying_words(formula))
-            self._cache[formula] = mask
-        return mask
+        indices = _words.indices_of_words(self.satisfying_words(formula),
+                                          self.system.num_points)
+        return frozenset(self.system.point_at(int(index)) for index in indices)
 
     def satisfying_words(self, formula: Formula) -> "npt.NDArray[Any]":
         """The satisfying set as a canonical ``uint64`` word array."""
-        result = self._wcache.get(formula)
+        result = self._cache.get(formula)
         if result is None:
             if _trace.is_active():
                 # Guarded: the disabled path must not allocate the attrs
@@ -104,7 +97,7 @@ class ModelChecker:
                         _words.unpack_words(result, self.system.num_points).sum()))
             else:
                 result = self._evaluate_words(formula)
-            self._wcache[formula] = result
+            self._cache[formula] = result
         return result
 
     def holds(self, formula: Formula, point: Point) -> bool:
@@ -156,11 +149,9 @@ class ModelChecker:
         if isinstance(formula, TrueFormula):
             return self._full_words.copy()
         if isinstance(formula, InitEquals):
-            return _words.mask_to_words(
-                system.init_mask(formula.agent, formula.value), system.num_points)
+            return system.init_words(formula.agent, formula.value).copy()
         if isinstance(formula, DecidedEquals):
-            return _words.mask_to_words(
-                system.decided_mask(formula.agent, formula.value), system.num_points)
+            return system.decided_words(formula.agent, formula.value).copy()
         if isinstance(formula, TimeEquals):
             return system.time_words(formula.time).copy()
         if isinstance(formula, IsNonfaulty):
@@ -284,7 +275,7 @@ class ModelChecker:
             current = updated
 
 
-def satisfying_points(system: InterpretedSystem, formula: Formula) -> PointSet:
+def satisfying_points(system: InterpretedSystem, formula: Formula) -> FrozenSet[Point]:
     """One-shot evaluation of ``formula`` on ``system`` (no checker reuse)."""
     return ModelChecker(system).satisfying_points(formula)
 

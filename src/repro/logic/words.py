@@ -1,17 +1,18 @@
 """uint64 word-array kernels behind the model checker and the safety scan.
 
-The interpreted system interns its atoms as dense Python ``int`` bitmasks (bit
-``run * stride + time``) and each agent's indistinguishability classes as a
-point-indexed class-id vector.  This module re-lays the bitmasks as numpy
-``uint64`` word arrays (little endian, point ``p`` lives in bit ``p % 64`` of
-word ``p // 64``) and provides the primitives that
-:class:`~repro.logic.semantics.ModelChecker` and the Definition 6.2 safety scan
-are built from:
+A set of points of an interpreted system is a numpy ``uint64`` word array over
+the dense point index ``run * stride + time`` (little endian: point ``p`` lives
+in bit ``p % 64`` of word ``p // 64``).  The system packs its atoms into such
+arrays straight from per-point bool vectors and keeps each agent's
+indistinguishability classes as a point-indexed class-id vector.  This module
+provides the primitives that :class:`~repro.logic.semantics.ModelChecker` and
+the Definition 6.2 safety scan are built from:
 
-* lossless conversions between ``int`` masks, word arrays, and per-point bit
-  vectors (with careful handling of the garbage tail bits of the last word
-  when the point count is not a multiple of 64 — pinned by the property tests
-  in ``tests/test_properties.py``);
+* packing and unpacking between word arrays and per-point bit vectors (with
+  careful handling of the garbage tail bits of the last word when the point
+  count is not a multiple of 64 — pinned by the property tests in
+  ``tests/test_properties.py``, which use the ``int`` conversions
+  :func:`mask_to_words` / :func:`words_to_mask` as big-integer references);
 * word-level shift pipelines for the temporal operators (cross-word carries;
   callers mask the run boundaries);
 * per-equivalence-class reductions (``class_all`` / ``class_any``) over a

@@ -71,6 +71,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     """Routes HTTP requests onto the owning :class:`JobServer`."""
 
     protocol_version = "HTTP/1.1"
+    #: Seconds a connection may stall on one socket read or write.  A client
+    #: that declares a longer body than it sends gets HTTP 408 after this long
+    #: instead of holding a handler thread until it hangs up.
+    timeout = 10.0
     server: "_ServiceHTTPServer"
 
     # -- plumbing ----------------------------------------------------------
@@ -175,6 +179,13 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 return
             except ServiceError as exc:
                 self._send_json(400, {"error": str(exc)})
+                return
+            except TimeoutError:
+                # The rest of the body may still arrive and would be read
+                # as the next request.
+                self.close_connection = True
+                self._send_json(408, {"error": f"request body not received "
+                                               f"within {self.timeout:g} s"})
                 return
             status = 200 if receipt["state"] == DONE else 202
             self._send_json(status, receipt)

@@ -75,21 +75,10 @@ def sweep_key(spec: "SweepSpec") -> str:
 
 
 def system_key(protocol, n: int, horizon: int, patterns: Sequence,
-               preference_vectors: Sequence,
-               pattern_weights: Optional[Sequence[int]] = None) -> str:
-    """The content key of a built :class:`~repro.systems.interpreted.InterpretedSystem`.
-
-    ``pattern_weights`` (per-pattern orbit multiplicities) is folded in only
-    when present: a symmetry-reduced system carries
-    :attr:`~repro.systems.interpreted.InterpretedSystem.run_weights` metadata
-    and must never alias the exhaustive build of the same pattern list.
-    """
-    if pattern_weights is None:
-        return content_key("system", protocol, n, horizon, tuple(patterns),
-                           tuple(preference_vectors))
+               preference_vectors: Sequence) -> str:
+    """The content key of a built :class:`~repro.systems.interpreted.InterpretedSystem`."""
     return content_key("system", protocol, n, horizon, tuple(patterns),
-                       tuple(preference_vectors),
-                       ("pattern-weights", tuple(pattern_weights)))
+                       tuple(preference_vectors))
 
 
 def context_system_key(protocol, context) -> str:

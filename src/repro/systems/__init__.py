@@ -2,9 +2,9 @@
 
 Index convention: a point ``(r, m)`` — run index ``r``, time ``m`` — maps to
 the dense bit index ``r * (horizon + 1) + m``, run-major and time-minor, in
-exactly the order of ``InterpretedSystem.points``.  Every point set the model
-checker produces (:class:`PointSet`) is a bitmask over that range; see
-``docs/performance.md`` for the full story.
+exactly the order of ``InterpretedSystem.points``.  Every atom and every point
+set the model checker computes is a ``uint64`` word array over that range (see
+:mod:`repro.logic.words` and ``docs/performance.md``).
 """
 
 from .contexts import EBAContext, gamma_basic, gamma_fip, gamma_min
@@ -14,14 +14,13 @@ from .interpreted import (
     build_system,
     build_system_for_model,
 )
-from .points import Point, PointSet
+from .points import Point
 
 __all__ = [
     "AgentPartition",
     "EBAContext",
     "InterpretedSystem",
     "Point",
-    "PointSet",
     "build_system",
     "build_system_for_model",
     "gamma_basic",

@@ -16,9 +16,9 @@ To keep the model checker fast the system *interns* its local states: each
 agent's points are partitioned into indistinguishability classes exactly once
 (hashing every local state once per agent, not once per formula per point).
 The classes are kept as one class id per point, and the atoms ``init_i = v``,
-``decided_i = v``, ``time = k`` and ``i ∈ N`` are cached as dense bitmasks;
-both are indexed by the dense point index ``run_index * (horizon + 1) + time``
-(see :mod:`repro.systems.points`).
+``decided_i = v``, ``time = k`` and ``i ∈ N`` are cached as ``uint64`` word
+arrays (see :mod:`repro.logic.words`); both are indexed by the dense point
+index ``run_index * (horizon + 1) + time``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from ..protocols.base import ActionProtocol
 from ..simulation.batch import BatchSimulator, RunTable
 from ..simulation.trace import RunTrace
 from ..workloads.preferences import enumerate_preferences
-from .points import Point, PointSet
+from .points import Point
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy.typing as npt
@@ -106,12 +106,6 @@ class AgentPartition:
             matrix[cid] = _words.pack_bits(ids == cid)
         return matrix
 
-    @property
-    def class_masks(self) -> Tuple[int, ...]:
-        """``class_masks[cid]``: class ``cid``'s points as an ``int`` bitmask (derived)."""
-        from ..logic import words as _words
-        return tuple(_words.words_to_mask(row) for row in self.class_words())
-
 
 @dataclass
 class InterpretedSystem:
@@ -133,29 +127,16 @@ class InterpretedSystem:
     horizon: int
     runs: List[RunTrace]
     protocol_name: str = ""
-    #: Orbit multiplicities for symmetry-reduced systems: ``run_weights[r]`` is
-    #: the number of full-system runs run ``r`` stands for (``None`` = every
-    #: run counts once, the exhaustive default).  Only counting paths consult
-    #: this; the model checker always treats the runs it has as the system.
-    run_weights: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.run_weights is not None and len(self.run_weights) != len(self.runs):
-            raise ModelCheckingError(
-                f"run_weights has {len(self.run_weights)} entries for "
-                f"{len(self.runs)} runs")
         self._points: Optional[Tuple[Point, ...]] = None
         self._classes: Dict[int, Dict[object, Tuple[Point, ...]]] = {}
         self._partitions: Dict[int, AgentPartition] = {}
-        self._time_masks: Optional[Tuple[int, ...]] = None
-        self._nonfaulty_masks: Dict[int, int] = {}
-        self._init_masks: Dict[Tuple[int, Value], int] = {}
-        self._decided_masks: Dict[Tuple[int, Optional[Value]], int] = {}
-        self._full_mask: Optional[int] = None
-        # numpy word-array views of the int masks above (lazily built, see the
-        # "word-array views" section); keyed by ("full",), ("time", t),
-        # ("nonfaulty", agent), ("matrix", agent).
-        self._word_views: Dict[Tuple, object] = {}
+        # The atoms and class matrices as word arrays (lazily built, see the
+        # "atom word arrays" section); keyed by ("full",), ("time", t),
+        # ("nonfaulty", agent), ("init", agent, value),
+        # ("decided", agent, value) and ("matrix", agent).
+        self._word_views: Dict[Tuple, "npt.NDArray[Any]"] = {}
         self._run_table: Optional[RunTable] = None
 
     def __reduce__(self):
@@ -163,7 +144,7 @@ class InterpretedSystem:
         # thousand round records, and the table is that sharing (see
         # _rebuild_system).  Interned partitions travel with it.
         return (_rebuild_system, (self.n, self.horizon, self.protocol_name,
-                                  self.run_weights, self.run_table(),
+                                  self.run_table(),
                                   dict(sorted(self._partitions.items()))))
 
     # ------------------------------------------------------------------ dense indexing
@@ -178,13 +159,6 @@ class InterpretedSystem:
         """Total number of points: ``len(runs) * (horizon + 1)``."""
         return len(self.runs) * self.stride
 
-    @property
-    def full_mask(self) -> int:
-        """The bitmask with every point set."""
-        if self._full_mask is None:
-            self._full_mask = (1 << self.num_points) - 1
-        return self._full_mask
-
     def point_index(self, point: Point) -> int:
         """The dense index of ``point``: ``run_index * stride + time``."""
         return point[0] * self.stride + point[1]
@@ -192,10 +166,6 @@ class InterpretedSystem:
     def point_at(self, index: int) -> Point:
         """The point with the given dense index."""
         return Point(index // self.stride, index % self.stride)
-
-    def point_set(self, mask: int) -> PointSet:
-        """Wrap a bitmask in a :class:`~repro.systems.points.PointSet` of this system."""
-        return PointSet(mask, len(self.runs), self.stride)
 
     # ------------------------------------------------------------------ points and states
 
@@ -264,7 +234,7 @@ class InterpretedSystem:
         :func:`build_system` calls this so the one unavoidable pass that
         hashes each local state once per agent is accounted to system
         construction, leaving formula evaluation and implementation checks to
-        operate purely on the cached class masks.
+        operate purely on the interned class ids.
         """
         for agent in range(self.n):
             self.partition(agent)
@@ -307,18 +277,6 @@ class InterpretedSystem:
                 f"run table has {table.num_runs} runs, the system {len(self.runs)}")
         self._run_table = table
 
-    @property
-    def weighted_run_count(self) -> int:
-        """The number of full-system runs this system stands for.
-
-        Equal to ``len(runs)`` for exhaustive systems; for symmetry-reduced
-        systems (``run_weights`` set) it is the orbit-weighted total, which
-        matches the run count of the corresponding full enumeration exactly.
-        """
-        if self.run_weights is None:
-            return len(self.runs)
-        return sum(self.run_weights)
-
     def equivalence_classes(self, agent: int) -> Dict[object, Tuple[Point, ...]]:
         """Partition the points by ``agent``'s local state.
 
@@ -347,97 +305,71 @@ class InterpretedSystem:
         key = self.local_state(point, agent)
         return self.equivalence_classes(agent)[key]
 
-    # ------------------------------------------------------------------ atom masks
+    # ------------------------------------------------------------------ atom word arrays
+    #
+    # Each atom is a canonical numpy uint64 word array (see repro.logic.words),
+    # packed straight from a per-point bool vector and cached in _word_views.
+    # Imports are local to avoid a cycle (repro.logic's package init imports
+    # this module).  The returned arrays are shared, so they are read-only: a
+    # caller that wants to modify one takes a copy.
 
-    @staticmethod
-    def _mask_of_points(bits: "npt.NDArray[Any]") -> int:
-        """The bitmask of a per-point bool vector."""
-        from ..logic import words as _words
-        return _words.words_to_mask(_words.pack_bits(bits))
+    def _atom_words(self, key: Tuple, bits: Callable[[], "npt.NDArray[Any]"]):
+        """The cached word array of ``key``, packing ``bits()`` on first use."""
+        words = self._word_views.get(key)
+        if words is None:
+            from ..logic import words as _words
+            words = self._word_views[key] = _words.pack_bits(bits())
+            words.flags.writeable = False
+        return words
 
-    def _mask_of_entries(self, entry_flags: Sequence[bool],
-                         run_entries: "npt.NDArray[Any]") -> int:
-        """The bitmask covering every point of the runs whose run-table entry is flagged.
+    def _run_points(self, entry_flags: Sequence[bool],
+                    run_entries: "npt.NDArray[Any]") -> "npt.NDArray[Any]":
+        """Per-point bool: does the point's run have a flagged run-table entry?
 
         ``entry_flags`` holds one flag per entry of a :class:`RunTable` table
         (its patterns or preference vectors); ``run_entries`` is that table's
         per-run index array.
         """
         flags = np.asarray(entry_flags, dtype=bool)
-        return self._mask_of_points(np.repeat(flags[run_entries], self.stride))
-
-    def time_mask(self, time: int) -> int:
-        """The bitmask of the points at global time ``time`` (0 outside the horizon)."""
-        if self._time_masks is None:
-            times = np.arange(self.stride)
-            self._time_masks = tuple(
-                self._mask_of_points(np.tile(times == time, len(self.runs)))
-                for time in range(self.stride))
-        if 0 <= time < self.stride:
-            return self._time_masks[time]
-        return 0
-
-    def nonfaulty_mask(self, agent: int) -> int:
-        """The bitmask of the points at which ``agent ∈ N``."""
-        if agent not in self._nonfaulty_masks:
-            table = self.run_table()
-            self._nonfaulty_masks[agent] = self._mask_of_entries(
-                [agent not in pattern.faulty for pattern in table.patterns],
-                table.run_patterns)
-        return self._nonfaulty_masks[agent]
-
-    def init_mask(self, agent: int, value: Value) -> int:
-        """The bitmask of the points at which ``init_agent = value``."""
-        key = (agent, value)
-        if key not in self._init_masks:
-            table = self.run_table()
-            self._init_masks[key] = self._mask_of_entries(
-                [preferences[agent] == value for preferences in table.preferences],
-                table.run_preferences)
-        return self._init_masks[key]
-
-    def decided_mask(self, agent: int, value: Optional[Value]) -> int:
-        """The bitmask of the points at which ``decided_agent = value`` (``None`` = ⊥)."""
-        key = (agent, value)
-        if key not in self._decided_masks:
-            partition = self.partition(agent)
-            flags = np.fromiter((state.decided == value for state in partition.class_states),
-                                dtype=bool, count=len(partition.class_states))
-            self._decided_masks[key] = self._mask_of_points(flags[partition.class_ids])
-        return self._decided_masks[key]
-
-    # ------------------------------------------------------------------ word-array views
-    #
-    # numpy uint64 views of the int masks above, for the vectorized model
-    # checker and safety scan (see repro.logic.words).  Imports are local to
-    # avoid a cycle (repro.logic's package init imports this module).  The
-    # returned arrays are cached — callers must treat them as read-only.
+        return np.repeat(flags[run_entries], self.stride)
 
     def full_words(self):
-        """``full_mask`` as a canonical ``uint64`` word array."""
-        key = ("full",)
-        if key not in self._word_views:
-            from ..logic import words as _words
-            self._word_views[key] = _words.full_words(self.num_points)
-        return self._word_views[key]
+        """Every point of the system as a canonical ``uint64`` word array."""
+        return self._atom_words(("full",),
+                                lambda: np.ones(self.num_points, dtype=bool))
 
     def time_words(self, time: int):
-        """``time_mask(time)`` as a word array (the empty set outside the horizon)."""
-        key = ("time", time)
-        if key not in self._word_views:
-            from ..logic import words as _words
-            self._word_views[key] = _words.mask_to_words(self.time_mask(time),
-                                                         self.num_points)
-        return self._word_views[key]
+        """The points at global time ``time`` (the empty set outside the horizon)."""
+        return self._atom_words(("time", time), lambda: np.tile(
+            np.arange(self.stride) == time, len(self.runs)))
 
     def nonfaulty_words(self, agent: int):
-        """``nonfaulty_mask(agent)`` as a word array."""
-        key = ("nonfaulty", agent)
-        if key not in self._word_views:
-            from ..logic import words as _words
-            self._word_views[key] = _words.mask_to_words(self.nonfaulty_mask(agent),
-                                                         self.num_points)
-        return self._word_views[key]
+        """The points at which ``agent ∈ N``."""
+        def bits():
+            table = self.run_table()
+            return self._run_points(
+                [agent not in pattern.faulty for pattern in table.patterns],
+                table.run_patterns)
+        return self._atom_words(("nonfaulty", agent), bits)
+
+    def init_words(self, agent: int, value: Value):
+        """The points at which ``init_agent = value``."""
+        def bits():
+            table = self.run_table()
+            return self._run_points(
+                [preferences[agent] == value for preferences in table.preferences],
+                table.run_preferences)
+        return self._atom_words(("init", agent, value), bits)
+
+    def decided_words(self, agent: int, value: Optional[Value]):
+        """The points at which ``decided_agent = value`` (``None`` = ⊥)."""
+        def bits():
+            partition = self.partition(agent)
+            flags = np.fromiter(
+                (state.decided == value for state in partition.class_states),
+                dtype=bool, count=len(partition.class_states))
+            return flags[partition.class_ids]
+        return self._atom_words(("decided", agent, value), bits)
 
     def partition_words(self, agent: int):
         """``agent``'s classes as a ``(num_classes, num_words)`` word matrix.
@@ -448,9 +380,11 @@ class InterpretedSystem:
         :data:`~repro.logic.words.DENSE_CLASS_LIMIT` classes.
         """
         key = ("matrix", agent)
-        if key not in self._word_views:
-            self._word_views[key] = self.partition(agent).class_words()
-        return self._word_views[key]
+        matrix = self._word_views.get(key)
+        if matrix is None:
+            matrix = self._word_views[key] = self.partition(agent).class_words()
+            matrix.flags.writeable = False
+        return matrix
 
     def class_id_array(self, agent: int):
         """Per-point interned class id of ``agent`` (dense point order, read-only)."""
@@ -463,12 +397,11 @@ class InterpretedSystem:
                 f"runs={len(self.runs)}, protocol={self.protocol_name!r})")
 
 
-def _rebuild_system(n: int, horizon: int, protocol_name: str,
-                    run_weights: Optional[Tuple[int, ...]], table: RunTable,
+def _rebuild_system(n: int, horizon: int, protocol_name: str, table: RunTable,
                     partitions: Dict[int, AgentPartition]) -> InterpretedSystem:
     """Unpickle an :class:`InterpretedSystem`: its traces come from one table gather."""
     system = InterpretedSystem(n=n, horizon=horizon, runs=table.traces(),
-                               protocol_name=protocol_name, run_weights=run_weights)
+                               protocol_name=protocol_name)
     system.adopt_partitions(partitions)
     system.adopt_run_table(table)
     return system
@@ -488,7 +421,7 @@ class DefinedPatterns:
     :func:`build_system` in place of a pattern list: the store keys the system
     by ``key()`` (the context's definition) and ``enumerate()`` runs only on a
     miss, so a store hit neither enumerates nor hashes a single pattern.  It
-    always pairs with the full preference enumeration and no weights.
+    always pairs with the full preference enumeration.
     """
 
     __slots__ = ("enumerate", "key")
@@ -502,28 +435,11 @@ class DefinedPatterns:
         return iter(self.enumerate())
 
 
-def _normalize_patterns(patterns: Iterable[FailurePattern],
-                        pattern_weights: Optional[Sequence[int]],
-                        ) -> Tuple[List[FailurePattern], Optional[List[int]]]:
-    """Validate weights and reject duplicate patterns.
-
-    Returns ``(pattern_list, weights)``: the pattern list in build order and
-    the per-pattern weights (``None`` when every pattern counts once).
-    """
+def _normalize_patterns(patterns: Iterable[FailurePattern]) -> List[FailurePattern]:
+    """The pattern list in build order, rejecting an empty or duplicated one."""
     pattern_list = list(patterns)
     if not pattern_list:
         raise ModelCheckingError("cannot build a system from an empty set of failure patterns")
-    weights: Optional[List[int]] = None
-    if pattern_weights is not None:
-        weights = list(pattern_weights)
-        if len(weights) != len(pattern_list):
-            raise ModelCheckingError(
-                f"pattern_weights has {len(weights)} entries for "
-                f"{len(pattern_list)} patterns")
-        for weight in weights:
-            if not isinstance(weight, int) or weight < 1:
-                raise ModelCheckingError(
-                    f"pattern weights must be positive integers, got {weight!r}")
     seen: Dict[FailurePattern, int] = {}
     for position, pattern in enumerate(pattern_list):
         first = seen.get(pattern)
@@ -535,9 +451,7 @@ def _normalize_patterns(patterns: Iterable[FailurePattern],
                 "tallies"
             )
         seen[pattern] = position
-    if weights is None or all(weight == 1 for weight in weights):
-        return pattern_list, None
-    return pattern_list, weights
+    return pattern_list
 
 
 def build_system(protocol: ActionProtocol, n: int, horizon: int,
@@ -545,7 +459,6 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
                  preference_vectors: Optional[Iterable[PreferenceVector]] = None,
                  executor: Optional["Executor"] = None,
                  store: "StoreLike" = None,
-                 pattern_weights: Optional[Sequence[int]] = None,
                  ) -> InterpretedSystem:
     """Build the interpreted system ``I_{γ, P}`` by simulating every run.
 
@@ -604,19 +517,12 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         :func:`~repro.store.system_key` over the listed patterns, or by a
         :class:`DefinedPatterns`' own definition key.  System construction is the
         repo's exponential hot path, so this is the store's flagship artifact.
-    pattern_weights:
-        Optional per-pattern orbit multiplicities (one positive integer per
-        ``patterns`` entry).  When any weight exceeds 1 the system records
-        per-run weights (:attr:`InterpretedSystem.run_weights`) so counting
-        paths can recover exact full-enumeration totals from a
-        symmetry-reduced build.
     """
     from ..store import system_key
     defined = patterns if isinstance(patterns, DefinedPatterns) else None
-    if defined is not None and (preference_vectors is not None
-                                or pattern_weights is not None):
+    if defined is not None and preference_vectors is not None:
         raise ModelCheckingError(
-            "a context's patterns pair with every preference vector and no weights")
+            "a context's patterns pair with every preference vector")
     if preference_vectors is None:
         preference_vectors = enumerate_preferences(n)
     preference_list = [tuple(vector) for vector in preference_vectors]
@@ -628,24 +534,23 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
             )
     if defined is not None:
         return _build_stored(protocol, n, horizon, preference_list, defined.key,
-                             lambda: _normalize_patterns(defined.enumerate(), None),
+                             lambda: _normalize_patterns(defined.enumerate()),
                              executor=executor, store=store)
-    pattern_list, weights = _normalize_patterns(patterns, pattern_weights)
+    pattern_list = _normalize_patterns(patterns)
     return _build_stored(
         protocol, n, horizon, preference_list,
-        lambda: system_key(protocol, n, horizon, pattern_list, preference_list,
-                           pattern_weights=weights),
-        lambda: (pattern_list, weights), executor=executor, store=store)
+        lambda: system_key(protocol, n, horizon, pattern_list, preference_list),
+        lambda: pattern_list, executor=executor, store=store)
 
 
 def _build_stored(protocol: ActionProtocol, n: int, horizon: int,
                   preference_list: List[PreferenceVector], key: Callable[[], str],
-                  supply: Callable[[], Tuple[List[FailurePattern], Optional[List[int]]]],
+                  supply: Callable[[], List[FailurePattern]],
                   executor: Optional["Executor"], store: "StoreLike",
                   ) -> InterpretedSystem:
     """The one store path of every system build: look ``key()`` up, else build and put.
 
-    ``supply()`` returns the validated ``(pattern_list, weights)`` and is
+    ``supply()`` returns the validated pattern list and is
     called only on a miss (or with no store), so a key that does not list the
     patterns spares a hit their enumeration.
     """
@@ -665,13 +570,9 @@ def _build_stored(protocol: ActionProtocol, n: int, horizon: int,
                 span.set("patterns", len(cached.runs) // len(preference_list))
                 span.set("runs", len(cached.runs))
                 return cached
-        pattern_list, weights = supply()
+        pattern_list = supply()
         span.set("patterns", len(pattern_list))
         span.set("runs", len(pattern_list) * len(preference_list))
-        run_weights: Optional[Tuple[int, ...]] = None
-        if weights is not None:
-            run_weights = tuple(
-                weight for weight in weights for _vector in preference_list)
         checkpoint = getattr(executor, "checkpoint", None)
         with bulk_allocation():
             simulator = BatchSimulator(protocol, n)
@@ -685,8 +586,7 @@ def _build_stored(protocol: ActionProtocol, n: int, horizon: int,
             table = simulator.run_table(runs, horizon)
             with _trace.span("build.intern", "build"):
                 system = InterpretedSystem(n=n, horizon=horizon, runs=runs,
-                                           protocol_name=protocol.name,
-                                           run_weights=run_weights)
+                                           protocol_name=protocol.name)
                 system.adopt_partitions(partitions)
                 system.adopt_run_table(table)
                 system.intern_states()
@@ -695,40 +595,12 @@ def _build_stored(protocol: ActionProtocol, n: int, horizon: int,
         return system
 
 
-#: The symmetry-handling modes of :func:`build_system_for_model`.
-SYMMETRY_MODES = ("none", "reduce")
-
-
 def build_system_for_model(protocol: ActionProtocol, model: FailureModel, horizon: int,
                            max_faulty: Optional[int] = None,
                            executor: Optional["Executor"] = None,
-                           store: "StoreLike" = None,
-                           symmetry: str = "none") -> InterpretedSystem:
-    """Convenience wrapper: build the system for every pattern of a failure model.
-
-    ``symmetry`` selects how the model's agent-permutation symmetry is used:
-
-    * ``"none"`` (default) — enumerate patterns in the model's native slot
-      order (byte-compatible with every earlier build);
-    * ``"reduce"`` — build only one representative per orbit and record the
-      orbit sizes as :attr:`InterpretedSystem.run_weights`.  The reduced
-      system has ~``1/n!`` of the runs; agent-symmetric counting statistics
-      (run totals, violation counts, message tallies) recover exact
-      full-enumeration values by weighting, because the full preference
-      enumeration makes every orbit member's runs a relabelling of the
-      representative's.  Epistemic checks over a reduced system are *not*
-      equivalent to the full system — use it for counting, not knowledge.
-    """
-    if symmetry not in SYMMETRY_MODES:
-        raise ModelCheckingError(
-            f"unknown symmetry mode {symmetry!r}; use one of {SYMMETRY_MODES}")
-    if symmetry == "none":
-        patterns: Iterable[FailurePattern] = model.enumerate(
-            horizon) if max_faulty is None else model.enumerate(horizon, max_faulty=max_faulty)
-        weights = None
-    else:
-        orbits = list(model.enumerate_orbits(horizon, max_faulty=max_faulty))
-        patterns = [orbit.representative for orbit in orbits]
-        weights = [orbit.size for orbit in orbits]
+                           store: "StoreLike" = None) -> InterpretedSystem:
+    """Convenience wrapper: build the system for every pattern of a failure model."""
+    patterns: Iterable[FailurePattern] = model.enumerate(
+        horizon) if max_faulty is None else model.enumerate(horizon, max_faulty=max_faulty)
     return build_system(protocol, model.n, horizon, patterns, executor=executor,
-                        store=store, pattern_weights=weights)
+                        store=store)

@@ -1,20 +1,15 @@
-"""Points of an interpreted system, and bitset-backed point sets.
+"""Points of an interpreted system.
 
 A *point* is a pair ``(run, time)``.  Runs are identified by their index in the
 system's run list, so a point is the hashable pair ``(run_index, time)``.
-
-Point sets produced by the model checker are represented *densely*: point
-``(r, m)`` maps to bit ``r * stride + m`` (where ``stride = horizon + 1``) of a
-single Python ``int``, so the Boolean connectives are machine-word operations
-instead of hash-set traversals.  :class:`PointSet` wraps such a bitmask in the
-full immutable-set interface, so code written against the previous
-``frozenset[Point]`` representation keeps working unchanged.
+Point ``(r, m)`` has the dense index ``r * (horizon + 1) + m``; the model
+checker keeps sets of points as ``uint64`` word arrays over that index (see
+:mod:`repro.logic.words`) and hands them out as ``frozenset[Point]``.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import AbstractSet, Iterator, NamedTuple, Tuple
+from typing import NamedTuple
 
 
 class Point(NamedTuple):
@@ -25,175 +20,3 @@ class Point(NamedTuple):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"(r{self.run_index}, {self.time})"
-
-
-def iter_mask_points(mask: int, stride: int) -> Iterator[Point]:
-    """Yield the points of a bitmask in dense-index (system) order."""
-    if mask <= 0:
-        return
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    for byte_index, byte in enumerate(data):
-        if not byte:
-            continue
-        base = byte_index << 3
-        while byte:
-            low = byte & -byte
-            index = base + low.bit_length() - 1
-            yield Point(index // stride, index % stride)
-            byte ^= low
-
-
-class PointSet(AbstractSet[Point]):
-    """An immutable set of points backed by a dense bitmask.
-
-    Behaves like a ``frozenset[Point]`` (membership, iteration, the set
-    operators and comparisons, hashing) but stores one bit per point of the
-    owning system.  Operations between two :class:`PointSet` instances of the
-    same shape are single big-integer operations; mixing with ordinary sets
-    falls back to ``frozenset`` semantics and returns a ``frozenset``.
-
-    Iteration visits points in dense-index order — run-major, time-minor —
-    which is exactly the order of ``InterpretedSystem.points``.
-    """
-
-    __slots__ = ("_mask", "_num_runs", "_stride")
-
-    def __init__(self, mask: int, num_runs: int, stride: int) -> None:
-        if mask < 0:
-            raise ValueError("a PointSet mask must be non-negative")
-        self._mask = mask
-        self._num_runs = num_runs
-        self._stride = stride
-
-    # ------------------------------------------------------------------ accessors
-
-    @property
-    def mask(self) -> int:
-        """The underlying bitmask (bit ``r * stride + m`` ⇔ point ``(r, m)``)."""
-        return self._mask
-
-    @property
-    def stride(self) -> int:
-        """Bits per run: ``horizon + 1``."""
-        return self._stride
-
-    def _same_shape(self, other: "PointSet") -> bool:
-        return self._stride == other._stride and self._num_runs == other._num_runs
-
-    # ------------------------------------------------------------------ container protocol
-
-    def __contains__(self, point: object) -> bool:
-        try:
-            run_index, time = point  # type: ignore[misc]
-        except (TypeError, ValueError):
-            return False
-        if not (isinstance(run_index, int) and isinstance(time, int)):
-            return False
-        if not (0 <= run_index < self._num_runs and 0 <= time < self._stride):
-            return False
-        return bool(self._mask >> (run_index * self._stride + time) & 1)
-
-    def __iter__(self) -> Iterator[Point]:
-        return iter_mask_points(self._mask, self._stride)
-
-    def __len__(self) -> int:
-        return self._mask.bit_count()
-
-    def first(self, limit: int) -> Tuple[Point, ...]:
-        """The first ``limit`` points in dense-index order."""
-        return tuple(islice(self, limit))
-
-    # ------------------------------------------------------------------ set operators
-
-    def _wrap(self, mask: int) -> "PointSet":
-        return PointSet(mask, self._num_runs, self._stride)
-
-    def __and__(self, other):
-        if isinstance(other, PointSet) and self._same_shape(other):
-            return self._wrap(self._mask & other._mask)
-        if isinstance(other, AbstractSet):
-            return frozenset(self) & frozenset(other)
-        return NotImplemented
-
-    __rand__ = __and__
-
-    def __or__(self, other):
-        if isinstance(other, PointSet) and self._same_shape(other):
-            return self._wrap(self._mask | other._mask)
-        if isinstance(other, AbstractSet):
-            return frozenset(self) | frozenset(other)
-        return NotImplemented
-
-    __ror__ = __or__
-
-    def __xor__(self, other):
-        if isinstance(other, PointSet) and self._same_shape(other):
-            return self._wrap(self._mask ^ other._mask)
-        if isinstance(other, AbstractSet):
-            return frozenset(self) ^ frozenset(other)
-        return NotImplemented
-
-    __rxor__ = __xor__
-
-    def __sub__(self, other):
-        if isinstance(other, PointSet) and self._same_shape(other):
-            return self._wrap(self._mask & ~other._mask)
-        if isinstance(other, AbstractSet):
-            return frozenset(self) - frozenset(other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, AbstractSet):
-            return frozenset(other) - frozenset(self)
-        return NotImplemented
-
-    def isdisjoint(self, other) -> bool:
-        if isinstance(other, PointSet) and self._same_shape(other):
-            return not self._mask & other._mask
-        return super().isdisjoint(other)
-
-    # ------------------------------------------------------------------ comparisons
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PointSet) and self._same_shape(other):
-            return self._mask == other._mask
-        if isinstance(other, AbstractSet):
-            return len(other) == len(self) and all(point in self for point in other)
-        return NotImplemented
-
-    def __le__(self, other) -> bool:
-        if isinstance(other, PointSet) and self._same_shape(other):
-            return self._mask & ~other._mask == 0
-        if isinstance(other, AbstractSet):
-            return all(point in other for point in self)
-        return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, PointSet) and self._same_shape(other):
-            return self._mask != other._mask and self._mask & ~other._mask == 0
-        if isinstance(other, AbstractSet):
-            return len(self) < len(other) and self.__le__(other)
-        return NotImplemented
-
-    def __ge__(self, other) -> bool:
-        if isinstance(other, PointSet) and self._same_shape(other):
-            return other._mask & ~self._mask == 0
-        if isinstance(other, AbstractSet):
-            return all(point in self for point in other)
-        return NotImplemented
-
-    def __gt__(self, other) -> bool:
-        if isinstance(other, PointSet) and self._same_shape(other):
-            return self._mask != other._mask and other._mask & ~self._mask == 0
-        if isinstance(other, AbstractSet):
-            return len(self) > len(other) and self.__ge__(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # frozenset-compatible: equal sets hash equal across representations.
-        return self._hash()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        preview = ", ".join(repr(point) for point in self.first(6))
-        suffix = ", ..." if len(self) > 6 else ""
-        return f"PointSet({{{preview}{suffix}}}, size={len(self)})"

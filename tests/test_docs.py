@@ -10,6 +10,7 @@ import doctest
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,3 +76,42 @@ class TestPublicSurface:
                  for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert len(modules) > 50
         assert not stale, stale
+
+
+#: Names deleted from the library.  Extend the tuple with every later deletion
+#: so docs, examples and source cannot keep naming what is gone.
+REMOVED_NAMES = (
+    "PointSet", "iter_mask_points", "satisfying_mask", "time_mask",
+    "nonfaulty_mask", "init_mask", "decided_mask", "full_mask", "class_masks",
+    "point_set", "run_weights", "weighted_run_count", "pattern_weights",
+    "SYMMETRY_MODES",
+)
+
+
+def _current_text_files():
+    """README, docs, examples and library source; CHANGES/ROADMAP/BENCH are history."""
+    yield REPO_ROOT / "README.md"
+    yield from sorted((REPO_ROOT / "docs").glob("*.md"))
+    yield from sorted((REPO_ROOT / "examples").rglob("*.py"))
+    yield from sorted((REPO_ROOT / "src").rglob("*.py"))
+
+
+_REMOVED_NAME = re.compile(r"\b(?:" + "|".join(map(re.escape, REMOVED_NAMES)) + r")\b")
+
+
+class TestRemovedNames:
+    def test_no_removed_name_is_mentioned(self):
+        hits = []
+        for path in _current_text_files():
+            text = path.read_text(encoding="utf-8")
+            for number, line in enumerate(text.splitlines(), 1):
+                hits.extend(f"{path.relative_to(REPO_ROOT)}:{number}: {match}"
+                            for match in _REMOVED_NAME.findall(line))
+        assert not hits, "\n".join(hits)
+
+    def test_pattern_matches_whole_names_only(self):
+        assert _REMOVED_NAME.findall("system.time_mask(0) | PointSet(bits)") == [
+            "time_mask", "PointSet"]
+        assert _REMOVED_NAME.findall("`SYMMETRY_MODES`, run_weights=") == [
+            "SYMMETRY_MODES", "run_weights"]
+        assert not _REMOVED_NAME.findall("time_words(0) PointSets my_full_mask_x")

@@ -20,6 +20,7 @@ forced via :data:`repro.logic.words.DENSE_CLASS_LIMIT`).
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.failures import SendingOmissionModel
@@ -115,11 +116,12 @@ def assert_agreement(system, reference, word_checker, formula, limit=4):
     """Both checkers agree on the satisfying set and every derived API."""
     expected = reference.satisfying_points(formula)
     via_words = word_checker.satisfying_points(formula)
+    assert type(via_words) is frozenset, formula
     assert via_words == expected, formula
-    assert expected == via_words, formula  # reflected comparison path
-    assert frozenset(via_words) == expected, formula
-    assert word_checker.satisfying_mask(formula) == sum(
-        1 << system.point_index(point) for point in expected), formula
+    bits = np.zeros(system.num_points, dtype=bool)
+    bits[[system.point_index(point) for point in expected]] = True
+    assert np.array_equal(word_checker.satisfying_words(formula),
+                          words.pack_bits(bits)), formula
     assert word_checker.valid(formula) == reference.valid(formula), formula
     expected_cx = reference.counterexamples(formula, limit=limit)
     assert word_checker.counterexamples(formula, limit=limit) == expected_cx, formula

@@ -169,9 +169,12 @@ class TestHelpers:
         assert checker.counterexamples(formula, limit=7) == expected[:7]
         assert checker.counterexamples(formula, limit=10**9) == expected
 
-    def test_satisfying_points_iterate_in_system_point_order(self, small_system, checker):
-        points = list(checker.satisfying_points(Not(TimeEquals(0))))
-        assert points == [point for point in small_system.points if point.time != 0]
+    def test_satisfying_points_is_a_frozenset_of_points(self, small_system, checker):
+        points = checker.satisfying_points(Not(TimeEquals(0)))
+        assert type(points) is frozenset
+        assert points == frozenset(
+            point for point in small_system.points if point.time != 0)
+        assert all(type(point) is Point for point in points)
 
     def test_module_level_helpers(self, small_system):
         assert valid(small_system, TRUE)

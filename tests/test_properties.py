@@ -296,8 +296,8 @@ class TestCounterexampleScanProperties:
         result = word_checker.counterexamples(formula, limit=limit)
         # Limit: never more than asked for, and exactly the failing-point
         # count when that is smaller.
-        failing_total = system.num_points - bin(
-            word_checker.satisfying_mask(formula)).count("1")
+        failing_total = system.num_points - int(words.unpack_words(
+            word_checker.satisfying_words(formula), system.num_points).sum())
         assert len(result) == min(limit, failing_total)
         # Ordering: strictly increasing dense indices — sorted, no duplicates.
         indices = [system.point_index(point) for point in result]

@@ -6,8 +6,8 @@ from and what the Definition 6.2 receipt kernel reads.  These tests pin:
 * the store round trip of built systems — per-trace pickles, partitions and
   the number of distinct round records survive ``_encode``/``_decode``, and
   re-encoding the decoded system gives the same bytes;
-* ``run_weights`` of a symmetry-reduced build, and systems whose runs have
-  several headers, survive it too;
+* systems whose runs have several headers survive it too, and a decoded
+  system packs the same word atoms as the original;
 * the encoding is the same in every process (no ``id()``-ordered table);
 * the table ``build_system`` hands over and the one a system computes from
   its traces give the same receipts and both round-trip;
@@ -26,14 +26,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.failures.models import SendingOmissionModel
 from repro.kbp.safety import _chain_receipt_kernel
 from repro.protocols import BasicProtocol, MinProtocol, OptimalFipProtocol
 from repro.simulation.batch import RunTable
 from repro.store import store as store_module
 from repro.systems import (
     InterpretedSystem,
-    build_system_for_model,
     gamma_basic,
     gamma_fip,
     gamma_min,
@@ -77,8 +75,8 @@ def _partitions(system):
 def test_built_system_round_trips(case, n3_system):
     system = _build(case, n3_system)
     clone = _round_trip(system)
-    assert (clone.n, clone.horizon, clone.protocol_name, clone.run_weights) == (
-        system.n, system.horizon, system.protocol_name, system.run_weights)
+    assert (clone.n, clone.horizon, clone.protocol_name) == (
+        system.n, system.horizon, system.protocol_name)
     # The whole run list pickles identically: every trace, and the sharing
     # between traces.  Per-trace pickles are compared on a ~1 000-run sample
     # (all 98 312 GO(1) runs would take seconds).
@@ -90,16 +88,6 @@ def test_built_system_round_trips(case, n3_system):
     assert _distinct_records(clone) == len(system.run_table().records)
     encoded = pickle.dumps(system)
     assert pickle.dumps(pickle.loads(encoded)) == encoded
-
-
-def test_symmetry_reduced_run_weights_round_trip():
-    system = build_system_for_model(MinProtocol(1), SendingOmissionModel(n=3, t=1),
-                                    horizon=3, symmetry="reduce")
-    assert system.run_weights is not None
-    clone = _round_trip(system)
-    assert clone.run_weights == system.run_weights
-    assert clone.weighted_run_count == system.weighted_run_count
-    assert _trace_bytes(clone) == _trace_bytes(system)
 
 
 def test_runs_with_several_headers_round_trip():
@@ -115,6 +103,25 @@ def test_runs_with_several_headers_round_trip():
     assert [trace.protocol_name for trace in clone.runs] == [
         trace.protocol_name for trace in mixed]
     assert _trace_bytes(clone) == _trace_bytes(system)
+
+
+def test_round_trip_rebuilds_every_word_atom(n3_system):
+    """Atoms are not pickled; the decoded system packs equal ones from its table."""
+    system = n3_system(MinProtocol(1), gamma_min(3, 1))
+
+    def atoms(built):
+        return ([built.full_words()]
+                + [built.time_words(time) for time in range(built.stride)]
+                + [atom for agent in range(built.n) for atom in (
+                    built.nonfaulty_words(agent), built.init_words(agent, 0),
+                    built.init_words(agent, 1), built.decided_words(agent, None),
+                    built.decided_words(agent, 0), built.decided_words(agent, 1))])
+
+    expected = atoms(system)
+    clone = _round_trip(system)
+    assert not clone._word_views
+    assert all(np.array_equal(left, right) for left, right in zip(atoms(clone), expected))
+    assert len(atoms(clone)) == len(expected)
 
 
 #: Encodes the n=3 γ_min system and prints the payload's sha256.

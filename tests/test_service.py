@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -39,6 +40,7 @@ from repro.service import (
     sweep_request,
     theorem_request,
 )
+from repro.service import server as server_module
 from repro.service.jobs import CANCELLED, DONE, FAILED, QUEUED, RUNNING
 from repro.store import ArtifactStore, default_store, run_task_key, sweep_key
 
@@ -321,6 +323,40 @@ class TestJobServer:
                 response += chunk
         assert response.startswith(b"HTTP/1.1 400 ")
         assert b"Content-Length" in response.split(b"\r\n\r\n", 1)[1]
+
+    def test_stalled_body_is_http_408(self, server, monkeypatch):
+        """A body shorter than its Content-Length times out instead of hanging."""
+        monkeypatch.setattr(server_module._ServiceHandler, "timeout", 0.2)
+        body = b'{"type": "run"}'
+        with socket.create_connection(server.address, timeout=3.0) as conn:
+            started = time.monotonic()
+            conn.sendall(b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: 100\r\n\r\n" + body)
+            response = b""
+            while chunk := conn.recv(4096):
+                response += chunk
+            elapsed = time.monotonic() - started
+        assert response.startswith(b"HTTP/1.1 408 ")
+        assert b"Connection: close" in response.split(b"\r\n\r\n", 1)[0]
+        assert elapsed < 2.0
+
+    def test_body_sent_in_pieces_within_the_timeout_is_served(self, server, monkeypatch):
+        """A body that arrives in several pieces before the timeout is assembled."""
+        monkeypatch.setattr(server_module._ServiceHandler, "timeout", 2.0)
+        body = json.dumps(tiny_run_body()).encode()
+        third = len(body) // 3 + 1
+        with socket.create_connection(server.address, timeout=10.0) as conn:
+            conn.sendall(b"POST /jobs HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+                         b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n")
+            for start in range(0, len(body), third):
+                time.sleep(0.05)
+                conn.sendall(body[start:start + third])
+            response = b""
+            while chunk := conn.recv(4096):
+                response += chunk
+        assert response.startswith((b"HTTP/1.1 200 ", b"HTTP/1.1 202 "))
+        receipt = json.loads(response.split(b"\r\n\r\n", 1)[1])
+        assert receipt["job"] == decode_request(tiny_run_body()).key
 
     def test_unknown_job_is_http_404(self, client):
         with pytest.raises(ServiceError, match="HTTP 404"):

@@ -9,8 +9,8 @@ that interns lazily).  These tests enforce that promise across the SO / RO / GO
 models and all three paper protocols, plus a randomized scenario sweep, and pin
 the supporting behaviours: the local-update memo (one ``update`` call per
 distinct key, errors on the first transition in run order), duplicate-pattern
-rejection, in-process chunked construction under every executor (with its
-cancel checkpoint), and the symmetry knob of ``build_system_for_model``.
+rejection, and in-process chunked construction under every executor (with its
+cancel checkpoint).
 """
 
 import pickle
@@ -131,9 +131,8 @@ class TestEngineEquivalenceInBuildSystem:
         for agent in range(3):
             fast = batched.partition(agent)
             slow = per_run.partition(agent)
-            assert fast.class_masks == slow.class_masks
-            assert fast.class_states == slow.class_states
-            assert fast.class_first_indices == slow.class_first_indices
+            assert fast == slow
+            assert np.array_equal(fast.class_words(), slow.class_words())
 
     @pytest.mark.parametrize("model_name", CONTEXT_MODELS)
     def test_theorem_reports_identical_across_engines(self, model_name):
@@ -436,13 +435,8 @@ class TestLocalUpdateMemo:
                 assert str(excinfo.value) == expected
 
 
-def _partition_fields(partitions):
-    return [(part.class_states, part.class_masks, part.class_first_indices)
-            for part in partitions]
-
-
 def _system_partitions(system):
-    return _partition_fields(map(system.partition, range(system.n)))
+    return [system.partition(agent) for agent in range(system.n)]
 
 
 class _CheckpointCounter:
@@ -487,8 +481,8 @@ class TestExecutorBatchFanOut:
         assert len(patterns) > 2 * interpreted.BUILD_CHUNK_PATTERNS
         reference = context.build_system(MinProtocol(1))
         assert _trace_bytes(reference.runs) == _trace_bytes(one_pass)
-        assert (_system_partitions(reference)
-                == _partition_fields(one_pass_partitions.values()))
+        assert _system_partitions(reference) == [
+            one_pass_partitions[agent] for agent in range(reference.n)]
         guard = _CancelGuard(None, Job(decode_request(run_request("min", 1, 3, [1, 0, 1]))))
         for executor in (SerialExecutor(), ParallelExecutor(max_workers=2, chunksize=1),
                          guard):
@@ -551,38 +545,3 @@ class TestValidation:
     def test_negative_horizon_rejected(self):
         with pytest.raises(ConfigurationError, match="horizon"):
             simulate_batch(MinProtocol(1), 3, [((1, 1, 1), None)], -1)
-
-    def test_bad_pattern_weights_rejected(self):
-        patterns = [FailurePattern.failure_free(3)]
-        with pytest.raises(ModelCheckingError, match="weights"):
-            build_system(MinProtocol(1), 3, 2, patterns, pattern_weights=[1, 2])
-        with pytest.raises(ModelCheckingError, match="positive"):
-            build_system(MinProtocol(1), 3, 2, patterns, pattern_weights=[0])
-
-
-class TestSymmetryModes:
-    def test_reduce_records_exact_weighted_run_count(self):
-        model = SendingOmissionModel(n=3, t=1)
-        full = build_system_for_model(MinProtocol(1), model, 2)
-        reduced = build_system_for_model(MinProtocol(1), model, 2, symmetry="reduce")
-        assert len(reduced.runs) < len(full.runs)
-        assert reduced.run_weights is not None
-        assert reduced.weighted_run_count == full.weighted_run_count == len(full.runs)
-
-    def test_unknown_symmetry_mode_rejected(self):
-        with pytest.raises(ModelCheckingError, match="symmetry"):
-            build_system_for_model(MinProtocol(1), SendingOmissionModel(n=3, t=1), 2,
-                                   symmetry="fold")
-
-    def test_reduced_system_keys_distinct_from_exhaustive(self, tmp_path):
-        """A reduced build must not alias the plain build of the same patterns."""
-        from repro.store import default_store
-        store = default_store(tmp_path)
-        model = SendingOmissionModel(n=3, t=1)
-        orbits = list(model.enumerate_orbits(2))
-        representatives = [orbit.representative for orbit in orbits]
-        reduced = build_system_for_model(MinProtocol(1), model, 2,
-                                         symmetry="reduce", store=store)
-        plain = build_system(MinProtocol(1), 3, 2, representatives, store=store)
-        assert reduced.run_weights is not None
-        assert plain.run_weights is None

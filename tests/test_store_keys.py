@@ -213,15 +213,6 @@ def _request(body: Dict[str, object]) -> str:
     return request_key(request.kind, request.spec)
 
 
-def _system_with_weights() -> str:
-    context = gamma_min(3, 1)
-    orbits = list(context.orbits())
-    return system_key(MinProtocol(1), 3, context.horizon,
-                      [orbit.representative for orbit in orbits],
-                      list(enumerate_preferences(3)),
-                      pattern_weights=[orbit.size for orbit in orbits])
-
-
 #: One key per artifact family at n=3, built through its public key function.
 FAMILIES: Dict[str, Callable[[], str]] = {
     "run": lambda: run_task_key((MinProtocol(1), 3, (0, 1, 1), _pattern(), None)),
@@ -232,7 +223,6 @@ FAMILIES: Dict[str, Callable[[], str]] = {
     "system": lambda: system_key(BasicProtocol(1), 3, gamma_basic(3, 1).horizon,
                                  list(gamma_basic(3, 1).patterns()),
                                  list(enumerate_preferences(3))),
-    "system-weighted": _system_with_weights,
     "context-system": lambda: context_system_key(MinProtocol(1), gamma_min(3, 1)),
     "implementation-report": lambda: implementation_report_key(
         MinProtocol(1), make_p0(3), gamma_min(3, 1), None, 10),
@@ -261,7 +251,6 @@ GOLDEN = {
     "run": "e2109b0695e81fb1f43fe09c4b086223d6e50fc04123632698c66268b1e73dea",
     "safety-report": "d60f913d5d3bfe51a84e6ae83a93588e7ad4cbd159ad616ea8fbd287564606fb",
     "system": "19da6c3235ef40aabb34e16ad1a7347740062d87798285a24101b53225c9f4b8",
-    "system-weighted": "40e1252285d59403de962fba8c9f9b318f84012ea9096e89e92bb7157e294b07",
 }
 
 

@@ -16,7 +16,6 @@ from repro.systems import (
     AgentPartition,
     InterpretedSystem,
     Point,
-    PointSet,
     build_system,
     build_system_for_model,
     gamma_basic,
@@ -81,69 +80,50 @@ class TestDenseIndexing:
             assert system.point_index(point) == index
             assert system.point_at(index) == point
         assert system.num_points == len(system.points)
-        assert system.full_mask == (1 << system.num_points) - 1
+        assert np.array_equal(system.full_words(), words.full_words(system.num_points))
 
-    def test_class_masks_partition_the_full_mask(self):
+    def test_class_words_partition_the_full_set(self):
         model = SendingOmissionModel(n=3, t=1)
         system = build_system_for_model(MinProtocol(1), model, horizon=2)
         for agent in range(3):
             partition = system.partition(agent)
-            union = 0
-            for mask in partition.class_masks:
-                assert union & mask == 0  # disjoint
-                union |= mask
-            assert union == system.full_mask
-            # The first index is the lowest set bit of the class mask.
-            for mask, first in zip(partition.class_masks, partition.class_first_indices):
-                assert mask & -mask == 1 << first
+            union = words.zero_words(system.num_points)
+            for row in partition.class_words():
+                assert not (union & row).any()  # disjoint
+                union |= row
+            assert np.array_equal(union, system.full_words())
+            # The first index is the lowest set bit of the class row.
+            for row, first in zip(partition.class_words(),
+                                  partition.class_first_indices):
+                assert words.indices_of_words(row, system.num_points)[0] == first
             assert system.class_id_array(agent) is partition.class_ids
 
-    def test_atom_masks_match_pointwise_definitions(self):
+    def test_atom_words_match_pointwise_definitions(self):
         model = SendingOmissionModel(n=3, t=1)
         system = build_system_for_model(MinProtocol(1), model, horizon=2)
+
+        def members(atom):
+            return words.unpack_words(atom, system.num_points).astype(bool).tolist()
+
         for agent in range(3):
-            nonfaulty = system.point_set(system.nonfaulty_mask(agent))
-            init_zero = system.point_set(system.init_mask(agent, 0))
-            undecided = system.point_set(system.decided_mask(agent, None))
-            for point in system.points:
-                assert (point in nonfaulty) == (agent in system.nonfaulty(point))
-                assert (point in init_zero) == (system.run(point).preferences[agent] == 0)
-                assert (point in undecided) == (
+            nonfaulty = members(system.nonfaulty_words(agent))
+            init_zero = members(system.init_words(agent, 0))
+            undecided = members(system.decided_words(agent, None))
+            for index, point in enumerate(system.points):
+                assert nonfaulty[index] == (agent in system.nonfaulty(point))
+                assert init_zero[index] == (system.run(point).preferences[agent] == 0)
+                assert undecided[index] == (
                     system.local_state(point, agent).decided is None)
         for time in range(system.horizon + 1):
-            at_time = system.point_set(system.time_mask(time))
-            assert at_time == frozenset(
-                point for point in system.points if point.time == time)
-        assert system.time_mask(system.horizon + 5) == 0
-
-    def test_point_set_operators(self):
-        model = SendingOmissionModel(n=3, t=0)
-        system = build_system_for_model(MinProtocol(0), model, horizon=1)
-        everything = system.point_set(system.full_mask)
-        at_zero = system.point_set(system.time_mask(0))
-        at_one = system.point_set(system.time_mask(1))
-        assert isinstance(at_zero | at_one, PointSet)
-        assert (at_zero | at_one) == everything
-        assert (at_zero & at_one) == frozenset()
-        assert at_zero.isdisjoint(at_one)
-        assert (everything - at_one) == at_zero
-        assert (at_zero ^ everything) == at_one
-        assert at_zero <= everything
-        assert at_zero < everything
-        assert everything >= at_one
-        assert everything > at_one
-        assert not at_zero < at_zero
-        assert hash(at_zero) == hash(frozenset(at_zero))
-        assert "not a point" not in at_zero
+            assert members(system.time_words(time)) == [
+                point.time == time for point in system.points]
+        assert not system.time_words(system.horizon + 5).any()
 
 
-def _naive_mask(system, predicate):
-    """Big-int reference: set bit ``index`` for every point satisfying ``predicate``."""
-    mask = 0
-    for index, point in enumerate(system.points):
-        if predicate(point):
-            mask |= 1 << index
-    return mask
+def _naive_words(system, predicate):
+    """Per-point reference: pack the bit of every point satisfying ``predicate``."""
+    return words.pack_bits(np.array([predicate(point) for point in system.points],
+                                    dtype=bool))
 
 
 def _odd_sized_system(num_patterns, num_preferences, horizon=2):
@@ -157,48 +137,44 @@ def _odd_sized_system(num_patterns, num_preferences, horizon=2):
     return system
 
 
-class TestAtomMasksAgainstBigIntReference:
-    """The numpy-built atom masks equal a per-point big-int reference."""
+class TestAtomWordsAgainstPerPointReference:
+    """The numpy-built atom word arrays equal a naive per-point reference."""
 
     @pytest.mark.parametrize("num_patterns, num_preferences", [(5, 3), (23, 5), (1, 1)])
-    def test_masks_equal_reference(self, num_patterns, num_preferences):
+    def test_words_equal_reference(self, num_patterns, num_preferences):
         system = _odd_sized_system(num_patterns, num_preferences)
+        assert np.array_equal(system.full_words(), _naive_words(system, lambda point: True))
         for time in range(-1, system.stride + 1):
-            assert system.time_mask(time) == _naive_mask(
-                system, lambda point: point.time == time)
+            assert np.array_equal(system.time_words(time), _naive_words(
+                system, lambda point: point.time == time))
         for agent in range(system.n):
-            assert system.nonfaulty_mask(agent) == _naive_mask(
-                system, lambda point: agent in system.run(point).nonfaulty)
+            assert np.array_equal(system.nonfaulty_words(agent), _naive_words(
+                system, lambda point: agent in system.run(point).nonfaulty))
             for value in (0, 1):
-                assert system.init_mask(agent, value) == _naive_mask(
-                    system, lambda point: system.run(point).preferences[agent] == value)
+                assert np.array_equal(system.init_words(agent, value), _naive_words(
+                    system, lambda point: system.run(point).preferences[agent] == value))
             for value in (None, 0, 1):
-                assert system.decided_mask(agent, value) == _naive_mask(
-                    system, lambda point: system.local_state(point, agent).decided == value)
+                assert np.array_equal(system.decided_words(agent, value), _naive_words(
+                    system, lambda point: system.local_state(point, agent).decided == value))
 
 
-
-def _per_run_mask(system, run_flag):
-    """The atom-mask definition over the traces: every point of each flagged run."""
-    run_points = (1 << system.stride) - 1
-    mask = 0
-    for run_index, trace in enumerate(system.runs):
-        if run_flag(trace):
-            mask |= run_points << (run_index * system.stride)
-    return mask
+def _per_run_words(system, run_flag):
+    """The atom definition over the traces: every point of each flagged run."""
+    return words.pack_bits(np.repeat([run_flag(trace) for trace in system.runs],
+                                     system.stride).astype(bool))
 
 
 def _assert_atoms_match_runs(system):
     for agent in range(system.n):
-        assert system.nonfaulty_mask(agent) == _per_run_mask(
-            system, lambda trace: agent not in trace.pattern.faulty)
+        assert np.array_equal(system.nonfaulty_words(agent), _per_run_words(
+            system, lambda trace: agent not in trace.pattern.faulty))
         for value in (0, 1):
-            assert system.init_mask(agent, value) == _per_run_mask(
-                system, lambda trace: trace.preferences[agent] == value)
+            assert np.array_equal(system.init_words(agent, value), _per_run_words(
+                system, lambda trace: trace.preferences[agent] == value))
 
 
 class TestAtomMasksFromTheRunTable:
-    """``nonfaulty`` and ``init`` masks read the run table; they equal the per-run definition."""
+    """``nonfaulty`` and ``init`` atoms read the run table; they equal the per-run definition."""
 
     CONTEXTS = {
         "min-so": (MinProtocol, gamma_min, "sending-omission"),
@@ -230,6 +206,34 @@ class TestAtomMasksFromTheRunTable:
         assert len(table.preferences) > len(set(table.preferences))
         assert len(table.patterns) > len(set(table.patterns))
         _assert_atoms_match_runs(system)
+
+
+#: Each word atom by name: a function of a built system returning it.
+ATOMS = {
+    "full": lambda system: system.full_words(),
+    "time": lambda system: system.time_words(1),
+    "nonfaulty": lambda system: system.nonfaulty_words(2),
+    "init": lambda system: system.init_words(0, 1),
+    "decided": lambda system: system.decided_words(1, None),
+}
+
+
+class TestAtomWordCache:
+    """Each atom is packed once, into one cache, and handed out read-only."""
+
+    @pytest.mark.parametrize("atom", sorted(ATOMS))
+    def test_atom_is_packed_once_and_read_only(self, atom):
+        system = _odd_sized_system(5, 3)
+        first = ATOMS[atom](system)
+        assert ATOMS[atom](system) is first
+        assert [view for view in system._word_views.values() if view is first] == [first]
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0
+        scratch = first.copy()
+        scratch &= 0
+        assert not scratch.any()
+        assert np.array_equal(ATOMS[atom](system), first)
 
 
 class TestAgentPartition:
