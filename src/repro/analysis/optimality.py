@@ -21,13 +21,13 @@ states, not just the handful of named baselines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.types import Action, DECIDE_0, DECIDE_1, NOOP
 from ..exchange.base import LocalState
 from ..protocols.base import ActionProtocol
-from ..simulation.engine import simulate
-from ..simulation.trace import Scenario
+from ..simulation.batch import BatchSimulator
+from ..simulation.trace import RunTrace, Scenario
 from ..spec.eba import check_eba
 from ..systems.contexts import EBAContext
 from ..workloads.preferences import enumerate_preferences
@@ -114,12 +114,16 @@ def reachable_states(protocol: ActionProtocol, n: int, scenarios: Iterable[Scena
     Only states at times strictly below ``horizon`` are returned (a deviation at
     the final time cannot make any decision earlier).
     """
+    traces = BatchSimulator(protocol, n).simulate_scenarios(list(scenarios), horizon)
+    return _undecided_states(traces, horizon)
+
+
+def _undecided_states(traces: Sequence[RunTrace], horizon: int) -> List[LocalState]:
+    """The distinct undecided states of ``traces`` at times below ``horizon``, in run order."""
     seen: Dict[LocalState, None] = {}
-    for preferences, pattern in scenarios:
-        trace = simulate(protocol, n, preferences, pattern, horizon=horizon)
+    for trace in traces:
         for time in range(horizon):
-            for agent in range(n):
-                state = trace.state_of(agent, time)
+            for state in trace.states_at(time):
                 if state.decided is None:
                     seen.setdefault(state, None)
     return list(seen)
@@ -160,48 +164,31 @@ def probe_optimality(protocol: ActionProtocol, context: EBAContext,
         scenarios = context_scenarios(context)
     horizon = context.horizon
     n = context.n
-    base_traces = [
-        simulate(protocol, n, preferences, pattern, horizon=horizon)
-        for preferences, pattern in scenarios
-    ]
+    base_traces = BatchSimulator(protocol, n).simulate_scenarios(scenarios, horizon)
     report = OptimalityProbeReport(
         protocol_name=protocol.name,
         context_name=context.name,
         scenarios=len(scenarios),
     )
-    states = reachable_states(protocol, n, scenarios, horizon)
-    for state in states:
+    for state in _undecided_states(base_traces, horizon):
         original_action = protocol.act(state)
         for candidate_action in earlier_decision_candidates(original_action):
             if max_deviations is not None and report.deviations_tried >= max_deviations:
                 return report
             deviant = _DeviatingProtocol(protocol, state, candidate_action)
-            violating_runs = 0
-            deviant_traces = []
-            for (preferences, pattern) in scenarios:
-                trace = simulate(deviant, n, preferences, pattern, horizon=horizon)
-                deviant_traces.append(trace)
-                if not check_eba(trace).ok:
-                    violating_runs += 1
-            if violating_runs:
-                outcome = DeviationOutcome(
-                    state=state,
-                    original_action=original_action,
-                    deviating_action=candidate_action,
-                    violates_spec=True,
-                    strictly_dominates=False,
-                    violating_runs=violating_runs,
-                )
-            else:
-                comparison = compare_traces(deviant_traces, base_traces)
-                outcome = DeviationOutcome(
-                    state=state,
-                    original_action=original_action,
-                    deviating_action=candidate_action,
-                    violates_spec=False,
-                    strictly_dominates=comparison.first_strictly_dominates,
-                    violating_runs=0,
-                )
+            deviant_traces = BatchSimulator(deviant, n).simulate_scenarios(scenarios, horizon)
+            violating_runs = sum(not check_eba(trace).ok for trace in deviant_traces)
+            # A deviation that breaks the spec is not compared: it cannot refute.
+            strictly_dominates = not violating_runs and compare_traces(
+                deviant_traces, base_traces).first_strictly_dominates
+            outcome = DeviationOutcome(
+                state=state,
+                original_action=original_action,
+                deviating_action=candidate_action,
+                violates_spec=violating_runs > 0,
+                strictly_dominates=strictly_dominates,
+                violating_runs=violating_runs,
+            )
             report.deviations_tried += 1
             report.outcomes.append(outcome)
     return report

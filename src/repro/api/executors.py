@@ -1,32 +1,26 @@
 """Pluggable execution backends for run specs.
 
 An :class:`Executor` turns a sequence of *run tasks* — ``(protocol, n,
-preferences, pattern, horizon)`` tuples, the pure-data description of one call
-to the simulation engine — into the corresponding sequence of
-:class:`~repro.simulation.trace.RunTrace` objects, **in the same order**.  That
-ordering contract is what lets :meth:`repro.api.specs.SweepSpec.run` produce
-identical :class:`~repro.api.results.ResultSet` contents on every backend: the
-executor only decides *where* runs execute, never what the result looks like.
+preferences, pattern, horizon)`` tuples, the pure-data description of one run —
+into the corresponding sequence of :class:`~repro.simulation.trace.RunTrace`
+objects, **in the same order**.  That ordering contract is what lets
+:meth:`repro.api.specs.SweepSpec.run` produce identical
+:class:`~repro.api.results.ResultSet` contents on every backend: the executor
+only decides *where* runs execute, never what the result looks like.  Either
+way the runs come from the batched engine,
+:func:`~repro.simulation.batch.simulate_tasks`.
 
 Two backends are provided:
 
 * :class:`SerialExecutor` — runs everything in-process; the default.
-* :class:`ParallelExecutor` — fans tasks out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`; worthwhile for large sweeps
-  because every run is an independent, deterministic, CPU-bound simulation.
+* :class:`ParallelExecutor` — fans contiguous task chunks out over a
+  :class:`concurrent.futures.ProcessPoolExecutor`; each chunk is one
+  ``simulate_tasks`` call in a worker.
 
-Both backends additionally implement ``scan_runs``, which applies a per-run
-scan kernel over a finished system (see :mod:`repro.api.scans`); the parallel
-backend shards it across forked workers through shared memory.  No library
-code calls it any more: the Definition 6.2 safety scan computes its receipts
-in-process, once per shared round record.  ``run_tasks`` for sweeps is the
-fan-out that pays.  System construction
-(:func:`repro.systems.interpreted.build_system`) always runs in-process through
-one :class:`~repro.simulation.batch.BatchSimulator`: it only asks the executor
-for an optional ``checkpoint()`` hook, called before each construction chunk
-(the job service's cooperative cancel).  Both backends keep ``run_batches``
-(batched-construction work items, :data:`~repro.simulation.batch.BatchTask`),
-which no library code calls any more.
+System construction (:func:`repro.systems.interpreted.build_system`) always
+runs in-process through one :class:`~repro.simulation.batch.BatchSimulator`: it
+only asks the executor for an optional ``checkpoint()`` hook, called before
+each construction chunk (the job service's cooperative cancel).
 
 Tasks and traces cross process boundaries by pickling, which every protocol,
 failure pattern, and trace in the library supports (they are plain dataclasses
@@ -36,56 +30,37 @@ and plain classes).
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import List, Optional, Protocol, Sequence, runtime_checkable
 
 from ..core.errors import ConfigurationError
-from ..failures.pattern import FailurePattern
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..obs.bus import BUS, ProgressReporter
-from ..protocols.base import ActionProtocol
-from ..simulation.batch import BatchTask, execute_batches
-from ..simulation.engine import simulate
+from ..simulation.batch import RunTask, simulate_tasks
 from ..simulation.trace import RunTrace
 
 _POOL_REBUILDS = _metrics.counter(
     "repro_pool_rebuilds_total",
     "Broken process pools rebuilt mid-sweep by ParallelExecutor")
 
-#: The pure-data description of one simulation run:
-#: ``(protocol, n, preferences, pattern, horizon)``.
-RunTask = Tuple[ActionProtocol, int, Sequence[int], Optional[FailurePattern], Optional[int]]
-
 
 def execute_task(task: RunTask) -> RunTrace:
-    """Execute one run task with the simulation engine.
-
-    Module-level (rather than a method) so process-pool workers can import it
-    by qualified name when unpickling work items.
-    """
-    protocol, n, preferences, pattern, horizon = task
-    return simulate(protocol, n, preferences, pattern=pattern, horizon=horizon)
+    """Execute one run task with the batched engine."""
+    return simulate_tasks([task])[0]
 
 
 def _execute_task_chunk(tasks: Sequence[RunTask]) -> List[RunTrace]:
     """One pool work item: a contiguous chunk of run tasks, in order.
 
+    Module-level so process-pool workers can import it by qualified name.
     Runs worker-side: the span (when tracing is on — fork children inherit
     the enabled tracer) lands in the same trace file as the parent's, under
     the child's pid.
     """
     if not _trace.is_active():
-        return [execute_task(task) for task in tasks]
+        return simulate_tasks(tasks)
     with _trace.span("exec.chunk", "exec", {"tasks": len(tasks)}):
-        return [execute_task(task) for task in tasks]
-
-
-def _execute_batch_chunk(batches: Sequence[BatchTask]) -> List[RunTrace]:
-    """One pool work item: a contiguous chunk of batch tasks, in order."""
-    if not _trace.is_active():
-        return execute_batches(batches)
-    with _trace.span("exec.chunk", "exec", {"batches": len(batches)}):
-        return execute_batches(batches)
+        return simulate_tasks(tasks)
 
 
 @runtime_checkable
@@ -103,24 +78,10 @@ class Executor(Protocol):
 
 
 class SerialExecutor:
-    """Run every task in the calling process, one after another."""
+    """Run every task in the calling process."""
 
     def run_tasks(self, tasks: Sequence[RunTask]) -> List[RunTrace]:
-        return [execute_task(task) for task in tasks]
-
-    def run_batches(self, batches: Sequence[BatchTask]) -> List[RunTrace]:
-        """Run batched-construction work items in-process, in order.
-
-        Consecutive batches of the same ``(protocol, n)`` share one
-        :class:`~repro.simulation.batch.BatchSimulator`, so chunking loses
-        none of the cross-run sharing.
-        """
-        return execute_batches(batches)
-
-    def scan_runs(self, system, kernel, *, row_shape=(), dtype="int16"):
-        """Apply a per-run scan kernel in-process (see :mod:`repro.api.scans`)."""
-        from .scans import scan_runs
-        return scan_runs(system, kernel, row_shape=row_shape, dtype=dtype, workers=1)
+        return simulate_tasks(tasks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "SerialExecutor()"
@@ -231,7 +192,7 @@ class ParallelExecutor:
         workers = min(self._effective_workers(), max(1, len(tasks)))
         if workers == 1 or len(tasks) <= 1:
             # Nothing to parallelise: skip the pool (and its fork/pickle cost).
-            return [execute_task(task) for task in tasks]
+            return simulate_tasks(tasks)
         chunksize = self.chunksize
         if chunksize is None:
             chunksize = max(1, len(tasks) // (4 * workers))
@@ -242,51 +203,11 @@ class ParallelExecutor:
             traces.extend(chunk_traces)
         return traces
 
-    def run_batches(self, batches: Sequence[BatchTask]) -> List[RunTrace]:
-        """Fan batched-construction work items out over the pool, preserving order.
-
-        Each batch (a contiguous chunk of failure patterns crossed with the
-        preference vectors) runs through one worker-side
-        :class:`~repro.simulation.batch.BatchSimulator`.  Chunk results are
-        reassembled in submission order, and each batch is a pure function of
-        its task, so the concatenated traces are identical to
-        :meth:`SerialExecutor.run_batches`'s for any chunking — including after
-        a mid-sweep pool rebuild (see :meth:`_map_chunks`).  The traces come
-        back without the simulator's partitions, so the caller pays to unpickle
-        and re-intern every state; :func:`~repro.systems.interpreted.build_system`
-        does not use this for that reason.
-        """
-        batches = list(batches)
-        workers = min(self._effective_workers(), max(1, len(batches)))
-        if workers == 1 or len(batches) <= 1:
-            return execute_batches(batches)
-        chunksize = self.chunksize
-        if chunksize is None:
-            # Unlike run tasks, batches are already coarse (build_system
-            # emits at most a few dozen), so per-batch dispatch load-balances
-            # better than the IPC-amortising heuristic above and costs
-            # nothing.
-            chunksize = 1
-        chunks = [list(batches[start:start + chunksize])
-                  for start in range(0, len(batches), chunksize)]
-        traces: List[RunTrace] = []
-        for chunk_traces in self._map_chunks(_execute_batch_chunk, chunks, workers):
-            traces.extend(chunk_traces)
-        return traces
-
-    def scan_runs(self, system, kernel, *, row_shape=(), dtype="int16"):
-        """Shard a per-run scan kernel across forked workers via shared memory.
-
-        Dispatches to :func:`repro.api.scans.scan_runs`, which
-        inherits the already-built system into fork children copy-on-write and
-        assembles rows through one shared-memory block — falling back to an
-        in-process call whenever sharding cannot pay (small systems, one
-        worker, platforms without ``fork``), with byte-identical results
-        either way.
-        """
-        from .scans import scan_runs
-        return scan_runs(system, kernel, row_shape=row_shape, dtype=dtype,
-                         workers=self._effective_workers())
+    def run_batches(self, batches: Sequence[tuple]) -> List[RunTrace]:
+        """Run ``(protocol, n, preference_vectors, patterns, horizon)`` batches, pattern-major."""
+        return self.run_tasks([(protocol, n, preferences, pattern, horizon)
+                               for protocol, n, preference_vectors, patterns, horizon in batches
+                               for pattern in patterns for preferences in preference_vectors])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ParallelExecutor(max_workers={self.max_workers}, "

@@ -120,7 +120,7 @@ class RunSpec:
         it otherwise.
         """
         from ..store import CachingExecutor, resolve_store
-        from .executors import execute_task, resolve_executor
+        from .executors import resolve_executor
         # Normalize pattern=None to the explicit failure-free pattern (as
         # .scenario and SweepSpec.tasks() do), so the same run shares one
         # cache key whether it was executed directly or inside a sweep.
@@ -129,8 +129,6 @@ class RunSpec:
         resolved_store = resolve_store(store)
         if resolved_store is not None:
             return CachingExecutor(resolved_store, executor).run_tasks([task])[0]
-        if executor is None:
-            return execute_task(task)
         return resolve_executor(executor).run_tasks([task])[0]
 
     def as_sweep(self) -> "SweepSpec":

@@ -66,14 +66,19 @@ from .workers import WorkerPool, probe_warm
 #: and 8322 is free in the IANA registry's user range).
 DEFAULT_PORT = 8322
 
+#: Largest single read of a request body: a client's ``Content-Length``
+#: never sizes a buffer by itself.
+_BODY_CHUNK = 64 * 1024
+
 
 class _ServiceHandler(BaseHTTPRequestHandler):
     """Routes HTTP requests onto the owning :class:`JobServer`."""
 
     protocol_version = "HTTP/1.1"
-    #: Seconds a connection may stall on one socket read or write.  A client
-    #: that declares a longer body than it sends gets HTTP 408 after this long
-    #: instead of holding a handler thread until it hangs up.
+    #: Seconds a connection may stall on one socket read or write, and the
+    #: most a whole request body may take to arrive.  A client that declares
+    #: a longer body than it sends, or trickles it, gets HTTP 408 after this
+    #: long instead of holding a handler thread until it hangs up.
     timeout = 10.0
     server: "_ServiceHTTPServer"
 
@@ -103,7 +108,24 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             # further request.
             self.close_connection = True
             raise ServiceError(f"invalid Content-Length header {header!r}")
-        raw = self.rfile.read(length) if length else b""
+        # Bounded reads against one deadline: a trickled body times out
+        # like a stalled one.
+        deadline = time.monotonic() + self.timeout
+        chunks = []
+        try:
+            while length:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError("request body deadline passed")
+                self.connection.settimeout(left)
+                chunk = self.rfile.read1(min(length, _BODY_CHUNK))
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                length -= len(chunk)
+        finally:
+            self.connection.settimeout(self.timeout)
+        raw = b"".join(chunks)
         if not raw:
             raise ServiceError("empty request body; expected a JSON object")
         try:

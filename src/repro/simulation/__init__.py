@@ -1,26 +1,24 @@
 """The synchronous simulation engine and run traces.
 
-:func:`simulate` here is the low-level engine primitive (one run, in-process);
-:class:`BatchSimulator` is the batched round-major engine that advances all
-runs of a system together, sharing work across runs (the default for
-exhaustive system construction).  Batch orchestration lives in
-:mod:`repro.api`.
+:class:`BatchSimulator` is the batched round-major engine that advances many
+runs together, sharing work across runs; every production run comes from it
+(:func:`simulate_tasks` runs executor tasks).  :func:`simulate` steps one run
+at a time and is only the oracle the differential tests compare against.
+Executors live in :mod:`repro.api`.
 """
 
-from .batch import BatchSimulator, BatchTask, execute_batch, execute_batches, simulate_batch
+from .batch import BatchSimulator, RunTask, simulate_tasks
 from .engine import simulate, step
 from .trace import BatchResult, RoundRecord, RunTrace, Scenario
 
 __all__ = [
     "BatchResult",
     "BatchSimulator",
-    "BatchTask",
     "RoundRecord",
+    "RunTask",
     "RunTrace",
     "Scenario",
-    "execute_batch",
-    "execute_batches",
     "simulate",
-    "simulate_batch",
+    "simulate_tasks",
     "step",
 ]

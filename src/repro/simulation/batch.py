@@ -1,21 +1,20 @@
-"""Batched, round-major system construction.
+"""The batched, round-major simulation engine.
 
-:func:`~repro.simulation.engine.simulate` executes one run at a time: it
-constructs the protocol's information exchange, then alternates ``act`` /
-``messages_for`` / delivery / ``update`` for every agent, every round.  That is
-the right shape for a single scenario, but exhaustive system construction
-(:func:`repro.systems.interpreted.build_system`) calls it once per
-``(pattern, preference-vector)`` pair — ``|patterns| × 2^n`` times — and almost
-all of that work is repeated: runs that have seen the same messages so far are
-in *identical* global states, so they perform identical actions, send identical
-messages, and differ only in which edges the failure pattern blocks next.
+Every production run comes from here: system construction
+(:func:`repro.systems.interpreted.build_system`), sweeps and single runs
+(:func:`simulate_tasks`, the body of every executor) and the optimality probe.
+:func:`~repro.simulation.engine.simulate`, which steps one run at a time, is
+only the oracle the differential tests compare against.
 
-:class:`BatchSimulator` advances **all** runs of a system together, one round
-at a time, and shares every piece of work that can be shared:
+Runs that have seen the same messages so far are in *identical* global states,
+so they perform identical actions, send identical messages, and differ only in
+which edges the failure pattern blocks next.  :class:`BatchSimulator` advances
+**all** runs of a call together, one round at a time, and shares every piece
+of work that can be shared:
 
 * the exchange is constructed once per simulator, not once per run;
-* ``act`` and ``messages_for`` are evaluated once per *distinct* local state
-  (memoised; local states are frozen and hashable);
+* ``act`` and ``messages_for`` are evaluated once per *distinct* local state,
+  memoised by the agent and its raw class id, so a lookup hashes no state;
 * every produced local state and every global state tuple is interned, so runs
   sharing a state prefix literally share the objects — the interning insight
   of :class:`~repro.systems.interpreted.AgentPartition` applied at build time;
@@ -30,9 +29,9 @@ at a time, and shares every piece of work that can be shared:
   sender's state, so the class ids of the agent and of the senders whose
   message arrived, packed into one integer, name the update
   (:meth:`BatchSimulator._transition`);
-* each distinct preference vector is validated, and each distinct failure
-  pattern compiled into per-round blocked-edge sets (interned to small integer
-  ids), once per call, so the round loop never consults
+* each distinct preference vector is validated once per simulator, and each
+  distinct failure pattern compiled into per-round blocked-edge sets (interned
+  to small integer ids) once per call, so the round loop never consults
   :meth:`~repro.failures.pattern.FailurePattern.delivered`;
 * the run state lives in numpy arrays — each run's current global-state row
   (the interned tuple's index) and its blocked-edge id per round — and each
@@ -41,20 +40,23 @@ at a time, and shares every piece of work that can be shared:
   numbering and any :class:`~repro.core.errors.ProtocolError` happen exactly
   as in a per-run loop; every new transition appends its
   :class:`~repro.simulation.trace.RoundRecord` to one simulator-wide record
-  list, record ids and new rows are gathered back to the runs, and one
-  object-array gather of the record ids yields every run's ``rounds`` list.
+  list, and record ids and new rows are gathered back to the runs;
+* with no horizon, a run leaves the round loop at the first time its
+  global-state row is *done* (every agent decided: one flag per row, computed
+  once), as the per-run engine stops, so the call's record ids are ragged.
 
-The produced traces are **byte-identical** (per-trace pickle) to the per-run
+Every call then builds its traces through one :class:`RunTable`, whose
+:meth:`~RunTable.traces` is one object-array gather of the record ids.  The
+produced traces are **byte-identical** (per-trace pickle) to the per-run
 engine's: the transition function is the same deterministic function, and the
 sharing the batch introduces is only ever *across* traces — within one trace no
 two states or messages are equal (the agent id and the time are part of every
 local state), so the intra-trace object topology that pickling observes is
 unchanged.  ``tests/test_simulation_batch.py`` enforces this differentially.
 
-Each call keeps what it already computed — its runs' record ids and their
-preference/pattern slots — and nothing per point.  From that the simulator
-hands a finished system two things instead of having it re-derive them from
-the traces:
+Each fixed-horizon call keeps its runs' record ids and preference/pattern
+slots, and nothing per point.  From that the simulator hands a finished
+system two things instead of having it re-derive them from the traces:
 
 * a :class:`RunTable` (:meth:`BatchSimulator.run_table`): the runs as shared
   object tables plus small integer index arrays.  The system pickles from it,
@@ -65,8 +67,6 @@ the traces:
   from the table (an initial row per preference slot, then the new row of
   each round's record), then a numpy gather and first-appearance relabel of
   precomputed class ids per agent replaces re-hashing every local state.
-
-This module batches the *build* phase, which always runs in-process.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from __future__ import annotations
 import operator
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat, zip_longest
+from itertools import chain, groupby, repeat, zip_longest
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, TYPE_CHECKING, Tuple, Union
 
 import numpy as np
@@ -86,7 +86,7 @@ from ..failures.pattern import FailurePattern
 from ..obs import trace as _trace
 from ..obs.bus import BUS, ProgressReporter
 from ..protocols.base import ActionProtocol
-from .trace import RoundRecord, RunTrace
+from .trace import ROUND_CAP_FACTOR, RoundRecord, RunTrace, undecided_error
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy.typing as npt
@@ -94,19 +94,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..exchange.messages import Message
     from ..systems.interpreted import AgentPartition
 
-#: One batched-construction work item: ``(protocol, n, preference_vectors,
-#: patterns, horizon)``.  A batch expands to the runs of every pattern crossed
-#: with every preference vector, pattern-major and preference-minor — the same
-#: deterministic order as :func:`repro.systems.interpreted.build_system`.
-BatchTask = Tuple[ActionProtocol, int, Tuple[PreferenceVector, ...],
-                  Tuple[FailurePattern, ...], int]
+#: The pure-data description of one simulation run:
+#: ``(protocol, n, preferences, pattern, horizon)``.
+RunTask = Tuple[ActionProtocol, int, Sequence[int], Optional[FailurePattern], Optional[int]]
 
 #: A blocked-edge set for one round: the ``(sender, receiver)`` pairs whose
 #: message is dropped.
 _EdgeSet = frozenset
 
-#: Bits per field of a packed local-update key: raw class ids are ``int32``
-#: (the ``array("i")`` class-id table), so a sender's id + 1 fits.
+#: Bits per field of a packed ``(agent, raw class id, ...)`` memo key: raw
+#: class ids are ``int32`` (the ``array("i")`` class-id table), so a sender's
+#: id + 1 fits.
 _CID_BITS = 32
 
 
@@ -238,31 +236,32 @@ class RunTable:
         if not isinstance(self.lengths, int):
             rounds = [run_rounds[:length]
                       for run_rounds, length in zip(rounds, self.lengths.tolist())]
-        headers = self.headers
-        header_slots: Iterable[int] = repeat(0)
+        headers: Iterable[Tuple[int, str, str]] = repeat(self.headers[0])
         if self.run_headers is not None:
-            header_slots = self.run_headers.tolist()
+            headers = map(self.headers.__getitem__, self.run_headers.tolist())
         preferences, patterns, initial_states = (
             self.preferences, self.patterns, self.initial_states)
         return [
-            RunTrace(*headers[header], preferences[prefs], patterns[pattern],
+            RunTrace(n, protocol_name, exchange_name, preferences[prefs], patterns[pattern],
                      initial_states[initial], run_rounds)
-            for header, prefs, pattern, initial, run_rounds in zip(
-                header_slots, self.run_preferences.tolist(), self.run_patterns.tolist(),
+            for (n, protocol_name, exchange_name), prefs, pattern, initial, run_rounds in zip(
+                headers, self.run_preferences.tolist(), self.run_patterns.tolist(),
                 self.run_initial_states.tolist(), rounds)
         ]
 
 
 class _Call(NamedTuple):
-    """What one :meth:`BatchSimulator.simulate_scenarios` call keeps for later reads."""
+    """What one fixed-horizon :meth:`BatchSimulator.simulate_scenarios` call keeps for later reads.
+
+    Every index is simulator-wide: into ``_records``, ``_preferences`` and
+    ``_patterns``.
+    """
 
     traces: Tuple[RunTrace, ...]
-    #: ``(horizon × runs)``: each run's simulator-wide record index per round.
+    #: ``(horizon × runs)``: each run's record index per round.
     record_ids: "npt.NDArray[Any]"
     run_preferences: "npt.NDArray[Any]"
     run_patterns: "npt.NDArray[Any]"
-    preferences: Tuple[PreferenceVector, ...]
-    patterns: Tuple[FailurePattern, ...]
 
 
 class BatchSimulator:
@@ -271,8 +270,9 @@ class BatchSimulator:
     One simulator instance accumulates memoisation state (interned local
     states, transition classes, blocked-edge ids) across every call, so
     simulating several pattern chunks through the same instance keeps the
-    sharing; a fresh instance starts cold.  It also keeps every trace it
-    returns, with the traces' record ids and preference/pattern slots, for
+    sharing; a fresh instance starts cold.  It also keeps every preference
+    vector and pattern it meets, and every trace a fixed-horizon call
+    returns with the traces' record ids and preference/pattern slots, for
     :meth:`run_table` and :meth:`partitions`.
     """
 
@@ -284,9 +284,11 @@ class BatchSimulator:
         self.n = n
         self.exchange: InformationExchange = protocol.make_exchange(n)
         # -- memoisation state ----------------------------------------------
-        self._act: Dict[LocalState, Action] = {}
-        #: state -> (outgoing message tuple, bits put on the wire)
-        self._outgoing: Dict[LocalState, Tuple[Tuple["Message", ...], int]] = {}
+        #: packed (agent, raw class id) -> the action in that local state.
+        self._act: Dict[int, Action] = {}
+        #: packed (agent, raw class id) -> (outgoing message tuple, bits put
+        #: on the wire).
+        self._outgoing: Dict[int, Tuple[Tuple["Message", ...], int]] = {}
         #: canonical local-state objects: equal states are the same object.
         self._state_intern: Dict[LocalState, LocalState] = {}
         #: canonical global-state tuples by row: row ``r`` is the ``r``-th
@@ -298,6 +300,9 @@ class BatchSimulator:
         #: the ``(rows × n)`` raw class-id table, flat and row-major: row
         #: ``r`` holds each agent's raw class id in global-state tuple ``r``.
         self._cid_table = array("i")
+        #: per row: whether every agent of the global state has decided
+        #: (filled on demand by the until-decided round loop).
+        self._row_done = array("b")
         #: per agent: id(canonical state) -> raw class id, and raw id -> state.
         self._agent_raw: List[Dict[int, int]] = [dict() for _ in range(n)]
         self._agent_states: List[List[LocalState]] = [[] for _ in range(n)]
@@ -310,22 +315,27 @@ class BatchSimulator:
         #: computed, and the global-state row each one leads to.
         self._records: List[RoundRecord] = []
         self._record_rows = array("i")
-        #: blocked-edge set -> small id, and id -> set (delivery application).
-        self._blocked_ids: Dict[_EdgeSet, int] = {}
-        self._blocked_sets: List[_EdgeSet] = []
-        #: preference vector -> row of its initial global state.
-        self._initial: Dict[PreferenceVector, int] = {}
+        #: blocked-edge set -> small id, and id -> set (delivery application);
+        #: id 0 is the empty set.
+        self._blocked_ids: Dict[_EdgeSet, int] = {frozenset(): 0}
+        self._blocked_sets: List[_EdgeSet] = [frozenset()]
+        #: every preference vector met, with the row of its initial global
+        #: state, and each one's slot by the tuple it was given as.
+        self._preferences: List[PreferenceVector] = []
+        self._initial_rows: List[int] = []
+        self._preference_slots: Dict[Tuple[int, ...], int] = {}
+        #: every failure pattern met (held, so ids stay unique), and each
+        #: one's slot by id.
+        self._patterns: List[FailurePattern] = []
+        self._pattern_slots: Dict[int, int] = {}
+        self._failure_free = FailurePattern.failure_free(n)
         #: per horizon, what every call with it produced (merged on first read).
         self._produced: Dict[int, List[_Call]] = {}
 
     # ------------------------------------------------------------------ interning
 
     def _intern_state(self, state: LocalState) -> LocalState:
-        canonical = self._state_intern.get(state)
-        if canonical is None:
-            self._state_intern[state] = state
-            canonical = state
-        return canonical
+        return self._state_intern.setdefault(state, state)
 
     def _intern_row(self, states: Tuple[LocalState, ...]) -> int:
         """The row of the canonical global-state tuple equal to ``states``."""
@@ -347,56 +357,70 @@ class BatchSimulator:
 
     # ------------------------------------------------------------------ compilation
 
-    def _compile_pattern(self, pattern: FailurePattern, horizon: int) -> Tuple[int, ...]:
-        """Per-round blocked-edge ids for ``pattern`` over ``0 .. horizon - 1``."""
-        by_round: List[List[Tuple[int, int]]] = [[] for _ in range(horizon)]
+    def _compile_pattern(self, pattern: FailurePattern, rounds: int) -> List[int]:
+        """Per-round blocked-edge ids for ``pattern`` over ``0 .. rounds - 1``."""
+        by_round: Dict[int, List[Tuple[int, int]]] = {}
         for (round_index, sender, receiver) in pattern.all_blocked:
-            if round_index < horizon:
-                by_round[round_index].append((sender, receiver))
-        ids = []
-        for edges in map(frozenset, by_round):
-            bid = self._blocked_ids.get(edges)
+            if round_index < rounds:
+                by_round.setdefault(round_index, []).append((sender, receiver))
+        ids = [0] * rounds
+        for round_index, edges in by_round.items():
+            key = frozenset(edges)
+            bid = self._blocked_ids.get(key)
             if bid is None:
-                bid = len(self._blocked_sets)
-                self._blocked_ids[edges] = bid
-                self._blocked_sets.append(edges)
-            ids.append(bid)
-        return tuple(ids)
+                bid = self._blocked_ids[key] = len(self._blocked_sets)
+                self._blocked_sets.append(key)
+            ids[round_index] = bid
+        return ids
 
-    def _initial_row(self, preferences: PreferenceVector) -> int:
-        row = self._initial.get(preferences)
-        if row is None:
-            row = self._intern_row(tuple(
-                self._intern_state(self.exchange.initial_state(agent, preferences[agent]))
-                for agent in range(self.n)
-            ))
-            self._initial[preferences] = row
-        return row
+    def _new_preferences(self, key: Tuple[int, ...]) -> int:
+        """Validate a preference vector met for the first time; its new slot."""
+        preferences = validate_preferences(key, self.n)
+        slot = self._preference_slots[key] = len(self._preferences)
+        self._preferences.append(preferences)
+        self._initial_rows.append(self._intern_row(tuple(
+            self._intern_state(self.exchange.initial_state(agent, preferences[agent]))
+            for agent in range(self.n)
+        )))
+        return slot
+
+    def _pattern_slot(self, pattern: FailurePattern) -> int:
+        """The slot of ``pattern`` (by identity), checked on first sight."""
+        slot = self._pattern_slots.get(id(pattern))
+        if slot is None:
+            if pattern.n != self.n:
+                raise ConfigurationError(
+                    f"failure pattern is for {pattern.n} agents, expected {self.n}")
+            slot = self._pattern_slots[id(pattern)] = len(self._patterns)
+            self._patterns.append(pattern)
+        return slot
+
+    def _table(self, record_ids: "npt.NDArray[Any]", lengths: Union[int, "npt.NDArray[Any]"],
+               run_preferences: "npt.NDArray[Any]",
+               run_patterns: "npt.NDArray[Any]") -> RunTable:
+        """A :class:`RunTable` over the simulator-wide record, preference and pattern tables."""
+        run_preferences = run_preferences.astype(_index_dtype(len(self._preferences)),
+                                                 copy=False)
+        return RunTable(
+            tuple(self._records), record_ids, lengths, tuple(self._preferences),
+            run_preferences, tuple(self._patterns),
+            run_patterns.astype(_index_dtype(len(self._patterns)), copy=False),
+            tuple(self._row_states[row] for row in self._initial_rows), run_preferences,
+            ((self.n, self.protocol.name, self.exchange.name),))
 
     # ------------------------------------------------------------------ the transition
 
-    def _act_of(self, state: LocalState) -> Action:
-        action = self._act.get(state)
-        if action is None:
-            action = self.protocol.act(state)
-            self._act[state] = action
-        return action
-
-    def _outgoing_of(self, state: LocalState,
-                     action: Action) -> Tuple[Tuple["Message", ...], int]:
-        cached = self._outgoing.get(state)
-        if cached is None:
-            exchange = self.exchange
-            outgoing = tuple(exchange.messages_for(state, action))
-            if len(outgoing) != self.n:
-                raise ProtocolError(
-                    f"{exchange.name} produced {len(outgoing)} messages for agent "
-                    f"{state.agent}, expected {self.n}"
-                )
-            bits = sum(exchange.message_bits(message) for message in outgoing)
-            cached = (outgoing, bits)
-            self._outgoing[state] = cached
-        return cached
+    def _messages(self, state: LocalState,
+                  action: Action) -> Tuple[Tuple["Message", ...], int]:
+        """The messages ``state`` sends with ``action``, and the bits they put on the wire."""
+        exchange = self.exchange
+        outgoing = tuple(exchange.messages_for(state, action))
+        if len(outgoing) != self.n:
+            raise ProtocolError(
+                f"{exchange.name} produced {len(outgoing)} messages for agent "
+                f"{state.agent}, expected {self.n}"
+            )
+        return outgoing, sum(exchange.message_bits(message) for message in outgoing)
 
     def _transition(self, row: int, bid: int, time: int) -> Tuple[int, RoundRecord]:
         """One synchronous round for the class of runs in global state ``row`` with ``bid`` edges blocked.
@@ -414,26 +438,38 @@ class BatchSimulator:
         ``exchange.update`` (equal messages from distinct sender states get
         distinct keys: one more call, never a wrong state).  ``update`` is
         called only on a miss, in the same order as the per-run engine, so a
-        raised error is the same.
+        raised error is the same.  The action and the outgoing messages are
+        memoised by the agent and its raw class id alone, which name the
+        canonical state without hashing it.
         """
         n = self.n
         exchange = self.exchange
         states = self._row_states[row]
         blocked = self._blocked_sets[bid]
-        cids = self._cid_table[row * n:(row + 1) * n]
-        actions = tuple(self._act_of(states[agent]) for agent in range(n))
+        cids = self._cid_table[row * n:(row + 1) * n].tolist()
+        keys = [agent << _CID_BITS | cid for agent, cid in enumerate(cids)]
+        acts = self._act
+        actions: List[Action] = []
+        for agent, key in enumerate(keys):
+            action = acts.get(key)
+            if action is None:
+                action = acts[key] = self.protocol.act(states[agent])
+            actions.append(action)
+        outgoing_of = self._outgoing
         sent: List[Tuple["Message", ...]] = []
         bits_by_sender: List[int] = []
-        for sender in range(n):
-            outgoing, bits = self._outgoing_of(states[sender], actions[sender])
-            sent.append(outgoing)
-            bits_by_sender.append(bits)
+        for sender, key in enumerate(keys):
+            cached = outgoing_of.get(key)
+            if cached is None:
+                cached = outgoing_of[key] = self._messages(states[sender], actions[sender])
+            sent.append(cached[0])
+            bits_by_sender.append(cached[1])
         updates = self._updates
         delivered: List[Tuple["Message", ...]] = []
         new_states: List[LocalState] = []
         for receiver in range(n):
             inbox: List["Message"] = []
-            key = receiver << _CID_BITS | cids[receiver]
+            key = keys[receiver]
             for sender in range(n):
                 message = sent[sender][receiver]
                 key <<= _CID_BITS
@@ -452,7 +488,7 @@ class BatchSimulator:
         new_row = self._intern_row(tuple(new_states))
         record = RoundRecord(
             round_index=time,
-            actions=actions,
+            actions=tuple(actions),
             sent=tuple(sent),
             delivered=tuple(delivered),
             states_after=self._row_states[new_row],
@@ -460,70 +496,104 @@ class BatchSimulator:
         )
         return new_row, record
 
-    # ------------------------------------------------------------------ public API
+    def _done(self, rows: "npt.NDArray[Any]") -> "npt.NDArray[np.bool_]":
+        """Whether every agent has decided in each global-state row of ``rows``."""
+        done = self._row_done
+        for states in self._row_states[len(done):]:
+            done.append(all(state.decided is not None for state in states))
+        return np.frombuffer(done, dtype=np.bool_)[rows]
 
-    def simulate_scenarios(self, scenarios: Sequence[Tuple[Sequence[int], Optional[FailurePattern]]],
-                           horizon: int) -> List[RunTrace]:
-        """Simulate every ``(preferences, pattern)`` scenario for exactly ``horizon`` rounds.
-
-        Returns one :class:`~repro.simulation.trace.RunTrace` per scenario, in
-        scenario order, each byte-identical (per-trace pickle) to what
-        :func:`~repro.simulation.engine.simulate` produces for the same inputs.
-        Each distinct preference vector is validated, and each distinct pattern
-        object compiled, once per call.
-        """
-        if horizon < 0:
-            raise ConfigurationError(f"horizon must be non-negative, got {horizon}")
-        n = self.n
-        # -- distinct inputs, in first-appearance order ----------------------
-        prefs_slot: Dict[Tuple[int, ...], int] = {}
-        prefs_seen: List[PreferenceVector] = []
-        initial_rows: List[int] = []
-        pattern_slot: Dict[int, int] = {}
-        patterns_seen: List[FailurePattern] = []
-        compiled: List[Tuple[int, ...]] = []
-        run_prefs = array("i")
-        run_patterns = array("i")
-        failure_free: Optional[FailurePattern] = None
-        for preferences, pattern in scenarios:
-            key = tuple(preferences)
-            try:
-                slot = prefs_slot.get(key)
-            except TypeError:  # unhashable entries: let validation name them
-                validate_preferences(key, n)
-                raise
-            if slot is None:
-                prefs = validate_preferences(key, n)
-                slot = prefs_slot[key] = len(prefs_seen)
-                prefs_seen.append(prefs)
-                initial_rows.append(self._initial_row(prefs))
-            if pattern is None:
-                if failure_free is None:
-                    failure_free = FailurePattern.failure_free(n)
-                pattern = failure_free
-            index = pattern_slot.get(id(pattern))
-            if index is None:
-                if pattern.n != n:
-                    raise ConfigurationError(
-                        f"failure pattern is for {pattern.n} agents, expected {n}")
-                index = pattern_slot[id(pattern)] = len(patterns_seen)
-                patterns_seen.append(pattern)
-                compiled.append(self._compile_pattern(pattern, horizon))
-            run_prefs.append(slot)
-            run_patterns.append(index)
-        count = len(run_prefs)
-        # -- run state: current rows, blocked-edge ids per round -------------
-        # ``current`` is each run's global-state row at the current time;
-        # ``record_ids[t]`` indexes ``_records`` for each run's round ``t``.
-        current = np.asarray(initial_rows, dtype=np.int32)[
-            np.frombuffer(run_prefs, dtype=np.intc)]
-        blocked = np.array(compiled, dtype=np.int32).reshape(len(compiled), horizon)[
-            np.frombuffer(run_patterns, dtype=np.intc)]
-        record_ids = np.empty((horizon, count), dtype=np.int32)
+    def _round(self, keys: "npt.NDArray[Any]", width: int, time: int,
+               span: Any) -> Tuple["npt.NDArray[Any]", "npt.NDArray[Any]"]:
+        """One round of the runs at ``row * width + blocked id`` keys: their records and new rows."""
+        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        span.set("distinct", len(distinct))
+        updates_before = len(self._updates)
         records = self._records
         record_rows = self._record_rows
         transitions = self._transitions
-        width = max(len(self._blocked_sets), 1)
+        # First-appearance order: transitions are computed, states interned
+        # and errors raised exactly as a per-run loop would.
+        order = np.argsort(first)
+        indices = array("i")
+        new_rows = array("i")
+        for key in distinct[order].tolist():
+            pair = divmod(key, width)
+            index = transitions.get(pair)
+            if index is None:
+                new_row, record = self._transition(pair[0], pair[1], time)
+                index = transitions[pair] = len(records)
+                records.append(record)
+                record_rows.append(new_row)
+            indices.append(index)
+            new_rows.append(record_rows[index])
+        span.set("updates", len(self._updates) - updates_before)
+        record_of = np.empty(len(distinct), dtype=np.int32)
+        record_of[order] = np.frombuffer(indices, dtype=np.intc)
+        new_row_of = np.empty(len(distinct), dtype=np.int32)
+        new_row_of[order] = np.frombuffer(new_rows, dtype=np.intc)
+        return record_of[inverse], new_row_of[inverse]
+
+    # ------------------------------------------------------------------ public API
+
+    def simulate_scenarios(self, scenarios: Sequence[Tuple[Sequence[int], Optional[FailurePattern]]],
+                           horizon: Optional[int] = None) -> List[RunTrace]:
+        """Simulate every ``(preferences, pattern)`` scenario, in scenario order.
+
+        With a ``horizon``, every run takes exactly ``horizon`` rounds.  With
+        ``None``, each run stops at the first time every agent has decided;
+        if some run is still undecided after ``ROUND_CAP_FACTOR·(t + 2)``
+        rounds, the first such run in scenario order raises the per-run
+        engine's :class:`~repro.core.errors.ProtocolError`.
+
+        Returns one :class:`~repro.simulation.trace.RunTrace` per scenario,
+        each byte-identical (per-trace pickle) to what
+        :func:`~repro.simulation.engine.simulate` produces for the same inputs.
+        Each distinct preference vector is validated once per simulator, and
+        each distinct pattern object compiled once per call.
+        """
+        if horizon is not None and horizon < 0:
+            raise ConfigurationError(f"horizon must be non-negative, got {horizon}")
+        rounds = horizon if horizon is not None else ROUND_CAP_FACTOR * (self.protocol.t + 2)
+        # -- each run's preference and pattern slot; each distinct pattern
+        # object of the call compiled once --------------------------------
+        preference_slots = self._preference_slots
+        call_patterns: Dict[int, int] = {}
+        compiled: Dict[int, List[int]] = {}
+        run_prefs = array("i")
+        run_patterns = array("i")
+        for preferences, pattern in scenarios:
+            key = tuple(preferences)
+            try:
+                slot = preference_slots.get(key)
+            except TypeError:  # unhashable entries: let validation name them
+                validate_preferences(key, self.n)
+                raise
+            if slot is None:
+                slot = self._new_preferences(key)
+            if pattern is None:
+                pattern = self._failure_free
+            index = call_patterns.get(id(pattern))
+            if index is None:
+                index = call_patterns[id(pattern)] = self._pattern_slot(pattern)
+                compiled[index] = self._compile_pattern(pattern, rounds)
+            run_prefs.append(slot)
+            run_patterns.append(index)
+        count = len(run_prefs)
+        pref_slots = np.frombuffer(run_prefs, dtype=np.intc)
+        pattern_slots = np.frombuffer(run_patterns, dtype=np.intc)
+        # -- run state: the runs still in the loop, in scenario order, with
+        # their current global-state rows and blocked-edge ids per round ----
+        live = np.arange(count)
+        current = np.asarray(self._initial_rows, dtype=np.int32)[pref_slots]
+        blocked_of_pattern = np.zeros((len(self._patterns), rounds), dtype=np.int32)
+        for slot, ids in compiled.items():
+            blocked_of_pattern[slot] = ids
+        blocked = blocked_of_pattern[pattern_slots]
+        lengths = np.full(count, rounds, dtype=np.intp)
+        #: per round, the runs still in the loop and their indices into ``_records``.
+        columns: List[Tuple["npt.NDArray[Any]", "npt.NDArray[Any]"]] = []
+        width = len(self._blocked_sets)
         # Observability is opt-in and must cost nothing otherwise: the round
         # loop is the build hot path, so both the per-round spans and the
         # progress reporter are gated on an active subscriber up front.
@@ -532,61 +602,42 @@ class BatchSimulator:
         if BUS.has_subscribers("progress"):
             reporter = ProgressReporter(f"build:{self.protocol.name}",
                                         total=horizon, unit="rounds")
-        for time in range(horizon):
+        for time in range(rounds + 1):
+            if horizon is None:
+                done = self._done(current)
+                if done.any():
+                    lengths[live[done]] = time
+                    undecided = ~done
+                    live, current, blocked = live[undecided], current[undecided], blocked[undecided]
+                if not len(live):
+                    break
+                if time == rounds:
+                    raise undecided_error(self.protocol, self.n,
+                                          self._patterns[run_patterns[int(live[0])]])
+            elif time == rounds:
+                break
             round_span = _trace.NOOP
             if tracing:
                 round_span = _trace.span("build.round", "build",
-                                         {"round": time, "runs": count})
+                                         {"round": time, "runs": len(live)})
             with round_span:
-                keys = current.astype(np.int64) * width + blocked[:, time]
-                distinct, first, inverse = np.unique(
-                    keys, return_index=True, return_inverse=True)
-                round_span.set("distinct", len(distinct))
-                updates_before = len(self._updates)
-                # First-appearance order: transitions are computed, states
-                # interned and errors raised exactly as a per-run loop would.
-                order = np.argsort(first)
-                indices = array("i")
-                new_rows = array("i")
-                for key in distinct[order].tolist():
-                    pair = divmod(key, width)
-                    index = transitions.get(pair)
-                    if index is None:
-                        new_row, record = self._transition(pair[0], pair[1], time)
-                        index = transitions[pair] = len(records)
-                        records.append(record)
-                        record_rows.append(new_row)
-                    indices.append(index)
-                    new_rows.append(record_rows[index])
-                round_span.set("updates", len(self._updates) - updates_before)
-                record_of = np.empty(len(distinct), dtype=np.int32)
-                record_of[order] = np.frombuffer(indices, dtype=np.intc)
-                new_row_of = np.empty(len(distinct), dtype=np.int32)
-                new_row_of[order] = np.frombuffer(new_rows, dtype=np.intc)
-                record_ids[time] = record_of[inverse]
-                current = new_row_of[inverse]
+                record_of_run, current = self._round(
+                    current.astype(np.int64) * width + blocked[:, time], width, time, round_span)
+            columns.append((live, record_of_run))
             if reporter is not None:
                 reporter.advance()
-        record_ids = record_ids.astype(_index_dtype(len(records)))
-        # -- traces: one object-array gather of every run's records ----------
-        table = np.empty(len(records), dtype=object)
-        table[:] = records
-        rounds = table[record_ids.T].tolist()
-        protocol_name = self.protocol.name
-        exchange_name = self.exchange.name
-        row_states = self._row_states
-        initial_states = [row_states[row] for row in initial_rows]
-        traces = [
-            RunTrace(n, protocol_name, exchange_name, prefs_seen[slot],
-                     patterns_seen[index], initial_states[slot], run_rounds)
-            for slot, index, run_rounds in zip(run_prefs, run_patterns, rounds)
-        ]
-        self._produced.setdefault(horizon, []).append(_Call(
-            tuple(traces), record_ids,
-            np.frombuffer(run_prefs, dtype=np.intc).astype(_index_dtype(len(prefs_seen))),
-            np.frombuffer(run_patterns, dtype=np.intc).astype(
-                _index_dtype(len(patterns_seen))),
-            tuple(prefs_seen), tuple(patterns_seen)))
+        # Round-major; 0 past a run's end.
+        record_ids = np.zeros((len(columns), count), dtype=_index_dtype(len(self._records)))
+        for time, (runs, column) in enumerate(columns):
+            record_ids[time, runs] = column
+        length: Union[int, "npt.NDArray[Any]"] = len(columns)
+        if (lengths != length).any():
+            length = lengths.astype(_index_dtype(len(columns) + 1))
+        table = self._table(record_ids, length, pref_slots, pattern_slots)
+        traces = table.traces()
+        if horizon is not None:
+            self._produced.setdefault(horizon, []).append(_Call(
+                tuple(traces), table.record_ids, table.run_preferences, table.run_patterns))
         return traces
 
     def simulate_patterns(self, patterns: Iterable[FailurePattern],
@@ -605,49 +656,23 @@ class BatchSimulator:
         if len(calls) != 1:
             # Merge once, so later reads take one piece and the per-call
             # arrays are freed before partitions() allocates its point rows.
-            # The tables are merged first, so each call's slots are remapped
-            # straight into their final smallest dtype (no per-run int64).
-            preference_slots: Dict[PreferenceVector, int] = {}
-            pattern_slots: Dict[int, int] = {}
-            patterns: List[FailurePattern] = []
-            remaps = []
-            for call in calls:
-                pattern_remap = []
-                for pattern in call.patterns:
-                    slot = pattern_slots.get(id(pattern))
-                    if slot is None:
-                        slot = pattern_slots[id(pattern)] = len(patterns)
-                        patterns.append(pattern)
-                    pattern_remap.append(slot)
-                remaps.append(([preference_slots.setdefault(prefs, len(preference_slots))
-                                for prefs in call.preferences], pattern_remap))
-            total = sum(len(call.traces) for call in calls)
-            run_preferences = np.empty(total, dtype=_index_dtype(len(preference_slots)))
-            run_patterns = np.empty(total, dtype=_index_dtype(len(patterns)))
-            start = 0
-            for call, (preference_remap, pattern_remap) in zip(calls, remaps):
-                stop = start + len(call.traces)
-                run_preferences[start:stop] = np.asarray(
-                    preference_remap, dtype=run_preferences.dtype)[call.run_preferences]
-                run_patterns[start:stop] = np.asarray(
-                    pattern_remap, dtype=run_patterns.dtype)[call.run_patterns]
-                start = stop
+            none = np.empty(0, dtype=np.uint8)
             calls[:] = [_Call(
                 tuple(chain.from_iterable(call.traces for call in calls)),
                 np.concatenate([call.record_ids for call in calls]
                                or [np.empty((horizon, 0), dtype=np.uint8)], axis=1),
-                run_preferences, run_patterns,
-                tuple(preference_slots), tuple(patterns))]
+                np.concatenate([call.run_preferences for call in calls] or [none]),
+                np.concatenate([call.run_patterns for call in calls] or [none]))]
         return calls[0]
 
     @staticmethod
     def _selection(traces: Sequence[RunTrace], produced: Tuple[RunTrace, ...],
-                   horizon: int) -> Optional["npt.NDArray[Any]"]:
-        """Where each of ``traces`` sits in ``produced`` (``None``: all of them, in order)."""
+                   horizon: int) -> Union[slice, "npt.NDArray[Any]"]:
+        """Where each of ``traces`` sits in ``produced``, as an index."""
         # build_system passes every trace in order; that needs no lookup, whose
         # temporaries would add ~24 MB to the n=5 build's peak RSS.
         if len(traces) == len(produced) and all(map(operator.is_, traces, produced)):
-            return None
+            return slice(None)
         # Any other selection: find each trace by identity.  The simulator
         # holds every trace it returned, so equal ids mean the same object.
         total = len(produced)
@@ -671,26 +696,16 @@ class BatchSimulator:
         """The :class:`RunTable` of ``traces``, from what the round loop kept.
 
         ``traces`` must all have been produced by *this* simulator with this
-        ``horizon``; no trace is read.  The record table is every record the
-        simulator made, and the preference and pattern tables those of its
-        calls with ``horizon``, in the order it first met them: for the fresh
-        simulator of :func:`~repro.systems.interpreted.build_system`, exactly
-        what the runs use.
+        ``horizon``; no trace is read.  The tables are every record,
+        preference vector and pattern the simulator met, in the order it
+        first met them: for the fresh simulator of
+        :func:`~repro.systems.interpreted.build_system`, exactly what the runs
+        use.
         """
         call = self._merged(horizon)
-        record_ids, run_preferences, run_patterns = (
-            call.record_ids, call.run_preferences, call.run_patterns)
         selection = self._selection(traces, call.traces, horizon)
-        if selection is not None:
-            record_ids = record_ids[:, selection]
-            run_preferences = run_preferences[selection]
-            run_patterns = run_patterns[selection]
-        row_states = self._row_states
-        return RunTable(
-            tuple(self._records), record_ids, horizon, call.preferences, run_preferences,
-            call.patterns, run_patterns,
-            tuple(row_states[self._initial[prefs]] for prefs in call.preferences),
-            run_preferences, ((self.n, self.protocol.name, self.exchange.name),))
+        return self._table(call.record_ids[:, selection], horizon,
+                           call.run_preferences[selection], call.run_patterns[selection])
 
     def partitions(self, traces: Sequence[RunTrace],
                    horizon: int) -> Dict[int, "AgentPartition"]:
@@ -712,8 +727,7 @@ class BatchSimulator:
         from ..systems.interpreted import AgentPartition
 
         table = self.run_table(traces, horizon)
-        initial_rows = np.asarray([self._initial[prefs] for prefs in table.preferences],
-                                  dtype=np.intc)
+        initial_rows = np.asarray(self._initial_rows, dtype=np.intc)
         record_rows = np.frombuffer(self._record_rows, dtype=np.intc).copy()
         point_rows = np.empty((table.num_runs, horizon + 1), dtype=np.intc)
         point_rows[:, 0] = initial_rows[table.run_preferences]
@@ -745,38 +759,23 @@ class BatchSimulator:
         return result
 
 
-def simulate_batch(protocol: ActionProtocol, n: int,
-                   scenarios: Sequence[Tuple[Sequence[int], Optional[FailurePattern]]],
-                   horizon: int) -> List[RunTrace]:
-    """One-shot convenience: batch-simulate ``scenarios`` with a fresh simulator."""
-    return BatchSimulator(protocol, n).simulate_scenarios(scenarios, horizon)
+def simulate_tasks(tasks: Sequence[RunTask]) -> List[RunTrace]:
+    """Simulate run tasks in task order: the body of every executor.
 
-
-def execute_batch(task: BatchTask) -> List[RunTrace]:
-    """Execute one batched work item with a fresh simulator.
-
-    Module-level (like :func:`repro.api.executors.execute_task`) so
-    process-pool workers can import it by qualified name.
-    """
-    protocol, n, preference_vectors, patterns, horizon = task
-    simulator = BatchSimulator(protocol, n)
-    return simulator.simulate_patterns(patterns, preference_vectors, horizon)
-
-
-def execute_batches(tasks: Sequence[BatchTask]) -> List[RunTrace]:
-    """Execute several batches in-process, in order, concatenating the traces.
-
-    Consecutive batches for the same ``(protocol, n)`` pair share one
-    simulator (and with it every memoised transition), so splitting a system
-    into chunks for scheduling does not lose the in-process sharing.
+    Consecutive tasks of the same ``(protocol, n)`` share one
+    :class:`BatchSimulator`, and with it every memoised transition; each
+    stretch of them with one horizon is one
+    :meth:`~BatchSimulator.simulate_scenarios` call.  Each trace is
+    byte-identical (per-trace pickle) to ``simulate(protocol, n, preferences,
+    pattern, horizon=horizon)``.
     """
     traces: List[RunTrace] = []
     simulator: Optional[BatchSimulator] = None
-    signature: Optional[Tuple[int, int]] = None
-    for task in tasks:
-        protocol, n, preference_vectors, patterns, horizon = task
-        if simulator is None or signature != (id(protocol), n):
+    # Keyed by identity: ``tasks`` holds every protocol, so ids are unique.
+    for _, stretch in groupby(tasks, key=lambda task: (id(task[0]), task[1], task[4])):
+        group = list(stretch)
+        protocol, n, _, _, horizon = group[0]
+        if simulator is None or simulator.protocol is not protocol or simulator.n != n:
             simulator = BatchSimulator(protocol, n)
-            signature = (id(protocol), n)
-        traces.extend(simulator.simulate_patterns(patterns, preference_vectors, horizon))
+        traces.extend(simulator.simulate_scenarios([task[2:4] for task in group], horizon))
     return traces

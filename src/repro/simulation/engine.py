@@ -1,4 +1,9 @@
-"""The synchronous round-based simulation engine.
+"""The per-run simulation engine: the oracle of the batched engine.
+
+:func:`simulate` steps one run at a time and is deliberately naive; every
+production run (systems, sweeps, single runs, the optimality probe) comes from
+:class:`~repro.simulation.batch.BatchSimulator`, whose traces the differential
+tests pin byte-identical to this engine's.
 
 This implements the transition rule of Section 3 exactly:
 
@@ -24,18 +29,12 @@ from ..exchange.base import InformationExchange, LocalState
 from ..exchange.messages import Message
 from ..failures.pattern import FailurePattern
 from ..protocols.base import ActionProtocol
-from .trace import RoundRecord, RunTrace
-
-#: Hard cap on simulated rounds when no horizon is given, expressed as a
-#: multiplier over ``t + 2`` (the paper's termination bound); it only exists to
-#: turn a non-terminating (buggy) protocol into an exception instead of a hang.
-_SAFETY_FACTOR = 8
+from .trace import ROUND_CAP_FACTOR, RoundRecord, RunTrace, undecided_error
 
 
 def simulate(protocol: ActionProtocol, n: int, preferences: Sequence[int],
              pattern: Optional[FailurePattern] = None,
-             horizon: Optional[int] = None,
-             exchange: Optional[InformationExchange] = None) -> RunTrace:
+             horizon: Optional[int] = None) -> RunTrace:
     """Simulate one run.
 
     Parameters
@@ -53,9 +52,6 @@ def simulate(protocol: ActionProtocol, n: int, preferences: Sequence[int],
         If given, simulate exactly this many rounds.  If ``None``, simulate
         until every agent has decided (with a generous safety cap), which is
         the natural stopping point for EBA protocols.
-    exchange:
-        Override the exchange (used by tests that want to pair a protocol with
-        a non-default exchange).
 
     Returns
     -------
@@ -68,8 +64,7 @@ def simulate(protocol: ActionProtocol, n: int, preferences: Sequence[int],
     if pattern.n != n:
         raise ConfigurationError(f"failure pattern is for {pattern.n} agents, expected {n}")
     protocol.validate_for(n)
-    if exchange is None:
-        exchange = protocol.make_exchange(n)
+    exchange = protocol.make_exchange(n)
 
     states: List[LocalState] = [exchange.initial_state(agent, prefs[agent]) for agent in range(n)]
     trace = RunTrace(
@@ -81,7 +76,7 @@ def simulate(protocol: ActionProtocol, n: int, preferences: Sequence[int],
         initial_states=tuple(states),
     )
 
-    cap = horizon if horizon is not None else _SAFETY_FACTOR * (protocol.t + 2)
+    cap = horizon if horizon is not None else ROUND_CAP_FACTOR * (protocol.t + 2)
     time = 0
     while True:
         if horizon is not None:
@@ -91,10 +86,7 @@ def simulate(protocol: ActionProtocol, n: int, preferences: Sequence[int],
             if all(state.decided is not None for state in states):
                 break
             if time >= cap:
-                raise ProtocolError(
-                    f"{protocol.name} did not terminate within {cap} rounds "
-                    f"(n={n}, t={protocol.t}, pattern={pattern.describe()})"
-                )
+                raise undecided_error(protocol, n, pattern)
         states, record = step(exchange, protocol, states, pattern, time)
         trace.rounds.append(record)
         time += 1

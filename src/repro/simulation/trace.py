@@ -11,16 +11,33 @@ on traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, TYPE_CHECKING, Tuple
 
-from ..core.errors import ReproError
+from ..core.errors import ProtocolError, ReproError
 from ..core.types import Action, AgentId, PreferenceVector, Value
 from ..exchange.base import LocalState
 from ..exchange.messages import Message
 from ..failures.pattern import FailurePattern
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..protocols.base import ActionProtocol
+
 #: A workload item: one initial global state (preferences plus failure pattern).
 Scenario = Tuple[Sequence[int], FailurePattern]
+
+#: Hard cap on simulated rounds when no horizon is given, expressed as a
+#: multiplier over ``t + 2`` (the paper's termination bound); it only exists to
+#: turn a non-terminating (buggy) protocol into an exception instead of a hang.
+ROUND_CAP_FACTOR = 8
+
+
+def undecided_error(protocol: "ActionProtocol", n: int,
+                    pattern: FailurePattern) -> ProtocolError:
+    """The error both engines raise for a run still undecided at the round cap."""
+    return ProtocolError(
+        f"{protocol.name} did not terminate within {ROUND_CAP_FACTOR * (protocol.t + 2)} "
+        f"rounds (n={n}, t={protocol.t}, pattern={pattern.describe()})"
+    )
 
 
 @dataclass(frozen=True)

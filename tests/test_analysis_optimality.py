@@ -78,3 +78,22 @@ class TestProbe:
         refutation = report.counterexamples()[0]
         assert refutation.deviating_action == DECIDE_1
         assert not refutation.violates_spec
+
+    def test_one_batched_call_per_protocol_simulated(self, small_context, small_workload,
+                                                     monkeypatch):
+        """The base runs are simulated once; each tried deviation once more."""
+        from repro.simulation.batch import BatchSimulator
+        simulated = []
+        simulate_scenarios = BatchSimulator.simulate_scenarios
+
+        def spy(self, scenarios, horizon=None):
+            simulated.append((self.protocol.name, len(scenarios), horizon))
+            return simulate_scenarios(self, scenarios, horizon)
+
+        monkeypatch.setattr(BatchSimulator, "simulate_scenarios", spy)
+        report = probe_optimality(MinProtocol(1), small_context, scenarios=small_workload,
+                                  max_deviations=5)
+        horizon = small_context.horizon
+        assert report.deviations_tried == 5
+        assert simulated == [("P_min", len(small_workload), horizon)] + [
+            ("P_min+dev", len(small_workload), horizon)] * 5

@@ -2,7 +2,7 @@
 
 ``scan_runs`` must return byte-identical arrays whether the kernel runs
 in-process or sharded across forked workers — the same determinism contract
-the run/batch executors keep, extended to the check phase.  The development
+the run executors keep, extended to the check phase.  The development
 and CI boxes may have few cores, so the forked path is *forced* here (the
 fork threshold is monkeypatched away) rather than left to the heuristics.
 """
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.api import scans
-from repro.api.executors import ParallelExecutor, SerialExecutor
+from repro.api.executors import ParallelExecutor
 from repro.api.scans import fork_available, scan_runs
 from repro.kbp.reference import chain_receipt_table
 from repro.kbp.safety import _chain_receipt_kernel, check_safety
@@ -101,20 +101,6 @@ class TestScanRuns:
 
 
 class TestExecutorDispatch:
-    def test_serial_executor_scan_runs(self, system):
-        result = SerialExecutor().scan_runs(system, _chain_receipt_kernel,
-                                            row_shape=(system.n,), dtype="int16")
-        assert np.array_equal(result, _chain_receipt_kernel(system, 0, len(system.runs)))
-
-    @pytest.mark.skipif(not fork_available(), reason="no fork start method")
-    def test_parallel_executor_scan_runs_matches_serial(self, system, monkeypatch):
-        monkeypatch.setattr(scans, "MIN_RUNS_TO_FORK", 0)
-        serial = SerialExecutor().scan_runs(system, _chain_receipt_kernel,
-                                            row_shape=(system.n,), dtype="int16")
-        parallel = ParallelExecutor(max_workers=2).scan_runs(
-            system, _chain_receipt_kernel, row_shape=(system.n,), dtype="int16")
-        assert parallel.tobytes() == serial.tobytes()
-
     @pytest.mark.skipif(not fork_available(), reason="no fork start method")
     def test_sharded_safety_scan_report_is_identical(self, system, monkeypatch):
         """check_safety with a ParallelExecutor = check_safety serial."""

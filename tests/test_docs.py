@@ -84,7 +84,8 @@ REMOVED_NAMES = (
     "PointSet", "iter_mask_points", "satisfying_mask", "time_mask",
     "nonfaulty_mask", "init_mask", "decided_mask", "full_mask", "class_masks",
     "point_set", "run_weights", "weighted_run_count", "pattern_weights",
-    "SYMMETRY_MODES",
+    "SYMMETRY_MODES", "execute_batch", "execute_batches", "simulate_batch",
+    "BatchTask", "_execute_batch_chunk",
 )
 
 

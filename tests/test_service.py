@@ -340,6 +340,37 @@ class TestJobServer:
         assert b"Connection: close" in response.split(b"\r\n\r\n", 1)[0]
         assert elapsed < 2.0
 
+    def test_trickled_body_is_http_408_at_the_deadline(self, server, monkeypatch):
+        """The timeout bounds the whole body, not each read.
+
+        One byte every 0.1 s never stalls a single read for 0.2 s, so only a
+        deadline over the whole body answers before the 100 bytes are in.
+        The client stops sending once a response is readable, so the server
+        closes with nothing unread.
+        """
+        import select
+        monkeypatch.setattr(server_module._ServiceHandler, "timeout", 0.2)
+        with socket.create_connection(server.address, timeout=3.0) as conn:
+            started = time.monotonic()
+            conn.sendall(b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: 100\r\n\r\n")
+            readable = False
+            for _ in range(100):
+                readable, _, _ = select.select([conn], [], [], 0.05)
+                if readable:
+                    break
+                conn.sendall(b" ")
+                readable, _, _ = select.select([conn], [], [], 0.05)
+                if readable:
+                    break
+            response = b""
+            while chunk := conn.recv(4096):
+                response += chunk
+            elapsed = time.monotonic() - started
+        assert response.startswith(b"HTTP/1.1 408 ")
+        assert b"Connection: close" in response.split(b"\r\n\r\n", 1)[0]
+        assert elapsed < 1.0
+
     def test_body_sent_in_pieces_within_the_timeout_is_served(self, server, monkeypatch):
         """A body that arrives in several pieces before the timeout is assembled."""
         monkeypatch.setattr(server_module._ServiceHandler, "timeout", 2.0)

@@ -10,7 +10,9 @@ models and all three paper protocols, plus a randomized scenario sweep, and pin
 the supporting behaviours: the local-update memo (one ``update`` call per
 distinct key, errors on the first transition in run order), duplicate-pattern
 rejection, and in-process chunked construction under every executor (with its
-cancel checkpoint).
+cancel checkpoint).  :func:`~repro.simulation.batch.simulate_tasks`, the body
+of every executor, is checked against the per-run engine task by task, until
+every agent has decided and for fixed horizons.
 """
 
 import pickle
@@ -21,6 +23,7 @@ import pytest
 
 from repro.api import ParallelExecutor, SerialExecutor
 from repro.core.errors import ConfigurationError, ModelCheckingError, ProtocolError
+from repro.core.types import NOOP
 from repro.exchange.minimal import MinimalExchange
 from repro.failures.models import (
     GeneralOmissionModel,
@@ -32,8 +35,8 @@ from repro.failures.pattern import FailurePattern
 from repro.kbp import check_implements, make_p0
 from repro.logic.words import class_id_dtype
 from repro.obs import trace as obs_trace
-from repro.protocols import BasicProtocol, MinProtocol, OptimalFipProtocol
-from repro.simulation.batch import BatchSimulator, execute_batches, simulate_batch
+from repro.protocols import ActionProtocol, BasicProtocol, MinProtocol, OptimalFipProtocol
+from repro.simulation.batch import BatchSimulator, simulate_tasks
 from repro.simulation.engine import simulate
 from repro.systems import (
     InterpretedSystem,
@@ -43,6 +46,7 @@ from repro.systems import (
     gamma_fip,
     gamma_min,
 )
+from repro.workloads import random_model_scenarios
 from repro.workloads.preferences import enumerate_preferences
 
 MODELS = ["sending-omission", "receive-omission", "general-omission"]
@@ -60,6 +64,11 @@ CONTEXT_MODELS = [
 
 def _trace_bytes(traces):
     return [pickle.dumps(trace) for trace in traces]
+
+
+def simulate_batch(protocol, n, scenarios, horizon):
+    """A fresh simulator's traces of ``scenarios``."""
+    return BatchSimulator(protocol, n).simulate_scenarios(scenarios, horizon)
 
 
 def _per_run_system(protocol, context):
@@ -506,17 +515,87 @@ class TestExecutorBatchFanOut:
         assert executor.calls == 3
         assert store.stats().entries == 0
 
-    def test_execute_batches_shares_a_simulator_across_chunks(self):
-        protocol = MinProtocol(1)
-        prefs = tuple(tuple(p) for p in enumerate_preferences(3))
-        patterns = tuple(SendingOmissionModel(n=3, t=1).enumerate(2))
-        split = len(patterns) // 2
-        chunked = execute_batches([
-            (protocol, 3, prefs, patterns[:split], 2),
-            (protocol, 3, prefs, patterns[split:], 2),
-        ])
-        whole = execute_batches([(protocol, 3, prefs, patterns, 2)])
-        assert _trace_bytes(chunked) == _trace_bytes(whole)
+
+def _per_run_traces(tasks):
+    """The oracle of ``simulate_tasks``: one ``simulate()`` call per task."""
+    return [simulate(protocol, n, preferences, pattern=pattern, horizon=horizon)
+            for protocol, n, preferences, pattern, horizon in tasks]
+
+
+class _StallingProtocol(ActionProtocol):
+    """``E_min`` with a protocol that never decides."""
+
+    name = "P_stall"
+
+    def make_exchange(self, n):
+        return MinProtocol(self.t).make_exchange(n)
+
+    def act(self, state):
+        return NOOP
+
+
+class TestSimulateTasks:
+    """Every ``simulate_tasks`` trace pickles to the bytes of ``simulate()``'s."""
+
+    @pytest.mark.parametrize("horizon", [None, 3])
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_random_model_sweeps(self, model_name, horizon):
+        n, t = 4, 1
+        scenarios = random_model_scenarios(n, t, 30, model=model_name, seed=23,
+                                           omission_probability=0.4)
+        tasks = [(protocol, n, preferences, pattern, horizon)
+                 for protocol in (MinProtocol(t), BasicProtocol(t), OptimalFipProtocol(t))
+                 for preferences, pattern in scenarios]
+        assert _trace_bytes(simulate_tasks(tasks)) == _trace_bytes(_per_run_traces(tasks))
+
+    @pytest.mark.parametrize("factory, n, t", [
+        (MinProtocol, 3, 1), (MinProtocol, 8, 3), (MinProtocol, 20, 6),
+        (BasicProtocol, 3, 1), (BasicProtocol, 8, 3), (BasicProtocol, 20, 6),
+        (OptimalFipProtocol, 3, 1), (OptimalFipProtocol, 8, 3),
+    ])
+    def test_until_decided_across_sizes(self, factory, n, t):
+        protocol = factory(t)
+        scenarios = random_model_scenarios(n, t, 16, seed=n, omission_probability=0.3)
+        tasks = [(protocol, n, preferences, pattern, None)
+                 for preferences, pattern in scenarios]
+        traces = simulate_tasks(tasks)
+        assert _trace_bytes(traces) == _trace_bytes(_per_run_traces(tasks))
+        assert all(state.decided is not None for trace in traces
+                   for state in trace.states_at(trace.horizon))
+
+    def test_mixed_protocols_and_horizons_keep_task_order(self, monkeypatch):
+        """Consecutive tasks of one ``(protocol, n)`` share a simulator across horizons."""
+        scenarios = random_model_scenarios(4, 1, 6, seed=5)
+        low, high = MinProtocol(1), OptimalFipProtocol(1)
+        tasks = [(low, 4, *scenario, horizon)
+                 for scenario, horizon in zip(scenarios, [None, None, 2, 0, None, 4])]
+        tasks += [(high, 4, *scenarios[0], None), (low, 4, *scenarios[1], 3),
+                  (low, 3, (1, 0, 1), None, None)]
+        simulators = []
+        init = BatchSimulator.__init__
+
+        def spy(self, protocol, n):
+            simulators.append((protocol, n))
+            init(self, protocol, n)
+
+        monkeypatch.setattr(BatchSimulator, "__init__", spy)
+        traces = simulate_tasks(tasks)
+        monkeypatch.undo()
+        assert simulators == [(low, 4), (high, 4), (low, 4), (low, 3)]
+        assert _trace_bytes(traces) == _trace_bytes(_per_run_traces(tasks))
+        assert [trace.horizon for trace in traces][2:4] == [2, 0]
+
+    def test_stalling_protocol_raises_the_per_run_error(self):
+        scenarios = [((1, 1, 1), None),
+                     ((0, 1, 1), FailurePattern.silent(3, faulty=[2], horizon=2))]
+        tasks = [(MinProtocol(1), 3, *scenarios[0], None)] + [
+            (_StallingProtocol(1), 3, *scenario, None) for scenario in reversed(scenarios)]
+        with pytest.raises(ProtocolError) as per_run:
+            _per_run_traces(tasks)
+        with pytest.raises(ProtocolError) as batched:
+            simulate_tasks(tasks)
+        assert str(batched.value) == str(per_run.value)
+        assert "did not terminate within 24 rounds" in str(batched.value)
 
 
 class TestValidation:
