@@ -18,9 +18,9 @@ Two backends are provided:
   ``simulate_tasks`` call in a worker.
 
 System construction (:func:`repro.systems.interpreted.build_system`) always
-runs in-process through one :class:`~repro.simulation.batch.BatchSimulator`: it
-only asks the executor for an optional ``checkpoint()`` hook, called before
-each construction chunk (the job service's cooperative cancel).
+runs in-process through one :class:`~repro.simulation.batch.BatchSimulator`
+and takes no executor.  Cancellation is the cancel scope's
+(:mod:`repro.core.cancel`), never the executor's.
 
 Tasks and traces cross process boundaries by pickling, which every protocol,
 failure pattern, and trace in the library supports (they are plain dataclasses
@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 from typing import List, Optional, Protocol, Sequence, runtime_checkable
 
+from ..core.cancel import checkpoint
 from ..core.errors import ConfigurationError
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -68,9 +69,6 @@ class Executor(Protocol):
     """The execution-backend interface.
 
     Implementations must return exactly one trace per task, in task order.
-    An executor may also define ``checkpoint()``, which
-    :func:`~repro.systems.interpreted.build_system` calls before each
-    construction chunk; whatever it raises aborts the build.
     """
 
     def run_tasks(self, tasks: Sequence[RunTask]) -> List[RunTrace]:  # pragma: no cover
@@ -128,9 +126,6 @@ class ParallelExecutor:
         self.chunksize = chunksize
         self.pool_retries = pool_retries
 
-    def _effective_workers(self) -> int:
-        return self.max_workers if self.max_workers is not None else (os.cpu_count() or 1)
-
     def _map_chunks(self, function, chunks: List[list], workers: int) -> List[list]:
         """Run ``function`` over every chunk, surviving pool death.
 
@@ -139,7 +134,9 @@ class ParallelExecutor:
         on :class:`~concurrent.futures.process.BrokenProcessPool` rebuilds the
         pool for the unfinished remainder — up to ``pool_retries`` rebuilds.
         A chunk raising an ordinary exception propagates unchanged: task
-        errors are real errors, only pool death is retried.
+        errors are real errors, only pool death is retried.  The parent polls
+        the cancel scope as each chunk completes (forked workers never see a
+        flag flip) and, if it raises, cancels the chunks not yet started.
         """
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
@@ -171,6 +168,11 @@ class ParallelExecutor:
                             # The pool marks every unfinished future with this
                             # error; keep draining so completed chunks are kept.
                             pass
+                        try:
+                            checkpoint()
+                        except BaseException:
+                            pool.shutdown(wait=False, cancel_futures=True)
+                            raise
                 pending = [index for index in pending if results[index] is None]
                 if pending:
                     rebuilds += 1
@@ -189,7 +191,7 @@ class ParallelExecutor:
 
     def run_tasks(self, tasks: Sequence[RunTask]) -> List[RunTrace]:
         tasks = list(tasks)
-        workers = min(self._effective_workers(), max(1, len(tasks)))
+        workers = min(self.max_workers or os.cpu_count() or 1, max(1, len(tasks)))
         if workers == 1 or len(tasks) <= 1:
             # Nothing to parallelise: skip the pool (and its fork/pickle cost).
             return simulate_tasks(tasks)

@@ -54,7 +54,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .api import Executor, RunSpec, executor_from_flags
 from .core.errors import ReproError
@@ -112,8 +112,7 @@ EXPERIMENTS: Dict[str, tuple] = {
            lambda n, t, executor, store: agreement_violation.report(
                sizes=((n, t),), executor=executor, store=store)),
     "e7": ("Theorems 6.5 / 6.6 — implementation of the knowledge-based program P0",
-           lambda n, t, executor, store: implementation_check.report(
-               n=n, t=t, executor=executor, store=store)),
+           lambda n, t, executor, store: implementation_check.report(n=n, t=t, store=store)),
     "e8": ("Section 8 — decision-round gap between limited exchanges and the FIP",
            lambda n, t, executor, store: fip_gap.report(
                n=n, t=t, executor=executor, store=store)),
@@ -121,15 +120,18 @@ EXPERIMENTS: Dict[str, tuple] = {
            lambda n, t, executor, store: crash_comparison.report(
                n=n, t=t, executor=executor, store=store)),
     "e10": ("Optimality probe — one-step deviations of P_min / P_basic",
-            lambda n, t, executor, store: optimality_probe.report(
-                n=n, t=t, executor=executor, store=store)),
+            lambda n, t, executor, store: optimality_probe.report(n=n, t=t)),
     "e11": ("Proposition 6.4 — the Definition 6.2 safety condition",
-            lambda n, t, executor, store: safety_check.report(
-                n=n, t=t, executor=executor, store=store)),
+            lambda n, t, executor, store: safety_check.report(n=n, t=t, store=store)),
     "e12": ("Failure-model comparison — SO vs RO vs GO (see also 'failure-models')",
             lambda n, t, executor, store: failure_model_comparison.report(
                 n=n, t=t, executor=executor, store=store)),
 }
+
+
+#: ``experiment``'s default ``(n, t)`` where it is not (6, 2): the exhaustive
+#: E7, E10 and E11 default to their own ``report()`` size.
+EXPERIMENT_SIZES: Dict[str, Tuple[int, int]] = {"e7": (3, 1), "e10": (3, 1), "e11": (3, 1)}
 
 
 def _make_executor(args: argparse.Namespace) -> Optional[Executor]:
@@ -296,9 +298,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"unknown experiment {args.id!r}; use 'repro-eba list'", file=sys.stderr)
         return 2
     _description, runner = EXPERIMENTS[key]
+    default_n, default_t = EXPERIMENT_SIZES.get(key, (6, 2))
+    n = default_n if args.n is None else args.n
+    t = default_t if args.t is None else args.t
     store = _make_store(args)
     with _obs_flags(args), _resume_reporting(store):
-        print(runner(args.n, args.t, _make_executor(args), store))
+        print(runner(n, t, _make_executor(args), store))
     return 0
 
 
@@ -598,8 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser = subparsers.add_parser("experiment",
                                               help="regenerate one of the paper's results")
     experiment_parser.add_argument("id", help="experiment id, e.g. e3 (see 'list')")
-    experiment_parser.add_argument("--n", type=int, default=6)
-    experiment_parser.add_argument("--t", type=int, default=2)
+    experiment_parser.add_argument("--n", type=int, help="agents (default 6; 3 for e7, e10, e11)")
+    experiment_parser.add_argument("--t", type=int, help="failure bound (default 2; 1 for e7, e10, e11)")
     _add_backend_arguments(experiment_parser)
     experiment_parser.set_defaults(handler=_cmd_experiment)
 

@@ -199,6 +199,8 @@ def check_theorems(model: "FailureModel | str", n: int = 3, t: int = 1,
     the bitset model checker and compares the concrete protocol against
     ``P0`` at every reachable local state; a failed check reports the number
     of counterexample states.
+    ``executor`` is unused; the benchmark's ``models-jobs2`` workload still
+    passes one, so dropping it waits on that benchmark's next change.
     """
     if isinstance(model, str):
         model = make_model(model, n, t)
@@ -214,8 +216,7 @@ def check_theorems(model: "FailureModel | str", n: int = 3, t: int = 1,
         ("Theorem 6.6: P_basic implements P0", BasicProtocol(t), gamma_basic, "gamma_basic"),
     ):
         context = gamma(n, t, failure_model=model)
-        report = check_implements(protocol, make_p0(n), context, executor=executor,
-                                  store=store)
+        report = check_implements(protocol, make_p0(n), context, store=store)
         rows.append(TheoremCheckRow(
             model=model_name,
             claim=claim,

@@ -50,26 +50,21 @@ class ImplementationMeasurement:
 
 
 def check_theorem_6_5(n: int = 3, t: int = 1,
-                      max_faulty_enumerated: Optional[int] = None,
-                      executor=None, store=None) -> ImplementationReport:
+                      max_faulty_enumerated: Optional[int] = None, store=None) -> ImplementationReport:
     """Theorem 6.5: ``P_min`` implements ``P0`` in ``γ_min,n,t``."""
     context = gamma_min(n, t, max_faulty_enumerated=max_faulty_enumerated)
-    return check_implements(MinProtocol(t), make_p0(n), context, executor=executor,
-                            store=store)
+    return check_implements(MinProtocol(t), make_p0(n), context, store=store)
 
 
 def check_theorem_6_6(n: int = 3, t: int = 1,
-                      max_faulty_enumerated: Optional[int] = None,
-                      executor=None, store=None) -> ImplementationReport:
+                      max_faulty_enumerated: Optional[int] = None, store=None) -> ImplementationReport:
     """Theorem 6.6: ``P_basic`` implements ``P0`` in ``γ_basic,n,t``."""
     context = gamma_basic(n, t, max_faulty_enumerated=max_faulty_enumerated)
-    return check_implements(BasicProtocol(t), make_p0(n), context, executor=executor,
-                            store=store)
+    return check_implements(BasicProtocol(t), make_p0(n), context, store=store)
 
 
 def check_theorem_a21(n: int = 3, t: int = 1,
-                      max_faulty_enumerated: Optional[int] = None,
-                      executor=None, store=None) -> ImplementationReport:
+                      max_faulty_enumerated: Optional[int] = None, store=None) -> ImplementationReport:
     """Theorem A.21 / Proposition 7.9: ``P_opt`` implements ``P1`` in ``γ_fip,n,t``.
 
     This is the paper's polynomial-time-implementation claim checked against the
@@ -78,11 +73,10 @@ def check_theorem_a21(n: int = 3, t: int = 1,
     knowledge and common-knowledge conditions at every reachable local state.
     """
     context = gamma_fip(n, t, max_faulty_enumerated=max_faulty_enumerated)
-    return check_implements(OptimalFipProtocol(t), make_p1(n, t), context, executor=executor,
-                            store=store)
+    return check_implements(OptimalFipProtocol(t), make_p1(n, t), context, store=store)
 
 
-def _equivalence_verdict(protocol, context, executor, store) -> bool:
+def _equivalence_verdict(protocol, context, store) -> bool:
     """Whether ``P0`` and ``P1`` agree over ``context.build_system(protocol)``.
 
     With a store, the verdict is cached under
@@ -97,80 +91,50 @@ def _equivalence_verdict(protocol, context, executor, store) -> bool:
         cached = resolved_store.get(key)
         if cached is not None:
             return cached
-    system = context.build_system(protocol, executor=executor, store=resolved_store)
+    system = context.build_system(protocol, store=resolved_store)
     verdict = programs_equivalent(first, second, system)
     if resolved_store is not None and key is not None:
         resolved_store.put(key, verdict, kind="equivalence-report")
     return verdict
 
 
-def check_p0_p1_equivalence(n: int = 3, t: int = 1, executor=None,
-                            store=None) -> Dict[str, bool]:
+def check_p0_p1_equivalence(n: int = 3, t: int = 1, store=None) -> Dict[str, bool]:
     """Section 7: ``P0`` and ``P1`` prescribe the same actions in the limited contexts."""
     return {
-        "gamma_min": _equivalence_verdict(MinProtocol(t), gamma_min(n, t), executor, store),
-        "gamma_basic": _equivalence_verdict(BasicProtocol(t), gamma_basic(n, t),
-                                            executor, store),
+        "gamma_min": _equivalence_verdict(MinProtocol(t), gamma_min(n, t), store),
+        "gamma_basic": _equivalence_verdict(BasicProtocol(t), gamma_basic(n, t), store),
     }
 
 
 def measure(n: int = 3, t: int = 1, include_equivalence: bool = True,
-            include_fip: bool = True, executor=None,
-            store=None) -> List[ImplementationMeasurement]:
+            include_fip: bool = True, store=None) -> List[ImplementationMeasurement]:
     """Run every implementation check at the given system size."""
+    checks = [("Theorem A.21: P_opt implements P1", "gamma_fip", check_theorem_a21)] if include_fip else []
+    checks += [("Theorem 6.5: P_min implements P0", "gamma_min", check_theorem_6_5),
+               ("Theorem 6.6: P_basic implements P0", "gamma_basic", check_theorem_6_6)]
     measurements: List[ImplementationMeasurement] = []
-    if include_fip:
-        report_fip = check_theorem_a21(n, t, executor=executor, store=store)
+    for claim, context, check in checks:
+        checked = check(n, t, store=store)
         measurements.append(ImplementationMeasurement(
-            claim="Theorem A.21: P_opt implements P1",
-            context="gamma_fip",
-            n=n,
-            t=t,
-            states_checked=report_fip.checked_states,
-            holds=report_fip.ok,
-        ))
-    report_min = check_theorem_6_5(n, t, executor=executor, store=store)
-    measurements.append(ImplementationMeasurement(
-        claim="Theorem 6.5: P_min implements P0",
-        context="gamma_min",
-        n=n,
-        t=t,
-        states_checked=report_min.checked_states,
-        holds=report_min.ok,
-    ))
-    report_basic = check_theorem_6_6(n, t, executor=executor, store=store)
-    measurements.append(ImplementationMeasurement(
-        claim="Theorem 6.6: P_basic implements P0",
-        context="gamma_basic",
-        n=n,
-        t=t,
-        states_checked=report_basic.checked_states,
-        holds=report_basic.ok,
-    ))
+            claim=claim, context=context, n=n, t=t,
+            states_checked=checked.checked_states, holds=checked.ok))
     if include_equivalence:
-        equivalences = check_p0_p1_equivalence(n, t, executor=executor, store=store)
-        for context_name, holds in equivalences.items():
+        for context, holds in check_p0_p1_equivalence(n, t, store=store).items():
             measurements.append(ImplementationMeasurement(
-                claim="Section 7: P1 ≡ P0",
-                context=context_name,
-                n=n,
-                t=t,
-                states_checked=0,
-                holds=holds,
-            ))
+                claim="Section 7: P1 ≡ P0", context=context, n=n, t=t,
+                states_checked=0, holds=holds))
     return measurements
 
 
-def report(n: int = 3, t: int = 1, executor=None, store=None) -> str:
+def report(n: int = 3, t: int = 1, store=None) -> str:
     """Render the implementation checks as a table.
 
-    ``executor`` is forwarded to each context's system build, which runs
-    in-process whatever the executor (see
+    Every system is built in-process (see
     :func:`~repro.systems.interpreted.build_system`); ``store`` serves the
     system builds and the finished reports from the artifact cache
     (see :mod:`repro.store`).
     """
-    measurements = measure(n, t, executor=executor, store=store)
+    measurements = measure(n, t, store=store)
     table = format_table(
         [m.as_row() for m in measurements],
         title=f"E7 — knowledge-based program implementation checks (n={n}, t={t})",

@@ -89,16 +89,12 @@ def measure(n: int = 3, t: int = 1) -> List[ProbeRow]:
     ]
 
 
-def report(n: int = 3, t: int = 1, executor=None, store=None) -> str:
+def report(n: int = 3, t: int = 1) -> str:
     """Render the optimality probe as a table.
 
-    ``executor`` and ``store`` are accepted for CLI uniformity with the
-    sweep-shaped experiments but unused: the probe enumerates one-step
-    deviations over an exhaustively built context in-process, and every
-    deviation is a distinct throwaway protocol, so there is nothing reusable
-    to cache.
+    The probe runs in-process and caches nothing: every one-step deviation is
+    a distinct throwaway protocol.
     """
-    del executor, store
     rows = measure(n, t)
     table = format_table(
         [row.as_row() for row in rows],

@@ -68,36 +68,32 @@ def summarize(report: SafetyReport, n: int, t: int) -> SafetyRow:
     )
 
 
-def check_gamma_min(n: int = 3, t: int = 1, executor=None, store=None) -> SafetyReport:
+def check_gamma_min(n: int = 3, t: int = 1, store=None) -> SafetyReport:
     """Check the safety condition in ``γ_min(n, t)`` (generated by ``P_min``)."""
-    return check_safety(MinProtocol(t), gamma_min(n, t), executor=executor,
-                        store=store)
+    return check_safety(MinProtocol(t), gamma_min(n, t), store=store)
 
 
-def check_gamma_basic(n: int = 3, t: int = 1, executor=None, store=None) -> SafetyReport:
+def check_gamma_basic(n: int = 3, t: int = 1, store=None) -> SafetyReport:
     """Check the safety condition in ``γ_basic(n, t)`` (generated by ``P_basic``)."""
-    return check_safety(BasicProtocol(t), gamma_basic(n, t), executor=executor,
-                        store=store)
+    return check_safety(BasicProtocol(t), gamma_basic(n, t), store=store)
 
 
-def measure(n: int = 3, t: int = 1, executor=None, store=None) -> List[SafetyRow]:
+def measure(n: int = 3, t: int = 1, store=None) -> List[SafetyRow]:
     """Run both safety checks and summarize."""
     return [
-        summarize(check_gamma_min(n, t, executor=executor, store=store), n, t),
-        summarize(check_gamma_basic(n, t, executor=executor, store=store), n, t),
+        summarize(check_gamma_min(n, t, store=store), n, t),
+        summarize(check_gamma_basic(n, t, store=store), n, t),
     ]
 
 
-def report(n: int = 3, t: int = 1, executor=None, store=None) -> str:
+def report(n: int = 3, t: int = 1, store=None) -> str:
     """Render the safety-condition check as a table.
 
-    ``executor`` (e.g. the CLI's ``--parallel --jobs N`` backend) is only
-    consulted for the system builds' optional ``checkpoint()`` hook: builds
-    and scans run in-process either way; ``store`` serves
-    the system builds and the finished safety reports from the artifact cache
-    (see :mod:`repro.store`).
+    Builds and scans run in-process; ``store`` serves the system builds and
+    the finished safety reports from the artifact cache (see
+    :mod:`repro.store`).
     """
-    rows = measure(n, t, executor=executor, store=store)
+    rows = measure(n, t, store=store)
     table = format_table(
         [row.as_row() for row in rows],
         title=f"E11 / Proposition 6.4 — the Definition 6.2 safety condition (n={n}, t={t})",

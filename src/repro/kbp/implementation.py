@@ -35,7 +35,6 @@ from ..systems.points import Point
 from .programs import KnowledgeBasedProgram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.executors import Executor
     from ..store import StoreLike
 
 
@@ -80,7 +79,6 @@ def check_implements(protocol: ActionProtocol, program: KnowledgeBasedProgram,
                      system: Optional[InterpretedSystem] = None,
                      max_time: Optional[int] = None,
                      max_mismatches: int = 10,
-                     executor: Optional["Executor"] = None,
                      store: "StoreLike" = None) -> ImplementationReport:
     """Check that ``protocol`` implements ``program`` in ``context``.
 
@@ -96,9 +94,6 @@ def check_implements(protocol: ActionProtocol, program: KnowledgeBasedProgram,
         bounded system).
     max_mismatches:
         Stop collecting counterexamples after this many.
-    executor:
-        Optional :class:`~repro.api.executors.Executor` used when the system
-        has to be built here (ignored when ``system`` is given).
     store:
         Optional :class:`~repro.store.ArtifactStore` (or cache directory):
         the finished report is cached under a content key covering the
@@ -117,7 +112,7 @@ def check_implements(protocol: ActionProtocol, program: KnowledgeBasedProgram,
         if cached is not None:
             return cached
     if system is None:
-        system = context.build_system(protocol, executor=executor, store=resolved_store)
+        system = context.build_system(protocol, store=resolved_store)
     if max_time is None:
         max_time = system.horizon - 1
     checker = ModelChecker(system)
@@ -209,7 +204,6 @@ class TableProtocol(ActionProtocol):
 def derive_implementation(program: KnowledgeBasedProgram, context: EBAContext,
                           seed: ActionProtocol,
                           max_iterations: int = 10,
-                          executor: Optional["Executor"] = None,
                           store: "StoreLike" = None) -> Tuple[TableProtocol, bool]:
     """Iteratively search for an implementation of ``program`` in ``context``.
 
@@ -229,7 +223,7 @@ def derive_implementation(program: KnowledgeBasedProgram, context: EBAContext,
     current: ActionProtocol = seed
     table: Dict[Tuple[int, LocalState], Action] = {}
     for _ in range(max_iterations):
-        system = context.build_system(current, executor=executor, store=resolved_store)
+        system = context.build_system(current, store=resolved_store)
         checker = ModelChecker(system)
         table = {}
         for agent in range(system.n):

@@ -172,7 +172,7 @@ class ServiceClient:
 
         A queued job cancels immediately; a running one cooperatively — the
         response still says ``running`` (with ``cancel_requested``) until the
-        worker reaches its next chunk boundary and confirms.
+        worker reaches its next simulation round and confirms.
         """
         return self._request("POST", f"/jobs/{job_id}/cancel")
 

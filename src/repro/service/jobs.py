@@ -340,7 +340,7 @@ class JobQueue:
 
         A queued job moves straight to ``cancelled``.  A running job gets
         :attr:`Job.cancel_requested` set — the worker observes the flag at its
-        next chunk boundary and confirms via :meth:`mark_cancelled`; until
+        next simulation round and confirms via :meth:`mark_cancelled`; until
         then the state stays ``running`` (with ``cancel_requested`` visible in
         the status view).  Finished jobs are left alone.
         """

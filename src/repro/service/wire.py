@@ -353,15 +353,13 @@ def execute_request(request: JobRequest, executor: Any = None,
     JSON-safe rendering :func:`render_result` defines.
     """
     from ..experiments import implementation_check
-    if request.kind == "run":
+    if request.kind in ("run", "sweep"):
         artifact: object = request.spec.run(executor, store=store)
-    elif request.kind == "sweep":
-        artifact = request.spec.run(executor, store=store)
     elif request.kind == "theorem":
         check = {"6.5": implementation_check.check_theorem_6_5,
                  "6.6": implementation_check.check_theorem_6_6,
                  "a21": implementation_check.check_theorem_a21}[request.spec.theorem]
-        artifact = check(request.spec.n, request.spec.t, executor=executor, store=store)
+        artifact = check(request.spec.n, request.spec.t, store=store)
     else:  # pragma: no cover - decode_request already rejected it
         raise ServiceError(f"unknown request kind {request.kind!r}")
     return render_result(request, artifact)

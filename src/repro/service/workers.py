@@ -15,17 +15,17 @@ Supervision (the crash-safety layer) wraps every execution:
 * **Wall-clock timeout** — with ``job_timeout`` set, the request runs on a
   daemon thread and the worker waits at most that long; on expiry the job is
   handed to :meth:`JobQueue.retry_or_fail` (timeouts are retryable) and the
-  abandoned execution is told to stop at its next chunk boundary.  Its late
+  abandoned execution is told to stop at its next simulation round.  Its late
   outcome, if any, is discarded by the queue's attempt-token check.
 * **Retry classification** — exceptions in :data:`RETRYABLE_EXCEPTIONS`
   (transient IO, a process pool that died) go through the queue's bounded
   exponential-backoff retry; anything else fails the job immediately with
   the traceback.
-* **Cooperative cancellation** — the executor handed to the request is
-  wrapped in a chunking guard that checks :attr:`Job.cancel_requested`
-  between task chunks and construction chunks and raises
-  :class:`JobCancelled`, which the worker confirms via
-  :meth:`JobQueue.mark_cancelled`.
+* **Cooperative cancellation** — every execution runs in a cancel scope
+  (:mod:`repro.core.cancel`) that raises :class:`JobCancelled` once the
+  client cancels, the execution times out, or the pool stops; the batched
+  engine polls it every simulation round.  :meth:`WorkerPool.stop` leaves a
+  job it aborts ``running`` in the journal, so a successor re-queues it.
 
 Worker exceptions never escape the loop: the job moves to ``failed`` (or back
 to ``queued`` for a retry) carrying the traceback, the worker picks up the
@@ -39,8 +39,9 @@ import threading
 import traceback
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from typing import List, Optional
+from typing import Callable, List, Optional
 
+from ..core.cancel import cancellable
 from ..obs import trace as _trace
 from ..obs.bus import BUS
 from .jobs import Job, JobQueue
@@ -74,44 +75,15 @@ def probe_warm(request: JobRequest, store) -> Optional[dict]:
     return render_result(request, artifact)
 
 
-class _CancelGuard:
-    """An executor wrapper that checks for cancellation between chunks.
-
-    :meth:`checkpoint` raises :class:`JobCancelled` once
-    :attr:`Job.cancel_requested` (the client's cooperative cancel) or the
-    guard's own :attr:`abort` event (set when the supervising worker times the
-    job out) is set.  ``run_tasks`` splits its work into chunks and checks
-    before each one; :func:`~repro.systems.interpreted.build_system` calls
-    :meth:`checkpoint` before each construction chunk.  Task chunks are sized
-    to keep a parallel inner executor's pool busy between checks and to bound
-    the number of checks on huge sweeps (at most ~8 per call), so the guard
-    costs cancellation *latency*, never throughput or determinism — the
-    concatenated chunk results are identical to one unchunked call.
-    """
-
-    def __init__(self, inner, job: Job) -> None:
-        from ..api.executors import resolve_executor
-        self.inner = resolve_executor(inner)
-        self.job = job
-        self.abort = threading.Event()
-
-    def checkpoint(self) -> None:
-        if self.job.cancel_requested or self.abort.is_set():
-            raise JobCancelled(self.job.key)
-
-    def _step(self, count: int) -> int:
-        workers = getattr(self.inner, "_effective_workers", None)
-        floor = 4 * workers() if callable(workers) else 1
-        return max(floor, count // 8, 1)
-
-    def run_tasks(self, tasks):
-        tasks = list(tasks)
-        step = self._step(len(tasks))
-        results = []
-        for start in range(0, len(tasks), step):
-            self.checkpoint()
-            results.extend(self.inner.run_tasks(tasks[start:start + step]))
-        return results
+def _cancel_check(job: Job, *aborts: threading.Event) -> Callable[[], None]:
+    """The cancel-scope check of one execution of ``job``: it raises
+    :class:`JobCancelled` once :attr:`Job.cancel_requested` (the client's
+    cancel) or any of ``aborts`` (the execution's timeout, the pool's stop)
+    is set."""
+    def check() -> None:
+        if job.cancel_requested or any(abort.is_set() for abort in aborts):
+            raise JobCancelled(job.key)
+    return check
 
 
 #: Progress-event fields copied onto :attr:`Job.progress` (a stable subset of
@@ -179,6 +151,8 @@ class WorkerPool:
         self.workers = workers
         self.job_timeout = job_timeout
         self._threads: List[threading.Thread] = []
+        #: Set by :meth:`stop`; every execution's cancel check reads it.
+        self._stopping = threading.Event()
 
     def start(self) -> None:
         for index in range(self.workers):
@@ -194,7 +168,7 @@ class WorkerPool:
                 return
             self._execute(job)
 
-    def _call(self, job: Job, guard: _CancelGuard) -> tuple:
+    def _call(self, job: Job, abort: threading.Event) -> tuple:
         """One execution attempt; returns an outcome tag the supervisor maps
         onto a queue transition.  Never raises."""
         attempt_span = _trace.NOOP
@@ -202,9 +176,10 @@ class WorkerPool:
             attempt_span = _trace.span("job.attempt", "service", {
                 "job": job.key[:16], "kind": job.request.kind,
                 "attempt": job.attempts})
-        with attempt_span as span, _progress_capture(job):
+        with attempt_span as span, _progress_capture(job), \
+                cancellable(_cancel_check(job, abort, self._stopping)):
             try:
-                payload = execute_request(job.request, executor=guard,
+                payload = execute_request(job.request, executor=self.executor,
                                           store=self.store)
             except JobCancelled:
                 span.set("outcome", "cancelled")
@@ -217,21 +192,21 @@ class WorkerPool:
 
     def _execute(self, job: Job) -> None:
         attempt = job.attempts  # the token making late outcomes discardable
-        guard = _CancelGuard(self.executor, job)
+        abort = threading.Event()
         if self.job_timeout is None:
-            outcome = self._call(job, guard)
+            outcome = self._call(job, abort)
         else:
             box: List[tuple] = []
             runner = threading.Thread(
-                target=lambda: box.append(self._call(job, guard)),
+                target=lambda: box.append(self._call(job, abort)),
                 name=f"repro-job-{job.key[:8]}", daemon=True)
             runner.start()
             runner.join(timeout=self.job_timeout)
             if runner.is_alive():
-                # Tell the abandoned execution to stop at its next chunk
-                # boundary; whatever it eventually reports carries a stale
+                # Tell the abandoned execution to stop at its next simulation
+                # round; whatever it eventually reports carries a stale
                 # attempt token and is ignored by the queue.
-                guard.abort.set()
+                abort.set()
                 self.queue.retry_or_fail(
                     job,
                     f"job exceeded the {self.job_timeout:g}s wall-clock "
@@ -243,6 +218,10 @@ class WorkerPool:
         if tag == "done":
             self.queue.finish(job, payload, attempt=attempt)
         elif tag == "cancelled":
+            if self._stopping.is_set() and not job.cancel_requested:
+                # Aborted by stop(): no transition, so the journal still says
+                # ``running`` and recovery re-queues the job.
+                return
             self.queue.mark_cancelled(job, attempt=attempt)
         else:
             retryable = isinstance(payload, RETRYABLE_EXCEPTIONS)
@@ -250,8 +229,10 @@ class WorkerPool:
                                      attempt=attempt)
 
     def stop(self, timeout: Optional[float] = 10.0) -> None:
-        """Stop the queue and join every worker (bounded per-thread wait)."""
+        """Stop the queue, abort every running execution at its next round,
+        and join every worker (bounded per-thread wait)."""
         self.queue.stop()
+        self._stopping.set()
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads = []

@@ -79,6 +79,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, TY
 
 import numpy as np
 
+from ..core.cancel import checkpoint
 from ..core.errors import ConfigurationError, ProtocolError
 from ..core.types import Action, PreferenceVector, validate_preferences
 from ..exchange.base import InformationExchange, LocalState
@@ -550,7 +551,8 @@ class BatchSimulator:
         each byte-identical (per-trace pickle) to what
         :func:`~repro.simulation.engine.simulate` produces for the same inputs.
         Each distinct preference vector is validated once per simulator, and
-        each distinct pattern object compiled once per call.
+        each distinct pattern object compiled once per call.  Each round
+        starts with a :func:`~repro.core.cancel.checkpoint`.
         """
         if horizon is not None and horizon < 0:
             raise ConfigurationError(f"horizon must be non-negative, got {horizon}")
@@ -616,6 +618,7 @@ class BatchSimulator:
                                           self._patterns[run_patterns[int(live[0])]])
             elif time == rounds:
                 break
+            checkpoint()
             round_span = _trace.NOOP
             if tracing:
                 round_span = _trace.span("build.round", "build",

@@ -24,7 +24,6 @@ from ..protocols.base import ActionProtocol
 from .interpreted import DefinedPatterns, InterpretedSystem, build_system
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.executors import Executor
     from ..store import StoreLike
 
 
@@ -74,13 +73,11 @@ class EBAContext:
             self.horizon, max_faulty=self.max_faulty_enumerated)
 
     def build_system(self, protocol: ActionProtocol,
-                     executor: Optional["Executor"] = None,
                      store: "StoreLike" = None) -> InterpretedSystem:
         """Build ``I_{γ, P}`` for the given action protocol.
 
         The build always runs in-process (see
-        :func:`repro.systems.interpreted.build_system`); ``executor`` is only
-        consulted for its optional ``checkpoint()`` cancel hook.  ``store``
+        :func:`repro.systems.interpreted.build_system`).  ``store``
         serves the built system from the content-addressed artifact cache
         (see :mod:`repro.store`) when an identical ``(γ, P)`` build was done
         before.  The system is keyed by the context's definition
@@ -96,8 +93,7 @@ class EBAContext:
                 self.patterns, lambda: context_system_key(protocol, self))
         else:
             patterns = self.patterns()
-        return build_system(protocol, self.n, self.horizon, patterns,
-                            executor=executor, store=store)
+        return build_system(protocol, self.n, self.horizon, patterns, store=store)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"{self.name}(n={self.n}, t={self.t}, horizon={self.horizon}, "

@@ -19,6 +19,9 @@ The classes are kept as one class id per point, and the atoms ``init_i = v``,
 ``decided_i = v``, ``time = k`` and ``i ∈ N`` are cached as ``uint64`` word
 arrays (see :mod:`repro.logic.words`); both are indexed by the dense point
 index ``run_index * (horizon + 1) + time``.
+
+A build runs in-process, takes no executor, and stores nothing if the cancel
+scope (:mod:`repro.core.cancel`) stops it at a simulation round.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .points import Point
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy.typing as npt
 
-    from ..api.executors import Executor
     from ..store import StoreLike
 
 
@@ -407,10 +409,10 @@ def _rebuild_system(n: int, horizon: int, protocol_name: str, table: RunTable,
     return system
 
 
-#: Failure patterns simulated per construction chunk.  ``build_system`` calls
-#: the executor's optional ``checkpoint()`` before each chunk, which bounds how
-#: long a cancelled build keeps running; the chunks share one simulator, so
-#: their size changes nothing about the result.
+#: Failure patterns simulated per construction chunk.  The simulator polls the
+#: cancel scope every round, so a chunk's round bounds how long a cancelled
+#: build keeps running; the chunks share one simulator, so their size changes
+#: nothing about the result.
 BUILD_CHUNK_PATTERNS = 1024
 
 
@@ -457,7 +459,6 @@ def _normalize_patterns(patterns: Iterable[FailurePattern]) -> List[FailurePatte
 def build_system(protocol: ActionProtocol, n: int, horizon: int,
                  patterns: Iterable[FailurePattern],
                  preference_vectors: Optional[Iterable[PreferenceVector]] = None,
-                 executor: Optional["Executor"] = None,
                  store: "StoreLike" = None,
                  ) -> InterpretedSystem:
     """Build the interpreted system ``I_{γ, P}`` by simulating every run.
@@ -474,6 +475,8 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
     (per-trace pickle) to one :func:`~repro.simulation.engine.simulate` call
     per (pattern, preference vector) pair, the naive oracle the differential
     tests build directly.
+    Runs are pattern-major, preference-minor, and built in-process
+    (docs/performance.md says why).
     Simulation, partitioning and interning allocate a few acyclic containers
     per run, so cyclic GC is paused for them
     (:func:`~repro.core.allocation.bulk_allocation`); the caller's GC state is
@@ -498,16 +501,6 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
         when the store misses.
     preference_vectors:
         The initial preference vectors to include; defaults to all ``2^n``.
-    executor:
-        Optional :class:`~repro.api.executors.Executor`.  Construction always
-        runs in-process, whatever the executor: shipping pattern chunks to a
-        process pool costs more in pickling and re-interning on the way back
-        than building the whole system here (see docs/performance.md).  The
-        executor is consulted only for an optional ``checkpoint()`` method,
-        called before each chunk of :data:`BUILD_CHUNK_PATTERNS` patterns;
-        whatever it raises aborts the build with nothing stored (the job
-        service's cooperative cancel).  Run ordering is pattern-major,
-        preference-minor.
     store:
         Optional :class:`~repro.store.ArtifactStore` (or cache-directory
         path): the built system — its run table *and* interned partitions
@@ -535,18 +528,17 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
     if defined is not None:
         return _build_stored(protocol, n, horizon, preference_list, defined.key,
                              lambda: _normalize_patterns(defined.enumerate()),
-                             executor=executor, store=store)
+                             store=store)
     pattern_list = _normalize_patterns(patterns)
     return _build_stored(
         protocol, n, horizon, preference_list,
         lambda: system_key(protocol, n, horizon, pattern_list, preference_list),
-        lambda: pattern_list, executor=executor, store=store)
+        lambda: pattern_list, store=store)
 
 
 def _build_stored(protocol: ActionProtocol, n: int, horizon: int,
                   preference_list: List[PreferenceVector], key: Callable[[], str],
-                  supply: Callable[[], List[FailurePattern]],
-                  executor: Optional["Executor"], store: "StoreLike",
+                  supply: Callable[[], List[FailurePattern]], store: "StoreLike",
                   ) -> InterpretedSystem:
     """The one store path of every system build: look ``key()`` up, else build and put.
 
@@ -573,13 +565,10 @@ def _build_stored(protocol: ActionProtocol, n: int, horizon: int,
         pattern_list = supply()
         span.set("patterns", len(pattern_list))
         span.set("runs", len(pattern_list) * len(preference_list))
-        checkpoint = getattr(executor, "checkpoint", None)
         with bulk_allocation():
             simulator = BatchSimulator(protocol, n)
             runs: List[RunTrace] = []
             for start in range(0, len(pattern_list), BUILD_CHUNK_PATTERNS):
-                if checkpoint is not None:
-                    checkpoint()
                 chunk = pattern_list[start:start + BUILD_CHUNK_PATTERNS]
                 runs.extend(simulator.simulate_patterns(chunk, preference_list, horizon))
             partitions = simulator.partitions(runs, horizon)
@@ -597,10 +586,8 @@ def _build_stored(protocol: ActionProtocol, n: int, horizon: int,
 
 def build_system_for_model(protocol: ActionProtocol, model: FailureModel, horizon: int,
                            max_faulty: Optional[int] = None,
-                           executor: Optional["Executor"] = None,
                            store: "StoreLike" = None) -> InterpretedSystem:
     """Convenience wrapper: build the system for every pattern of a failure model."""
     patterns: Iterable[FailurePattern] = model.enumerate(
         horizon) if max_faulty is None else model.enumerate(horizon, max_faulty=max_faulty)
-    return build_system(protocol, model.n, horizon, patterns, executor=executor,
-                        store=store)
+    return build_system(protocol, model.n, horizon, patterns, store=store)

@@ -96,6 +96,26 @@ class TestExperimentCommand:
     def test_registry_covers_every_experiment(self):
         assert set(EXPERIMENTS) == {f"e{i}" for i in range(1, 13)}
 
+    def test_exhaustive_experiments_default_to_their_report_size(self):
+        import inspect
+
+        from repro.cli import EXPERIMENT_SIZES
+        from repro.experiments import implementation_check, optimality_probe, safety_check
+
+        reports = {"e7": implementation_check.report, "e10": optimality_probe.report,
+                   "e11": safety_check.report}
+        assert set(EXPERIMENT_SIZES) == set(reports)
+        for key, report in reports.items():
+            parameters = inspect.signature(report).parameters
+            assert EXPERIMENT_SIZES[key] == (parameters["n"].default,
+                                             parameters["t"].default), key
+
+    def test_experiment_without_size_flags_uses_its_default(self, capsys):
+        assert main(["experiment", "e11"]) == 0
+        assert "(n=3, t=1)" in capsys.readouterr().out
+        args = build_parser().parse_args(["experiment", "e1"])
+        assert (args.n, args.t) == (None, None)
+
 
 class TestBackendFlags:
     """Regression: ``repro-eba experiment e4 --jobs 4`` used to run serially."""

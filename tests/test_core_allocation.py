@@ -17,6 +17,7 @@ import threading
 import pytest
 
 from repro.core.allocation import bulk_allocation
+from repro.core.cancel import cancellable
 from repro.protocols import MinProtocol
 from repro.store import store as store_module
 from repro.systems import gamma_min
@@ -110,13 +111,13 @@ class TestBulkAllocation:
         assert gc.isenabled()
 
 
-class _CancellingExecutor:
-    """An executor whose ``checkpoint()`` cancels the build on its second call."""
+class _CancellingCheck:
+    """A cancel-scope check that cancels the build on its second call."""
 
     def __init__(self):
         self.calls = 0
 
-    def checkpoint(self):
+    def __call__(self):
         self.calls += 1
         if self.calls == 2:
             raise RuntimeError("cancelled")
@@ -129,10 +130,10 @@ class TestCallSites:
         monkeypatch.setattr(interpreted, "BUILD_CHUNK_PATTERNS", 16)
         if not enabled:
             gc.disable()
-        executor = _CancellingExecutor()
-        with pytest.raises(RuntimeError, match="cancelled"):
-            gamma_min(3, 1).build_system(MinProtocol(1), executor=executor)
-        assert executor.calls == 2
+        check = _CancellingCheck()
+        with cancellable(check), pytest.raises(RuntimeError, match="cancelled"):
+            gamma_min(3, 1).build_system(MinProtocol(1))
+        assert check.calls == 2
         assert gc.isenabled() is enabled
 
     @pytest.mark.parametrize("enabled", [True, False])

@@ -85,7 +85,7 @@ REMOVED_NAMES = (
     "nonfaulty_mask", "init_mask", "decided_mask", "full_mask", "class_masks",
     "point_set", "run_weights", "weighted_run_count", "pattern_weights",
     "SYMMETRY_MODES", "execute_batch", "execute_batches", "simulate_batch",
-    "BatchTask", "_execute_batch_chunk",
+    "BatchTask", "_execute_batch_chunk", "_CancelGuard",
 )
 
 

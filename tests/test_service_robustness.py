@@ -1,5 +1,5 @@
 """Tests for the service's supervision layer (backpressure, retry, timeout,
-cooperative cancel, client retry semantics, SIGTERM).
+cooperative cancel, prompt stop, client retry semantics, SIGTERM).
 
 Fault injection comes from :mod:`repro.testing.faults`; custom protocols are
 registered into the wire namespace per-test with ``monkeypatch.setitem``, so
@@ -18,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import ParallelExecutor
+from repro.core.cancel import cancellable, checkpoint
 from repro.core.errors import ServiceError, ServiceUnavailable
 from repro.service import (
     JobCancelled,
@@ -29,8 +31,10 @@ from repro.service import (
     sweep_request,
     wire,
 )
-from repro.service.jobs import CANCELLED, QUEUED, RUNNING, Job
-from repro.service.workers import _CancelGuard
+from repro.service.jobs import CANCELLED, DONE, QUEUED, RUNNING, Job
+from repro.service.journal import JobJournal
+from repro.service.workers import WorkerPool, _cancel_check
+from repro.simulation.batch import BatchSimulator
 from repro.store import ArtifactStore
 from repro.testing import FailOnceProtocol, ServerHarness, SlowProtocol
 
@@ -196,14 +200,17 @@ class TestRetryAndTimeout:
 class TestCooperativeCancel:
     def test_checkpoint_raises_once_cancel_or_abort_is_set(self):
         for trigger in ("cancel_requested", "abort"):
-            guard = _CancelGuard(None, Job(decode_request(run_body())))
-            guard.checkpoint()  # neither flag set: a no-op
-            if trigger == "abort":
-                guard.abort.set()
-            else:
-                guard.job.cancel_requested = True
-            with pytest.raises(JobCancelled):
-                guard.checkpoint()
+            job = Job(decode_request(run_body()))
+            abort = threading.Event()
+            with cancellable(_cancel_check(job, abort)):
+                checkpoint()  # neither flag set: a no-op
+                if trigger == "abort":
+                    abort.set()
+                else:
+                    job.cancel_requested = True
+                with pytest.raises(JobCancelled):
+                    checkpoint()
+            checkpoint()  # outside the scope: a no-op again
 
     def test_cancel_a_running_sweep(self, monkeypatch):
         monkeypatch.setitem(wire.PROTOCOL_FACTORIES, "slow",
@@ -223,6 +230,84 @@ class TestCooperativeCancel:
             assert server.queue.cancelled == 1
             # The worker is free again: a fresh job completes.
             assert client.submit_and_wait(run_body(), timeout=60.0)["kind"] == "run"
+
+    def test_cancel_a_running_sweep_on_a_process_pool(self, monkeypatch):
+        """The parent polls the scope as each chunk completes, and cancels
+        the chunks that have not started."""
+        monkeypatch.setitem(wire.PROTOCOL_FACTORIES, "slow",
+                            lambda t: SlowProtocol(t, delay=0.05))
+        # 48 one-task chunks of several sleeping act calls each: ~7.5 s on
+        # two workers, were the sweep to run to the end.
+        body = sweep_request([("slow", 1)],
+                             workload={"n": 3, "t": 1, "count": 48, "seed": 0})
+        executor = ParallelExecutor(max_workers=2, chunksize=1)
+        with JobServer(port=0, workers=1, executor=executor) as server:
+            client = ServiceClient(server.url)
+            job_id = client.submit(body)["job"]
+            assert wait_for(lambda: client.status(job_id)["state"] == RUNNING)
+            started = time.monotonic()
+            client.cancel(job_id)
+            assert wait_for(lambda: client.status(job_id)["state"] == CANCELLED)
+            assert time.monotonic() - started < 3.0
+            assert server.queue.cancelled == 1
+
+
+class TestOneSimulatorPerProtocol:
+    def test_a_service_sweep_builds_one_simulator_per_protocol(self, monkeypatch):
+        """A worker runs a sweep as one engine call per protocol: the cancel
+        scope needs no chunking."""
+        built = []
+        original = BatchSimulator.__init__
+
+        def spy(self, protocol, n):
+            built.append(protocol.name)
+            original(self, protocol, n)
+
+        monkeypatch.setattr(BatchSimulator, "__init__", spy)
+        queue = JobQueue()
+        pool = WorkerPool(queue, store=ArtifactStore(), workers=1)
+        job, _ = queue.submit(decode_request(sweep_request(
+            [("min", 1), ("basic", 1)],
+            workload={"n": 4, "t": 1, "count": 64, "seed": 0})))
+        pool.start()
+        try:
+            assert wait_for(lambda: job.state == DONE)
+        finally:
+            pool.stop()
+        assert built == ["P_min", "P_basic"]
+
+
+# ------------------------------------------------------------------ prompt stop
+
+
+class TestPromptStop:
+    def test_stop_aborts_a_running_job_and_a_successor_finishes_it(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setitem(wire.PROTOCOL_FACTORIES, "slow",
+                            lambda t: SlowProtocol(t, delay=0.02))
+        # ~60 sleeping act calls over 12 rounds: ~1.2 s, ~0.1 s per round.
+        body = sweep_request([("slow", 1)],
+                             workload={"n": 3, "t": 1, "count": 2, "seed": 0},
+                             horizon=12)
+        journal = tmp_path / "jobs.jsonl"
+        server = JobServer(port=0, workers=1, journal=journal).start()
+        try:
+            client = ServiceClient(server.url)
+            job_id = client.submit(body)["job"]
+            assert wait_for(lambda: client.status(job_id)["state"] == RUNNING)
+        finally:
+            started = time.monotonic()
+            server.stop()
+            elapsed = time.monotonic() - started
+        assert elapsed < 1.0
+        # Neither cancelled nor failed: the journal still says running.
+        assert server.queue.cancelled == 0 and server.queue.failed == 0
+        assert JobJournal(journal).replay()[job_id]["state"] == RUNNING
+        with JobServer(port=0, workers=1, journal=journal) as successor:
+            assert successor.queue.recovered["requeued"] == 1
+            payload = ServiceClient(successor.url).wait(job_id, poll_interval=0.02,
+                                                        timeout=60.0)
+            assert payload["kind"] == "sweep"
 
 
 # ------------------------------------------------------------------ client retries

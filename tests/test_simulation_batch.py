@@ -9,8 +9,8 @@ that interns lazily).  These tests enforce that promise across the SO / RO / GO
 models and all three paper protocols, plus a randomized scenario sweep, and pin
 the supporting behaviours: the local-update memo (one ``update`` call per
 distinct key, errors on the first transition in run order), duplicate-pattern
-rejection, and in-process chunked construction under every executor (with its
-cancel checkpoint).  :func:`~repro.simulation.batch.simulate_tasks`, the body
+rejection, and in-process chunked construction under a cancel scope polled
+every round.  :func:`~repro.simulation.batch.simulate_tasks`, the body
 of every executor, is checked against the per-run engine task by task, until
 every agent has decided and for fixed horizons.
 """
@@ -21,7 +21,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.api import ParallelExecutor, SerialExecutor
 from repro.core.errors import ConfigurationError, ModelCheckingError, ProtocolError
 from repro.core.types import NOOP
 from repro.exchange.minimal import MinimalExchange
@@ -449,30 +448,28 @@ def _system_partitions(system):
 
 
 class _CheckpointCounter:
-    """An executor whose ``checkpoint()`` raises on its ``fail_at``-th call."""
+    """A cancel-scope check that raises on its ``fail_at``-th call."""
 
     def __init__(self, fail_at=None):
         self.calls = 0
         self.fail_at = fail_at
 
-    def checkpoint(self):
+    def __call__(self):
         self.calls += 1
         if self.calls == self.fail_at:
             raise RuntimeError("cancelled")
 
 
 class TestExecutorBatchFanOut:
-    def test_serial_and_parallel_batches_match_in_process_build(self, monkeypatch):
-        """Every executor builds in-process, in chunks, without starting a pool.
+    def test_build_under_a_cancel_scope_matches_one_pass(self, monkeypatch):
+        """A build runs in-process, in chunks, without starting a pool.
 
-        Runs and partitions equal the ``executor=None`` build and one unchunked
-        pass of a single simulator, whatever the executor.
+        Runs and partitions equal one unchunked pass of a single simulator,
+        with or without an active cancel scope.
         """
         import concurrent.futures
 
-        from repro.service import decode_request, run_request
-        from repro.service.jobs import Job
-        from repro.service.workers import _CancelGuard
+        from repro.core.cancel import cancellable
         from repro.systems import interpreted
 
         context = gamma_min(3, 1)
@@ -492,27 +489,27 @@ class TestExecutorBatchFanOut:
         assert _trace_bytes(reference.runs) == _trace_bytes(one_pass)
         assert _system_partitions(reference) == [
             one_pass_partitions[agent] for agent in range(reference.n)]
-        guard = _CancelGuard(None, Job(decode_request(run_request("min", 1, 3, [1, 0, 1]))))
-        for executor in (SerialExecutor(), ParallelExecutor(max_workers=2, chunksize=1),
-                         guard):
-            system = context.build_system(MinProtocol(1), executor=executor)
-            assert _trace_bytes(system.runs) == _trace_bytes(reference.runs)
-            assert _system_partitions(system) == _system_partitions(reference)
+        with cancellable(_CheckpointCounter()):
+            system = context.build_system(MinProtocol(1))
+        assert _trace_bytes(system.runs) == _trace_bytes(reference.runs)
+        assert _system_partitions(system) == _system_partitions(reference)
 
-    def test_checkpoint_before_every_chunk_and_raising_stores_nothing(self, monkeypatch,
-                                                                      tmp_path):
+    def test_checkpoint_every_round_and_raising_stores_nothing(self, monkeypatch, tmp_path):
+        from repro.core.cancel import cancellable
         from repro.store import default_store
         from repro.systems import interpreted
         monkeypatch.setattr(interpreted, "BUILD_CHUNK_PATTERNS", 16)
         context = gamma_min(3, 1)
-        executor = _CheckpointCounter()
-        context.build_system(MinProtocol(1), executor=executor)
-        assert executor.calls == -(-len(list(context.patterns())) // 16)
+        check = _CheckpointCounter()
+        with cancellable(check):
+            context.build_system(MinProtocol(1))
+        chunks = -(-len(list(context.patterns())) // 16)
+        assert check.calls == chunks * context.horizon
         store = default_store(tmp_path)
-        executor = _CheckpointCounter(fail_at=3)
-        with pytest.raises(RuntimeError, match="cancelled"):
-            context.build_system(MinProtocol(1), executor=executor, store=store)
-        assert executor.calls == 3
+        check = _CheckpointCounter(fail_at=3)
+        with cancellable(check), pytest.raises(RuntimeError, match="cancelled"):
+            context.build_system(MinProtocol(1), store=store)
+        assert check.calls == 3
         assert store.stats().entries == 0
 
 

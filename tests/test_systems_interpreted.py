@@ -7,7 +7,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.api import SerialExecutor
 from repro.core.errors import ModelCheckingError
 from repro.failures import SendingOmissionModel
 from repro.logic import words
@@ -58,18 +57,6 @@ class TestBuildSystem:
         with pytest.raises(ModelCheckingError, match=r"\(0, 1\)"):
             build_system(MinProtocol(1), 3, horizon=1, patterns=patterns,
                          preference_vectors=[(0, 1, 1), (0, 1)])
-
-    def test_executor_backend_builds_identical_systems(self):
-        model = SendingOmissionModel(n=3, t=1)
-        patterns = list(model.enumerate(horizon=1))
-        serial = build_system(MinProtocol(1), 3, horizon=1, patterns=patterns)
-        via_executor = build_system(MinProtocol(1), 3, horizon=1, patterns=patterns,
-                                    executor=SerialExecutor())
-        assert len(serial.runs) == len(via_executor.runs)
-        for left, right in zip(serial.runs, via_executor.runs):
-            assert left.preferences == right.preferences
-            assert left.pattern == right.pattern
-            assert left.rounds == right.rounds
 
 
 class TestDenseIndexing:
