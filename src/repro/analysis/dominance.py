@@ -18,15 +18,11 @@ baseline).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.types import AgentId
 from ..protocols.base import ActionProtocol
 from ..simulation.trace import RunTrace, Scenario
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.executors import Executor
-
 
 @dataclass(frozen=True)
 class DominanceCounterexample:
@@ -158,8 +154,7 @@ def compare_traces(first: Sequence[RunTrace], second: Sequence[RunTrace]) -> Dom
 
 def compare_protocols(first: ActionProtocol, second: ActionProtocol, n: int,
                       scenarios: Iterable[Scenario],
-                      horizon: Optional[int] = None,
-                      executor: Optional["Executor"] = None) -> DominanceResult:
+                      horizon: Optional[int] = None) -> DominanceResult:
     """Run both protocols over the scenarios and compare decision times.
 
     Note that the two protocols may use *different* information-exchange
@@ -169,18 +164,15 @@ def compare_protocols(first: ActionProtocol, second: ActionProtocol, n: int,
     per-information-exchange optimality notion.
     """
     from ..api import run_sweep
-    results = run_sweep([first, second], scenarios, n=n, horizon=horizon,
-                        executor=executor)
+    results = run_sweep([first, second], scenarios, n=n, horizon=horizon)
     return results.compare(first.name, second.name)
 
 
 def pairwise_comparison(protocols: Sequence[ActionProtocol], n: int,
                         scenarios: Sequence[Scenario],
                         horizon: Optional[int] = None,
-                        executor: Optional["Executor"] = None,
                         ) -> Dict[Tuple[str, str], DominanceResult]:
     """All pairwise dominance results over a shared workload."""
     from ..api import run_sweep
-    results = run_sweep(list(protocols), scenarios, n=n, horizon=horizon,
-                        executor=executor)
+    results = run_sweep(list(protocols), scenarios, n=n, horizon=horizon)
     return results.pairwise()

@@ -3,10 +3,10 @@
 The conventions that keep this reproduction byte-identical and thread-safe
 (sorted iteration before serialization, guarded shared state, output only
 through ``repro.obs``) are enforced mechanically here, the way the
-differential oracles enforce the semantic ones.  Four rule families ship
-built-in — **DET** (determinism), **LOCK** (lock discipline), **OBS**
-(observability hygiene), **API** (surface hygiene) — behind a registry that
-third parties extend with :func:`register`.
+differential oracles enforce the semantic ones.  Three rule families ship
+built-in — **DET** (determinism), **LOCK** (lock discipline) and **OBS**
+(observability hygiene) — behind a registry that third parties extend with
+:func:`register`.
 
 Workflow surfaces: ``repro-eba lint`` / ``tools/repro_lint.py`` (CI), a
 per-line suppression comment (``# repro-lint: disable=RULE``), and a
@@ -18,8 +18,7 @@ from .baseline import Baseline, BaselineEntry, load_baseline, write_baseline
 from .cli import add_lint_arguments, main, run_lint_command
 from .findings import Finding
 from .registry import (BUILTIN_GUARDS, CHECKERS, Checker, FileContext,
-                       GuardSpec, LintConfig, ProjectIndex, all_rule_codes,
-                       register)
+                       GuardSpec, LintConfig, all_rule_codes, register)
 from .runner import (LintResult, collect_files, lint_paths, render_human,
                      render_json)
 from .suppressions import SuppressionMap, parse_suppressions
@@ -35,7 +34,6 @@ __all__ = [
     "GuardSpec",
     "LintConfig",
     "LintResult",
-    "ProjectIndex",
     "SuppressionMap",
     "add_lint_arguments",
     "all_rule_codes",

@@ -1,12 +1,10 @@
 """Built-in checkers.  Importing this package registers all of them."""
 
-from .api import ApiSurfaceChecker
 from .determinism import DeterminismChecker
 from .locks import LockDisciplineChecker
 from .obs import ObsHygieneChecker
 
 __all__ = [
-    "ApiSurfaceChecker",
     "DeterminismChecker",
     "LockDisciplineChecker",
     "ObsHygieneChecker",

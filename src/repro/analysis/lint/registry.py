@@ -18,16 +18,16 @@ feeds each file's :class:`FileContext` through all of them.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Set, Tuple, Type
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Type
 
 from .findings import Finding, at_node
 
 __all__ = [
     "CHECKERS", "Checker", "FileContext", "GuardSpec", "LintConfig",
-    "ProjectIndex", "all_rule_codes", "register",
+    "all_rule_codes", "register",
 ]
 
 
@@ -123,18 +123,6 @@ class LintConfig:
 
 
 @dataclass
-class ProjectIndex:
-    """Cross-file facts gathered in a pre-pass over every scanned file.
-
-    ``executor_functions`` holds the names of functions *defined anywhere in
-    the scanned set* that accept an ``executor`` parameter — the callee side
-    of the API002 "dropped executor" rule.
-    """
-
-    executor_functions: Set[str] = field(default_factory=set)
-
-
-@dataclass
 class FileContext:
     """One parsed file plus everything a checker needs to judge it."""
 
@@ -143,7 +131,6 @@ class FileContext:
     source: str
     tree: ast.Module
     config: LintConfig
-    project: ProjectIndex
 
     def finding(self, node: ast.AST, rule: str, message: str) -> Finding:
         return at_node(self.path, node, rule, message)

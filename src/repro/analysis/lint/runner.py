@@ -11,10 +11,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 # Importing the subpackage registers every built-in checker with CHECKERS.
 from . import checkers as _checkers  # noqa: F401
 from .baseline import Baseline, BaselineEntry
-from .checkers.api import index_executor_functions
 from .findings import Finding, finding_sort_key
-from .registry import (CHECKERS, FileContext, LintConfig, ProjectIndex,
-                       module_path_for)
+from .registry import CHECKERS, FileContext, LintConfig, module_path_for
 from .suppressions import parse_suppressions
 
 __all__ = ["LintResult", "collect_files", "lint_paths", "render_human",
@@ -92,7 +90,6 @@ def lint_paths(paths: Sequence[Path], config: Optional[LintConfig] = None,
     config = config if config is not None else LintConfig()
     baseline = baseline if baseline is not None else Baseline([])
     result = LintResult()
-    project = ProjectIndex()
 
     contexts: List[FileContext] = []
     raw: List[Finding] = []
@@ -104,10 +101,9 @@ def lint_paths(paths: Sequence[Path], config: Optional[LintConfig] = None,
             raw.append(parse_finding)
             continue
         assert tree is not None
-        project.executor_functions |= index_executor_functions(tree)
         contexts.append(FileContext(
             path=display, module_path=module_path_for(path), source=source,
-            tree=tree, config=config, project=project))
+            tree=tree, config=config))
 
     checkers = [cls() for cls in CHECKERS]
     for ctx in contexts:

@@ -17,6 +17,14 @@ Two backends are provided:
   :class:`concurrent.futures.ProcessPoolExecutor`; each chunk is one
   ``simulate_tasks`` call in a worker.
 
+Only the run API — :meth:`~repro.api.specs.RunSpec.run`,
+:meth:`~repro.api.specs.SweepSpec.run` and :meth:`~repro.api.specs.Sweep.run`
+— takes an executor.  Every layer above it (experiments, analysis, the
+service, the CLI) runs in-process: the batched engine shares transitions
+across the runs of one process, and a pool splits that sharing, so on the
+CLI's experiments and the service's sweeps the pool was slower than serial
+(docs/performance.md, "Where runs execute").
+
 System construction (:func:`repro.systems.interpreted.build_system`) always
 runs in-process through one :class:`~repro.simulation.batch.BatchSimulator`
 and takes no executor.  Cancellation is the cancel scope's
@@ -226,21 +234,3 @@ def resolve_executor(executor: Optional[Executor]) -> Executor:
         )
     return executor
 
-
-def executor_from_flags(parallel: bool = False, jobs: Optional[int] = None) -> Executor:
-    """Build the backend described by ``--parallel`` / ``--jobs``-style flags.
-
-    The single translation point from the CLI's flags to a backend.  Passing ``jobs`` *implies* the parallel
-    backend: ``--jobs 8`` without ``--parallel`` historically fell through to
-    a :class:`SerialExecutor` silently, which turned an explicit request for
-    eight workers into a serial run with no warning.  Now any ``jobs`` value
-    selects a :class:`ParallelExecutor` with that worker count, ``parallel``
-    alone selects one with all cores, and a non-positive ``jobs`` raises
-    :class:`~repro.core.errors.ConfigurationError` at the flag layer instead
-    of surfacing as a pool error later.
-    """
-    if jobs is not None and jobs < 1:
-        raise ConfigurationError(f"--jobs must be a positive worker count, got {jobs}")
-    if parallel or jobs is not None:
-        return ParallelExecutor(max_workers=jobs)
-    return SerialExecutor()

@@ -26,7 +26,7 @@ Examples
     repro-eba run --protocol opt --scenario example71 --n 10 --t 5
     repro-eba run --protocol min --n 5 --t 1 --preferences 0,1,1,1,1 --show-rounds
     repro-eba experiment e3 --n 12 --t 6
-    repro-eba experiment e4 --n 8 --t 3 --parallel --jobs 4
+    repro-eba experiment e4 --n 8 --t 3
     repro-eba experiment e7 --n 4 --t 1 --cache
     repro-eba cache warm --n 4 --t 1 && repro-eba cache stats --json
     repro-eba cache missing --n 4 --t 1
@@ -37,16 +37,14 @@ Examples
     repro-eba submit sweep --protocols min,basic,opt --n 4 --t 1 --count 8
     repro-eba list
 
-Both commands execute through the :mod:`repro.api` orchestration layer;
-``--parallel`` switches the sweep-shaped experiments to the process-pool
-backend; system construction (e7, e11, e12) and the Definition 6.2 safety
-scan behind e11 always run in-process, because shipping them to workers
-costs more than it saves.  ``--jobs N`` implies
-``--parallel`` with ``N`` workers (``repro-eba experiment e4 --jobs 8`` runs on eight worker
-processes; it used to fall back to a serial run silently).  ``--cache`` (optionally with
-``--cache-dir PATH``) serves repeated runs, sweeps, system builds, and theorem
-reports from the content-addressed artifact store (:mod:`repro.store`); the
-two flags compose — cache misses still fan out over the process pool.
+Every command runs in-process through the :mod:`repro.api` orchestration
+layer: the batched engine shares transitions across the runs of one process,
+so a process pool only splits that sharing (docs/performance.md, "Where runs
+execute").  An API user who wants a pool passes
+:class:`~repro.api.ParallelExecutor` to ``RunSpec.run`` / ``Sweep.run``.
+``--cache`` (optionally with ``--cache-dir PATH``) serves repeated runs,
+sweeps, system builds, and theorem reports from the content-addressed
+artifact store (:mod:`repro.store`).
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ import json
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .api import Executor, RunSpec, executor_from_flags
+from .api import RunSpec
 from .core.errors import ReproError
 from .experiments import (
     agreement_violation,
@@ -91,53 +89,38 @@ from .workloads import scenarios as scenario_lib
 #: by any remote client, unchanged.
 PROTOCOLS: Dict[str, Callable[[int], ActionProtocol]] = PROTOCOL_FACTORIES
 
-#: Experiment id -> (description, report callable taking (n, t, executor, store)).
+#: Experiment id -> (description, report callable taking (n, t, store)).
 EXPERIMENTS: Dict[str, tuple] = {
     "e1": ("Proposition 8.1 — bits sent per failure-free run",
-           lambda n, t, executor, store: message_complexity.report(
-               settings=((n, t),), executor=executor, store=store)),
+           lambda n, t, store: message_complexity.report(settings=((n, t),), store=store)),
     "e2": ("Proposition 8.2 — failure-free decision rounds",
-           lambda n, t, executor, store: decision_rounds.report(
-               settings=((n, t),), executor=executor, store=store)),
+           lambda n, t, store: decision_rounds.report(settings=((n, t),), store=store)),
     "e3": ("Example 7.1 — full-information advantage under silent failures",
-           lambda n, t, executor, store: example_7_1.report(
-               n=n, t=t, executor=executor, store=store)),
+           lambda n, t, store: example_7_1.report(n=n, t=t, store=store)),
     "e4": ("Corollaries 6.7 / 7.8 — dominance over corresponding runs",
-           lambda n, t, executor, store: dominance_study.report(
-               n=n, t=t, executor=executor, store=store)),
+           lambda n, t, store: dominance_study.report(n=n, t=t, store=store)),
     "e5": ("Proposition 6.1 — termination by round t + 2",
-           lambda n, t, executor, store: termination_bound.report(
-               n=n, t=t, executor=executor, store=store)),
+           lambda n, t, store: termination_bound.report(n=n, t=t, store=store)),
     "e6": ("Introduction — the hear-about-0 counterexample",
-           lambda n, t, executor, store: agreement_violation.report(
-               sizes=((n, t),), executor=executor, store=store)),
+           lambda n, t, store: agreement_violation.report(sizes=((n, t),), store=store)),
     "e7": ("Theorems 6.5 / 6.6 — implementation of the knowledge-based program P0",
-           lambda n, t, executor, store: implementation_check.report(n=n, t=t, store=store)),
+           lambda n, t, store: implementation_check.report(n=n, t=t, store=store)),
     "e8": ("Section 8 — decision-round gap between limited exchanges and the FIP",
-           lambda n, t, executor, store: fip_gap.report(
-               n=n, t=t, executor=executor, store=store)),
+           lambda n, t, store: fip_gap.report(n=n, t=t, store=store)),
     "e9": ("Crash failures vs sending omissions (0-bias ablation)",
-           lambda n, t, executor, store: crash_comparison.report(
-               n=n, t=t, executor=executor, store=store)),
+           lambda n, t, store: crash_comparison.report(n=n, t=t, store=store)),
     "e10": ("Optimality probe — one-step deviations of P_min / P_basic",
-            lambda n, t, executor, store: optimality_probe.report(n=n, t=t)),
+            lambda n, t, store: optimality_probe.report(n=n, t=t)),
     "e11": ("Proposition 6.4 — the Definition 6.2 safety condition",
-            lambda n, t, executor, store: safety_check.report(n=n, t=t, store=store)),
+            lambda n, t, store: safety_check.report(n=n, t=t, store=store)),
     "e12": ("Failure-model comparison — SO vs RO vs GO (see also 'failure-models')",
-            lambda n, t, executor, store: failure_model_comparison.report(
-                n=n, t=t, executor=executor, store=store)),
+            lambda n, t, store: failure_model_comparison.report(n=n, t=t, store=store)),
 }
 
 
 #: ``experiment``'s default ``(n, t)`` where it is not (6, 2): the exhaustive
 #: E7, E10 and E11 default to their own ``report()`` size.
 EXPERIMENT_SIZES: Dict[str, Tuple[int, int]] = {"e7": (3, 1), "e10": (3, 1), "e11": (3, 1)}
-
-
-def _make_executor(args: argparse.Namespace) -> Optional[Executor]:
-    """Build the execution backend requested on the command line."""
-    return executor_from_flags(parallel=getattr(args, "parallel", False),
-                               jobs=getattr(args, "jobs", None))
 
 
 def _make_store(args: argparse.Namespace) -> Optional[ArtifactStore]:
@@ -155,14 +138,7 @@ def _make_store(args: argparse.Namespace) -> Optional[ArtifactStore]:
     return None
 
 
-def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--parallel", action="store_true",
-                        help="execute sweep runs on worker processes "
-                             "(repro.api.ParallelExecutor); systems are always "
-                             "built, and safety scans run, in-process")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes; implies --parallel (with --parallel "
-                             "alone: all cores)")
+def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache", action="store_true",
                         help="serve repeated work from the content-addressed artifact "
                              "store (repro.store) at its default location")
@@ -218,7 +194,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = RunSpec(protocol=protocol, n=args.n, preferences=tuple(preferences),
                    pattern=pattern)
     with _obs_flags(args):
-        trace = spec.run(_make_executor(args), store=_make_store(args))
+        trace = spec.run(store=_make_store(args))
     if args.show_rounds:
         print(render_run(trace))
     else:
@@ -303,7 +279,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     t = default_t if args.t is None else args.t
     store = _make_store(args)
     with _obs_flags(args), _resume_reporting(store):
-        print(runner(n, t, _make_executor(args), store))
+        print(runner(n, t, store))
     return 0
 
 
@@ -324,7 +300,6 @@ def _cmd_failure_models(args: argparse.Namespace) -> int:
             count=args.count,
             seed=args.seed,
             include_theorems=not args.skip_theorems,
-            executor=_make_executor(args),
             store=store,
         ))
     return 0
@@ -432,8 +407,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         location = str(args.cache_dir if args.cache_dir is not None
                        else default_cache_dir())
     server = JobServer(host=args.host, port=args.port, store=store,
-                       workers=args.workers, executor=_make_executor(args),
-                       verbose=args.verbose, journal=args.journal,
+                       workers=args.workers, verbose=args.verbose, journal=args.journal,
                        max_queue=args.max_queue, job_timeout=args.job_timeout,
                        task_retries=args.task_retries)
     host, port = server.address
@@ -597,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--seed", type=int, default=0, help="seed for --scenario random")
     run_parser.add_argument("--show-rounds", action="store_true",
                             help="print the full round-by-round message view")
-    _add_backend_arguments(run_parser)
+    _add_common_arguments(run_parser)
     run_parser.set_defaults(handler=_cmd_run)
 
     experiment_parser = subparsers.add_parser("experiment",
@@ -605,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument("id", help="experiment id, e.g. e3 (see 'list')")
     experiment_parser.add_argument("--n", type=int, help="agents (default 6; 3 for e7, e10, e11)")
     experiment_parser.add_argument("--t", type=int, help="failure bound (default 2; 1 for e7, e10, e11)")
-    _add_backend_arguments(experiment_parser)
+    _add_common_arguments(experiment_parser)
     experiment_parser.set_defaults(handler=_cmd_experiment)
 
     models_parser = subparsers.add_parser(
@@ -628,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     models_parser.add_argument("--skip-theorems", action="store_true",
                                help="skip the model-checked Theorem 6.5/6.6 verification "
                                     "at n=3, t=1 (the exhaustive GO system takes ~30 s)")
-    _add_backend_arguments(models_parser)
+    _add_common_arguments(models_parser)
     models_parser.set_defaults(handler=_cmd_failure_models)
 
     cache_parser = subparsers.add_parser(
@@ -683,13 +657,13 @@ def build_parser() -> argparse.ArgumentParser:
                                    "retried, then failed (default: unlimited)")
     serve_parser.add_argument("--task-retries", type=int, default=0, metavar="N",
                               help="retry budget for retryable job failures — "
-                                   "timeouts, transient IO, dead worker processes "
+                                   "timeouts, transient IO "
                                    "(default 0: fail on the first error)")
     serve_parser.add_argument("--log-level", type=str, default="warning",
                               choices=["debug", "info", "warning", "error"],
                               help="threshold for the repro.* logging hierarchy "
                                    "on stderr (default: warning)")
-    _add_backend_arguments(serve_parser)
+    _add_common_arguments(serve_parser)
     serve_parser.set_defaults(handler=_cmd_serve)
 
     submit_parser = subparsers.add_parser(
@@ -750,9 +724,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = subparsers.add_parser(
         "lint",
-        help="run the AST-based invariant linter (DET/LOCK/OBS/API rules)",
+        help="run the AST-based invariant linter (DET/LOCK/OBS rules)",
         description="Static analysis for the repo's determinism, lock-"
-                    "discipline, observability, and API-surface conventions. "
+                    "discipline, and observability conventions. "
                     "See docs/static-analysis.md.")
     from .analysis.lint import add_lint_arguments
     add_lint_arguments(lint_parser)

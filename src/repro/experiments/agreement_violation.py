@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..api import Executor, StoreLike, Sweep
+from ..api import StoreLike, Sweep
 from ..protocols.base import ActionProtocol
 from ..protocols.baselines import NaiveZeroBiasedProtocol
 from ..protocols.pbasic import BasicProtocol
@@ -51,13 +51,12 @@ class AgreementMeasurement:
 
 def measure_agreement(n: int = 4, t: int = 1,
                       protocols: Optional[Sequence[ActionProtocol]] = None,
-                      executor: Optional[Executor] = None,
                       store: StoreLike = None) -> List[AgreementMeasurement]:
     """Run the counterexample scenario against the naive baseline and the paper's protocols."""
     if protocols is None:
         protocols = [NaiveZeroBiasedProtocol(t), MinProtocol(t), BasicProtocol(t),
                      OptimalFipProtocol(t)]
-    results = Sweep.of(*protocols).on([intro_counterexample(n=n, t=t)], n=n).run(executor, store=store)
+    results = Sweep.of(*protocols).on([intro_counterexample(n=n, t=t)], n=n).run(store=store)
     reports = results.check_eba()
     measurements: List[AgreementMeasurement] = []
     for protocol in protocols:
@@ -79,20 +78,18 @@ def measure_agreement(n: int = 4, t: int = 1,
 
 
 def sweep(sizes: Sequence[Tuple[int, int]] = ((3, 1), (4, 1), (6, 2), (8, 3)),
-          executor: Optional[Executor] = None,
           store: StoreLike = None) -> List[AgreementMeasurement]:
     """Run the counterexample across several system sizes."""
     results: List[AgreementMeasurement] = []
     for n, t in sizes:
-        results.extend(measure_agreement(n=n, t=t, executor=executor, store=store))
+        results.extend(measure_agreement(n=n, t=t, store=store))
     return results
 
 
 def report(sizes: Sequence[Tuple[int, int]] = ((3, 1), (4, 1), (6, 2)),
-           executor: Optional[Executor] = None,
            store: StoreLike = None) -> str:
     """Render the agreement-violation experiment as a table."""
-    measurements = sweep(sizes, executor=executor, store=store)
+    measurements = sweep(sizes, store=store)
     table = format_table(
         [m.as_row() for m in measurements],
         title="E6 — the introduction's counterexample: hear-about-0 vs 0-chains",

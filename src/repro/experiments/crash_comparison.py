@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..analysis.dominance import compare_traces
-from ..api import Executor, StoreLike, Sweep
+from ..api import StoreLike, Sweep
 from ..failures.adversaries import crash_staircase_adversary
 from ..failures.models import CrashModel
 from ..protocols.base import ActionProtocol
@@ -84,13 +84,12 @@ def omission_workload(n: int, t: int) -> List[Scenario]:
 
 def measure_model(n: int, t: int, scenarios: Sequence[Scenario], model_label: str,
                   protocols: Optional[Sequence[ActionProtocol]] = None,
-                  executor: Optional[Executor] = None,
                   store: StoreLike = None) -> List[CrashComparisonRow]:
     """Check every protocol against the EBA specification over ``scenarios``."""
     if protocols is None:
         protocols = [NaiveZeroBiasedProtocol(t), MinProtocol(t), BasicProtocol(t)]
     reference = MinProtocol(t)
-    results = Sweep.of(*protocols).on(scenarios, n=n).run(executor, store=store)
+    results = Sweep.of(*protocols).on(scenarios, n=n).run(store=store)
     # The baseline column is always MinProtocol(t): reuse its traces from the
     # sweep only when the caller's protocol really is that configuration.
     if any(isinstance(p, MinProtocol) and p.t == t and p.name == reference.name
@@ -98,7 +97,7 @@ def measure_model(n: int, t: int, scenarios: Sequence[Scenario], model_label: st
         reference_traces = results[reference.name]
     else:
         reference_traces = Sweep.of(reference).on(scenarios, n=n).run(
-            executor, store=store)[reference.name]
+            store=store)[reference.name]
     violation_counts = results.spec_violations()
     rows: List[CrashComparisonRow] = []
     for protocol in protocols:
@@ -124,21 +123,19 @@ def measure_model(n: int, t: int, scenarios: Sequence[Scenario], model_label: st
 
 
 def measure(n: int = 6, t: int = 2, count: int = 20, seed: int = 17,
-            executor: Optional[Executor] = None,
             store: StoreLike = None) -> List[CrashComparisonRow]:
     """The full E9 comparison: crash workload and the separating omission scenario."""
     rows = measure_model(n, t, crash_workload(n, t, count=count, seed=seed), f"Crash({t})",
-                         executor=executor, store=store)
+                         store=store)
     rows.extend(measure_model(n, t, omission_workload(n, t), f"SO({t}) counterexample",
-                              executor=executor, store=store))
+                              store=store))
     return rows
 
 
 def report(n: int = 6, t: int = 2, count: int = 20, seed: int = 17,
-           executor: Optional[Executor] = None,
            store: StoreLike = None) -> str:
     """Render the crash-vs-omissions comparison as a table."""
-    rows = measure(n=n, t=t, count=count, seed=seed, executor=executor, store=store)
+    rows = measure(n=n, t=t, count=count, seed=seed, store=store)
     table = format_table(
         [row.as_row() for row in rows],
         title=f"E9 — crash failures vs sending omissions (n={n}, t={t})",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..api import Executor, StoreLike, Sweep
+from ..api import StoreLike, Sweep
 from ..protocols.base import ActionProtocol
 from ..protocols.pbasic import BasicProtocol
 from ..protocols.pmin import MinProtocol
@@ -68,14 +68,13 @@ def paper_decision_round(protocol_name: str, t: int, scenario: str) -> int:
 
 def measure_decision_rounds(n: int, t: int,
                             protocols: Optional[Sequence[ActionProtocol]] = None,
-                            executor: Optional[Executor] = None,
                             store: StoreLike = None,
                             ) -> List[DecisionRoundMeasurement]:
     """Run the failure-free scenarios and record when the last agent decides."""
     if protocols is None:
         protocols = [MinProtocol(t), BasicProtocol(t), OptimalFipProtocol(t)]
     labelled = failure_free_scenarios(n)
-    results = Sweep.of(*protocols).on([scenario for _, scenario in labelled], n=n).run(executor, store=store)
+    results = Sweep.of(*protocols).on([scenario for _, scenario in labelled], n=n).run(store=store)
     measurements: List[DecisionRoundMeasurement] = []
     for index, (label, _scenario) in enumerate(labelled):
         for protocol in protocols:
@@ -97,21 +96,19 @@ def measure_decision_rounds(n: int, t: int,
 
 
 def sweep_decision_rounds(settings: Sequence[Tuple[int, int]],
-                          executor: Optional[Executor] = None,
                           store: StoreLike = None,
                           ) -> List[DecisionRoundMeasurement]:
     """Measure failure-free decision rounds for several ``(n, t)`` settings."""
     results: List[DecisionRoundMeasurement] = []
     for n, t in settings:
-        results.extend(measure_decision_rounds(n, t, executor=executor, store=store))
+        results.extend(measure_decision_rounds(n, t, store=store))
     return results
 
 
 def report(settings: Sequence[Tuple[int, int]] = ((5, 1), (8, 3), (12, 4)),
-           executor: Optional[Executor] = None,
            store: StoreLike = None) -> str:
     """Render the Proposition 8.2 comparison as a table."""
-    measurements = sweep_decision_rounds(settings, executor=executor, store=store)
+    measurements = sweep_decision_rounds(settings, store=store)
     return format_table(
         [m.as_row() for m in measurements],
         title="E2 / Proposition 8.2 — failure-free decision rounds",

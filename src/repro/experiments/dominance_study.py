@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.dominance import DominanceResult
-from ..api import Executor, StoreLike, Sweep
+from ..api import StoreLike, Sweep
 from ..protocols.base import ActionProtocol
 from ..protocols.baselines import DelayedMinProtocol
 from ..protocols.pbasic import BasicProtocol
@@ -68,7 +68,6 @@ def default_workload(n: int, t: int, random_count: int = 20, seed: int = 7) -> L
 
 def study(n: int = 6, t: int = 2, random_count: int = 20, seed: int = 7,
           protocols: Optional[Sequence[ActionProtocol]] = None,
-          executor: Optional[Executor] = None,
           store: StoreLike = None) -> Dict[Tuple[str, str], DominanceResult]:
     """Run the pairwise dominance comparison over the default workload."""
     if protocols is None:
@@ -79,8 +78,7 @@ def study(n: int = 6, t: int = 2, random_count: int = 20, seed: int = 7,
             DelayedMinProtocol(t, delay=2),
         ]
     workload = default_workload(n, t, random_count=random_count, seed=seed)
-    return Sweep.of(*protocols).on(workload, n=n).with_seed(seed).run(
-        executor, store=store).pairwise()
+    return Sweep.of(*protocols).on(workload, n=n).with_seed(seed).run(store=store).pairwise()
 
 
 def _verdict(result: DominanceResult) -> str:
@@ -109,11 +107,9 @@ def rows_from_results(results: Dict[Tuple[str, str], DominanceResult]) -> List[D
 
 
 def report(n: int = 6, t: int = 2, random_count: int = 20, seed: int = 7,
-           executor: Optional[Executor] = None,
            store: StoreLike = None) -> str:
     """Render the dominance study as a table."""
-    results = study(n=n, t=t, random_count=random_count, seed=seed, executor=executor,
-                    store=store)
+    results = study(n=n, t=t, random_count=random_count, seed=seed, store=store)
     table = format_table(
         [row.as_row() for row in rows_from_results(results)],
         title=f"E4 — pairwise dominance over corresponding runs (n={n}, t={t})",

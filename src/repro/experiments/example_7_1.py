@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..api import Executor, StoreLike, Sweep
+from ..api import StoreLike, Sweep
 from ..protocols.base import ActionProtocol
 from ..protocols.pbasic import BasicProtocol
 from ..protocols.pmin import MinProtocol
@@ -87,25 +87,23 @@ def _measurement(trace: RunTrace, n: int, t: int, silent: int) -> ExampleMeasure
 
 def measure_example(n: int = 20, t: int = 10,
                     protocols: Optional[Sequence[ActionProtocol]] = None,
-                    executor: Optional[Executor] = None,
                     store: StoreLike = None) -> List[ExampleMeasurement]:
     """Reproduce Example 7.1 for the given system size."""
     if protocols is None:
         protocols = [MinProtocol(t), BasicProtocol(t), OptimalFipProtocol(t)]
-    results = Sweep.of(*protocols).on([example_7_1(n=n, t=t)], n=n).run(executor, store=store)
+    results = Sweep.of(*protocols).on([example_7_1(n=n, t=t)], n=n).run(store=store)
     return [_measurement(results.trace(protocol.name), n, t, silent=t)
             for protocol in protocols]
 
 
 def sweep_silent_faulty(n: int, t: int,
                         protocols: Optional[Sequence[ActionProtocol]] = None,
-                        executor: Optional[Executor] = None,
                         store: StoreLike = None) -> List[ExampleMeasurement]:
     """Vary the number of silent faulty agents from 0 to ``t`` (all preferences 1)."""
     if protocols is None:
         protocols = [MinProtocol(t), BasicProtocol(t), OptimalFipProtocol(t)]
     labelled = silent_fault_sweep(n, t)
-    results = Sweep.of(*protocols).on([scenario for _, scenario in labelled], n=n).run(executor, store=store)
+    results = Sweep.of(*protocols).on([scenario for _, scenario in labelled], n=n).run(store=store)
     return [
         _measurement(results.trace(protocol.name, index), n, t, silent=silent)
         for index, (silent, _scenario) in enumerate(labelled)
@@ -114,17 +112,16 @@ def sweep_silent_faulty(n: int, t: int,
 
 
 def report(n: int = 10, t: int = 5, include_sweep: bool = True,
-           executor: Optional[Executor] = None,
            store: StoreLike = None) -> str:
     """Render the Example 7.1 reproduction (scaled size by default) as tables."""
     main = format_table(
-        [m.as_row() for m in measure_example(n=n, t=t, executor=executor, store=store)],
+        [m.as_row() for m in measure_example(n=n, t=t, store=store)],
         title=f"E3 / Example 7.1 — {t} silent faulty agents, all prefer 1 (n={n}, t={t})",
     )
     if not include_sweep:
         return main
     sweep = format_table(
-        [m.as_row() for m in sweep_silent_faulty(n, t, executor=executor, store=store)],
+        [m.as_row() for m in sweep_silent_faulty(n, t, store=store)],
         title=f"E3 sweep — varying the number of silent faulty agents (n={n}, t={t})",
     )
     return main + "\n\n" + sweep

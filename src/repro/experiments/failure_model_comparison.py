@@ -145,7 +145,6 @@ def measure_behaviour(n: int = 4, t: int = 1,
                       models: Sequence["FailureModel | str"] = DEFAULT_MODELS,
                       count: int = 12, seed: int = 23,
                       protocols: Optional[Sequence[ActionProtocol]] = None,
-                      executor: Optional[Executor] = None,
                       store: StoreLike = None) -> List[ModelBehaviourRow]:
     """Sweep the protocols over each model's workload and score the EBA clauses.
 
@@ -160,7 +159,7 @@ def measure_behaviour(n: int = 4, t: int = 1,
         resolved = make_model(model, n, t) if isinstance(model, str) else model
         scenarios = model_workload(resolved, n, t, count=count, seed=seed)
         results = (Sweep.of(*protocols).on(scenarios, n=n)
-                   .with_horizon(t + 4).run(executor, store=store))
+                   .with_horizon(t + 4).run(store=store))
         for protocol in protocols:
             traces = results[protocol.name]
             agreement = validity = termination = 0
@@ -235,17 +234,14 @@ def measure(n: int = 4, t: int = 1,
             count: int = 12, seed: int = 23,
             include_theorems: bool = True,
             theorem_n: int = 3, theorem_t: int = 1,
-            executor: Optional[Executor] = None,
             store: StoreLike = None,
             ) -> Tuple[List[ModelBehaviourRow], List[TheoremCheckRow]]:
     """The full E12 comparison: behaviour sweep plus per-model theorem checks."""
-    behaviour = measure_behaviour(n, t, models=models, count=count, seed=seed,
-                                  executor=executor, store=store)
+    behaviour = measure_behaviour(n, t, models=models, count=count, seed=seed, store=store)
     theorems: List[TheoremCheckRow] = []
     if include_theorems:
         for model in models:
-            theorems.extend(check_theorems(model, n=theorem_n, t=theorem_t,
-                                           executor=executor, store=store))
+            theorems.extend(check_theorems(model, n=theorem_n, t=theorem_t, store=store))
     return behaviour, theorems
 
 
@@ -254,13 +250,12 @@ def report(n: int = 4, t: int = 1,
            count: int = 12, seed: int = 23,
            include_theorems: bool = True,
            theorem_n: int = 3, theorem_t: int = 1,
-           executor: Optional[Executor] = None,
            store: StoreLike = None) -> str:
     """Render the failure-model comparison as tables."""
     behaviour, theorems = measure(n=n, t=t, models=models, count=count, seed=seed,
                                   include_theorems=include_theorems,
                                   theorem_n=theorem_n, theorem_t=theorem_t,
-                                  executor=executor, store=store)
+                                  store=store)
     parts = [format_table(
         [row.as_row() for row in behaviour],
         title=f"E12 — protocol behaviour per failure model (n={n}, t={t})",

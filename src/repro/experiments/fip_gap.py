@@ -15,7 +15,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..api import Executor, StoreLike, Sweep
+from ..api import StoreLike, Sweep
 from ..protocols.base import ActionProtocol
 from ..protocols.pbasic import BasicProtocol
 from ..protocols.pmin import MinProtocol
@@ -53,13 +53,12 @@ class GapMeasurement:
 
 def measure_gap(n: int, t: int, scenarios: Sequence[Scenario],
                 protocols: Optional[Sequence[ActionProtocol]] = None,
-                executor: Optional[Executor] = None,
                 store: StoreLike = None) -> List[GapMeasurement]:
     """Per-agent decision-round gap between each limited protocol and ``P_opt``."""
     if protocols is None:
         protocols = [BasicProtocol(t), MinProtocol(t)]
     reference = OptimalFipProtocol(t)
-    results = Sweep.of(reference, *protocols).on(scenarios, n=n).run(executor, store=store)
+    results = Sweep.of(reference, *protocols).on(scenarios, n=n).run(store=store)
     gaps: Dict[str, List[int]] = {protocol.name: [] for protocol in protocols}
     run_count = len(results)
     for index in range(len(results)):
@@ -92,30 +91,26 @@ def measure_gap(n: int, t: int, scenarios: Sequence[Scenario],
 
 def random_gap_study(n: int = 6, t: int = 2, count: int = 25, seed: int = 11,
                      omission_probability: float = 0.4,
-                     executor: Optional[Executor] = None,
                      store: StoreLike = None) -> List[GapMeasurement]:
     """The gap over random omission adversaries (the "typical" case of the conjecture)."""
     scenarios = random_scenarios(n, t, count=count, seed=seed,
                                  omission_probability=omission_probability)
-    return measure_gap(n, t, scenarios, executor=executor, store=store)
+    return measure_gap(n, t, scenarios, store=store)
 
 
 def worst_case_gap_study(n: int = 8, t: int = 3,
-                         executor: Optional[Executor] = None,
                          store: StoreLike = None) -> List[GapMeasurement]:
     """The gap over the silent-faulty sweep (the case Example 7.1 highlights)."""
     scenarios = [scenario for _, scenario in silent_fault_sweep(n, t)]
-    return measure_gap(n, t, scenarios, executor=executor, store=store)
+    return measure_gap(n, t, scenarios, store=store)
 
 
 def report(n: int = 6, t: int = 2, count: int = 25, seed: int = 11,
-           executor: Optional[Executor] = None,
            store: StoreLike = None) -> str:
     """Render the FIP-gap study as two tables (random and worst-case workloads)."""
-    random_rows = [m.as_row() for m in random_gap_study(n, t, count=count, seed=seed,
-                                                        executor=executor, store=store)]
-    worst_rows = [m.as_row() for m in worst_case_gap_study(n, t, executor=executor,
-                                                           store=store)]
+    random_rows = [m.as_row()
+                   for m in random_gap_study(n, t, count=count, seed=seed, store=store)]
+    worst_rows = [m.as_row() for m in worst_case_gap_study(n, t, store=store)]
     table_random = format_table(
         random_rows, title=f"E8 — extra decision rounds vs P_opt, random SO({t}) adversaries (n={n})")
     table_worst = format_table(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..api import Executor, StoreLike, Sweep
+from ..api import StoreLike, Sweep
 from ..failures.pattern import FailurePattern
 from ..protocols.base import ActionProtocol
 from ..protocols.pbasic import BasicProtocol
@@ -79,7 +79,6 @@ def default_protocols(t: int) -> List[ActionProtocol]:
 
 def measure_bits(n: int, t: int,
                  protocols: Optional[Sequence[ActionProtocol]] = None,
-                 executor: Optional[Executor] = None,
                  store: StoreLike = None) -> List[BitsMeasurement]:
     """Measure total bits for the two failure-free scenarios of Section 8."""
     if protocols is None:
@@ -89,7 +88,7 @@ def measure_bits(n: int, t: int,
         ("one agent prefers 0", (single_zero(n), pattern)),
         ("all agents prefer 1", (all_ones(n), pattern)),
     ]
-    results = Sweep.of(*protocols).on([scenario for _, scenario in labelled], n=n).run(executor, store=store)
+    results = Sweep.of(*protocols).on([scenario for _, scenario in labelled], n=n).run(store=store)
     measurements: List[BitsMeasurement] = []
     for protocol in protocols:
         for index, (label, _scenario) in enumerate(labelled):
@@ -112,7 +111,6 @@ def measure_bits(n: int, t: int,
 
 def sweep_bits(settings: Sequence[Tuple[int, int]],
                include_fip: bool = True,
-               executor: Optional[Executor] = None,
                store: StoreLike = None) -> List[BitsMeasurement]:
     """Measure bits for a sweep of ``(n, t)`` settings.
 
@@ -124,17 +122,15 @@ def sweep_bits(settings: Sequence[Tuple[int, int]],
         protocols: List[ActionProtocol] = [MinProtocol(t), BasicProtocol(t)]
         if include_fip:
             protocols.append(OptimalFipProtocol(t))
-        results.extend(measure_bits(n, t, protocols, executor=executor, store=store))
+        results.extend(measure_bits(n, t, protocols, store=store))
     return results
 
 
 def report(settings: Sequence[Tuple[int, int]] = ((5, 1), (10, 3), (20, 6)),
            include_fip: bool = True,
-           executor: Optional[Executor] = None,
            store: StoreLike = None) -> str:
     """Render the Proposition 8.1 comparison as a table."""
-    measurements = sweep_bits(settings, include_fip=include_fip, executor=executor,
-                              store=store)
+    measurements = sweep_bits(settings, include_fip=include_fip, store=store)
     table = format_table([m.as_row() for m in measurements],
                          title="E1 / Proposition 8.1 — bits sent per failure-free run")
     notes = [

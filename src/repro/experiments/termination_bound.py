@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..api import Executor, StoreLike, Sweep
+from ..api import StoreLike, Sweep
 from ..failures.models import SendingOmissionModel
 from ..protocols.base import ActionProtocol
 from ..protocols.pbasic import BasicProtocol
@@ -102,7 +102,6 @@ def adversarial_workload(n: int, t: int, random_count: int = 30, seed: int = 3) 
 
 def measure_termination(n: int, t: int, scenarios: Sequence[Scenario],
                         protocols: Optional[Sequence[ActionProtocol]] = None,
-                        executor: Optional[Executor] = None,
                         store: StoreLike = None,
                         weights: Optional[Sequence[int]] = None,
                         ) -> List[TerminationMeasurement]:
@@ -117,7 +116,7 @@ def measure_termination(n: int, t: int, scenarios: Sequence[Scenario],
         protocols = [MinProtocol(t), BasicProtocol(t), OptimalFipProtocol(t)]
     if weights is not None and len(weights) != len(scenarios):
         raise ValueError(f"{len(weights)} weights for {len(scenarios)} scenarios")
-    results = Sweep.of(*protocols).on(scenarios, n=n).run(executor, store=store)
+    results = Sweep.of(*protocols).on(scenarios, n=n).run(store=store)
     reports = results.check_eba(deadline=t + 2, validity_for_faulty=True)
     total_runs = len(scenarios) if weights is None else sum(weights)
     measurements: List[TerminationMeasurement] = []
@@ -145,11 +144,10 @@ def measure_termination(n: int, t: int, scenarios: Sequence[Scenario],
 
 
 def report(n: int = 6, t: int = 2, random_count: int = 30, seed: int = 3,
-           executor: Optional[Executor] = None,
            store: StoreLike = None) -> str:
     """Render the termination-bound experiment as a table."""
     scenarios = adversarial_workload(n, t, random_count=random_count, seed=seed)
-    measurements = measure_termination(n, t, scenarios, executor=executor, store=store)
+    measurements = measure_termination(n, t, scenarios, store=store)
     table = format_table(
         [m.as_row() for m in measurements],
         title=f"E5 / Proposition 6.1 — worst-case decision round (n={n}, t={t})",

@@ -18,7 +18,7 @@ computed before is answered from the warm store without executing at all.
   persistence that makes a restarted server re-serve finished job ids and
   re-enqueue in-flight ones (``--journal``);
 * :mod:`repro.service.workers` — the :class:`WorkerPool` draining the queue
-  through ``repro.api`` executors and the shared
+  in-process through the ``repro.api`` run methods and the shared
   :class:`~repro.store.ArtifactStore`, supervising each job (wall-clock
   timeouts, retry classification, cancel checks); worker exceptions fail the
   one job, never the server;

@@ -20,9 +20,9 @@ identical load:
 Since the crash-safety work the queue also carries the *supervision* state:
 
 * **Bounded retry with exponential backoff** — a worker reporting a
-  *retryable* failure (transient IO, a broken process pool, a wall-clock
-  timeout) re-enqueues the job with delay ``retry_backoff * 2**(attempt-1)``
-  until ``max_retries`` attempts are exhausted, then the job fails for good.
+  *retryable* failure (transient IO, a wall-clock timeout) re-enqueues the
+  job with delay ``retry_backoff * 2**(attempt-1)`` until ``max_retries``
+  attempts are exhausted, then the job fails for good.
 * **Backpressure** — with ``max_queue`` set, a submission that would push the
   pending depth past the bound raises
   :class:`~repro.core.errors.ServiceUnavailable` (the server maps it to HTTP

@@ -17,7 +17,8 @@ endpoint                   meaning
 ``GET  /jobs/<id>/result`` fetch the rendered payload (409 while pending,
                            500 + traceback if the job failed, 410 cancelled)
 ``POST /jobs/<id>/cancel`` cancel a job — queued immediately, running
-                           cooperatively (the worker stops at its next chunk)
+                           cooperatively (the worker stops at its next
+                           simulation round)
 ``GET  /healthz``          liveness probe
 ``GET  /stats``            queue depth, in-flight, hit/coalesce/retry/
                            recovery counters, per-job wall times, journal
@@ -243,8 +244,6 @@ class JobServer:
         nothing across restarts.
     workers:
         Worker-thread count draining the queue.
-    executor:
-        Optional per-job :class:`~repro.api.executors.Executor`.
     journal:
         A :class:`~repro.service.journal.JobJournal` or a path to one;
         enables crash-safe recovery (``None`` = in-memory job table only).
@@ -254,14 +253,19 @@ class JobServer:
     job_timeout:
         Per-job wall-clock budget in seconds (``None`` = unlimited).
     task_retries:
-        Retry budget for retryable job failures (timeouts, transient IO,
-        broken process pools); 0 = fail on the first error.
+        Retry budget for retryable job failures (timeouts, transient IO);
+        0 = fail on the first error.
     retry_backoff:
         First retry delay in seconds; doubles per attempt.
     """
 
+    #: Seconds between the HTTP loop's shutdown checks.  :meth:`stop` waits
+    #: up to this long for the loop before it stops the workers, so it bounds
+    #: ``stop()`` together with one simulation round of a running job.
+    POLL_INTERVAL = 0.05
+
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
-                 store=None, workers: int = 2, executor=None,
+                 store=None, workers: int = 2,
                  verbose: bool = False,
                  journal: "JobJournal | str | None" = None,
                  max_queue: Optional[int] = None,
@@ -284,8 +288,8 @@ class JobServer:
             self.journal.recover_into(self.queue)
             self.journal.compact(self.queue)
             self.queue.journal = self.journal
-        self.pool = WorkerPool(self.queue, store=store, executor=executor,
-                               workers=workers, job_timeout=job_timeout)
+        self.pool = WorkerPool(self.queue, store=store, workers=workers,
+                               job_timeout=job_timeout)
         self._httpd = _ServiceHTTPServer((host, port), _ServiceHandler)
         self._httpd.service = self
         self._serve_thread: Optional[threading.Thread] = None
@@ -344,6 +348,7 @@ class JobServer:
         """Start the worker pool and the HTTP listener (both in background threads)."""
         self.pool.start()
         self._serve_thread = threading.Thread(target=self._httpd.serve_forever,
+                                              args=(self.POLL_INTERVAL,),
                                               name="repro-serve", daemon=True)
         self._serve_thread.start()
         return self
@@ -374,7 +379,7 @@ class JobServer:
         except ValueError:  # pragma: no cover - not the main thread
             pass
         try:
-            self._httpd.serve_forever()
+            self._httpd.serve_forever(self.POLL_INTERVAL)
         except KeyboardInterrupt:
             pass
         finally:

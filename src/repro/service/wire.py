@@ -343,9 +343,8 @@ def theorem_request(theorem: str, n: int, t: int) -> JSONObject:
 
 # ------------------------------------------------------------------ execution + results
 
-def execute_request(request: JobRequest, executor: Any = None,
-                    store: Any = None) -> JSONObject:
-    """Run a decoded request through the library and render its result payload.
+def execute_request(request: JobRequest, store: Any = None) -> JSONObject:
+    """Run a decoded request in-process and render its result payload.
 
     This is what worker threads call: execution goes through the ordinary
     ``repro.api`` entry points (so ``store=`` gives per-run caching and warm
@@ -354,7 +353,7 @@ def execute_request(request: JobRequest, executor: Any = None,
     """
     from ..experiments import implementation_check
     if request.kind in ("run", "sweep"):
-        artifact: object = request.spec.run(executor, store=store)
+        artifact: object = request.spec.run(store=store)
     elif request.kind == "theorem":
         check = {"6.5": implementation_check.check_theorem_6_5,
                  "6.6": implementation_check.check_theorem_6_6,

@@ -2,13 +2,14 @@
 
 Workers are plain threads: each loops on :meth:`JobQueue.next_job`, executes
 the decoded request through the ordinary library entry points
-(:func:`repro.service.wire.execute_request` → ``repro.api`` executors +
-the shared :class:`~repro.store.ArtifactStore`), and posts the rendered
+(:func:`repro.service.wire.execute_request` → the ``repro.api`` run methods
++ the shared :class:`~repro.store.ArtifactStore`), and posts the rendered
 payload back.  Threads are the right grain here because the work itself is
 either store-served (I/O) or dominated by long-running simulation/model
-checking — and a worker can additionally be handed a
-:class:`~repro.api.executors.ParallelExecutor` to fan one sweep's runs out
-over a process pool.
+checking.  Every job runs in-process: a process pool would split the batched
+engine's sharing across one sweep's runs, and on the service's sweeps it was
+several times slower than serial (docs/performance.md, "Where runs
+execute").
 
 Supervision (the crash-safety layer) wraps every execution:
 
@@ -18,7 +19,7 @@ Supervision (the crash-safety layer) wraps every execution:
   abandoned execution is told to stop at its next simulation round.  Its late
   outcome, if any, is discarded by the queue's attempt-token check.
 * **Retry classification** — exceptions in :data:`RETRYABLE_EXCEPTIONS`
-  (transient IO, a process pool that died) go through the queue's bounded
+  (transient IO) go through the queue's bounded
   exponential-backoff retry; anything else fails the job immediately with
   the traceback.
 * **Cooperative cancellation** — every execution runs in a cancel scope
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import threading
 import traceback
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Callable, List, Optional
 
@@ -48,9 +48,9 @@ from .jobs import Job, JobQueue
 from .wire import JobRequest, execute_request, render_result
 
 #: Exception types worth a bounded retry: the failure is plausibly transient
-#: (a flaky disk, a worker process that died) rather than a property of the
-#: request itself.  Everything else fails the job on the first attempt.
-RETRYABLE_EXCEPTIONS = (OSError, BrokenProcessPool)
+#: (a flaky disk) rather than a property of the request itself.  Everything
+#: else fails the job on the first attempt.
+RETRYABLE_EXCEPTIONS = (OSError,)
 
 
 class JobCancelled(Exception):
@@ -126,9 +126,6 @@ class WorkerPool:
     store:
         The :class:`~repro.store.ArtifactStore` every execution goes through
         (``None`` = no caching; coalescing still deduplicates in-flight work).
-    executor:
-        Optional :class:`~repro.api.executors.Executor` handed to every
-        execution (e.g. a process pool for big sweeps); ``None`` = serial.
     workers:
         Thread count.  Identical submissions coalesce *before* reaching the
         pool, so extra workers only help genuinely distinct jobs.
@@ -138,8 +135,8 @@ class WorkerPool:
         transient more often than not — a cold cache, a loaded box).
     """
 
-    def __init__(self, queue: JobQueue, store=None, executor=None,
-                 workers: int = 2, job_timeout: Optional[float] = None) -> None:
+    def __init__(self, queue: JobQueue, store=None, workers: int = 2,
+                 job_timeout: Optional[float] = None) -> None:
         from ..core.errors import ServiceError
         if workers < 1:
             raise ServiceError(f"worker count must be >= 1, got {workers}")
@@ -147,7 +144,6 @@ class WorkerPool:
             raise ServiceError(f"job_timeout must be positive, got {job_timeout}")
         self.queue = queue
         self.store = store
-        self.executor = executor
         self.workers = workers
         self.job_timeout = job_timeout
         self._threads: List[threading.Thread] = []
@@ -179,8 +175,7 @@ class WorkerPool:
         with attempt_span as span, _progress_capture(job), \
                 cancellable(_cancel_check(job, abort, self._stopping)):
             try:
-                payload = execute_request(job.request, executor=self.executor,
-                                          store=self.store)
+                payload = execute_request(job.request, store=self.store)
             except JobCancelled:
                 span.set("outcome", "cancelled")
                 return ("cancelled", None, None)

@@ -14,8 +14,8 @@ package caches those artifacts once and addresses them by *content*:
   payloads, corruption-as-miss recovery, an in-memory LRU layer, size
   accounting, and LRU eviction;
 * :mod:`repro.store.caching` — the domain keys and the
-  :class:`CachingExecutor` wrapper that makes caching compose with
-  ``--parallel`` / ``--jobs`` and makes sweeps resumable.
+  :class:`CachingExecutor` wrapper that makes caching compose with any
+  executor passed to the run API and makes sweeps resumable.
 
 Everything that computes an expensive artifact takes a ``store=`` argument
 (``RunSpec.run`` / ``SweepSpec.run`` / ``Sweep.run``, ``build_system``,

@@ -28,8 +28,9 @@ kind                      keyed by
 — and the :class:`CachingExecutor`, an :class:`~repro.api.executors.Executor`
 wrapper that serves cached traces and forwards only the *missing* tasks to its
 inner backend.  Because caching composes as an executor, it stacks freely with
-``--parallel`` / ``--jobs``: misses fan out over the process pool while hits
-cost one store read.  Per-task caching is also what makes sweeps resumable: an
+any executor an API user passes to ``RunSpec.run`` / ``Sweep.run``: with a
+:class:`~repro.api.executors.ParallelExecutor`, misses fan out over the
+process pool while hits cost one store read.  Per-task caching is also what makes sweeps resumable: an
 interrupted sweep has already persisted every completed run, so rerunning it
 restarts at the first missing key (see
 :meth:`repro.api.specs.SweepSpec.missing_tasks`).

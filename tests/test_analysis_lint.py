@@ -85,19 +85,6 @@ class TestObsRules:
         assert result.findings == []
 
 
-class TestApiRules:
-    def test_positive_fixture_fires(self):
-        result = lint_fixture("api_positive.py")
-        assert rules_in(result) == {"API002"}
-        api2 = [f for f in result.findings if f.rule == "API002"]
-        assert len(api2) == 1
-        assert "run_measurement" in api2[0].message
-
-    def test_negative_fixture_is_clean(self):
-        result = lint_fixture("api_negative.py")
-        assert result.findings == []
-
-
 # --------------------------------------------------------------- suppressions
 
 
@@ -198,10 +185,10 @@ class TestBaseline:
 
 
 class TestFramework:
-    def test_rule_registry_covers_the_four_families(self):
+    def test_rule_registry_covers_the_three_families(self):
         codes = all_rule_codes()
         families = {code.rstrip("0123456789") for code in codes}
-        assert {"DET", "LOCK", "OBS", "API"} <= families
+        assert {"DET", "LOCK", "OBS"} <= families
 
     def test_syntax_errors_become_parse_findings(self, tmp_path):
         bad = tmp_path / "bad.py"

@@ -1,5 +1,8 @@
 """Tests for the execution backends: serial/parallel equivalence and the ResultSet."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.api import (
@@ -9,7 +12,6 @@ from repro.api import (
     SerialExecutor,
     Sweep,
     corresponding,
-    executor_from_flags,
     resolve_executor,
     run_sweep,
 )
@@ -77,8 +79,8 @@ class TestExecutorEquivalence:
 class TestParallelExecutor:
     def test_order_is_scenario_order_not_completion_order(self):
         scenarios = random_scenarios(4, 1, count=10, seed=2)
-        results = run_sweep([MinProtocol(1)], scenarios, n=4,
-                            executor=ParallelExecutor(max_workers=2, chunksize=1))
+        results = Sweep.of(MinProtocol(1)).on(scenarios, n=4).run(
+            ParallelExecutor(max_workers=2, chunksize=1))
         for scenario, trace in zip(scenarios, results["P_min"]):
             assert trace.preferences == tuple(scenario[0])
             assert trace.pattern == scenario[1]
@@ -96,33 +98,40 @@ class TestParallelExecutor:
         assert trace.protocol_name == "P_min"
 
 
-class TestExecutorFromFlags:
-    """Regression: ``--jobs N`` without ``--parallel`` used to silently run serially."""
+def _executor_parameters(tree, prefix=""):
+    """Qualified names of the functions under ``tree`` that take an ``executor``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = prefix + getattr(node, "name", "<lambda>")
+            arguments = node.args
+            if any(argument.arg == "executor" for argument in
+                   arguments.posonlyargs + arguments.args + arguments.kwonlyargs):
+                yield name
+            yield from _executor_parameters(node, name + ".")
+        elif isinstance(node, ast.ClassDef):
+            yield from _executor_parameters(node, prefix + node.name + ".")
+        else:
+            yield from _executor_parameters(node, prefix)
 
-    def test_jobs_alone_implies_the_parallel_backend(self):
-        executor = executor_from_flags(parallel=False, jobs=4)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.max_workers == 4
 
-    def test_parallel_with_jobs_sets_the_worker_count(self):
-        executor = executor_from_flags(parallel=True, jobs=2)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.max_workers == 2
-
-    def test_parallel_alone_uses_all_cores(self):
-        executor = executor_from_flags(parallel=True)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.max_workers is None
-
-    def test_no_flags_stay_serial(self):
-        assert isinstance(executor_from_flags(), SerialExecutor)
-
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_non_positive_jobs_rejected_at_the_flag_layer(self, jobs):
-        with pytest.raises(ConfigurationError, match="--jobs"):
-            executor_from_flags(parallel=False, jobs=jobs)
-        with pytest.raises(ConfigurationError, match="--jobs"):
-            executor_from_flags(parallel=True, jobs=jobs)
+class TestWhereRunsExecute:
+    def test_only_the_run_api_takes_an_executor(self):
+        """Every layer above the run API runs in-process.  ``check_safety``
+        and ``check_theorems`` keep an unused, documented ``executor``."""
+        source = Path(__file__).resolve().parent.parent / "src"
+        found = set()
+        for path in sorted(source.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            module = path.relative_to(source).with_suffix("").as_posix()
+            found.update(f"{module}:{name}" for name in _executor_parameters(tree))
+        assert found == {
+            "repro/api/specs:RunSpec.run",
+            "repro/api/specs:SweepSpec.run",
+            "repro/api/specs:Sweep.run",
+            "repro/api/executors:resolve_executor",
+            "repro/kbp/safety:check_safety",
+            "repro/experiments/failure_model_comparison:check_theorems",
+        }
 
 
 class TestResolveExecutor:

@@ -6,8 +6,9 @@ Three escalating blast radii:
   corrupting, and stalling under a real sweep: results stay identical to the
   uncached computation, the degradation is counted, and exactly one warning
   is emitted;
-* **execution chaos** — a worker process dying mid-sweep *inside the
-  service*: the job retries and completes;
+* **execution chaos** — an injected store fault is one the service retries
+  (a pool worker dying mid-sweep is pinned by
+  ``tests/test_api_executors.py::TestPoolRebuild``);
 * **process chaos** — the crash-recovery acceptance test: ``kill -9`` of a
   journaled ``repro-eba serve`` mid-sweep, then a restarted server on the
   same journal re-serves the finished job byte-identically (no
@@ -23,13 +24,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import ParallelExecutor, Sweep
+from repro.api import Sweep
 from repro.protocols import MinProtocol
 from repro.service import ServiceClient, run_request, sweep_request
 from repro.store import ArtifactStore
 from repro.store.backends import MemoryBackend
 from repro.testing import (
-    CrashOnceProtocol,
     FaultPlan,
     FaultyBackend,
     InjectedFault,
@@ -118,24 +118,6 @@ class TestStoreChaos:
 
 
 class TestExecutionChaos:
-    def test_service_job_survives_worker_process_death(self, tmp_path,
-                                                       monkeypatch):
-        """A pool worker dying mid-job inside the service: the executor
-        rebuilds the pool and the job completes — no retry even needed."""
-        from repro.service import JobServer, wire
-        sentinel = tmp_path / "crash-in-service"
-        monkeypatch.setitem(wire.PROTOCOL_FACTORIES, "crashonce",
-                            lambda t: CrashOnceProtocol(t, sentinel))
-        body = sweep_request([("crashonce", 1)],
-                             workload={"n": 4, "t": 1, "count": 12, "seed": 3})
-        executor = ParallelExecutor(max_workers=2, chunksize=1)
-        with JobServer(port=0, workers=1, executor=executor,
-                       store=ArtifactStore()) as server:
-            client = ServiceClient(server.url)
-            payload = client.submit_and_wait(body, timeout=120.0)
-        assert payload["kind"] == "sweep"
-        assert sentinel.exists()  # a worker process really died
-
     def test_injected_fault_is_retryable_via_the_service(self):
         assert issubclass(InjectedFault, OSError)
         from repro.service.workers import RETRYABLE_EXCEPTIONS

@@ -117,34 +117,19 @@ class TestExperimentCommand:
         assert (args.n, args.t) == (None, None)
 
 
-class TestBackendFlags:
-    """Regression: ``repro-eba experiment e4 --jobs 4`` used to run serially."""
+class TestNoBackendFlags:
+    """Every command runs in-process: ``--jobs`` and ``--parallel`` are gone."""
 
-    def test_jobs_without_parallel_selects_the_process_pool(self):
-        from repro.api import ParallelExecutor
-        from repro.cli import _make_executor
-
-        args = build_parser().parse_args(["experiment", "e4", "--jobs", "4"])
-        assert not args.parallel  # the flag itself was never given...
-        executor = _make_executor(args)
-        assert isinstance(executor, ParallelExecutor)  # ...yet --jobs implies it
-        assert executor.max_workers == 4
-
-    def test_jobs_imply_parallel_on_every_backend_flagged_command(self):
-        from repro.api import ParallelExecutor
-        from repro.cli import _make_executor
-
-        for argv in (["run", "--jobs", "2"],
-                     ["experiment", "e4", "--jobs", "2"],
-                     ["failure-models", "--jobs", "2"]):
-            executor = _make_executor(build_parser().parse_args(argv))
-            assert isinstance(executor, ParallelExecutor), argv
-            assert executor.max_workers == 2, argv
-
-    def test_non_positive_jobs_is_a_clean_cli_error(self, capsys):
-        code = main(["experiment", "e4", "--n", "3", "--t", "1", "--jobs", "0"])
-        assert code == 2
-        assert "--jobs" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [["run"], ["experiment", "e4"],
+                                      ["failure-models"], ["serve"]],
+                             ids=["run", "experiment", "failure-models", "serve"])
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--parallel"]],
+                             ids=["jobs", "parallel"])
+    def test_backend_flags_are_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(argv + flag)
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestListCommand:

@@ -405,10 +405,10 @@ class TestJobServer:
         import repro.service.workers as workers_mod
         real = workers_mod.execute_request
 
-        def crash_theorems(request, executor=None, store=None):
+        def crash_theorems(request, store=None):
             if request.kind == "theorem":
                 raise RuntimeError("injected worker crash")
-            return real(request, executor=executor, store=store)
+            return real(request, store=store)
 
         monkeypatch.setattr(workers_mod, "execute_request", crash_theorems)
         receipt = client.submit(theorem_request("6.5", 3, 1))
@@ -436,7 +436,7 @@ class TestJobServer:
         import repro.service.workers as workers_mod
         gate = threading.Event()
 
-        def block_until_released(request, executor=None, store=None):
+        def block_until_released(request, store=None):
             gate.wait(30.0)
             return {"kind": request.kind}
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import ParallelExecutor
+from repro.api import ParallelExecutor, Sweep
 from repro.core.cancel import cancellable, checkpoint
 from repro.core.errors import ServiceError, ServiceUnavailable
 from repro.service import (
@@ -231,25 +231,27 @@ class TestCooperativeCancel:
             # The worker is free again: a fresh job completes.
             assert client.submit_and_wait(run_body(), timeout=60.0)["kind"] == "run"
 
-    def test_cancel_a_running_sweep_on_a_process_pool(self, monkeypatch):
+    def test_cancel_a_running_sweep_on_a_process_pool(self):
         """The parent polls the scope as each chunk completes, and cancels
         the chunks that have not started."""
-        monkeypatch.setitem(wire.PROTOCOL_FACTORIES, "slow",
-                            lambda t: SlowProtocol(t, delay=0.05))
         # 48 one-task chunks of several sleeping act calls each: ~7.5 s on
         # two workers, were the sweep to run to the end.
-        body = sweep_request([("slow", 1)],
-                             workload={"n": 3, "t": 1, "count": 48, "seed": 0})
-        executor = ParallelExecutor(max_workers=2, chunksize=1)
-        with JobServer(port=0, workers=1, executor=executor) as server:
-            client = ServiceClient(server.url)
-            job_id = client.submit(body)["job"]
-            assert wait_for(lambda: client.status(job_id)["state"] == RUNNING)
-            started = time.monotonic()
-            client.cancel(job_id)
-            assert wait_for(lambda: client.status(job_id)["state"] == CANCELLED)
-            assert time.monotonic() - started < 3.0
-            assert server.queue.cancelled == 1
+        sweep = Sweep.of(SlowProtocol(1, delay=0.05)).on_random(3, 1, count=48, seed=0)
+        cancel = threading.Event()
+
+        def check():
+            if cancel.is_set():
+                raise JobCancelled("sweep")
+
+        timer = threading.Timer(0.5, cancel.set)
+        started = time.monotonic()
+        timer.start()
+        try:
+            with cancellable(check), pytest.raises(JobCancelled):
+                sweep.run(ParallelExecutor(max_workers=2, chunksize=1))
+        finally:
+            timer.cancel()
+        assert time.monotonic() - started < 3.0
 
 
 class TestOneSimulatorPerProtocol:
@@ -308,6 +310,31 @@ class TestPromptStop:
             payload = ServiceClient(successor.url).wait(job_id, poll_interval=0.02,
                                                         timeout=60.0)
             assert payload["kind"] == "sweep"
+
+    def test_idle_stop_returns_within_one_poll(self):
+        server = JobServer(port=0, workers=1).start()
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 0.2
+
+    def test_stop_returns_within_one_round(self, monkeypatch):
+        """``stop()`` waits one HTTP poll and one simulation round, no more."""
+        monkeypatch.setitem(wire.PROTOCOL_FACTORIES, "slow",
+                            lambda t: SlowProtocol(t, delay=0.02))
+        # ~0.1 s per round, as above.
+        body = sweep_request([("slow", 1)],
+                             workload={"n": 3, "t": 1, "count": 2, "seed": 0},
+                             horizon=12)
+        server = JobServer(port=0, workers=1).start()
+        try:
+            client = ServiceClient(server.url)
+            job_id = client.submit(body)["job"]
+            assert wait_for(lambda: client.status(job_id)["state"] == RUNNING)
+        finally:
+            started = time.monotonic()
+            server.stop()
+            elapsed = time.monotonic() - started
+        assert elapsed < 0.3
 
 
 # ------------------------------------------------------------------ client retries
@@ -438,3 +465,21 @@ class TestSigterm:
             assert client.healthz() == {"ok": True}
             code = harness.kill(sig=signal.SIGTERM)
         assert code == 0
+
+    def test_sigterm_with_a_running_job_requeues_it_on_restart(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        harness = ServerHarness(ROOT, workers=1, extra_args=["--journal", str(journal)])
+        # ~2 000 rounds of ~1.5 ms each: seconds of work, a round at a time.
+        body = sweep_request([("min", 1), ("basic", 1)],
+                             workload={"n": 6, "t": 1, "count": 40, "seed": 7},
+                             horizon=1000)
+        with harness:
+            client = ServiceClient(harness.start(), retries=3, backoff=0.1)
+            job_id = client.submit(body)["job"]
+            assert wait_for(lambda: client.status(job_id)["state"] == RUNNING)
+            started = time.monotonic()
+            code = harness.kill(sig=signal.SIGTERM)
+            assert code == 0
+            assert time.monotonic() - started < 2.0
+            successor = ServiceClient(harness.start(), retries=3, backoff=0.1)
+            assert successor.stats()["service"]["recovered"]["requeued"] == 1
