@@ -8,13 +8,11 @@ built-in — **DET** (determinism), **LOCK** (lock discipline) and **OBS**
 (observability hygiene) — behind a registry that third parties extend with
 :func:`register`.
 
-Workflow surfaces: ``repro-eba lint`` / ``tools/repro_lint.py`` (CI), a
-per-line suppression comment (``# repro-lint: disable=RULE``), and a
-committed ``lint-baseline.json`` of grandfathered findings with
-justifications.  See ``docs/static-analysis.md``.
+Workflow surfaces: ``repro-eba lint`` / ``tools/repro_lint.py`` (CI) and a
+per-line suppression comment (``# repro-lint: disable=RULE``), the one way
+to accept a finding.  See ``docs/static-analysis.md``.
 """
 
-from .baseline import Baseline, BaselineEntry, load_baseline, write_baseline
 from .cli import add_lint_arguments, main, run_lint_command
 from .findings import Finding
 from .registry import (BUILTIN_GUARDS, CHECKERS, Checker, FileContext,
@@ -25,8 +23,6 @@ from .suppressions import SuppressionMap, parse_suppressions
 
 __all__ = [
     "BUILTIN_GUARDS",
-    "Baseline",
-    "BaselineEntry",
     "CHECKERS",
     "Checker",
     "FileContext",
@@ -39,12 +35,10 @@ __all__ = [
     "all_rule_codes",
     "collect_files",
     "lint_paths",
-    "load_baseline",
     "main",
     "parse_suppressions",
     "register",
     "render_human",
     "render_json",
     "run_lint_command",
-    "write_baseline",
 ]

@@ -1,7 +1,6 @@
 """Argument handling shared by ``repro-eba lint`` and ``tools/repro_lint.py``.
 
-Exit codes: 0 clean (or everything baselined/suppressed), 1 findings (or,
-under ``--strict``, stale baseline entries), 2 bad invocation.
+Exit codes: 0 clean (or everything suppressed), 1 findings, 2 bad invocation.
 """
 
 from __future__ import annotations
@@ -12,13 +11,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .baseline import load_baseline, write_baseline
 from .registry import LintConfig
 from .runner import iter_rule_lines, lint_paths, render_human, render_json
 
 __all__ = ["add_lint_arguments", "run_lint_command", "main"]
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -27,18 +23,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "paths", nargs="*", default=None,
         help="files or directories to lint (default: src/repro)")
     parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE, metavar="FILE",
-        help=f"baseline file (default: {DEFAULT_BASELINE}; missing = empty)")
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline to cover current findings (existing "
-             "justifications are kept; new entries get a TODO)")
-    parser.add_argument(
         "--json", action="store_true", dest="as_json",
         help="machine-readable report on stdout")
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="also fail on stale baseline entries (CI mode)")
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print every registered rule code and exit")
@@ -62,28 +48,13 @@ def run_lint_command(args: argparse.Namespace,
             return 2
         paths.append(path)
 
-    baseline_path = Path(args.baseline)
-    try:
-        baseline = load_baseline(baseline_path)
-    except (ValueError, json.JSONDecodeError, KeyError) as error:
-        print(f"repro-lint: bad baseline {baseline_path}: {error}",
-              file=sys.stderr)
-        return 2
-
-    result = lint_paths(paths, config=LintConfig(), baseline=baseline)
-
-    if args.write_baseline:
-        write_baseline(baseline_path, result.findings, baseline)
-        print(f"wrote {baseline_path} with {len(result.findings)} "
-              "entr(y/ies)", file=out)
-        return 0
-
+    result = lint_paths(paths, config=LintConfig())
     if args.as_json:
         print(json.dumps(render_json(result), indent=2, sort_keys=True),
               file=out)
     else:
-        print(render_human(result, strict=args.strict), file=out)
-    return result.exit_code(strict=args.strict)
+        print(render_human(result), file=out)
+    return result.exit_code()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

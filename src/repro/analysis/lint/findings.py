@@ -15,9 +15,7 @@ class Finding:
 
     ``path`` is the path the file was scanned under (relative where
     possible), ``rule`` is a registry code like ``DET001``, and ``message``
-    is the human sentence.  Baseline matching uses ``(path, rule, message)``
-    — deliberately *not* the line number, so baselined findings survive
-    unrelated edits above them.
+    is the human sentence.
     """
 
     path: str
@@ -30,11 +28,6 @@ class Finding:
     def family(self) -> str:
         """The rule family — the code with trailing digits stripped."""
         return self.rule.rstrip("0123456789")
-
-    @property
-    def key(self) -> "tuple[str, str, str]":
-        """The baseline identity of this finding."""
-        return (self.path, self.rule, self.message)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"

@@ -1,5 +1,5 @@
-"""Collect files, run every registered checker, apply suppressions and the
-baseline, and render the result."""
+"""Collect files, run every registered checker, apply suppressions, and
+render the result."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 # Importing the subpackage registers every built-in checker with CHECKERS.
 from . import checkers as _checkers  # noqa: F401
-from .baseline import Baseline, BaselineEntry
 from .findings import Finding, finding_sort_key
 from .registry import CHECKERS, FileContext, LintConfig, module_path_for
 from .suppressions import parse_suppressions
@@ -23,25 +22,16 @@ __all__ = ["LintResult", "collect_files", "lint_paths", "render_human",
 class LintResult:
     """Everything one lint invocation learned."""
 
-    #: Findings not covered by a suppression comment, sorted.
+    #: Findings not covered by a suppression comment, sorted — these fail
+    #: the build.
     findings: List[Finding] = field(default_factory=list)
-    #: The subset of ``findings`` a baseline entry absorbed.
-    baselined: List[Finding] = field(default_factory=list)
-    #: The subset of ``findings`` nothing absorbs — these fail the build.
-    new: List[Finding] = field(default_factory=list)
     #: Findings silenced by suppression comments (informational).
     suppressed: List[Finding] = field(default_factory=list)
-    #: Baseline entries that matched nothing — stale under ``--strict``.
-    stale: List[BaselineEntry] = field(default_factory=list)
     #: How many files were scanned.
     files: int = 0
 
-    def exit_code(self, strict: bool = False) -> int:
-        if self.new:
-            return 1
-        if strict and self.stale:
-            return 1
-        return 0
+    def exit_code(self) -> int:
+        return 1 if self.findings else 0
 
 
 def collect_files(paths: Sequence[Path]) -> List[Path]:
@@ -84,11 +74,9 @@ def _parse(path: Path, display: str
 
 
 def lint_paths(paths: Sequence[Path], config: Optional[LintConfig] = None,
-               baseline: Optional[Baseline] = None,
                root: Optional[Path] = None) -> LintResult:
-    """Lint ``paths`` (files or directories) and return the split result."""
+    """Lint ``paths`` (files or directories) and return the result."""
     config = config if config is not None else LintConfig()
-    baseline = baseline if baseline is not None else Baseline([])
     result = LintResult()
 
     contexts: List[FileContext] = []
@@ -121,43 +109,28 @@ def lint_paths(paths: Sequence[Path], config: Optional[LintConfig] = None,
 
     result.findings = sorted(raw, key=finding_sort_key)
     result.suppressed.sort(key=finding_sort_key)
-    result.new, result.baselined, result.stale = baseline.split(
-        result.findings)
     return result
 
 
-def render_human(result: LintResult, strict: bool = False) -> str:
-    """The terminal report: one line per new finding plus a summary."""
-    lines: List[str] = [finding.render() for finding in result.new]
-    if strict:
-        for entry in result.stale:
-            lines.append(
-                f"{entry.path}: stale baseline entry for {entry.rule} "
-                f"({entry.message!r}) — remove it from the baseline")
-    summary = (f"{result.files} files scanned: "
-               f"{len(result.new)} finding(s), "
-               f"{len(result.baselined)} baselined, "
-               f"{len(result.suppressed)} suppressed")
-    if result.stale:
-        summary += f", {len(result.stale)} stale baseline entr(y/ies)"
-    lines.append(summary)
+def render_human(result: LintResult) -> str:
+    """The terminal report: one line per finding plus a summary."""
+    lines: List[str] = [finding.render() for finding in result.findings]
+    lines.append(f"{result.files} files scanned: "
+                 f"{len(result.findings)} finding(s), "
+                 f"{len(result.suppressed)} suppressed")
     return "\n".join(lines)
 
 
 def render_json(result: LintResult) -> Dict[str, object]:
     """The machine report (``--json``)."""
     return {
-        "version": 1,
+        "version": 2,
         "files": result.files,
-        "findings": [f.as_dict() for f in result.new],
-        "baselined": [f.as_dict() for f in result.baselined],
+        "findings": [f.as_dict() for f in result.findings],
         "suppressed": [f.as_dict() for f in result.suppressed],
-        "stale_baseline": [e.as_dict() for e in result.stale],
         "counts": {
-            "new": len(result.new),
-            "baselined": len(result.baselined),
+            "findings": len(result.findings),
             "suppressed": len(result.suppressed),
-            "stale_baseline": len(result.stale),
         },
     }
 

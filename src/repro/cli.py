@@ -357,19 +357,17 @@ def _cache_missing(args: argparse.Namespace, store: ArtifactStore, location) -> 
     build are already present, without computing anything.  Exit code 1 when
     at least one is missing, so scripts can gate a warm run on it.
     """
-    from .kbp.programs import make_p0
+    from .experiments.implementation_check import theorem_report_key
     from .protocols.pbasic import BasicProtocol
     from .protocols.pmin import MinProtocol
-    from .store import implementation_report_key, safety_report_key
+    from .store import safety_report_key
     from .systems.contexts import gamma_basic, gamma_min
     n, t = args.n, args.t
     artifacts = [
         ("Theorem 6.5 report (P_min implements P0 in gamma_min)",
-         implementation_report_key(MinProtocol(t), make_p0(n), gamma_min(n, t),
-                                   None, 10)),
+         theorem_report_key("6.5", n, t)),
         ("Theorem 6.6 report (P_basic implements P0 in gamma_basic)",
-         implementation_report_key(BasicProtocol(t), make_p0(n), gamma_basic(n, t),
-                                   None, 10)),
+         theorem_report_key("6.6", n, t)),
     ]
     if args.safety:
         artifacts.extend([
@@ -653,8 +651,10 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default: unbounded)")
     serve_parser.add_argument("--job-timeout", type=float, default=None,
                               metavar="SECONDS",
-                              help="per-job wall-clock budget; a timed-out job is "
-                                   "retried, then failed (default: unlimited)")
+                              help="per-job wall-clock budget, enforced at the next "
+                                   "checkpoint: one round, one formula evaluation, "
+                                   "one scan step, or one protocol call; a timed-out "
+                                   "job is retried, then failed (default: unlimited)")
     serve_parser.add_argument("--task-retries", type=int, default=0, metavar="N",
                               help="retry budget for retryable job failures — "
                                    "timeouts, transient IO "

@@ -16,7 +16,7 @@ protocol's actions at every reachable local state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..kbp.implementation import ImplementationReport, check_implements, programs_equivalent
 from ..kbp.programs import make_p0, make_p1
@@ -49,18 +49,51 @@ class ImplementationMeasurement:
         }
 
 
+#: Theorem id -> (protocol, program, context) constructor at ``(n, t)``: the
+#: one table of what each implementation theorem checks.  The service's
+#: ``theorem`` requests and the CLI's ``cache missing`` read it too, so their
+#: keys equal the report keys these checks cache under.
+THEOREM_PARTS: Dict[str, Callable[..., tuple]] = {
+    "6.5": lambda n, t, max_faulty_enumerated=None: (
+        MinProtocol(t), make_p0(n),
+        gamma_min(n, t, max_faulty_enumerated=max_faulty_enumerated)),
+    "6.6": lambda n, t, max_faulty_enumerated=None: (
+        BasicProtocol(t), make_p0(n),
+        gamma_basic(n, t, max_faulty_enumerated=max_faulty_enumerated)),
+    "a21": lambda n, t, max_faulty_enumerated=None: (
+        OptimalFipProtocol(t), make_p1(n, t),
+        gamma_fip(n, t, max_faulty_enumerated=max_faulty_enumerated)),
+}
+
+
+def theorem_report_key(theorem: str, n: int, t: int) -> str:
+    """The store key :func:`check_theorem` caches ``theorem``'s report under.
+
+    ``max_time=None`` and ``max_mismatches=10`` are
+    :func:`~repro.kbp.implementation.check_implements`' defaults.
+    """
+    from ..store import implementation_report_key
+    return implementation_report_key(*THEOREM_PARTS[theorem](n, t), None, 10)
+
+
+def check_theorem(theorem: str, n: int = 3, t: int = 1,
+                  max_faulty_enumerated: Optional[int] = None,
+                  store=None) -> ImplementationReport:
+    """Check the implementation theorem ``theorem`` (a key of :data:`THEOREM_PARTS`)."""
+    protocol, program, context = THEOREM_PARTS[theorem](n, t, max_faulty_enumerated)
+    return check_implements(protocol, program, context, store=store)
+
+
 def check_theorem_6_5(n: int = 3, t: int = 1,
                       max_faulty_enumerated: Optional[int] = None, store=None) -> ImplementationReport:
     """Theorem 6.5: ``P_min`` implements ``P0`` in ``γ_min,n,t``."""
-    context = gamma_min(n, t, max_faulty_enumerated=max_faulty_enumerated)
-    return check_implements(MinProtocol(t), make_p0(n), context, store=store)
+    return check_theorem("6.5", n, t, max_faulty_enumerated, store)
 
 
 def check_theorem_6_6(n: int = 3, t: int = 1,
                       max_faulty_enumerated: Optional[int] = None, store=None) -> ImplementationReport:
     """Theorem 6.6: ``P_basic`` implements ``P0`` in ``γ_basic,n,t``."""
-    context = gamma_basic(n, t, max_faulty_enumerated=max_faulty_enumerated)
-    return check_implements(BasicProtocol(t), make_p0(n), context, store=store)
+    return check_theorem("6.6", n, t, max_faulty_enumerated, store)
 
 
 def check_theorem_a21(n: int = 3, t: int = 1,
@@ -72,8 +105,7 @@ def check_theorem_a21(n: int = 3, t: int = 1,
     (``common_v`` / ``cond0`` / ``cond1``) must agree with the model-checked
     knowledge and common-knowledge conditions at every reachable local state.
     """
-    context = gamma_fip(n, t, max_faulty_enumerated=max_faulty_enumerated)
-    return check_implements(OptimalFipProtocol(t), make_p1(n, t), context, store=store)
+    return check_theorem("a21", n, t, max_faulty_enumerated, store)
 
 
 def _equivalence_verdict(protocol, context, store) -> bool:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
+from ..core.cancel import checkpoint
 from ..core.types import Action, NOOP
 from ..exchange.base import InformationExchange, LocalState
 from ..logic.semantics import ModelChecker
@@ -128,6 +129,7 @@ def check_implements(protocol: ActionProtocol, program: KnowledgeBasedProgram,
     # states a per-point scan would skip.
     mismatches: List[Mismatch] = []
     for agent in range(system.n):
+        checkpoint()
         partition = system.partition(agent)
         for state, first_index in zip(partition.class_states,
                                       partition.class_first_indices):

@@ -43,6 +43,7 @@ from typing import List, Optional, TYPE_CHECKING
 import numpy as np
 
 from ..analysis.chains import reveals_zero_decision
+from ..core.cancel import checkpoint
 from ..core.types import AgentId
 from ..logic import words as _words
 from ..logic.formula import Knows, nobody_deciding
@@ -271,6 +272,7 @@ def _check_safety_vector(protocol: ActionProtocol, context: EBAContext,
     # context managers: the phases are flat sequential regions of this one
     # function, and a stamp cannot leak the thread-local span stack.
     tracing = _trace.is_active()
+    checkpoint()
     phase_start = _monotonic() if tracing else 0.0
     nonfaulty_w = [system.nonfaulty_words(j) for j in range(n)]
     # A0_j: j decides 0 in round m+1  (⊥ at m, 0 at m+1).
@@ -313,6 +315,7 @@ def _check_safety_vector(protocol: ActionProtocol, context: EBAContext,
         _trace.complete("safety.primitives", phase_start, _monotonic(), "check")
 
     # ---- chain receipts -------------------------------------------------------
+    checkpoint()
     with _trace.span("safety.chain_receipts", "check"):
         earliest = _chain_receipt_kernel(system, 0, num_runs)
 
@@ -322,6 +325,7 @@ def _check_safety_vector(protocol: ActionProtocol, context: EBAContext,
     violation_agents: List[np.ndarray] = []
     violation_clauses: List[np.ndarray] = []
     for agent in range(n):
+        checkpoint()
         class_ids = system.class_id_array(agent)
         num_classes = len(system.partition(agent).class_states)
 

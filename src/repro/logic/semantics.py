@@ -32,6 +32,7 @@ from typing import Any, Dict, FrozenSet, TYPE_CHECKING
 
 import numpy as np
 
+from ..core.cancel import checkpoint
 from ..core.errors import ModelCheckingError
 from ..obs import trace as _trace
 from ..systems.interpreted import InterpretedSystem
@@ -87,6 +88,7 @@ class ModelChecker:
         """The satisfying set as a canonical ``uint64`` word array."""
         result = self._cache.get(formula)
         if result is None:
+            checkpoint()
             if _trace.is_active():
                 # Guarded: the disabled path must not allocate the attrs
                 # dict per cache miss (this is the checker's hot loop).

@@ -28,9 +28,13 @@ Since the crash-safety work the queue also carries the *supervision* state:
   :class:`~repro.core.errors.ServiceUnavailable` (the server maps it to HTTP
   503 + ``Retry-After``) instead of letting the queue grow without bound.
 * **Cooperative cancellation of running jobs** — cancelling a running job
-  sets :attr:`Job.cancel_requested`; the executing worker checks the flag
-  between sweep chunks and confirms the cancellation (see
-  :mod:`repro.service.workers`).
+  sets :attr:`Job.cancel_requested`; the executing worker's cancel scope
+  observes the flag at its next checkpoint and the worker confirms the
+  cancellation (see :mod:`repro.service.workers`).  A wall-clock timeout
+  stops a job the same way, so it is enforced at the next checkpoint: one
+  round, one formula evaluation, one scan step, or one protocol call.  No
+  execution is ever abandoned, so every outcome a worker reports applies to
+  the job's current attempt and no transition needs an attempt token.
 * **Journaling** — with a :class:`~repro.service.journal.JobJournal`
   attached, every transition is appended (and flushed) under the queue lock,
   so a killed server recovers its job table on restart.
@@ -113,7 +117,7 @@ class Job:
         #: How many times a worker has picked this job up.
         self.attempts = 0
         #: Cooperative-cancel flag: set by :meth:`JobQueue.cancel` on a
-        #: running job; the worker's chunk-boundary checks confirm it.
+        #: running job; the worker's cancel scope observes it.
         self.cancel_requested = False
         #: Whether this job was rebuilt from the journal at startup.
         self.recovered = False
@@ -340,7 +344,7 @@ class JobQueue:
 
         A queued job moves straight to ``cancelled``.  A running job gets
         :attr:`Job.cancel_requested` set — the worker observes the flag at its
-        next simulation round and confirms via :meth:`mark_cancelled`; until
+        next checkpoint and confirms via :meth:`mark_cancelled`; until
         then the state stays ``running`` (with ``cancel_requested`` visible in
         the status view).  Finished jobs are left alone.
         """
@@ -356,8 +360,8 @@ class JobQueue:
                 self._record("cancelled", job)
             elif job.state == RUNNING:
                 job.cancel_requested = True
-                # Journaled so a crash before the worker's next chunk-boundary
-                # check recovers the job as cancelled, not as a fresh re-run.
+                # Journaled so a crash before the worker's next checkpoint
+                # recovers the job as cancelled, not as a fresh re-run.
                 self._record("cancel_requested", job)
             return job
 
@@ -406,25 +410,9 @@ class JobQueue:
                     wait = remaining if wait is None else min(wait, remaining)
                 self._ready.wait(timeout=wait)
 
-    def _is_current(self, job: Job, attempt: Optional[int]) -> bool:
-        """Whether a worker outcome still applies: the job is running and the
-        report comes from its latest attempt.  An abandoned (timed-out)
-        execution thread finishing late fails both tests and is ignored."""
-        if job.state != RUNNING:
-            return False
-        return attempt is None or attempt == job.attempts
-
-    def finish(self, job: Job, result: dict,
-               attempt: Optional[int] = None) -> None:
-        """Mark a running job done with its rendered payload.
-
-        ``attempt`` is the attempt token the worker captured at pickup;
-        a stale token (the job timed out and was retried meanwhile) makes the
-        call a no-op.
-        """
+    def finish(self, job: Job, result: dict) -> None:
+        """Mark a running job done with its rendered payload."""
         with self._lock:
-            if not self._is_current(job, attempt):
-                return
             job.result = result
             job.error = None
             job.state = DONE
@@ -435,14 +423,12 @@ class JobQueue:
                 _M_WALL.observe(job.finished_at - job.started_at)
             self._record("done", job, result=result)
 
-    def fail(self, job: Job, error: str, attempt: Optional[int] = None) -> None:
+    def fail(self, job: Job, error: str) -> None:
         """Mark a running job failed; the queue (and server) keep going."""
         with self._lock:
-            self._fail_locked(job, error, attempt)
+            self._fail_locked(job, error)
 
-    def _fail_locked(self, job: Job, error: str, attempt: Optional[int]) -> None:
-        if not self._is_current(job, attempt):
-            return
+    def _fail_locked(self, job: Job, error: str) -> None:
         job.error = error
         job.state = FAILED
         job.finished_at = time.time()
@@ -451,7 +437,6 @@ class JobQueue:
         self._record("failed", job, error=error)
 
     def retry_or_fail(self, job: Job, error: str, retryable: bool,
-                      attempt: Optional[int] = None,
                       timed_out: bool = False) -> str:
         """Handle a worker-reported failure: re-enqueue with backoff or fail.
 
@@ -461,8 +446,6 @@ class JobQueue:
         Returns the resulting state.
         """
         with self._lock:
-            if not self._is_current(job, attempt):
-                return job.state
             if timed_out:
                 self.timeouts += 1
                 _M_TIMEOUTS.inc()
@@ -491,14 +474,12 @@ class JobQueue:
                 self._record("retry", job, error=error)
                 self._ready.notify()  # recompute wait deadlines
             else:
-                self._fail_locked(job, error, attempt)
+                self._fail_locked(job, error)
             return job.state
 
-    def mark_cancelled(self, job: Job, attempt: Optional[int] = None) -> None:
+    def mark_cancelled(self, job: Job) -> None:
         """Confirm a cooperative cancellation observed by the worker."""
         with self._lock:
-            if not self._is_current(job, attempt):
-                return
             self._mark_cancelled_locked(job)
 
     def _mark_cancelled_locked(self, job: Job) -> None:

@@ -40,6 +40,7 @@ JSONObject = Dict[str, Any]
 
 from ..api.specs import RunSpec, SweepSpec
 from ..core.errors import ServiceError
+from ..experiments.implementation_check import THEOREM_PARTS, check_theorem, theorem_report_key
 from ..failures.pattern import FailurePattern
 from ..protocols.base import ActionProtocol
 from ..protocols.baselines import DelayedMinProtocol, NaiveZeroBiasedProtocol
@@ -60,7 +61,13 @@ PROTOCOL_FACTORIES: Dict[str, Callable[[int], ActionProtocol]] = {
 
 #: The theorem checks a ``theorem`` request may name (see
 #: :mod:`repro.experiments.implementation_check`).
-THEOREMS = ("6.5", "6.6", "a21")
+THEOREMS = tuple(THEOREM_PARTS)
+
+#: The largest system, in runs, a ``theorem`` request may build.  It admits
+#: every size the repo checks (n <= 5 at t = 1, n = 3 at t = 2); the next
+#: sizes up (n = 6 at t = 1: 12.6M runs, n = 4 at t = 2: 1.6G) would exhaust
+#: the server's memory.
+MAX_THEOREM_RUNS = 2_000_000
 
 #: The request kinds the service understands.
 REQUEST_KINDS = ("run", "sweep", "theorem")
@@ -178,39 +185,29 @@ class JobRequest:
     body: Optional[JSONObject] = None
 
 
-def _theorem_parts(check: TheoremCheck) -> Tuple[Any, Any, Any]:
-    """The (protocol, program, context) triple of a theorem check.
-
-    Must mirror :mod:`repro.experiments.implementation_check` exactly: the
-    service's job key has to equal the report key those checks cache under,
-    so a store warmed by ``repro-eba cache warm`` (or any direct CLI run)
-    answers theorem submissions without recomputation.
-    """
-    from ..kbp.programs import make_p0, make_p1
-    from ..systems.contexts import gamma_basic, gamma_fip, gamma_min
-    if check.theorem == "6.5":
-        return MinProtocol(check.t), make_p0(check.n), gamma_min(check.n, check.t)
-    if check.theorem == "6.6":
-        return BasicProtocol(check.t), make_p0(check.n), gamma_basic(check.n, check.t)
-    if check.theorem == "a21":
-        return (OptimalFipProtocol(check.t), make_p1(check.n, check.t),
-                gamma_fip(check.n, check.t))
-    raise ServiceError(f"unknown theorem {check.theorem!r}; one of {THEOREMS}")
+def _theorem_runs(check: TheoremCheck) -> int:
+    """The runs of ``check``'s system: one per failure pattern and preference
+    vector.  Once the ``2^n`` preference vectors alone exceed
+    :data:`MAX_THEOREM_RUNS`, that lower bound is returned, so a huge ``n``
+    costs no pattern count."""
+    runs: int = 2 ** check.n
+    if runs <= MAX_THEOREM_RUNS:
+        context = THEOREM_PARTS[check.theorem](check.n, check.t)[2]
+        runs *= context.failure_model.count_patterns(context.horizon)
+    return runs
 
 
 def request_key(kind: str, spec: Any) -> str:
     """The content key identifying a request's computation in the store."""
-    from ..store import implementation_report_key, run_task_key, sweep_key
+    from ..store import run_task_key, sweep_key
     if kind == "run":
         preferences, pattern = spec.scenario
         return run_task_key((spec.protocol, spec.n, preferences, pattern, spec.horizon))
     if kind == "sweep":
         return sweep_key(spec)
     if kind == "theorem":
-        protocol, program, context = _theorem_parts(spec)
-        # max_time=None / max_mismatches=10: check_implements' defaults, which
-        # is what the experiment wrappers (and cache warm) run with.
-        return implementation_report_key(protocol, program, context, None, 10)
+        # The report key the theorem checks (and cache warm) cache under.
+        return theorem_report_key(spec.theorem, spec.n, spec.t)
     raise ServiceError(f"unknown request kind {kind!r}; one of {REQUEST_KINDS}")
 
 
@@ -265,9 +262,16 @@ def _decode_spec(kind: Any, data: JSONObject) -> Any:
         theorem = str(_require(data, "theorem", "theorem request"))
         if theorem not in THEOREMS:
             raise ServiceError(f"unknown theorem {theorem!r}; one of {THEOREMS}")
-        return TheoremCheck(theorem=theorem,
-                            n=_require(data, "n", "theorem request"),
-                            t=_require(data, "t", "theorem request"))
+        check = TheoremCheck(theorem=theorem,
+                             n=_require(data, "n", "theorem request"),
+                             t=_require(data, "t", "theorem request"))
+        runs = _theorem_runs(check)
+        if runs > MAX_THEOREM_RUNS:
+            raise ServiceError(
+                f"theorem request: theorem {theorem} at n={check.n}, t={check.t} "
+                f"builds at least {runs} runs, over the service's bound of "
+                f"MAX_THEOREM_RUNS={MAX_THEOREM_RUNS}")
+        return check
     raise ServiceError(f"unknown request kind {kind!r}; one of {REQUEST_KINDS}")
 
 
@@ -351,14 +355,11 @@ def execute_request(request: JobRequest, store: Any = None) -> JSONObject:
     hits exactly as the CLI gets them), and the returned payload is the
     JSON-safe rendering :func:`render_result` defines.
     """
-    from ..experiments import implementation_check
     if request.kind in ("run", "sweep"):
         artifact: object = request.spec.run(store=store)
     elif request.kind == "theorem":
-        check = {"6.5": implementation_check.check_theorem_6_5,
-                 "6.6": implementation_check.check_theorem_6_6,
-                 "a21": implementation_check.check_theorem_a21}[request.spec.theorem]
-        artifact = check(request.spec.n, request.spec.t, store=store)
+        artifact = check_theorem(request.spec.theorem, request.spec.n,
+                                 request.spec.t, store=store)
     else:  # pragma: no cover - decode_request already rejected it
         raise ServiceError(f"unknown request kind {request.kind!r}")
     return render_result(request, artifact)
@@ -414,6 +415,7 @@ def render_result(request: JobRequest, artifact: Any) -> JSONObject:
 
 __all__ = [
     "JobRequest",
+    "MAX_THEOREM_RUNS",
     "PROTOCOL_FACTORIES",
     "REQUEST_KINDS",
     "THEOREMS",

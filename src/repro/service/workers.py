@@ -13,20 +13,22 @@ execute").
 
 Supervision (the crash-safety layer) wraps every execution:
 
-* **Wall-clock timeout** — with ``job_timeout`` set, the request runs on a
-  daemon thread and the worker waits at most that long; on expiry the job is
-  handed to :meth:`JobQueue.retry_or_fail` (timeouts are retryable) and the
-  abandoned execution is told to stop at its next simulation round.  Its late
-  outcome, if any, is discarded by the queue's attempt-token check.
+* **Wall-clock timeout** — with ``job_timeout`` set, the execution's
+  cancel scope carries a deadline.  The timeout is enforced at the next
+  checkpoint: one round, one formula evaluation, one scan step, or one
+  protocol call.  The timed-out job is then handed to
+  :meth:`JobQueue.retry_or_fail` (timeouts are retryable).
 * **Retry classification** — exceptions in :data:`RETRYABLE_EXCEPTIONS`
   (transient IO) go through the queue's bounded
   exponential-backoff retry; anything else fails the job immediately with
   the traceback.
-* **Cooperative cancellation** — every execution runs in a cancel scope
-  (:mod:`repro.core.cancel`) that raises :class:`JobCancelled` once the
-  client cancels, the execution times out, or the pool stops; the batched
-  engine polls it every simulation round.  :meth:`WorkerPool.stop` leaves a
-  job it aborts ``running`` in the journal, so a successor re-queues it.
+* **Cooperative cancellation** — every execution runs on its worker thread
+  in a cancel scope (:mod:`repro.core.cancel`) that raises
+  :class:`JobCancelled` once the client cancels, the pool stops, or the
+  deadline passes; the worker then picks the transition.  A cancelled job is
+  marked so; :meth:`WorkerPool.stop` makes no transition, so the journal
+  still says ``running`` and a successor re-queues the job.  No execution is
+  ever abandoned, so every outcome a worker reports is current.
 
 Worker exceptions never escape the loop: the job moves to ``failed`` (or back
 to ``queued`` for a retry) carrying the traceback, the worker picks up the
@@ -37,6 +39,7 @@ and ``tests/test_service_robustness.py``.
 from __future__ import annotations
 
 import threading
+import time
 import traceback
 from contextlib import contextmanager
 from typing import Callable, List, Optional
@@ -75,13 +78,15 @@ def probe_warm(request: JobRequest, store) -> Optional[dict]:
     return render_result(request, artifact)
 
 
-def _cancel_check(job: Job, *aborts: threading.Event) -> Callable[[], None]:
+def _cancel_check(job: Job, stopping: threading.Event,
+                  deadline: Optional[float] = None) -> Callable[[], None]:
     """The cancel-scope check of one execution of ``job``: it raises
     :class:`JobCancelled` once :attr:`Job.cancel_requested` (the client's
-    cancel) or any of ``aborts`` (the execution's timeout, the pool's stop)
-    is set."""
+    cancel) or ``stopping`` (the pool's stop) is set, or ``time.monotonic()``
+    passes ``deadline`` (the job timeout)."""
     def check() -> None:
-        if job.cancel_requested or any(abort.is_set() for abort in aborts):
+        if (job.cancel_requested or stopping.is_set()
+                or (deadline is not None and time.monotonic() > deadline)):
             raise JobCancelled(job.key)
     return check
 
@@ -130,9 +135,11 @@ class WorkerPool:
         Thread count.  Identical submissions coalesce *before* reaching the
         pool, so extra workers only help genuinely distinct jobs.
     job_timeout:
-        Per-job wall-clock budget in seconds; ``None`` = unlimited.  A
-        timed-out job goes through the queue's retry machinery (timeouts are
-        transient more often than not — a cold cache, a loaded box).
+        Per-job wall-clock budget in seconds; ``None`` = unlimited.  It is
+        a deadline on the execution's cancel scope, enforced at the next
+        checkpoint.  A timed-out job goes through the queue's retry
+        machinery (timeouts are transient more often than not — a cold
+        cache, a loaded box).
     """
 
     def __init__(self, queue: JobQueue, store=None, workers: int = 2,
@@ -164,16 +171,19 @@ class WorkerPool:
                 return
             self._execute(job)
 
-    def _call(self, job: Job, abort: threading.Event) -> tuple:
-        """One execution attempt; returns an outcome tag the supervisor maps
-        onto a queue transition.  Never raises."""
+    def _call(self, job: Job) -> tuple:
+        """One execution attempt; returns an outcome tag the worker maps onto
+        a queue transition.  Never raises."""
+        deadline = None
+        if self.job_timeout is not None:
+            deadline = time.monotonic() + self.job_timeout
         attempt_span = _trace.NOOP
         if _trace.is_active():
             attempt_span = _trace.span("job.attempt", "service", {
                 "job": job.key[:16], "kind": job.request.kind,
                 "attempt": job.attempts})
         with attempt_span as span, _progress_capture(job), \
-                cancellable(_cancel_check(job, abort, self._stopping)):
+                cancellable(_cancel_check(job, self._stopping, deadline)):
             try:
                 payload = execute_request(job.request, store=self.store)
             except JobCancelled:
@@ -186,46 +196,28 @@ class WorkerPool:
             return ("done", payload, None)
 
     def _execute(self, job: Job) -> None:
-        attempt = job.attempts  # the token making late outcomes discardable
-        abort = threading.Event()
-        if self.job_timeout is None:
-            outcome = self._call(job, abort)
-        else:
-            box: List[tuple] = []
-            runner = threading.Thread(
-                target=lambda: box.append(self._call(job, abort)),
-                name=f"repro-job-{job.key[:8]}", daemon=True)
-            runner.start()
-            runner.join(timeout=self.job_timeout)
-            if runner.is_alive():
-                # Tell the abandoned execution to stop at its next simulation
-                # round; whatever it eventually reports carries a stale
-                # attempt token and is ignored by the queue.
-                abort.set()
-                self.queue.retry_or_fail(
-                    job,
-                    f"job exceeded the {self.job_timeout:g}s wall-clock "
-                    f"timeout on attempt {attempt}",
-                    retryable=True, attempt=attempt, timed_out=True)
-                return
-            outcome = box[0]
-        tag, payload, trace = outcome
+        tag, payload, trace = self._call(job)
         if tag == "done":
-            self.queue.finish(job, payload, attempt=attempt)
-        elif tag == "cancelled":
-            if self._stopping.is_set() and not job.cancel_requested:
-                # Aborted by stop(): no transition, so the journal still says
-                # ``running`` and recovery re-queues the job.
-                return
-            self.queue.mark_cancelled(job, attempt=attempt)
-        else:
+            self.queue.finish(job, payload)
+        elif tag == "error":
             retryable = isinstance(payload, RETRYABLE_EXCEPTIONS)
-            self.queue.retry_or_fail(job, trace, retryable=retryable,
-                                     attempt=attempt)
+            self.queue.retry_or_fail(job, trace, retryable=retryable)
+        elif job.cancel_requested:
+            self.queue.mark_cancelled(job)
+        elif self._stopping.is_set():
+            # Aborted by stop(): no transition, so the journal still says
+            # ``running`` and recovery re-queues the job.
+            return
+        else:
+            self.queue.retry_or_fail(
+                job,
+                f"job exceeded the {self.job_timeout:g}s wall-clock "
+                f"timeout on attempt {job.attempts}",
+                retryable=True, timed_out=True)
 
     def stop(self, timeout: Optional[float] = 10.0) -> None:
-        """Stop the queue, abort every running execution at its next round,
-        and join every worker (bounded per-thread wait)."""
+        """Stop the queue, abort every running execution at its next
+        checkpoint, and join every worker (bounded per-thread wait)."""
         self.queue.stop()
         self._stopping.set()
         for thread in self._threads:

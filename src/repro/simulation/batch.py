@@ -454,6 +454,7 @@ class BatchSimulator:
         for agent, key in enumerate(keys):
             action = acts.get(key)
             if action is None:
+                checkpoint()
                 action = acts[key] = self.protocol.act(states[agent])
             actions.append(action)
         outgoing_of = self._outgoing
@@ -552,7 +553,8 @@ class BatchSimulator:
         :func:`~repro.simulation.engine.simulate` produces for the same inputs.
         Each distinct preference vector is validated once per simulator, and
         each distinct pattern object compiled once per call.  Each round
-        starts with a :func:`~repro.core.cancel.checkpoint`.
+        starts with a :func:`~repro.core.cancel.checkpoint`, and each
+        protocol ``act`` call the simulator has not memoised follows one.
         """
         if horizon is not None and horizon < 0:
             raise ConfigurationError(f"horizon must be non-negative, got {horizon}")

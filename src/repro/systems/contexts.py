@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, TYPE_CHECKING
 
-from ..failures.models import FailureModel, PatternOrbit, SendingOmissionModel, resolve_model
+from ..failures.models import FailureModel, SendingOmissionModel, resolve_model
 from ..failures.pattern import FailurePattern
 from ..protocols.base import ActionProtocol
 from .interpreted import DefinedPatterns, InterpretedSystem, build_system
@@ -62,15 +62,6 @@ class EBAContext:
             return self.failure_model.enumerate(self.horizon)
         return self.failure_model.enumerate(self.horizon,
                                             max_faulty=self.max_faulty_enumerated)
-
-    def orbits(self) -> Iterator["PatternOrbit"]:
-        """Enumerate the context's patterns as agent-permutation orbits.
-
-        One canonical representative per symmetry class, with its exact orbit
-        size (see :meth:`repro.failures.models.FailureModel.enumerate_orbits`).
-        """
-        return self.failure_model.enumerate_orbits(
-            self.horizon, max_faulty=self.max_faulty_enumerated)
 
     def build_system(self, protocol: ActionProtocol,
                      store: "StoreLike" = None) -> InterpretedSystem:

@@ -140,8 +140,11 @@ class TestKillAndRestart:
             ROOT, workers=1,
             extra_args=["--journal", str(journal), "--cache-dir", str(cache)])
         quick = run_request("min", 1, 3, [1, 0, 1])
+        # TestSigterm's body at a shorter horizon: ~600 rounds of ~1.2 ms,
+        # so the sweep outlives the kill that lands once it is running.
         slow = sweep_request([("min", 1), ("basic", 1)],
-                             workload={"n": 6, "t": 1, "count": 400, "seed": 7})
+                             workload={"n": 6, "t": 1, "count": 40, "seed": 7},
+                             horizon=300)
         with harness:
             url = harness.start()
             client = ServiceClient(url, retries=5, backoff=0.1)

@@ -86,7 +86,8 @@ REMOVED_NAMES = (
     "point_set", "run_weights", "weighted_run_count", "pattern_weights",
     "SYMMETRY_MODES", "execute_batch", "execute_batches", "simulate_batch",
     "BatchTask", "_execute_batch_chunk", "_CancelGuard", "executor_from_flags",
-    "_make_executor",
+    "_make_executor", "PatternOrbit", "enumerate_orbits", "count_orbits",
+    "symmetry_reduced_workload", "_is_current", "_theorem_parts",
 )
 
 

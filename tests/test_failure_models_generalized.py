@@ -265,6 +265,27 @@ class TestGeneralOmissionModel:
             assert model.admits(model.sample(random.Random(seed), horizon=3))
 
 
+class TestEnumerationMatchesCount:
+    """``count_patterns`` is the closed form of ``enumerate``: the service's
+    theorem-size bound and the run counts rest on it, so it must equal the
+    length of a duplicate-free enumeration, with and without ``max_faulty``."""
+
+    @pytest.mark.parametrize("model, horizon", [
+        (SendingOmissionModel(n=3, t=1), 2),
+        (ReceiveOmissionModel(n=3, t=1), 2),
+        (GeneralOmissionModel(n=3, t=1), 2),
+        (SendingOmissionModel(n=4, t=2), 2),
+        (SendingOmissionModel(n=4, t=1), 3),
+        (GeneralOmissionModel(n=3, t=2), 1),
+    ], ids=lambda value: getattr(value, "name", f"h{value}"))
+    def test_enumeration_is_exactly_the_closed_form_count(self, model, horizon):
+        patterns = list(model.enumerate(horizon))
+        assert len(set(patterns)) == len(patterns) == model.count_patterns(horizon)
+        capped = list(model.enumerate(horizon, max_faulty=1))
+        assert len(capped) == model.count_patterns(horizon, max_faulty=1)
+        assert all(len(pattern.faulty) <= 1 for pattern in capped)
+
+
 class TestExistingModelsRejectReceiveEvents:
     @pytest.mark.parametrize("model", [
         SendingOmissionModel(n=3, t=1),

@@ -41,8 +41,15 @@ from repro.service import (
     theorem_request,
 )
 from repro.service import server as server_module
+from repro.service import wire
 from repro.service.jobs import CANCELLED, DONE, FAILED, QUEUED, RUNNING
-from repro.store import ArtifactStore, default_store, run_task_key, sweep_key
+from repro.store import (
+    ArtifactStore,
+    default_store,
+    implementation_report_key,
+    run_task_key,
+    sweep_key,
+)
 
 
 def tiny_run_body():
@@ -58,6 +65,38 @@ def tiny_sweep_body(seed=0):
 
 
 class TestWireFormat:
+    @pytest.mark.parametrize("theorem, n, t", [
+        ("a21", 5, 1), ("6.5", 5, 1), ("6.6", 3, 2)])
+    def test_every_checked_theorem_size_is_admitted(self, theorem, n, t):
+        assert decode_request(theorem_request(theorem, n, t)).kind == "theorem"
+
+    def test_a_huge_theorem_is_refused_without_counting_its_patterns(self):
+        """Past the bound, 2^n alone is reported: no pattern count is made."""
+        with pytest.raises(ServiceError, match=str(2 ** 64)):
+            decode_request(theorem_request("6.5", 64, 1))
+
+    @pytest.mark.parametrize("theorem", wire.THEOREMS)
+    def test_theorem_key_is_the_report_key_of_its_table_entry(self, theorem):
+        protocol, program, context = implementation_check.THEOREM_PARTS[theorem](3, 1)
+        key = implementation_report_key(protocol, program, context, None, 10)
+        assert implementation_check.theorem_report_key(theorem, 3, 1) == key
+        assert decode_request(theorem_request(theorem, 3, 1)).key == key
+
+    @pytest.mark.parametrize("name, theorem", [
+        ("check_theorem_6_5", "6.5"), ("check_theorem_6_6", "6.6"),
+        ("check_theorem_a21", "a21")])
+    def test_each_named_theorem_check_reads_the_one_table(self, monkeypatch,
+                                                          name, theorem):
+        checked = []
+
+        def record(protocol, program, context, store=None):
+            checked.append(implementation_report_key(protocol, program, context,
+                                                     None, 10))
+
+        monkeypatch.setattr(implementation_check, "check_implements", record)
+        getattr(implementation_check, name)(3, 1)
+        assert checked == [implementation_check.theorem_report_key(theorem, 3, 1)]
+
     def test_protocol_round_trip(self):
         for key in ("min", "basic", "opt", "naive0", "delayed"):
             body = {"protocol": key, "t": 2}
@@ -306,6 +345,17 @@ class TestJobServer:
         with pytest.raises(ServiceError, match="HTTP 400"):
             client.submit({"type": "run", "protocol": "nope", "t": 1, "n": 3,
                            "preferences": [1, 1, 1]})
+
+    @pytest.mark.parametrize("n, t, runs", [(4, 2, 1_610_874_896),
+                                            (6, 1, 12_582_976)])
+    def test_oversized_theorem_is_http_400_naming_both_numbers(
+            self, server, client, n, t, runs):
+        """A theorem whose system would exhaust memory is refused at the edge."""
+        with pytest.raises(ServiceError, match="HTTP 400") as info:
+            client.submit(theorem_request("6.5", n, t))
+        assert str(runs) in str(info.value)
+        assert str(wire.MAX_THEOREM_RUNS) in str(info.value)
+        assert server.queue.submitted == 0
 
     def test_wrong_typed_field_is_http_400(self, client):
         with pytest.raises(ServiceError, match="HTTP 400"):

@@ -21,7 +21,14 @@ import pytest
 from repro.api import ParallelExecutor, Sweep
 from repro.core.cancel import cancellable, checkpoint
 from repro.core.errors import ServiceError, ServiceUnavailable
+from repro.experiments.implementation_check import THEOREM_PARTS
+from repro.kbp.implementation import check_implements
+from repro.kbp.safety import check_safety
+from repro.logic.formula import InitEquals, Knows
+from repro.logic.semantics import ModelChecker
+from repro.protocols import BasicProtocol, MinProtocol
 from repro.service import (
+    THEOREMS,
     JobCancelled,
     JobQueue,
     JobServer,
@@ -31,11 +38,13 @@ from repro.service import (
     sweep_request,
     wire,
 )
-from repro.service.jobs import CANCELLED, DONE, QUEUED, RUNNING, Job
+from repro.service import workers
+from repro.service.jobs import CANCELLED, DONE, FAILED, QUEUED, RUNNING, Job
 from repro.service.journal import JobJournal
 from repro.service.workers import WorkerPool, _cancel_check
 from repro.simulation.batch import BatchSimulator
 from repro.store import ArtifactStore
+from repro.systems import gamma_basic, gamma_min
 from repro.testing import FailOnceProtocol, ServerHarness, SlowProtocol
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -194,6 +203,70 @@ class TestRetryAndTimeout:
             assert stats["timeouts"] == 1 and stats["retries"] == 1
 
 
+    def test_a_timed_out_execution_returns_before_the_timeout_is_recorded(
+            self, monkeypatch):
+        """The timeout is a cancel-scope deadline: the worker's own execution
+        stops at its next checkpoint, and only then does the queue hear of
+        the timeout.  No execution is left running behind the job."""
+        monkeypatch.setitem(wire.PROTOCOL_FACTORIES, "slow",
+                            lambda t: SlowProtocol(t, delay=0.3))
+        returned = threading.Event()
+        original_execute = workers.execute_request
+
+        def tracked(request, store=None):
+            try:
+                return original_execute(request, store=store)
+            finally:
+                returned.set()
+
+        monkeypatch.setattr(workers, "execute_request", tracked)
+        queue = JobQueue()
+        original_retry = queue.retry_or_fail
+        returned_at_timeout = []
+
+        def spy(job, error, retryable, timed_out=False, **kwargs):
+            if timed_out:
+                returned_at_timeout.append(returned.is_set())
+            return original_retry(job, error, retryable, timed_out=timed_out,
+                                  **kwargs)
+
+        monkeypatch.setattr(queue, "retry_or_fail", spy)
+        pool = WorkerPool(queue, workers=1, job_timeout=0.1)
+        job, _ = queue.submit(decode_request(run_request("slow", 1, 3, [1, 0, 1])))
+        pool.start()
+        try:
+            assert wait_for(lambda: job.state == FAILED)
+        finally:
+            pool.stop()
+        assert returned_at_timeout == [True]
+        assert queue.timeouts == 1 and "wall-clock" in job.error
+
+    def test_a_timed_out_job_starts_no_thread_beyond_the_workers(
+            self, monkeypatch):
+        """The timeout runs on the worker thread itself: a pool of one starts
+        one thread, however many of its jobs time out."""
+        monkeypatch.setitem(wire.PROTOCOL_FACTORIES, "slow",
+                            lambda t: SlowProtocol(t, delay=0.3))
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(workers.threading, "Thread", Counted)
+        queue = JobQueue()
+        pool = WorkerPool(queue, workers=1, job_timeout=0.1)
+        slow, _ = queue.submit(decode_request(run_request("slow", 1, 3, [1, 0, 1])))
+        fast, _ = queue.submit(decode_request(run_body()))
+        pool.start()
+        try:
+            assert wait_for(lambda: slow.state == FAILED and fast.state == DONE)
+        finally:
+            pool.stop()
+        assert started == ["repro-worker-0"]
+
+
 # ------------------------------------------------------------------ running-job cancel
 
 
@@ -211,6 +284,21 @@ class TestCooperativeCancel:
                 with pytest.raises(JobCancelled):
                     checkpoint()
             checkpoint()  # outside the scope: a no-op again
+
+    @pytest.mark.parametrize("seconds_left, raises", [
+        (None, False), (60.0, False), (-0.001, True)],
+        ids=["no-deadline", "deadline-ahead", "deadline-passed"])
+    def test_the_job_deadline_cancels_only_once_passed(self, seconds_left,
+                                                       raises):
+        """The job timeout is the third cause the scope's check raises on."""
+        job = Job(decode_request(run_body()))
+        deadline = None if seconds_left is None else time.monotonic() + seconds_left
+        with cancellable(_cancel_check(job, threading.Event(), deadline)):
+            if raises:
+                with pytest.raises(JobCancelled):
+                    checkpoint()
+            else:
+                checkpoint()
 
     def test_cancel_a_running_sweep(self, monkeypatch):
         monkeypatch.setitem(wire.PROTOCOL_FACTORIES, "slow",
@@ -252,6 +340,69 @@ class TestCooperativeCancel:
         finally:
             timer.cancel()
         assert time.monotonic() - started < 3.0
+
+
+class TestEveryLongPhasePolls:
+    """Each long phase polls the cancel scope, so a stop lands within one
+    round, one formula evaluation, one scan step or one protocol call."""
+
+    @staticmethod
+    def _scope():
+        armed = threading.Event()
+
+        def check():
+            if armed.is_set():
+                raise JobCancelled("check")
+        return armed, check
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_check_implements_raises_after_the_system_is_built(
+            self, n3_system, theorem):
+        armed, check = self._scope()
+        protocol, program, context = THEOREM_PARTS[theorem](3, 1)
+        with cancellable(check):
+            system = n3_system(protocol, context)
+            armed.set()
+            with pytest.raises(JobCancelled):
+                check_implements(protocol, program, context, system=system)
+
+    @pytest.mark.parametrize("protocol, context", [
+        (MinProtocol(1), gamma_min(3, 1)),
+        (BasicProtocol(1), gamma_basic(3, 1)),
+    ], ids=["P_min", "P_basic"])
+    def test_check_safety_raises_after_the_system_is_built(
+            self, n3_system, protocol, context):
+        armed, check = self._scope()
+        with cancellable(check):
+            system = n3_system(protocol, context)
+            armed.set()
+            with pytest.raises(JobCancelled):
+                check_safety(protocol, context, system=system)
+
+    def test_the_model_checker_polls_on_each_evaluation(self, n3_system):
+        armed, check = self._scope()
+        checker = ModelChecker(n3_system(MinProtocol(1), gamma_min(3, 1)))
+        cached = InitEquals(0, 0)
+        with cancellable(check):
+            checker.satisfying_words(cached)
+            armed.set()
+            checker.satisfying_words(cached)  # a cache hit evaluates nothing
+            with pytest.raises(JobCancelled):
+                checker.satisfying_words(Knows(0, cached))
+
+    def test_the_engine_polls_before_each_protocol_call(self):
+        armed, check = self._scope()
+        calls = []
+
+        class Arming(MinProtocol):
+            def act(self, state):
+                calls.append(state.agent)
+                armed.set()
+                return super().act(state)
+
+        with cancellable(check), pytest.raises(JobCancelled):
+            BatchSimulator(Arming(1), 3).simulate_scenarios([((0, 1, 1), None)])
+        assert calls == [0]
 
 
 class TestOneSimulatorPerProtocol:

@@ -500,11 +500,20 @@ class TestExecutorBatchFanOut:
         from repro.systems import interpreted
         monkeypatch.setattr(interpreted, "BUILD_CHUNK_PATTERNS", 16)
         context = gamma_min(3, 1)
+        acts = []
+
+        class CountingMin(MinProtocol):
+            def act(self, state):
+                acts.append(state)
+                return super().act(state)
+
         check = _CheckpointCounter()
         with cancellable(check):
-            context.build_system(MinProtocol(1))
+            context.build_system(CountingMin(1))
         chunks = -(-len(list(context.patterns())) // 16)
-        assert check.calls == chunks * context.horizon
+        # One poll at the top of each round of each chunk, and one before
+        # each protocol call the simulator has not memoised.
+        assert acts and check.calls == chunks * context.horizon + len(acts)
         store = default_store(tmp_path)
         check = _CheckpointCounter(fail_at=3)
         with cancellable(check), pytest.raises(RuntimeError, match="cancelled"):

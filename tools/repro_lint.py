@@ -3,7 +3,7 @@
 
 Run from the repository root::
 
-    python tools/repro_lint.py --strict
+    python tools/repro_lint.py src/repro
 
 Thin wrapper over :mod:`repro.analysis.lint` so CI does not need the package
 installed — it only needs ``src`` on the path.
