@@ -47,6 +47,7 @@ from ..protocols.baselines import DelayedMinProtocol, NaiveZeroBiasedProtocol
 from ..protocols.pbasic import BasicProtocol
 from ..protocols.pmin import MinProtocol
 from ..protocols.popt import OptimalFipProtocol
+from ..simulation.trace import ROUND_CAP_FACTOR
 
 #: Wire key -> constructor taking the failure bound t.  This is the protocol
 #: *namespace* of the wire format (and of the CLI, which imports it): requests
@@ -68,6 +69,14 @@ THEOREMS = tuple(THEOREM_PARTS)
 #: sizes up (n = 6 at t = 1: 12.6M runs, n = 4 at t = 2: 1.6G) would exhaust
 #: the server's memory.
 MAX_THEOREM_RUNS = 2_000_000
+
+#: The most simulation work a ``run`` or ``sweep`` request may ask for: runs
+#: × rounds × n², where a sweep runs every protocol over every scenario and a
+#: request without a horizon counts the simulator's round cap
+#: (``ROUND_CAP_FACTOR · (t + 2)``).  A 2-protocol, 40-scenario n=6 sweep at
+#: horizon 1000 is 2 880 000 and peaks at ~145 MB; ten times its scenarios
+#: would not fit beside other jobs.
+MAX_SIMULATION_WORK = 4_000_000
 
 #: The request kinds the service understands.
 REQUEST_KINDS = ("run", "sweep", "theorem")
@@ -235,9 +244,12 @@ def decode_request(data: object) -> JobRequest:
 def _decode_spec(kind: Any, data: JSONObject) -> Any:
     """The spec object of a ``kind`` request (a :class:`JobRequest`'s ``spec``)."""
     if kind == "run":
+        protocol = decode_protocol(data, "run request")
+        _bound_simulation("run", (protocol,), 1, _require(data, "n", "run request"),
+                          data.get("horizon"))
         return RunSpec(
-            protocol=decode_protocol(data, "run request"),
-            n=_require(data, "n", "run request"),
+            protocol=protocol,
+            n=data["n"],
             preferences=tuple(_require(data, "preferences", "run request")),
             pattern=decode_pattern(data.get("pattern"), "run request"),
             horizon=data.get("horizon"),
@@ -253,8 +265,10 @@ def _decode_spec(kind: Any, data: JSONObject) -> Any:
         scenarios = tuple(
             _decode_scenario(entry, index, "sweep request")
             for index, entry in enumerate(_require(data, "scenarios", "sweep request")))
+        n = data.get("n") or (len(scenarios[0][0]) if scenarios else 0)
+        _bound_simulation("sweep", protocols, len(scenarios), n, data.get("horizon"))
         return SweepSpec(protocols=protocols,
-                         n=data.get("n") or (len(scenarios[0][0]) if scenarios else 0),
+                         n=n,
                          scenarios=scenarios,
                          horizon=data.get("horizon"),
                          seed=data.get("seed"))
@@ -275,6 +289,28 @@ def _decode_spec(kind: Any, data: JSONObject) -> Any:
     raise ServiceError(f"unknown request kind {kind!r}; one of {REQUEST_KINDS}")
 
 
+def _bound_simulation(kind: str, protocols: Sequence[ActionProtocol], scenarios: Any,
+                      n: Any, horizon: Any) -> None:
+    """Refuse a ``run`` or ``sweep`` request over :data:`MAX_SIMULATION_WORK`.
+
+    Called before a single scenario is generated, so a huge ``count`` costs
+    nothing; a non-integer size is refused here, before it is multiplied.
+    """
+    for name, value in (("scenario count", scenarios), ("n", n), ("horizon", horizon)):
+        if value is not None and type(value) is not int:
+            raise ServiceError(
+                f"invalid {kind} request: {name} must be an integer, got {value!r}")
+    rounds = horizon
+    if rounds is None:
+        rounds = ROUND_CAP_FACTOR * (max((protocol.t for protocol in protocols), default=0) + 2)
+    work = len(protocols) * scenarios * rounds * n * n
+    if work > MAX_SIMULATION_WORK:
+        raise ServiceError(
+            f"{kind} request: {len(protocols)} protocol(s) × {scenarios} scenario(s) × "
+            f"{rounds} rounds × n²={n * n} is {work}, over the service's bound of "
+            f"MAX_SIMULATION_WORK={MAX_SIMULATION_WORK}")
+
+
 def _sweep_from_workload(protocols: Tuple[ActionProtocol, ...],
                          data: JSONObject) -> SweepSpec:
     from ..api.specs import Sweep
@@ -285,10 +321,12 @@ def _sweep_from_workload(protocols: Tuple[ActionProtocol, ...],
     if kind != "random":
         raise ServiceError(f"sweep request: unknown workload kind {kind!r} "
                            "(only 'random' is defined)")
+    _bound_simulation("sweep", protocols, _require(workload, "count", "sweep workload"),
+                      _require(workload, "n", "sweep workload"), data.get("horizon"))
     builder = Sweep.of(*protocols).on_random(
-        n=_require(workload, "n", "sweep workload"),
+        n=workload["n"],
         t=_require(workload, "t", "sweep workload"),
-        count=_require(workload, "count", "sweep workload"),
+        count=workload["count"],
         seed=workload.get("seed", 0),
         model=workload.get("model"),
     )
@@ -415,6 +453,7 @@ def render_result(request: JobRequest, artifact: Any) -> JSONObject:
 
 __all__ = [
     "JobRequest",
+    "MAX_SIMULATION_WORK",
     "MAX_THEOREM_RUNS",
     "PROTOCOL_FACTORIES",
     "REQUEST_KINDS",

@@ -32,7 +32,9 @@ of work that can be shared:
 * each distinct preference vector is validated once per simulator, and each
   distinct failure pattern compiled into per-round blocked-edge sets (interned
   to small integer ids) once per call, so the round loop never consults
-  :meth:`~repro.failures.pattern.FailurePattern.delivered`;
+  :meth:`~repro.failures.pattern.FailurePattern.delivered`; the scenarios are
+  slotted by C-level ``map`` passes plus one Python pass over the *distinct*
+  preference keys and pattern objects (:meth:`BatchSimulator._slots`);
 * the run state lives in numpy arrays — each run's current global-state row
   (the interned tuple's index) and its blocked-edge id per round — and each
   round is one pass over the *distinct* ``row × blocked id`` keys
@@ -45,21 +47,28 @@ of work that can be shared:
   global-state row is *done* (every agent decided: one flag per row, computed
   once), as the per-run engine stops, so the call's record ids are ragged.
 
-Every call then builds its traces through one :class:`RunTable`, whose
-:meth:`~RunTable.traces` is one object-array gather of the record ids.  The
-produced traces are **byte-identical** (per-trace pickle) to the per-run
-engine's: the transition function is the same deterministic function, and the
-sharing the batch introduces is only ever *across* traces — within one trace no
-two states or messages are equal (the agent id and the time are part of every
-local state), so the intra-trace object topology that pickling observes is
-unchanged.  ``tests/test_simulation_batch.py`` enforces this differentially.
+Every call returns its runs as a :class:`RunView` over one :class:`RunTable`:
+the record ids and preference/pattern slots the round loop already has, over
+the simulator-wide record, preference and pattern tables.  No
+:class:`~repro.simulation.trace.RunTrace` exists until the view is indexed or
+iterated (:meth:`RunTable.traces` is one object-array gather of the record
+ids).  The traces it builds are **byte-identical** (per-trace pickle) to the
+per-run engine's: the transition function is the same deterministic function,
+and the sharing the batch introduces is only ever *across* traces — within one
+trace no two states or messages are equal (the agent id and the time are part
+of every local state), so the intra-trace object topology that pickling
+observes is unchanged.  ``tests/test_simulation_batch.py`` enforces this
+differentially.  :func:`simulate_tasks`, the body of sweeps and single runs,
+hands its callers a list.
 
 Each fixed-horizon call keeps its runs' record ids and preference/pattern
-slots, and nothing per point.  From that the simulator hands a finished
-system two things instead of having it re-derive them from the traces:
+slots, and nothing per point or per trace.  From that the simulator hands a
+finished system two things over *every* run it simulated with that horizon, in
+call order, instead of having the system re-derive them from traces:
 
 * a :class:`RunTable` (:meth:`BatchSimulator.run_table`): the runs as shared
-  object tables plus small integer index arrays.  The system pickles from it,
+  object tables plus small integer index arrays.  The system holds its runs
+  only as this table (its ``runs`` is a :class:`RunView`), pickles from it,
   and the Definition 6.2 safety scan reads each shared record once through it
   (:func:`repro.kbp.safety._chain_receipt_kernel`);
 * the per-agent :class:`~repro.systems.interpreted.AgentPartition` structures
@@ -73,9 +82,12 @@ from __future__ import annotations
 
 import operator
 from array import array
+from collections import abc
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat, zip_longest
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, TYPE_CHECKING, Tuple, Union
+from functools import cached_property
+from itertools import chain, filterfalse, groupby, repeat, zip_longest
+from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    TYPE_CHECKING, Tuple, Union)
 
 import numpy as np
 
@@ -152,8 +164,9 @@ class RunTable:
     read-only).  The batched engine emits a system's table at build time
     (:meth:`BatchSimulator.run_table`); :meth:`from_runs` derives one from
     any list of traces.  The tables *are* the sharing between runs: traces
-    rebuilt by :meth:`traces` share every record, preference vector,
-    pattern and initial-state tuple the way the table lists them.
+    built by :meth:`traces` and :meth:`trace` (what a :class:`RunView` reads)
+    share every record, preference vector, pattern and initial-state tuple
+    the way the table lists them.
     """
 
     records: Tuple[RoundRecord, ...]
@@ -224,31 +237,92 @@ class RunTable:
                    patterns, run_patterns, initial_states, run_initial_states,
                    tuple(header_slots), run_headers)
 
-    def traces(self) -> List[RunTrace]:
-        """The runs as :class:`~repro.simulation.trace.RunTrace` objects, in run order.
+    @cached_property
+    def _record_objects(self) -> "npt.NDArray[Any]":
+        """``records`` as an object array, so record ids gather in one numpy pass."""
+        objects = np.empty(len(self.records), dtype=object)
+        objects[:] = self.records
+        return objects
 
-        One object-array gather of the record ids yields every run's
+    def traces(self, runs: slice = slice(None)) -> List[RunTrace]:
+        """The runs ``runs`` selects (all by default) as traces, in run order.
+
+        One object-array gather of their record ids yields every run's
         ``rounds`` list; each trace pickles byte-identically to the trace the
         table was made from.
         """
-        objects = np.empty(len(self.records), dtype=object)
-        objects[:] = self.records
-        rounds = objects[self.record_ids.T].tolist()
+        rounds = self._record_objects[self.record_ids[:, runs].T].tolist()
         if not isinstance(self.lengths, int):
             rounds = [run_rounds[:length]
-                      for run_rounds, length in zip(rounds, self.lengths.tolist())]
+                      for run_rounds, length in zip(rounds, self.lengths[runs].tolist())]
         headers: Iterable[Tuple[int, str, str]] = repeat(self.headers[0])
         if self.run_headers is not None:
-            headers = map(self.headers.__getitem__, self.run_headers.tolist())
+            headers = map(self.headers.__getitem__, self.run_headers[runs].tolist())
         preferences, patterns, initial_states = (
             self.preferences, self.patterns, self.initial_states)
         return [
             RunTrace(n, protocol_name, exchange_name, preferences[prefs], patterns[pattern],
                      initial_states[initial], run_rounds)
             for (n, protocol_name, exchange_name), prefs, pattern, initial, run_rounds in zip(
-                headers, self.run_preferences.tolist(), self.run_patterns.tolist(),
-                self.run_initial_states.tolist(), rounds)
+                headers, self.run_preferences[runs].tolist(), self.run_patterns[runs].tolist(),
+                self.run_initial_states[runs].tolist(), rounds)
         ]
+
+    def trace(self, index: int) -> RunTrace:
+        """Run ``index`` (negative counts from the end) as a trace, built on access."""
+        index = operator.index(index)
+        count = self.num_runs
+        if not -count <= index < count:
+            raise IndexError(f"run index {index} out of range for {count} runs")
+        index %= count
+        return self.traces(slice(index, index + 1))[0]
+
+
+#: Runs built per gather while iterating a :class:`RunView`.
+_VIEW_CHUNK = 1024
+
+
+class RunView(abc.Sequence):
+    """The runs of a :class:`RunTable` as a read-only sequence of traces.
+
+    It holds the table: indexing builds one
+    :class:`~repro.simulation.trace.RunTrace` (:meth:`RunTable.trace`) and
+    keeps it, as the per-point oracles index the same runs over and over; a
+    slice builds a list, and iteration builds the runs a chunk at a time,
+    keeping none.  It equals any sequence of equal traces, and pickles as its
+    table.
+    """
+
+    __slots__ = ("table", "_indexed")
+
+    def __init__(self, table: RunTable) -> None:
+        self.table = table
+        self._indexed: Dict[int, RunTrace] = {}
+
+    def __len__(self) -> int:
+        return self.table.num_runs
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return self.table.traces(index)
+        index = operator.index(index)
+        key = index + len(self) if index < 0 else index
+        trace = self._indexed.get(key)
+        if trace is None:
+            trace = self._indexed[key] = self.table.trace(index)
+        return trace
+
+    def __iter__(self) -> Iterator[RunTrace]:
+        for start in range(0, len(self), _VIEW_CHUNK):
+            yield from self.table.traces(slice(start, start + _VIEW_CHUNK))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, abc.Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __reduce__(self):
+        return (RunView, (self.table,))
 
 
 class _Call(NamedTuple):
@@ -258,7 +332,6 @@ class _Call(NamedTuple):
     ``_patterns``.
     """
 
-    traces: Tuple[RunTrace, ...]
     #: ``(horizon × runs)``: each run's record index per round.
     record_ids: "npt.NDArray[Any]"
     run_preferences: "npt.NDArray[Any]"
@@ -272,9 +345,8 @@ class BatchSimulator:
     states, transition classes, blocked-edge ids) across every call, so
     simulating several pattern chunks through the same instance keeps the
     sharing; a fresh instance starts cold.  It also keeps every preference
-    vector and pattern it meets, and every trace a fixed-horizon call
-    returns with the traces' record ids and preference/pattern slots, for
-    :meth:`run_table` and :meth:`partitions`.
+    vector and pattern it meets, and each fixed-horizon call's record ids and
+    preference/pattern slots, for :meth:`run_table` and :meth:`partitions`.
     """
 
     def __init__(self, protocol: ActionProtocol, n: int) -> None:
@@ -374,27 +446,81 @@ class BatchSimulator:
             ids[round_index] = bid
         return ids
 
-    def _new_preferences(self, key: Tuple[int, ...]) -> int:
-        """Validate a preference vector met for the first time; its new slot."""
-        preferences = validate_preferences(key, self.n)
-        slot = self._preference_slots[key] = len(self._preferences)
+    def _new_preferences(self, key: Tuple[int, ...], preferences: PreferenceVector) -> None:
+        """Slot a preference vector met for the first time, validated as ``preferences``."""
+        self._preference_slots[key] = len(self._preferences)
         self._preferences.append(preferences)
         self._initial_rows.append(self._intern_row(tuple(
             self._intern_state(self.exchange.initial_state(agent, preferences[agent]))
             for agent in range(self.n)
         )))
-        return slot
+
+    def _check_pattern(self, pattern: FailurePattern) -> None:
+        """Reject a pattern for another number of agents."""
+        if pattern.n != self.n:
+            raise ConfigurationError(
+                f"failure pattern is for {pattern.n} agents, expected {self.n}")
 
     def _pattern_slot(self, pattern: FailurePattern) -> int:
         """The slot of ``pattern`` (by identity), checked on first sight."""
         slot = self._pattern_slots.get(id(pattern))
         if slot is None:
-            if pattern.n != self.n:
-                raise ConfigurationError(
-                    f"failure pattern is for {pattern.n} agents, expected {self.n}")
+            self._check_pattern(pattern)
             slot = self._pattern_slots[id(pattern)] = len(self._patterns)
             self._patterns.append(pattern)
         return slot
+
+    def _slot_scenario(self, preferences: Sequence[int], pattern: Optional[FailurePattern]) -> None:
+        """Slot one scenario as a per-scenario loop does: its preferences, then its pattern."""
+        key = tuple(preferences)
+        try:
+            known = key in self._preference_slots
+        except TypeError:  # unhashable entries: let validation name them
+            validate_preferences(key, self.n)
+            raise
+        if not known:
+            self._new_preferences(key, validate_preferences(key, self.n))
+        self._pattern_slot(self._failure_free if pattern is None else pattern)
+
+    def _slots(self, scenarios: Sequence[Tuple[Sequence[int], Optional[FailurePattern]]],
+               rounds: int) -> Tuple["npt.NDArray[Any]", "npt.NDArray[Any]", "npt.NDArray[Any]"]:
+        """Each scenario's preference and pattern slot, and each pattern slot's blocked ids.
+
+        C-level passes over the scenarios and one Python pass over the distinct
+        preference keys and pattern objects: new preference vectors are
+        validated and new patterns checked before any is slotted, in
+        first-appearance order.  If one fails, the scenarios are slotted one
+        at a time (:meth:`_slot_scenario`), so the first bad one raises after
+        exactly what a per-scenario loop slots before it.  Each distinct
+        pattern object of the call is compiled once, over ``rounds`` rounds.
+        """
+        slots = self._preference_slots
+        try:
+            keys = list(map(tuple, map(operator.itemgetter(0), scenarios)))
+            patterns = list(map(operator.itemgetter(1), scenarios))
+            new_keys = list(filterfalse(slots.__contains__, dict.fromkeys(keys)))
+            new_preferences = [validate_preferences(key, self.n) for key in new_keys]
+            pattern_ids = list(map(id, patterns))
+            distinct = dict(zip(pattern_ids, patterns))
+            for pattern in distinct.values():
+                if pattern is not None:
+                    self._check_pattern(pattern)
+        except Exception:
+            for preferences, pattern in scenarios:
+                self._slot_scenario(preferences, pattern)
+            raise
+        for key, preferences in zip(new_keys, new_preferences):
+            self._new_preferences(key, preferences)
+        call_slots = {
+            ident: self._pattern_slot(self._failure_free if pattern is None else pattern)
+            for ident, pattern in distinct.items()}
+        blocked_of_pattern = np.zeros((len(self._patterns), rounds), dtype=np.int32)
+        for slot in dict.fromkeys(call_slots.values()):
+            blocked_of_pattern[slot] = self._compile_pattern(self._patterns[slot], rounds)
+        count = len(keys)
+        return (np.fromiter(map(slots.__getitem__, keys), dtype=np.intc, count=count),
+                np.fromiter(map(call_slots.__getitem__, pattern_ids), dtype=np.intc, count=count),
+                blocked_of_pattern)
 
     def _table(self, record_ids: "npt.NDArray[Any]", lengths: Union[int, "npt.NDArray[Any]"],
                run_preferences: "npt.NDArray[Any]",
@@ -539,7 +665,7 @@ class BatchSimulator:
     # ------------------------------------------------------------------ public API
 
     def simulate_scenarios(self, scenarios: Sequence[Tuple[Sequence[int], Optional[FailurePattern]]],
-                           horizon: Optional[int] = None) -> List[RunTrace]:
+                           horizon: Optional[int] = None) -> RunView:
         """Simulate every ``(preferences, pattern)`` scenario, in scenario order.
 
         With a ``horizon``, every run takes exactly ``horizon`` rounds.  With
@@ -548,51 +674,23 @@ class BatchSimulator:
         rounds, the first such run in scenario order raises the per-run
         engine's :class:`~repro.core.errors.ProtocolError`.
 
-        Returns one :class:`~repro.simulation.trace.RunTrace` per scenario,
-        each byte-identical (per-trace pickle) to what
+        Returns the runs as a :class:`RunView`, one run per scenario, each
+        trace byte-identical (per-trace pickle) to what
         :func:`~repro.simulation.engine.simulate` produces for the same inputs.
         Each distinct preference vector is validated once per simulator, and
-        each distinct pattern object compiled once per call.  Each round
-        starts with a :func:`~repro.core.cancel.checkpoint`, and each
-        protocol ``act`` call the simulator has not memoised follows one.
+        each distinct pattern object compiled once per call (:meth:`_slots`).
+        Each round starts with a :func:`~repro.core.cancel.checkpoint`, and
+        each protocol ``act`` call the simulator has not memoised follows one.
         """
         if horizon is not None and horizon < 0:
             raise ConfigurationError(f"horizon must be non-negative, got {horizon}")
         rounds = horizon if horizon is not None else ROUND_CAP_FACTOR * (self.protocol.t + 2)
-        # -- each run's preference and pattern slot; each distinct pattern
-        # object of the call compiled once --------------------------------
-        preference_slots = self._preference_slots
-        call_patterns: Dict[int, int] = {}
-        compiled: Dict[int, List[int]] = {}
-        run_prefs = array("i")
-        run_patterns = array("i")
-        for preferences, pattern in scenarios:
-            key = tuple(preferences)
-            try:
-                slot = preference_slots.get(key)
-            except TypeError:  # unhashable entries: let validation name them
-                validate_preferences(key, self.n)
-                raise
-            if slot is None:
-                slot = self._new_preferences(key)
-            if pattern is None:
-                pattern = self._failure_free
-            index = call_patterns.get(id(pattern))
-            if index is None:
-                index = call_patterns[id(pattern)] = self._pattern_slot(pattern)
-                compiled[index] = self._compile_pattern(pattern, rounds)
-            run_prefs.append(slot)
-            run_patterns.append(index)
-        count = len(run_prefs)
-        pref_slots = np.frombuffer(run_prefs, dtype=np.intc)
-        pattern_slots = np.frombuffer(run_patterns, dtype=np.intc)
+        pref_slots, pattern_slots, blocked_of_pattern = self._slots(scenarios, rounds)
+        count = len(pref_slots)
         # -- run state: the runs still in the loop, in scenario order, with
         # their current global-state rows and blocked-edge ids per round ----
         live = np.arange(count)
         current = np.asarray(self._initial_rows, dtype=np.int32)[pref_slots]
-        blocked_of_pattern = np.zeros((len(self._patterns), rounds), dtype=np.int32)
-        for slot, ids in compiled.items():
-            blocked_of_pattern[slot] = ids
         blocked = blocked_of_pattern[pattern_slots]
         lengths = np.full(count, rounds, dtype=np.intp)
         #: per round, the runs still in the loop and their indices into ``_records``.
@@ -617,7 +715,7 @@ class BatchSimulator:
                     break
                 if time == rounds:
                     raise undecided_error(self.protocol, self.n,
-                                          self._patterns[run_patterns[int(live[0])]])
+                                          self._patterns[pattern_slots[int(live[0])]])
             elif time == rounds:
                 break
             checkpoint()
@@ -639,15 +737,14 @@ class BatchSimulator:
         if (lengths != length).any():
             length = lengths.astype(_index_dtype(len(columns) + 1))
         table = self._table(record_ids, length, pref_slots, pattern_slots)
-        traces = table.traces()
         if horizon is not None:
             self._produced.setdefault(horizon, []).append(_Call(
-                tuple(traces), table.record_ids, table.run_preferences, table.run_patterns))
-        return traces
+                table.record_ids, table.run_preferences, table.run_patterns))
+        return RunView(table)
 
     def simulate_patterns(self, patterns: Iterable[FailurePattern],
                           preference_vectors: Iterable[Sequence[int]],
-                          horizon: int) -> List[RunTrace]:
+                          horizon: int) -> RunView:
         """Simulate ``patterns × preference_vectors`` (pattern-major, preference-minor)."""
         preference_list = [tuple(vector) for vector in preference_vectors]
         return self.simulate_scenarios(
@@ -657,81 +754,48 @@ class BatchSimulator:
 
     def _merged(self, horizon: int) -> _Call:
         """Every call with ``horizon``, merged into one (once, on first read)."""
-        calls = self._produced.setdefault(horizon, [])
+        calls = self._produced.get(horizon)
+        if calls is None:
+            raise ConfigurationError(
+                f"this BatchSimulator simulated no run with horizon {horizon}")
         if len(calls) != 1:
             # Merge once, so later reads take one piece and the per-call
             # arrays are freed before partitions() allocates its point rows.
-            none = np.empty(0, dtype=np.uint8)
-            calls[:] = [_Call(
-                tuple(chain.from_iterable(call.traces for call in calls)),
-                np.concatenate([call.record_ids for call in calls]
-                               or [np.empty((horizon, 0), dtype=np.uint8)], axis=1),
-                np.concatenate([call.run_preferences for call in calls] or [none]),
-                np.concatenate([call.run_patterns for call in calls] or [none]))]
+            calls[:] = [_Call(np.concatenate([call.record_ids for call in calls], axis=1),
+                              np.concatenate([call.run_preferences for call in calls]),
+                              np.concatenate([call.run_patterns for call in calls]))]
         return calls[0]
 
-    @staticmethod
-    def _selection(traces: Sequence[RunTrace], produced: Tuple[RunTrace, ...],
-                   horizon: int) -> Union[slice, "npt.NDArray[Any]"]:
-        """Where each of ``traces`` sits in ``produced``, as an index."""
-        # build_system passes every trace in order; that needs no lookup, whose
-        # temporaries would add ~24 MB to the n=5 build's peak RSS.
-        if len(traces) == len(produced) and all(map(operator.is_, traces, produced)):
-            return slice(None)
-        # Any other selection: find each trace by identity.  The simulator
-        # holds every trace it returned, so equal ids mean the same object.
-        total = len(produced)
-        ids = np.fromiter(map(id, produced), dtype=np.uint64, count=total)
-        wanted = np.fromiter(map(id, traces), dtype=np.uint64, count=len(traces))
-        sorter = np.argsort(ids)
-        slots = np.searchsorted(ids, wanted, sorter=sorter)
-        found = slots < total
-        found[found] = ids[sorter[slots[found]]] == wanted[found]
-        if not found.all():
-            trace = traces[int(np.argmin(found))]
-            if len(trace.rounds) != horizon:
-                raise ConfigurationError(
-                    f"trace has {len(trace.rounds)} rounds, expected horizon {horizon}")
-            raise ConfigurationError(
-                "trace was not produced by this BatchSimulator "
-                "(unknown global state tuple)")
-        return sorter[slots]
+    def run_table(self, horizon: int) -> RunTable:
+        """The :class:`RunTable` of every run simulated with ``horizon``, in call order.
 
-    def run_table(self, traces: Sequence[RunTrace], horizon: int) -> RunTable:
-        """The :class:`RunTable` of ``traces``, from what the round loop kept.
-
-        ``traces`` must all have been produced by *this* simulator with this
-        ``horizon``; no trace is read.  The tables are every record,
-        preference vector and pattern the simulator met, in the order it
-        first met them: for the fresh simulator of
-        :func:`~repro.systems.interpreted.build_system`, exactly what the runs
-        use.
+        It comes from what the round loop kept; no trace is built or read.
+        The tables are every record, preference vector and pattern the
+        simulator met, in the order it first met them: for the fresh simulator
+        of :func:`~repro.systems.interpreted.build_system`, exactly what the
+        runs use.  A horizon no call used raises
+        :class:`~repro.core.errors.ConfigurationError`.
         """
         call = self._merged(horizon)
-        selection = self._selection(traces, call.traces, horizon)
-        return self._table(call.record_ids[:, selection], horizon,
-                           call.run_preferences[selection], call.run_patterns[selection])
+        return self._table(call.record_ids, horizon, call.run_preferences, call.run_patterns)
 
-    def partitions(self, traces: Sequence[RunTrace],
-                   horizon: int) -> Dict[int, "AgentPartition"]:
-        """Build every agent's :class:`~repro.systems.interpreted.AgentPartition` for ``traces``.
+    def partitions(self, horizon: int) -> Dict[int, "AgentPartition"]:
+        """Every agent's :class:`~repro.systems.interpreted.AgentPartition` over :meth:`run_table`'s runs.
 
-        ``traces`` must all have been produced by *this* simulator with this
-        ``horizon``, and must be the runs of the system in run order.  The
-        result is identical to what
+        The result is identical to what
         :meth:`~repro.systems.interpreted.InterpretedSystem.partition` computes
-        — classes numbered by first appearance in run-major point order — but
-        derives each point's global-state row from the :class:`RunTable` (a
-        run's row at time 0 is its preference slot's initial row, at ``t + 1``
-        the new row of its round-``t`` record) instead of re-hashing every
-        local state, and takes a few numpy passes: the first point of every
-        global-state row once, then per agent the first point of every raw
-        class id through the tuple table, a first-appearance relabel, and one
-        gather of the per-row labels.
+        for those runs — classes numbered by first appearance in run-major
+        point order — but derives each point's global-state row from the
+        :class:`RunTable` (a run's row at time 0 is its preference slot's
+        initial row, at ``t + 1`` the new row of its round-``t`` record)
+        instead of re-hashing every local state, and takes a few numpy
+        passes: the first point of every global-state row once, then per
+        agent the first point of every raw class id through the tuple table,
+        a first-appearance relabel, and one gather of the per-row labels.
         """
         from ..systems.interpreted import AgentPartition
 
-        table = self.run_table(traces, horizon)
+        table = self.run_table(horizon)
         initial_rows = np.asarray(self._initial_rows, dtype=np.intc)
         record_rows = np.frombuffer(self._record_rows, dtype=np.intc).copy()
         point_rows = np.empty((table.num_runs, horizon + 1), dtype=np.intc)
@@ -741,8 +805,8 @@ class BatchSimulator:
         point_rows = point_rows.reshape(-1)
         num_points = len(point_rows)
         # First point of every global-state row, then of every raw class id
-        # through the tuple table; rows and ids these traces never reach keep
-        # the sentinel and get no class.
+        # through the tuple table; rows and ids only calls of other horizons
+        # reach keep the sentinel and get no class.
         first_row = np.full(len(self._row_states), num_points, dtype=np.intc)
         np.minimum.at(first_row, point_rows, np.arange(num_points, dtype=np.intc))
         cid_table = np.frombuffer(self._cid_table, dtype=np.intc).reshape(-1, self.n)
@@ -770,9 +834,9 @@ def simulate_tasks(tasks: Sequence[RunTask]) -> List[RunTrace]:
     Consecutive tasks of the same ``(protocol, n)`` share one
     :class:`BatchSimulator`, and with it every memoised transition; each
     stretch of them with one horizon is one
-    :meth:`~BatchSimulator.simulate_scenarios` call.  Each trace is
-    byte-identical (per-trace pickle) to ``simulate(protocol, n, preferences,
-    pattern, horizon=horizon)``.
+    :meth:`~BatchSimulator.simulate_scenarios` call.  Returns a list of
+    traces, each byte-identical (per-trace pickle) to ``simulate(protocol, n,
+    preferences, pattern, horizon=horizon)``.
     """
     traces: List[RunTrace] = []
     simulator: Optional[BatchSimulator] = None

@@ -40,7 +40,7 @@ from ..failures.models import FailureModel
 from ..failures.pattern import FailurePattern
 from ..obs import trace as _trace
 from ..protocols.base import ActionProtocol
-from ..simulation.batch import BatchSimulator, RunTable
+from ..simulation.batch import BatchSimulator, RunTable, RunView
 from ..simulation.trace import RunTrace
 from ..workloads.preferences import enumerate_preferences
 from .points import Point
@@ -111,7 +111,7 @@ class AgentPartition:
 
 @dataclass
 class InterpretedSystem:
-    """A finite interpreted system: an explicit list of runs plus an interpretation.
+    """A finite interpreted system: an explicit sequence of runs plus an interpretation.
 
     Attributes
     ----------
@@ -120,14 +120,19 @@ class InterpretedSystem:
     horizon:
         Number of simulated rounds; points exist for times ``0 .. horizon``.
     runs:
-        The traces of every run of the system.
+        The traces of every run of the system.  A built or decoded system
+        holds its runs only as its :class:`~repro.simulation.batch.RunTable`,
+        and ``runs`` is a read-only :class:`~repro.simulation.batch.RunView`
+        over it: a :class:`~repro.simulation.trace.RunTrace` is built only
+        when the view is indexed or iterated.  A system assembled by hand
+        may pass any sequence of traces, e.g. a list.
     protocol_name:
         Name of the action protocol that generated the runs (informational).
     """
 
     n: int
     horizon: int
-    runs: List[RunTrace]
+    runs: Sequence[RunTrace]
     protocol_name: str = ""
 
     def __post_init__(self) -> None:
@@ -272,7 +277,8 @@ class InterpretedSystem:
         """Install the run table the batched engine emitted for exactly these runs.
 
         Like :meth:`adopt_partitions`, it is trusted: it must describe
-        ``runs`` run for run (:meth:`RunTable.traces` would rebuild them).
+        ``runs`` run for run (:meth:`RunTable.traces` would rebuild them);
+        for a :class:`~repro.simulation.batch.RunView` it is the view's table.
         """
         if table.num_runs != len(self.runs):
             raise ModelCheckingError(
@@ -401,8 +407,12 @@ class InterpretedSystem:
 
 def _rebuild_system(n: int, horizon: int, protocol_name: str, table: RunTable,
                     partitions: Dict[int, AgentPartition]) -> InterpretedSystem:
-    """Unpickle an :class:`InterpretedSystem`: its traces come from one table gather."""
-    system = InterpretedSystem(n=n, horizon=horizon, runs=table.traces(),
+    """The system whose runs are ``table``'s, seen through a :class:`RunView`.
+
+    It unpickles every stored system, and assembles every built one; no
+    trace is built.
+    """
+    system = InterpretedSystem(n=n, horizon=horizon, runs=RunView(table),
                                protocol_name=protocol_name)
     system.adopt_partitions(partitions)
     system.adopt_run_table(table)
@@ -470,8 +480,10 @@ def build_system(protocol: ActionProtocol, n: int, horizon: int,
     the :class:`~repro.simulation.batch.RunTable` the simulator emits: the
     partitions from the point rows the table implies, the table from the
     record ids and preference/pattern slots the round loop already has.  The
-    system pickles from that table (the store's system entries), and the
-    Definition 6.2 receipt kernel reads it.  The traces are byte-identical
+    system holds its runs only as that table (``runs`` is a
+    :class:`~repro.simulation.batch.RunView` over it), pickles from it (the
+    store's system entries), and the Definition 6.2 receipt kernel reads it.
+    No trace is built; the traces the view builds are byte-identical
     (per-trace pickle) to one :func:`~repro.simulation.engine.simulate` call
     per (pattern, preference vector) pair, the naive oracle the differential
     tests build directly.
@@ -567,17 +579,13 @@ def _build_stored(protocol: ActionProtocol, n: int, horizon: int,
         span.set("runs", len(pattern_list) * len(preference_list))
         with bulk_allocation():
             simulator = BatchSimulator(protocol, n)
-            runs: List[RunTrace] = []
             for start in range(0, len(pattern_list), BUILD_CHUNK_PATTERNS):
                 chunk = pattern_list[start:start + BUILD_CHUNK_PATTERNS]
-                runs.extend(simulator.simulate_patterns(chunk, preference_list, horizon))
-            partitions = simulator.partitions(runs, horizon)
-            table = simulator.run_table(runs, horizon)
+                simulator.simulate_patterns(chunk, preference_list, horizon)
+            partitions = simulator.partitions(horizon)
+            table = simulator.run_table(horizon)
             with _trace.span("build.intern", "build"):
-                system = InterpretedSystem(n=n, horizon=horizon, runs=runs,
-                                           protocol_name=protocol.name)
-                system.adopt_partitions(partitions)
-                system.adopt_run_table(table)
+                system = _rebuild_system(n, horizon, protocol.name, table, partitions)
                 system.intern_states()
         if resolved_store is not None and stored_key is not None:
             resolved_store.put(stored_key, system, kind="system")

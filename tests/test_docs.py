@@ -87,7 +87,7 @@ REMOVED_NAMES = (
     "SYMMETRY_MODES", "execute_batch", "execute_batches", "simulate_batch",
     "BatchTask", "_execute_batch_chunk", "_CancelGuard", "executor_from_flags",
     "_make_executor", "PatternOrbit", "enumerate_orbits", "count_orbits",
-    "symmetry_reduced_workload", "_is_current", "_theorem_parts",
+    "symmetry_reduced_workload", "_is_current", "_theorem_parts", "_selection",
 )
 
 

@@ -11,7 +11,10 @@ from and what the Definition 6.2 receipt kernel reads.  These tests pin:
 * the encoding is the same in every process (no ``id()``-ordered table);
 * the table ``build_system`` hands over and the one a system computes from
   its traces give the same receipts and both round-trip;
-* the table's own shape: smallest index dtypes, shared names stored once.
+* the table's own shape: smallest index dtypes, shared names stored once;
+* a built or decoded system holds its runs only as its table: building and
+  decoding construct no trace, and ``runs`` is a :class:`RunView` that builds
+  each trace on access and behaves like a list of them.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import pytest
 
 from repro.kbp.safety import _chain_receipt_kernel
 from repro.protocols import BasicProtocol, MinProtocol, OptimalFipProtocol
-from repro.simulation.batch import RunTable
+from repro.simulation.batch import RunTable, RunView
+from repro.simulation.trace import RunTrace
+from repro.store import default_store
 from repro.store import store as store_module
 from repro.systems import (
     InterpretedSystem,
@@ -60,7 +65,11 @@ def _round_trip(system):
 
 
 def _trace_bytes(system, step=1):
-    return [pickle.dumps(trace) for trace in system.runs[::step]]
+    return _trace_bytes_of(system.runs[::step])
+
+
+def _trace_bytes_of(traces):
+    return [pickle.dumps(trace) for trace in traces]
 
 
 def _distinct_records(system):
@@ -191,3 +200,61 @@ def test_table_shape():
         table.preferences[slot] for slot in table.run_preferences.tolist()]
     rebuilt = table.traces()
     assert [pickle.dumps(trace) for trace in rebuilt] == _trace_bytes(system)
+
+
+class TestRunView:
+    @pytest.fixture(scope="class")
+    def system(self):
+        # 1 544 runs: more than one iteration chunk.
+        return gamma_min(3, 1).build_system(MinProtocol(1))
+
+    def test_build_and_store_round_trip_construct_no_trace(self, monkeypatch, tmp_path):
+        from repro.systems import interpreted
+
+        built = []
+        construct = RunTrace.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(RunTrace, "__init__", counting)
+        # Several simulate calls per build, as at n=4.
+        monkeypatch.setattr(interpreted, "BUILD_CHUNK_PATTERNS", 16)
+        cold = gamma_min(3, 1).build_system(MinProtocol(1), store=default_store(tmp_path))
+        store = default_store(tmp_path)  # a fresh handle: the hit is a decode
+        warm = gamma_min(3, 1).build_system(MinProtocol(1), store=store)
+        clone = _round_trip(cold)
+        assert built == []
+        assert store.stats().hits == 1 and warm is not cold
+        for system in (cold, warm, clone):
+            assert isinstance(system.runs, RunView)
+            assert system.runs.table is system.run_table()
+        # Indexing builds the run once and keeps it.
+        assert cold.runs[-1] is cold.runs[len(cold.runs) - 1]
+        assert len(built) == 1
+
+    def test_an_indexed_run_pickles_like_the_table_trace(self, system):
+        traces = system.run_table().traces()
+        count = len(traces)
+        for index in (0, count // 2, count - 1, -1, -count):
+            assert pickle.dumps(system.runs[index]) == pickle.dumps(traces[index])
+
+    def test_behaves_like_a_list(self, system):
+        runs, traces = system.runs, system.run_table().traces()
+        assert len(runs) == len(traces) == 1544
+        for selection in (slice(None), slice(5, 37), slice(None, None, 7), slice(-3, None),
+                          slice(None, None, -50), slice(10, 5), slice(-10 ** 6, 10 ** 6)):
+            assert type(runs[selection]) is list
+            assert _trace_bytes_of(runs[selection]) == _trace_bytes_of(traces[selection])
+        assert _trace_bytes_of(runs) == _trace_bytes_of(traces)
+        for index in (len(traces), -len(traces) - 1):
+            with pytest.raises(IndexError):
+                runs[index]
+        with pytest.raises(TypeError):
+            runs[1.0]
+        assert runs == traces and traces == runs
+        assert runs == _round_trip(system).runs
+        assert runs != traces[:-1] and runs != traces[::-1] and runs != 5
+        with pytest.raises(TypeError):
+            hash(runs)

@@ -61,6 +61,13 @@ def tiny_sweep_body(seed=0):
                          workload={"n": 3, "t": 1, "count": 4, "seed": seed})
 
 
+def sigterm_sweep_body(count=40):
+    """``TestSigterm``'s sweep: 2 protocols × 40 scenarios × 1000 rounds × n²=36."""
+    return sweep_request([("min", 1), ("basic", 1)],
+                         workload={"n": 6, "t": 1, "count": count, "seed": 7},
+                         horizon=1000)
+
+
 # --------------------------------------------------------------------------- wire
 
 
@@ -69,6 +76,42 @@ class TestWireFormat:
         ("a21", 5, 1), ("6.5", 5, 1), ("6.6", 3, 2)])
     def test_every_checked_theorem_size_is_admitted(self, theorem, n, t):
         assert decode_request(theorem_request(theorem, n, t)).kind == "theorem"
+
+    #: The largest sweep and run bodies the tests, ``tools/service_smoke.py``
+    #: and the benchmark's service-mix send.
+    @pytest.mark.parametrize("body", [
+        sigterm_sweep_body(),
+        sweep_request([("min", 1), ("basic", 1)],
+                      workload={"n": 4, "t": 1, "count": 64, "seed": 0}),
+        sweep_request([("min", 2), ("basic", 2), ("opt", 2)],
+                      scenarios=[((1, 1, 1, 1, 1, 0), FailurePattern.failure_free(6))], n=6),
+        run_request("min", 1, 4, [1, 1, 0, 1],
+                    pattern=FailurePattern.silent(4, faulty=[1], horizon=3)),
+    ], ids=["sigterm-sweep", "service-mix-sweep", "smoke-sweep", "run"])
+    def test_every_sent_sweep_and_run_is_admitted(self, body):
+        assert decode_request(body).kind == body["type"]
+
+    @pytest.mark.parametrize("body, work", [
+        (sigterm_sweep_body(count=400), 2 * 400 * 1000 * 36),
+        (sweep_request([("min", 1)], scenarios=[((1, 0, 1), FailurePattern.failure_free(3))] * 5,
+                       horizon=10 ** 6),
+         5 * 10 ** 6 * 9),
+        (sweep_request([("min", 1)], workload={"n": 3, "t": 1, "count": 10 ** 12}),
+         10 ** 12 * 24 * 9),
+        (run_request("min", 1, 3, [1, 0, 1], horizon=10 ** 9), 10 ** 9 * 9),
+    ], ids=["sweep-count", "sweep-scenarios", "sweep-no-horizon", "run-horizon"])
+    def test_an_oversized_sweep_or_run_is_refused_naming_the_numbers(self, body, work):
+        """Refused before any scenario is generated: a 10^12-scenario workload is instant."""
+        with pytest.raises(ServiceError) as info:
+            decode_request(body)
+        assert str(work) in str(info.value)
+        assert f"MAX_SIMULATION_WORK={wire.MAX_SIMULATION_WORK}" in str(info.value)
+
+    @pytest.mark.parametrize("field, value", [("count", "3"), ("n", 2.5)])
+    def test_a_non_integer_sweep_size_is_refused_before_it_is_multiplied(self, field, value):
+        workload = {"n": 3, "t": 1, "count": 4, field: value}
+        with pytest.raises(ServiceError, match="invalid sweep request: .* must be an integer"):
+            decode_request(sweep_request([("min", 1)], workload=workload, horizon=10 ** 6))
 
     def test_a_huge_theorem_is_refused_without_counting_its_patterns(self):
         """Past the bound, 2^n alone is reported: no pattern count is made."""
@@ -355,6 +398,16 @@ class TestJobServer:
             client.submit(theorem_request("6.5", n, t))
         assert str(runs) in str(info.value)
         assert str(wire.MAX_THEOREM_RUNS) in str(info.value)
+        assert server.queue.submitted == 0
+
+    def test_oversized_sweep_is_http_400_naming_the_numbers(self, server, client):
+        """``TestSigterm``'s sweep with ten times its scenarios is refused at the edge."""
+        with pytest.raises(ServiceError, match="HTTP 400") as info:
+            client.submit(sigterm_sweep_body(count=400))
+        message = str(info.value)
+        assert "2 protocol(s) × 400 scenario(s) × 1000 rounds × n²=36" in message
+        assert f"is {2 * 400 * 1000 * 36}" in message
+        assert str(wire.MAX_SIMULATION_WORK) in message
         assert server.queue.submitted == 0
 
     def test_wrong_typed_field_is_http_400(self, client):

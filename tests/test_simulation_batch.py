@@ -79,6 +79,26 @@ def _per_run_system(protocol, context):
                              protocol_name=protocol.name)
 
 
+@pytest.fixture(scope="module")
+def per_run_system():
+    """:func:`_per_run_system`, cached by its inputs for the module.
+
+    The general-omission cases of ``TestEngineEquivalenceInBuildSystem`` both
+    ask for the 98 312-run ``P_min`` system (~15 s and ~0.5 GB each); only the
+    latest system asked for is held, so one is alive at a time.
+    """
+    latest = {}
+
+    def build(protocol, context):
+        key = (type(protocol), protocol.t, context)
+        if key not in latest:
+            latest.clear()
+            latest[key] = _per_run_system(protocol, context)
+        return latest[key]
+
+    return build
+
+
 class TestTraceByteIdentity:
     @pytest.mark.parametrize("model_name", MODELS)
     def test_exhaustive_n3_systems_are_byte_identical(self, model_name):
@@ -131,10 +151,10 @@ class TestTraceByteIdentity:
 
 class TestEngineEquivalenceInBuildSystem:
     @pytest.mark.parametrize("model_name", CONTEXT_MODELS)
-    def test_build_system_engines_agree(self, model_name):
+    def test_build_system_engines_agree(self, model_name, per_run_system):
         context = gamma_min(3, 1, failure_model=model_name)
         batched = context.build_system(MinProtocol(1))
-        per_run = _per_run_system(MinProtocol(1), context)
+        per_run = per_run_system(MinProtocol(1), context)
         assert _trace_bytes(batched.runs) == _trace_bytes(per_run.runs)
         for agent in range(3):
             fast = batched.partition(agent)
@@ -143,7 +163,7 @@ class TestEngineEquivalenceInBuildSystem:
             assert np.array_equal(fast.class_words(), slow.class_words())
 
     @pytest.mark.parametrize("model_name", CONTEXT_MODELS)
-    def test_theorem_reports_identical_across_engines(self, model_name):
+    def test_theorem_reports_identical_across_engines(self, model_name, per_run_system):
         """Theorem 6.5 / 6.6 verdicts cannot depend on the construction engine."""
         for claim_protocol, gamma in ((MinProtocol(1), gamma_min),
                                       (BasicProtocol(1), gamma_basic)):
@@ -153,7 +173,7 @@ class TestEngineEquivalenceInBuildSystem:
                 system=context.build_system(claim_protocol))
             per_run = check_implements(
                 claim_protocol, make_p0(3), context,
-                system=_per_run_system(claim_protocol, context))
+                system=per_run_system(claim_protocol, context))
             assert repr(batched) == repr(per_run)
             assert batched.checked_states == per_run.checked_states
             assert [repr(m) for m in batched.mismatches] == [repr(m) for m in per_run.mismatches]
@@ -206,33 +226,15 @@ class TestBatchedPartitions:
             assert batched.class_ids.dtype == class_id_dtype(len(batched.class_states))
             assert not batched.class_ids.flags.writeable
 
-    def test_subset_of_the_simulated_runs(self):
-        """States interned for runs outside ``traces`` get no class."""
-        prefs = [tuple(p) for p in enumerate_preferences(3)]
-        patterns = list(SendingOmissionModel(n=3, t=1).enumerate(2))
-        simulator = BatchSimulator(MinProtocol(1), 3)
-        traces = simulator.simulate_patterns(patterns, prefs, 2)
-        subset = traces[5:37]
-        batched = simulator.partitions(subset, 2)
-        lazy = InterpretedSystem(n=3, horizon=2, runs=subset)
-        for agent in range(3):
-            _assert_same_partition(batched[agent], lazy.partition(agent))
-
-    def test_trace_from_another_simulator_rejected(self):
-        prefs = [(0, 1, 1), (1, 1, 1)]
-        patterns = list(SendingOmissionModel(n=3, t=1).enumerate(1))[:3]
-        producer = BatchSimulator(MinProtocol(1), 3)
-        traces = producer.simulate_patterns(patterns, prefs, 1)
-        with pytest.raises(ConfigurationError, match="not produced by this BatchSimulator"):
-            BatchSimulator(MinProtocol(1), 3).partitions(traces, 1)
-
     def test_wrong_horizon_rejected(self):
         prefs = [(0, 1, 1), (1, 1, 1)]
         patterns = list(SendingOmissionModel(n=3, t=1).enumerate(2))[:3]
         simulator = BatchSimulator(MinProtocol(1), 3)
-        traces = simulator.simulate_patterns(patterns, prefs, 2)
-        with pytest.raises(ConfigurationError, match="expected horizon 1"):
-            simulator.partitions(traces, 1)
+        simulator.simulate_patterns(patterns, prefs, 2)
+        simulator.simulate_scenarios([((0, 1, 1), None)])
+        for read in (simulator.partitions, simulator.run_table):
+            with pytest.raises(ConfigurationError, match="no run with horizon 1$"):
+                read(1)
 
 
 class _RefusingMinProtocol(MinProtocol):
@@ -247,40 +249,38 @@ class _RefusingMinProtocol(MinProtocol):
 class TestRoundLoop:
     """The vectorised round loop: reuse across calls, mixed inputs, error order."""
 
-    def test_reused_simulator_partitions_any_selection_of_its_traces(self):
-        """Calls of several horizons and chunk sizes share one simulator; any
-        same-horizon selection of their traces partitions like the lazy system."""
+    def test_reused_simulator_partitions_every_run_of_its_calls(self):
+        """Calls of several horizons and chunk sizes share one simulator; each
+        horizon's table and partitions cover every run of its calls, in call order."""
         prefs = [tuple(p) for p in enumerate_preferences(3)]
         patterns = list(SendingOmissionModel(n=3, t=1).enumerate(2))
         protocol = MinProtocol(1)
         simulator = BatchSimulator(protocol, 3)
-        calls = {2: [], 3: []}
+        runs = {2: [], 3: []}
         for start, stop, horizon in ((0, 40, 2), (40, 41, 2), (0, 30, 3),
                                      (41, 120, 2), (120, len(patterns), 2)):
             traces = simulator.simulate_patterns(patterns[start:stop], prefs, horizon)
             per_run = [simulate(protocol, 3, p, pattern=pattern, horizon=horizon)
                        for pattern in patterns[start:stop] for p in prefs]
             assert _trace_bytes(traces) == _trace_bytes(per_run)
-            calls[horizon].append(traces)
-        rng = random.Random(19)
-        shuffled = [trace for traces in calls[2] for trace in traces]
-        rng.shuffle(shuffled)
+            runs[horizon].extend(per_run)
 
-        def check(selection, horizon):
-            batched = simulator.partitions(selection, horizon)
-            lazy = InterpretedSystem(n=3, horizon=horizon, runs=selection)
+        def check(horizon):
+            assert _trace_bytes(simulator.run_table(horizon).traces()) == _trace_bytes(
+                runs[horizon])
+            batched = simulator.partitions(horizon)
+            lazy = InterpretedSystem(n=3, horizon=horizon, runs=runs[horizon])
             for agent in range(3):
                 _assert_same_partition(batched[agent], lazy.partition(agent))
 
-        check(calls[2][3], 2)          # one call
-        check(shuffled, 2)             # every call, shuffled
-        check(shuffled[::7], 2)        # a subset
-        check(calls[3][0], 3)
-        # A call made after a read adds a piece to what that read merged.
+        check(2)
+        check(3)
+        # A call made after a read adds a piece to what that read merged; the
+        # states only it reaches get no class at the other horizon.
         later = simulator.simulate_patterns(patterns[30:45], prefs, 3)
-        check(later + calls[3][0][::-1], 3)
-        with pytest.raises(ConfigurationError, match="3 rounds, expected horizon 2"):
-            simulator.partitions(calls[2][0][:3] + later[:1], 2)
+        runs[3].extend(later)
+        check(3)
+        check(2)
 
     def test_failure_free_and_real_patterns_mixed(self):
         rng = random.Random(5)
@@ -312,6 +312,31 @@ class TestRoundLoop:
             with pytest.raises(ValueError) as batched:
                 simulate_batch(MinProtocol(1), 3, [((1, 1, 1), None), (bad, None)], 1)
             assert str(batched.value) == str(per_run.value)
+
+    @pytest.mark.parametrize("bad_pattern_first", [True, False])
+    def test_the_first_bad_scenario_raises_after_what_it_slots(self, bad_pattern_first):
+        """A bad pattern and a bad preference vector: the earlier scenario's
+        error is raised, after exactly what a per-scenario loop slots before
+        it (a scenario's preferences before its pattern)."""
+        foreign = FailurePattern.failure_free(4)
+        bad_pattern = ((0, 0, 1), foreign)
+        bad_preferences = ([0, 2, 1], None)
+        scenarios = [((1, 1, 1), None), ((0, 1, 1), None)]
+        scenarios += ([bad_pattern, bad_preferences] if bad_pattern_first
+                      else [bad_preferences, bad_pattern])
+        simulator = BatchSimulator(MinProtocol(1), 3)
+        error = ConfigurationError if bad_pattern_first else ValueError
+        with pytest.raises(error, match="4 agents" if bad_pattern_first else "non-binary"):
+            simulator.simulate_scenarios(scenarios, 1)
+        slotted = [(1, 1, 1), (0, 1, 1)] + ([(0, 0, 1)] if bad_pattern_first else [])
+        assert simulator._preferences == slotted
+        assert simulator._patterns == [FailurePattern.failure_free(3)]
+        # The next call numbers rows and slots exactly as a fresh per-scenario loop would.
+        later = simulator.simulate_scenarios([((1, 0, 0), None), ((0, 0, 1), None)], 1)
+        assert _trace_bytes(later) == _trace_bytes(
+            [simulate(MinProtocol(1), 3, p, horizon=1) for p in ((1, 0, 0), (0, 0, 1))])
+        assert simulator._preferences == slotted + [
+            p for p in [(1, 0, 0), (0, 0, 1)] if p not in slotted]
 
     def test_protocol_error_matches_the_per_run_engine(self):
         """The first failing run, in scenario order, names the same state.
@@ -477,7 +502,7 @@ class TestExecutorBatchFanOut:
         prefs = [tuple(p) for p in enumerate_preferences(3)]
         simulator = BatchSimulator(MinProtocol(1), 3)
         one_pass = simulator.simulate_patterns(patterns, prefs, context.horizon)
-        one_pass_partitions = simulator.partitions(one_pass, context.horizon)
+        one_pass_partitions = simulator.partitions(context.horizon)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("system construction started a process pool")

@@ -63,6 +63,12 @@ A21_N4_PEAK_RSS_MB = 300
 #: is paused during builds, so this also catches garbage piling up meanwhile.
 GAMMA_MIN_N5_BUILD_PEAK_RSS_MB = 280
 
+#: Peak-RSS ceiling for decoding the stored n = 5 γ_min system in a fresh
+#: process.  The system holds its runs only as its run table, so the decode
+#: builds no trace: ~117 MB in 3 runs on a 2-vCPU container, ~318 MB when
+#: every run was decoded into a trace.
+GAMMA_MIN_N5_DECODE_PEAK_RSS_MB = 150
+
 #: Appended to a script to print the process's own peak RSS in kB.  ``VmHWM``
 #: belongs to the address space, which ``exec`` replaces; ``ru_maxrss`` would
 #: instead carry over the high-water mark of the test process that spawned it.
@@ -159,6 +165,20 @@ class TestTheorem65AtN5:
             "from repro.systems import gamma_min\n"
             "assert len(gamma_min(5, 1).build_system(MinProtocol(1)).runs) == 655_392\n")
         assert peak_mb <= GAMMA_MIN_N5_BUILD_PEAK_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
+
+    def test_decode_peak_rss_stays_under_150_mb(self, tmp_path):
+        """Decoding the stored system, imports included, in its own process."""
+        from repro.store import store
+
+        stored = tmp_path / "gamma_min_5_1.system"
+        stored.write_bytes(store._encode(gamma_min(5, 1).build_system(MinProtocol(1)),
+                                         "system", "pickle"))
+        peak_mb = _peak_rss_mb(
+            "from pathlib import Path\n"
+            "from repro.store import store\n"
+            f"system = store._decode(Path({str(stored)!r}).read_bytes())\n"
+            "assert len(system.runs) == 655_392\n")
+        assert peak_mb <= GAMMA_MIN_N5_DECODE_PEAK_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
 
     def test_p_min_implements_p0_in_gamma_min_5_1(self):
         context = gamma_min(5, 1)
