@@ -37,9 +37,13 @@ from strings::
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import (Callable, ClassVar, Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Type)
+
+import numpy as np
 
 from ..core.errors import ConfigurationError, FailureModelError
 from ..core.types import AgentId
@@ -209,29 +213,58 @@ class EdgeOmissionModel(FailureModel):
 
         The enumeration ranges over every faulty set of size at most
         ``min(t, max_faulty)`` and, per faulty set, every subset of the slot
-        list — sender-charged slots first, receiver-charged slots second.
+        list — sender-charged slots first, receiver-charged slots second, in
+        ``itertools.product`` order over one keep/drop flag per slot.
         Self-omissions are not enumerated (they are unobservable and only blow
         up the state space), and an edge between two faulty agents is opened
         as exactly one slot, so no two enumerated patterns are
         delivery-equivalent.
+
+        Each faulty set is validated once, as the one pattern that blocks all
+        of its slots: every subset of valid triples is valid, so a bad slot
+        raises that pattern's :class:`FailureModelError` before the faulty set
+        yields anything, and the patterns themselves are assembled unchecked
+        from shared parts (:meth:`_faulty_set_patterns`).
         """
         bound = self.t if max_faulty is None else min(self.t, max_faulty)
         for size in range(bound + 1):
             for faulty in itertools.combinations(range(self.n), size):
-                faulty_set = frozenset(faulty)
-                send_slots, receive_slots = self.slots(faulty, horizon)
-                num_send = len(send_slots)
-                slots = send_slots + receive_slots
-                for blocked_mask in itertools.product((False, True), repeat=len(slots)):
-                    send = frozenset(
-                        slot for slot, blocked in zip(send_slots, blocked_mask[:num_send])
-                        if blocked
-                    )
-                    receive = frozenset(
-                        slot for slot, blocked in zip(receive_slots, blocked_mask[num_send:])
-                        if blocked
-                    )
-                    yield self._pattern(faulty_set, send, receive)
+                yield from self._faulty_set_patterns(faulty, horizon)
+
+    def _faulty_set_patterns(self, faulty: Tuple[AgentId, ...],
+                             horizon: int) -> Iterator[FailurePattern]:
+        """Every pattern of one faulty set, in :meth:`enumerate`'s order.
+
+        The sender-charged and receiver-charged slots are two axes: each
+        subset of an axis is one frozenset, made once and shared by every
+        pattern using it.  Per round, the blocked edge set of every pair of
+        the two axes' choices in that round is also made once, so each
+        pattern's :attr:`~repro.failures.pattern.FailurePattern.blocked_by_round`
+        is a tuple of shared sets, gathered by the pair's per-round codes.
+        """
+        send_slots, receive_slots = self.slots(faulty, horizon)
+        validated = FailurePattern(n=self.n, faulty=frozenset(faulty),
+                                   omissions=frozenset(send_slots),
+                                   receive_omissions=frozenset(receive_slots))
+        # At least one round, so that every subset has a row of round entries.
+        rounds = max([1, horizon] + [slot[0] + 1 for slot in itertools.chain(send_slots,
+                                                                             receive_slots)])
+        send_codes, send_edges = _round_codes(send_slots, rounds)
+        receive_codes, receive_edges = _round_codes(receive_slots, rounds)
+        #: per round: [send code][receive code] -> that round's blocked edge set.
+        tables = [[[frozenset(sends + receives) for receives in _edge_subsets(received)]
+                   for sends in _edge_subsets(sent)]
+                  for sent, received in zip(send_edges, receive_edges)]
+        send_rows = list(zip(*[list(map(table.__getitem__, codes))
+                               for table, codes in zip(tables, send_codes)]))
+        receive_rows = list(zip(*receive_codes))
+        receive_subsets = _subsets(receive_slots)
+        n, faulty_set = self.n, validated.faulty
+        for send, send_row in zip(_subsets(send_slots), send_rows):
+            for receive, receive_row in zip(receive_subsets, receive_rows):
+                yield FailurePattern._from_parts(
+                    n, faulty_set, send, receive,
+                    tuple(map(operator.getitem, send_row, receive_row)))
 
     def count_patterns(self, horizon: int, max_faulty: Optional[int] = None) -> int:
         """The number of patterns :meth:`enumerate` would yield (without generating them)."""
@@ -583,6 +616,45 @@ register_model("receive-omission", "ro")(ReceiveOmissionModel)
 register_model("general-omission", "go")(GeneralOmissionModel)
 register_model("crash")(CrashModel)
 register_model("failure-free", "none")(FailureFreeModel)
+
+
+def _subsets(slots: Sequence[Omission]) -> List[FrozenSet[Omission]]:
+    """Every subset of ``slots``, in ``itertools.product`` order over keep/drop flags.
+
+    Subset ``i`` keeps slot ``p`` iff bit ``len(slots) - 1 - p`` of ``i`` is set,
+    so the list doubles per slot, last slot first; a union copies its left
+    set's stored hashes instead of rehashing every triple.
+    """
+    subsets = [frozenset()]
+    for slot in reversed(slots):
+        single = frozenset((slot,))
+        subsets += [subset | single for subset in subsets]
+    return subsets
+
+
+def _round_codes(slots: Sequence[Omission],
+                 rounds: int) -> Tuple[List[List[int]], List[List[Tuple[AgentId, AgentId]]]]:
+    """Per round: every subset's code over that round's slots, and their edges.
+
+    Subsets are numbered as in :func:`_subsets`; bit ``k`` of a subset's
+    round-``m`` code says whether it keeps the ``k``-th slot of round ``m``.
+    """
+    subsets = np.arange(1 << len(slots))
+    codes, edges = [], []
+    for round_index in range(rounds):
+        positions = [position for position, slot in enumerate(slots) if slot[0] == round_index]
+        code = np.zeros_like(subsets)
+        for bit, position in enumerate(positions):
+            code |= ((subsets >> (len(slots) - 1 - position)) & 1) << bit
+        codes.append(code.tolist())
+        edges.append([(slots[position][1], slots[position][2]) for position in positions])
+    return codes, edges
+
+
+def _edge_subsets(edges: Sequence[Tuple[AgentId, AgentId]]) -> List[List[Tuple[AgentId, AgentId]]]:
+    """Every subset of ``edges``, indexed by its code (bit ``k`` keeps ``edges[k]``)."""
+    return [[edge for bit, edge in enumerate(edges) if code >> bit & 1]
+            for code in range(1 << len(edges))]
 
 
 def _binomial(n: int, k: int) -> int:

@@ -21,8 +21,9 @@ the representation:
   (:mod:`repro.failures.models`); a pattern with an empty
   ``receive_omissions`` set behaves exactly as before.
 
-The engine only consumes the union (:meth:`FailurePattern.delivered`); the
-split matters to the failure models, which restrict who may be charged.
+The engine only consumes the union, grouped by round
+(:attr:`FailurePattern.blocked_by_round`); the split matters to the failure
+models, which restrict who may be charged.
 
 Round/time convention
 ---------------------
@@ -35,7 +36,8 @@ sent by ``i`` to ``j`` in round ``m + 1`` (i.e. during the transition from time
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.agents import complement, validate_agent_set
 from ..core.errors import ConfigurationError, FailureModelError
@@ -45,6 +47,9 @@ from ..core.types import AgentId
 #: is the *time* at which the round starts (round ``round_index + 1`` in the
 #: paper's 1-based round numbering).
 Omission = Tuple[int, AgentId, AgentId]
+
+#: The ``(sender, receiver)`` edges blocked in one round.
+EdgeSet = FrozenSet[Tuple[AgentId, AgentId]]
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,23 @@ class FailurePattern:
                 )
         object.__setattr__(self, "receive_omissions", receive_omissions)
 
+    @classmethod
+    def _from_parts(cls, n: int, faulty: FrozenSet[AgentId], omissions: FrozenSet[Omission],
+                    receive_omissions: FrozenSet[Omission],
+                    blocked_by_round: Tuple[EdgeSet, ...]) -> "FailurePattern":
+        """A pattern from parts already validated, with its per-round edge sets.
+
+        For :meth:`~repro.failures.models.EdgeOmissionModel.enumerate`, which
+        validates one pattern over every slot of a faulty set: any subset of
+        valid triples is valid, so the patterns it assembles skip
+        ``__post_init__``.
+        """
+        pattern = object.__new__(cls)
+        pattern.__dict__.update(n=n, faulty=faulty, omissions=omissions,
+                                receive_omissions=receive_omissions,
+                                blocked_by_round=blocked_by_round)
+        return pattern
+
     def _check_triple(self, round_index: int, sender: AgentId, receiver: AgentId) -> None:
         if round_index < 0:
             raise FailureModelError(f"negative round index in omission {(round_index, sender, receiver)}")
@@ -132,6 +154,24 @@ class FailurePattern:
     def all_blocked(self) -> FrozenSet[Omission]:
         """Every blocked triple, regardless of which endpoint it is charged to."""
         return self.omissions | self.receive_omissions
+
+    @cached_property
+    def blocked_by_round(self) -> Tuple[EdgeSet, ...]:
+        """Entry ``m``: the ``(sender, receiver)`` edges blocked in round ``m + 1``.
+
+        :attr:`all_blocked` grouped by round.  Rounds past the end block
+        nothing, and trailing entries may be empty: an enumerated pattern
+        carries one entry per round of its enumeration (at least one),
+        shared with the other patterns of its faulty set; any other pattern
+        computes them here on first use.  Equality, hashing and pickling
+        ignore them.
+        """
+        by_round: Dict[int, List[Tuple[AgentId, AgentId]]] = {}
+        for triples in (self.omissions, self.receive_omissions):
+            for (round_index, sender, receiver) in triples:
+                by_round.setdefault(round_index, []).append((sender, receiver))
+        return tuple([frozenset(by_round.get(round_index, ()))
+                      for round_index in range(max(by_round, default=-1) + 1)])
 
     def is_faulty(self, agent: AgentId) -> bool:
         """Whether ``agent`` is faulty under this pattern."""

@@ -30,11 +30,16 @@ of work that can be shared:
   message arrived, packed into one integer, name the update
   (:meth:`BatchSimulator._transition`);
 * each distinct preference vector is validated once per simulator, and each
-  distinct failure pattern compiled into per-round blocked-edge sets (interned
-  to small integer ids) once per call, so the round loop never consults
-  :meth:`~repro.failures.pattern.FailurePattern.delivered`; the scenarios are
-  slotted by C-level ``map`` passes plus one Python pass over the *distinct*
-  preference keys and pattern objects (:meth:`BatchSimulator._slots`);
+  distinct failure pattern compiled once per call into per-round blocked-edge
+  ids, one dict lookup per round of the pattern's own per-round edge sets
+  (:attr:`~repro.failures.pattern.FailurePattern.blocked_by_round`, which an
+  enumeration shares across a faulty set), so the round loop never consults
+  :meth:`~repro.failures.pattern.FailurePattern.delivered`;
+* the scenarios are slotted by axis (:meth:`BatchSimulator._slots`): a
+  :meth:`~BatchSimulator.simulate_patterns` call's patterns and preference
+  vectors are slotted once each and its run arrays tiled and repeated from
+  them, and no ``(preferences, pattern)`` pair is built; an explicit scenario
+  list is split into those two columns by C-level ``map`` passes;
 * the run state lives in numpy arrays — each run's current global-state row
   (the interned tuple's index) and its blocked-edge id per round — and each
   round is one pass over the *distinct* ``row × blocked id`` keys
@@ -325,6 +330,43 @@ class RunView(abc.Sequence):
         return (RunView, (self.table,))
 
 
+class _ScenarioGrid(abc.Sequence):
+    """The scenarios ``patterns × preferences``, pattern-major, built only on access.
+
+    :meth:`BatchSimulator.simulate_patterns` hands one to
+    :meth:`~BatchSimulator.simulate_scenarios`, whose :meth:`~BatchSimulator._slots`
+    reads its two axes; indexing or iterating it (the replay after a bad
+    input) yields the ``(preferences, pattern)`` pairs of the equivalent list.
+    """
+
+    __slots__ = ("patterns", "preferences")
+
+    def __init__(self, patterns: List[Optional[FailurePattern]],
+                 preferences: List[Tuple[int, ...]]) -> None:
+        self.patterns = patterns
+        self.preferences = preferences
+
+    def axes(self) -> Tuple[List[Tuple[int, ...]], List[Optional[FailurePattern]]]:
+        """The preference and pattern axes, both empty when the grid is."""
+        if not len(self):
+            return [], []
+        return self.preferences, self.patterns
+
+    def __len__(self) -> int:
+        return len(self.patterns) * len(self.preferences)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        index = operator.index(index)
+        if not -len(self) <= index < len(self):
+            raise IndexError(f"scenario index {index} out of range for {len(self)} scenarios")
+        pattern, preferences = divmod(index % len(self), len(self.preferences))
+        return self.preferences[preferences], self.patterns[pattern]
+
+    def __iter__(self) -> Iterator[Tuple[Tuple[int, ...], Optional[FailurePattern]]]:
+        return ((preferences, pattern)
+                for pattern in self.patterns for preferences in self.preferences)
+
+
 class _Call(NamedTuple):
     """What one fixed-horizon :meth:`BatchSimulator.simulate_scenarios` call keeps for later reads.
 
@@ -431,19 +473,24 @@ class BatchSimulator:
     # ------------------------------------------------------------------ compilation
 
     def _compile_pattern(self, pattern: FailurePattern, rounds: int) -> List[int]:
-        """Per-round blocked-edge ids for ``pattern`` over ``0 .. rounds - 1``."""
-        by_round: Dict[int, List[Tuple[int, int]]] = {}
-        for (round_index, sender, receiver) in pattern.all_blocked:
-            if round_index < rounds:
-                by_round.setdefault(round_index, []).append((sender, receiver))
-        ids = [0] * rounds
-        for round_index, edges in by_round.items():
-            key = frozenset(edges)
-            bid = self._blocked_ids.get(key)
-            if bid is None:
-                bid = self._blocked_ids[key] = len(self._blocked_sets)
-                self._blocked_sets.append(key)
-            ids[round_index] = bid
+        """Per-round blocked-edge ids for ``pattern`` over ``0 .. rounds - 1``.
+
+        One ``_blocked_ids`` lookup per round of the pattern's
+        :attr:`~repro.failures.pattern.FailurePattern.blocked_by_round`: an
+        enumerated pattern shares those sets with its faulty set, and a
+        frozenset keeps its hash, so a lookup rehashes nothing.
+        """
+        blocked_ids = self._blocked_ids
+        edge_sets = pattern.blocked_by_round[:rounds]
+        try:
+            ids = list(map(blocked_ids.__getitem__, edge_sets))
+        except KeyError:
+            for edges in edge_sets:
+                if edges not in blocked_ids:
+                    blocked_ids[edges] = len(self._blocked_sets)
+                    self._blocked_sets.append(edges)
+            ids = list(map(blocked_ids.__getitem__, edge_sets))
+        ids += [0] * (rounds - len(ids))
         return ids
 
     def _new_preferences(self, key: Tuple[int, ...], preferences: PreferenceVector) -> None:
@@ -484,20 +531,27 @@ class BatchSimulator:
 
     def _slots(self, scenarios: Sequence[Tuple[Sequence[int], Optional[FailurePattern]]],
                rounds: int) -> Tuple["npt.NDArray[Any]", "npt.NDArray[Any]", "npt.NDArray[Any]"]:
-        """Each scenario's preference and pattern slot, and each pattern slot's blocked ids.
+        """Each scenario's preference slot, pattern slot and per-round blocked-edge ids.
 
-        C-level passes over the scenarios and one Python pass over the distinct
-        preference keys and pattern objects: new preference vectors are
-        validated and new patterns checked before any is slotted, in
-        first-appearance order.  If one fails, the scenarios are slotted one
-        at a time (:meth:`_slot_scenario`), so the first bad one raises after
-        exactly what a per-scenario loop slots before it.  Each distinct
-        pattern object of the call is compiled once, over ``rounds`` rounds.
+        The scenarios' two axes are slotted once each: the preference keys
+        and the patterns, which for a :class:`_ScenarioGrid` are its axes and
+        otherwise the scenarios' columns (C-level ``map`` passes).  New
+        preference vectors are validated and new patterns checked before any
+        is slotted, in first-appearance order.  If one fails, the scenarios
+        are slotted one at a time (:meth:`_slot_scenario`), so the first bad
+        one raises after exactly what a per-scenario loop slots before it.
+        Each distinct pattern object of the call is compiled once, over
+        ``rounds`` rounds (:meth:`_compile_pattern`); a grid's run arrays are
+        its axes' slots tiled and repeated, so no scenario pair is built.
         """
         slots = self._preference_slots
+        grid = isinstance(scenarios, _ScenarioGrid)
         try:
-            keys = list(map(tuple, map(operator.itemgetter(0), scenarios)))
-            patterns = list(map(operator.itemgetter(1), scenarios))
+            if grid:
+                keys, patterns = scenarios.axes()
+            else:
+                keys = list(map(tuple, map(operator.itemgetter(0), scenarios)))
+                patterns = list(map(operator.itemgetter(1), scenarios))
             new_keys = list(filterfalse(slots.__contains__, dict.fromkeys(keys)))
             new_preferences = [validate_preferences(key, self.n) for key in new_keys]
             pattern_ids = list(map(id, patterns))
@@ -511,16 +565,24 @@ class BatchSimulator:
             raise
         for key, preferences in zip(new_keys, new_preferences):
             self._new_preferences(key, preferences)
-        call_slots = {
-            ident: self._pattern_slot(self._failure_free if pattern is None else pattern)
-            for ident, pattern in distinct.items()}
-        blocked_of_pattern = np.zeros((len(self._patterns), rounds), dtype=np.int32)
-        for slot in dict.fromkeys(call_slots.values()):
-            blocked_of_pattern[slot] = self._compile_pattern(self._patterns[slot], rounds)
-        count = len(keys)
-        return (np.fromiter(map(slots.__getitem__, keys), dtype=np.intc, count=count),
-                np.fromiter(map(call_slots.__getitem__, pattern_ids), dtype=np.intc, count=count),
-                blocked_of_pattern)
+        failure_free = self._failure_free
+        distinct_patterns = [failure_free if pattern is None else pattern
+                             for pattern in distinct.values()]
+        pattern_of = np.fromiter(map(self._pattern_slot, distinct_patterns), dtype=np.intc,
+                                 count=len(distinct_patterns))
+        blocked_of = np.array([self._compile_pattern(pattern, rounds)
+                               for pattern in distinct_patterns],
+                              dtype=np.int32).reshape(len(distinct_patterns), rounds)
+        position = dict(zip(distinct, range(len(distinct))))
+        preference_slots = np.fromiter(map(slots.__getitem__, keys), dtype=np.intc,
+                                       count=len(keys))
+        pattern_positions = np.fromiter(map(position.__getitem__, pattern_ids), dtype=np.intp,
+                                        count=len(pattern_ids))
+        if grid:
+            preference_slots = np.tile(preference_slots, len(patterns))
+            pattern_positions = np.repeat(pattern_positions, len(keys))
+        return (preference_slots, pattern_of[pattern_positions],
+                blocked_of[pattern_positions])
 
     def _table(self, record_ids: "npt.NDArray[Any]", lengths: Union[int, "npt.NDArray[Any]"],
                run_preferences: "npt.NDArray[Any]",
@@ -685,13 +747,12 @@ class BatchSimulator:
         if horizon is not None and horizon < 0:
             raise ConfigurationError(f"horizon must be non-negative, got {horizon}")
         rounds = horizon if horizon is not None else ROUND_CAP_FACTOR * (self.protocol.t + 2)
-        pref_slots, pattern_slots, blocked_of_pattern = self._slots(scenarios, rounds)
+        pref_slots, pattern_slots, blocked = self._slots(scenarios, rounds)
         count = len(pref_slots)
         # -- run state: the runs still in the loop, in scenario order, with
         # their current global-state rows and blocked-edge ids per round ----
         live = np.arange(count)
         current = np.asarray(self._initial_rows, dtype=np.int32)[pref_slots]
-        blocked = blocked_of_pattern[pattern_slots]
         lengths = np.full(count, rounds, dtype=np.intp)
         #: per round, the runs still in the loop and their indices into ``_records``.
         columns: List[Tuple["npt.NDArray[Any]", "npt.NDArray[Any]"]] = []
@@ -745,12 +806,14 @@ class BatchSimulator:
     def simulate_patterns(self, patterns: Iterable[FailurePattern],
                           preference_vectors: Iterable[Sequence[int]],
                           horizon: int) -> RunView:
-        """Simulate ``patterns × preference_vectors`` (pattern-major, preference-minor)."""
-        preference_list = [tuple(vector) for vector in preference_vectors]
+        """Simulate ``patterns × preference_vectors`` (pattern-major, preference-minor).
+
+        The scenarios go to :meth:`simulate_scenarios` as a lazy
+        :class:`_ScenarioGrid`, whose two axes :meth:`_slots` slots directly.
+        """
         return self.simulate_scenarios(
-            [(prefs, pattern) for pattern in patterns for prefs in preference_list],
-            horizon,
-        )
+            _ScenarioGrid(list(patterns), [tuple(vector) for vector in preference_vectors]),
+            horizon)
 
     def _merged(self, horizon: int) -> _Call:
         """Every call with ``horizon``, merged into one (once, on first read)."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, TYPE_CHECKING, Tuple
 
 import numpy as np
@@ -574,10 +575,20 @@ def _build_stored(protocol: ActionProtocol, n: int, horizon: int,
                 span.set("patterns", len(cached.runs) // len(preference_list))
                 span.set("runs", len(cached.runs))
                 return cached
-        pattern_list = supply()
-        span.set("patterns", len(pattern_list))
-        span.set("runs", len(pattern_list) * len(preference_list))
+        # The enumerated patterns are acyclic, like the runs: no GC pass.
         with bulk_allocation():
+            tracing = _trace.is_active()
+            patterns_span = _trace.NOOP
+            if tracing:
+                patterns_span = _trace.span("build.patterns", "build")
+            with patterns_span:
+                pattern_list = supply()
+                if tracing:
+                    patterns_span.set("patterns", len(pattern_list))
+                    patterns_span.set("blocked_sets", len(set(chain.from_iterable(
+                        pattern.blocked_by_round for pattern in pattern_list))))
+            span.set("patterns", len(pattern_list))
+            span.set("runs", len(pattern_list) * len(preference_list))
             simulator = BatchSimulator(protocol, n)
             for start in range(0, len(pattern_list), BUILD_CHUNK_PATTERNS):
                 chunk = pattern_list[start:start + BUILD_CHUNK_PATTERNS]

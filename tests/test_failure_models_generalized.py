@@ -6,6 +6,7 @@ receive-side adversaries, and the differential guarantee that ``GO(t)``
 restricted to send-only events reproduces ``SO(t)`` systems byte-identically.
 """
 
+import itertools
 import pickle
 import random
 
@@ -284,6 +285,144 @@ class TestEnumerationMatchesCount:
         capped = list(model.enumerate(horizon, max_faulty=1))
         assert len(capped) == model.count_patterns(horizon, max_faulty=1)
         assert all(len(pattern.faulty) <= 1 for pattern in capped)
+
+
+def _oracle_enumerate(model, horizon, max_faulty=None):
+    """The product-of-masks enumeration, every pattern built with full validation."""
+    bound = model.t if max_faulty is None else min(model.t, max_faulty)
+    for size in range(bound + 1):
+        for faulty in itertools.combinations(range(model.n), size):
+            send_slots, receive_slots = model.slots(faulty, horizon)
+            num_send = len(send_slots)
+            for mask in itertools.product((False, True),
+                                          repeat=num_send + len(receive_slots)):
+                yield FailurePattern(
+                    n=model.n, faulty=frozenset(faulty),
+                    omissions=frozenset(itertools.compress(send_slots, mask[:num_send])),
+                    receive_omissions=frozenset(
+                        itertools.compress(receive_slots, mask[num_send:])))
+
+
+def _assert_rounds_group_all_blocked(pattern):
+    """``blocked_by_round`` is ``all_blocked`` grouped by round (past its end: nothing)."""
+    by_round = list(pattern.blocked_by_round)
+    rounds = max(len(by_round), pattern.max_round() + 1)
+    grouped = [set() for _ in range(rounds)]
+    for (round_index, sender, receiver) in pattern.all_blocked:
+        grouped[round_index].add((sender, receiver))
+    assert by_round + [frozenset()] * (rounds - len(by_round)) == grouped, pattern
+    assert all(type(edges) is frozenset for edges in by_round)
+
+
+#: Every SO/RO/GO size at n=3/4, t=1/2, horizons 1-3, with and without
+#: ``max_faulty=1``, whose enumeration is small enough to check pattern by pattern.
+_ORACLE_CASES = [
+    (model, horizon, max_faulty)
+    for model in (cls(n=n, t=t) for cls in (SendingOmissionModel, ReceiveOmissionModel,
+                                            GeneralOmissionModel)
+                  for n in (3, 4) for t in (1, 2))
+    for horizon in (1, 2, 3)
+    for max_faulty in (None, 1)
+    if model.count_patterns(horizon, max_faulty=max_faulty) <= 20_000
+]
+
+
+class TestEnumerationOracle:
+    """``enumerate`` validates once per faulty set and assembles its patterns
+    from shared parts; it must yield exactly what building every pattern of
+    the product of masks with full validation yields."""
+
+    @pytest.mark.parametrize("model, horizon, max_faulty", _ORACLE_CASES, ids=[
+        f"{model.name}-n{model.n}-h{horizon}-max{max_faulty}"
+        for model, horizon, max_faulty in _ORACLE_CASES])
+    def test_enumeration_matches_the_validated_product_of_masks(self, model, horizon,
+                                                                max_faulty):
+        patterns = list(model.enumerate(horizon, max_faulty=max_faulty))
+        oracle = list(_oracle_enumerate(model, horizon, max_faulty))
+        assert patterns == oracle
+        assert list(map(hash, patterns)) == list(map(hash, oracle))
+        assert pickle.dumps(patterns) == pickle.dumps(oracle)
+        for pattern in patterns:
+            assert len(pattern.blocked_by_round) == horizon
+            _assert_rounds_group_all_blocked(pattern)
+
+    def test_the_cases_cover_every_model_size_and_horizon(self):
+        covered = {(type(model), model.n, model.t, horizon, max_faulty)
+                   for model, horizon, max_faulty in _ORACLE_CASES}
+        assert len(covered) == len(_ORACLE_CASES) >= 40
+        assert {(cls, horizon) for cls, _, _, horizon, _ in covered} == {
+            (cls, horizon) for cls in (SendingOmissionModel, ReceiveOmissionModel,
+                                       GeneralOmissionModel) for horizon in (1, 2, 3)}
+
+    @pytest.mark.parametrize("pattern", [
+        FailurePattern.failure_free(3),
+        FailurePattern.silent(4, [1, 3], horizon=3, from_round=1),
+        FailurePattern.silent(3, [0], horizon=2, include_self=True),
+        FailurePattern.deaf(4, [2], horizon=3),
+        FailurePattern.from_receive_blocked(3, [(2, 0, 1), (0, 2, 1)], extra_faulty=[0]),
+        FailurePattern.from_blocked(3, [(1, 2, 0)]).with_receive_omission(4, 1, 0),
+    ], ids=lambda pattern: pattern.describe())
+    def test_hand_built_patterns_group_their_blocked_triples_on_first_use(self, pattern):
+        assert "blocked_by_round" not in vars(pattern)
+        _assert_rounds_group_all_blocked(pattern)
+        assert pattern.blocked_by_round is pattern.blocked_by_round
+        assert len(pattern.blocked_by_round) == pattern.max_round() + 1
+        copy = pickle.loads(pickle.dumps(pattern))
+        assert copy == pattern and "blocked_by_round" not in vars(copy)
+
+    @pytest.mark.parametrize("model", [SendingOmissionModel(n=4, t=2),
+                                       ReceiveOmissionModel(n=4, t=2),
+                                       GeneralOmissionModel(n=4, t=2),
+                                       CrashModel(n=4, t=2)], ids=lambda model: model.name)
+    def test_sampled_patterns_group_their_blocked_triples(self, model):
+        rng = random.Random(5)
+        for _ in range(20):
+            _assert_rounds_group_all_blocked(model.sample(rng, horizon=3))
+
+    def test_one_faulty_set_shares_its_omission_and_round_sets(self):
+        patterns = list(GeneralOmissionModel(n=3, t=1).enumerate(2, max_faulty=1))[1:]
+        assert len({id(pattern.faulty) for pattern in patterns[:len(patterns) // 3]}) == 1
+        assert len({id(pattern.omissions) for pattern in patterns}) < len(patterns)
+        round_sets = {id(edges) for pattern in patterns for edges in pattern.blocked_by_round}
+        assert len(round_sets) < len(patterns)
+
+
+def _opening(bad, receive):
+    """``GO(1)`` on 3 agents whose slots, for faulty set {0}, also open ``bad``."""
+
+    class Opening(GeneralOmissionModel):
+        def slots(self, faulty, horizon):
+            send, receive_slots = super().slots(faulty, horizon)
+            if faulty == (0,):
+                (receive_slots if receive else send).append(bad)
+            return send, receive_slots
+
+    return Opening(n=3, t=1)
+
+
+class TestEnumerationValidatesEachFaultySet:
+    """Validation is hoisted to one pattern per faulty set, not dropped: a bad
+    slot raises the error building a pattern with it always raised."""
+
+    @pytest.mark.parametrize("bad, receive", [
+        ((0, 1, 2), False),   # charged to the sender, which is not faulty
+        ((1, 0, 2), True),    # charged to the receiver, which is not faulty
+        ((0, 0, 5), False),   # names an agent outside 0..2
+        ((0, 4, 0), True),
+        ((-1, 0, 1), False),  # a negative round
+    ], ids=["nonfaulty-sender", "nonfaulty-receiver", "receiver-outside", "sender-outside",
+            "negative-round"])
+    def test_a_bad_slot_raises_the_pattern_error(self, bad, receive):
+        with pytest.raises(FailureModelError) as expected:
+            FailurePattern(n=3, faulty=frozenset({0}),
+                           **{"receive_omissions" if receive else "omissions": {bad}})
+        model = _opening(bad, receive)
+        with pytest.raises(FailureModelError) as raised:
+            list(model.enumerate(1))
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
+        # The faulty sets before {0} still enumerate.
+        assert list(model.enumerate(1, max_faulty=0)) == [FailurePattern.failure_free(3)]
 
 
 class TestExistingModelsRejectReceiveEvents:

@@ -338,6 +338,56 @@ class TestRoundLoop:
         assert simulator._preferences == slotted + [
             p for p in [(1, 0, 0), (0, 0, 1)] if p not in slotted]
 
+    @pytest.mark.parametrize("bad", ["preferences", "pattern", "both"])
+    def test_simulate_patterns_raises_as_its_scenario_list(self, bad):
+        """``simulate_patterns`` slots a lazy pattern × preference grid by
+        axis; on a bad input it raises what the explicit scenario list raises,
+        after slotting the same preferences and patterns."""
+        patterns = [FailurePattern.failure_free(3), FailurePattern.silent(3, [0], horizon=1)]
+        preferences = [(1, 1, 1), (0, 1, 1)]
+        if bad in ("pattern", "both"):
+            patterns.insert(1, FailurePattern.failure_free(4))
+        if bad in ("preferences", "both"):
+            preferences.append([0, 2, 1])
+        scenarios = [(prefs, pattern) for pattern in patterns for prefs in preferences]
+        outcomes = []
+        for call in (lambda simulator: simulator.simulate_patterns(patterns, preferences, 1),
+                     lambda simulator: simulator.simulate_scenarios(scenarios, 1)):
+            simulator = BatchSimulator(MinProtocol(1), 3)
+            with pytest.raises((ConfigurationError, ValueError)) as excinfo:
+                call(simulator)
+            outcomes.append((type(excinfo.value), str(excinfo.value),
+                             simulator._preferences, simulator._patterns,
+                             simulator._row_states))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] == [(1, 1, 1), (0, 1, 1)]
+        assert outcomes[0][3] == [FailurePattern.failure_free(3)]
+
+    @pytest.mark.parametrize("patterns, preferences", [
+        ([], [(1, 1, 1)]),
+        ([FailurePattern.failure_free(4)], []),
+    ], ids=["no-patterns", "no-preferences"])
+    def test_an_empty_grid_slots_nothing(self, patterns, preferences):
+        simulator = BatchSimulator(MinProtocol(1), 3)
+        assert len(simulator.simulate_patterns(patterns, preferences, 1)) == 0
+        assert simulator._preferences == [] and simulator._patterns == []
+
+    def test_simulate_patterns_runs_its_scenario_list(self):
+        """Repeated patterns and preference vectors: the grid's runs, slots and
+        tables are the explicit scenario list's."""
+        model = GeneralOmissionModel(n=3, t=1)
+        patterns = list(model.enumerate(2))[:40]
+        patterns = patterns + patterns[5:9] + [FailurePattern.silent(3, [2], horizon=4)]
+        preferences = [(1, 0, 1), (0, 0, 0), (1, 0, 1), [1, 1, 0]]
+        grid = BatchSimulator(BasicProtocol(1), 3)
+        listed = BatchSimulator(BasicProtocol(1), 3)
+        grid_runs = grid.simulate_patterns(patterns, preferences, 3)
+        listed_runs = listed.simulate_scenarios(
+            [(prefs, pattern) for pattern in patterns for prefs in preferences], 3)
+        assert pickle.dumps(grid_runs) == pickle.dumps(listed_runs)
+        assert _trace_bytes(grid_runs) == _trace_bytes(listed_runs)
+        assert pickle.dumps(grid.run_table(3)) == pickle.dumps(listed.run_table(3))
+
     def test_protocol_error_matches_the_per_run_engine(self):
         """The first failing run, in scenario order, names the same state.
 
