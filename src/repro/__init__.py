@@ -44,13 +44,7 @@ Sweeps run several protocols over a whole workload — on all cores, if asked:
 True
 """
 
-from .analysis import (
-    DominanceResult,
-    compare_protocols,
-    pairwise_comparison,
-    run_metrics,
-    zero_chains,
-)
+from .analysis import DominanceResult, zero_chains
 from .api import (
     Executor,
     ParallelExecutor,
@@ -101,7 +95,7 @@ from .protocols import (
     OptimalFipProtocol,
 )
 from .simulation import RoundRecord, RunTrace
-from .spec import SpecReport, check_eba, require_eba
+from .spec import SpecReport, check_eba
 
 __version__ = "1.1.0"
 
@@ -146,12 +140,8 @@ __all__ = [
     "Value",
     "available_models",
     "check_eba",
-    "compare_protocols",
     "make_model",
     "decide",
-    "pairwise_comparison",
-    "require_eba",
-    "run_metrics",
     "silent_adversary",
     "silent_receiver_adversary",
     "zero_chains",

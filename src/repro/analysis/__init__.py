@@ -1,61 +1,33 @@
-"""Trace analysis: metrics, 0-chains, and dominance comparisons."""
+"""Trace analysis: 0-chains, dominance comparisons and the optimality probe."""
 
 from .chains import (
     ZeroChain,
-    hears_from,
-    hears_from_frontier,
     longest_zero_chain,
-    received_zero_chain,
     zero_chains,
     zero_deciders_by_round,
 )
 from .dominance import (
     DominanceCounterexample,
     DominanceResult,
-    compare_protocols,
     compare_traces,
-    pairwise_comparison,
-)
-from .metrics import (
-    AggregateMetrics,
-    RunMetrics,
-    aggregate_metrics,
-    decision_round_histogram,
-    last_nonfaulty_decision_round,
-    nonfaulty_decision_rounds,
-    run_metrics,
 )
 from .optimality import (
     DeviationOutcome,
     OptimalityProbeReport,
     context_scenarios,
     probe_optimality,
-    reachable_states,
 )
 
 __all__ = [
-    "AggregateMetrics",
     "DeviationOutcome",
     "DominanceCounterexample",
     "DominanceResult",
     "OptimalityProbeReport",
-    "RunMetrics",
     "context_scenarios",
     "probe_optimality",
-    "reachable_states",
     "ZeroChain",
-    "aggregate_metrics",
-    "compare_protocols",
     "compare_traces",
-    "decision_round_histogram",
-    "hears_from",
-    "hears_from_frontier",
-    "last_nonfaulty_decision_round",
     "longest_zero_chain",
-    "nonfaulty_decision_rounds",
-    "pairwise_comparison",
-    "received_zero_chain",
-    "run_metrics",
     "zero_chains",
     "zero_deciders_by_round",
 ]

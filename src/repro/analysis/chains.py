@@ -1,4 +1,4 @@
-"""0-chains and the hears-from relation, extracted from run traces.
+"""0-chains, extracted from run traces.
 
 Section 6 defines a *0-chain* of length ``m`` in a run as a sequence of
 distinct agents ``i_0, ..., i_m`` such that
@@ -12,11 +12,6 @@ In every EBA context "knowing that ``i_{k-1}`` just decided 0" is witnessed by
 receiving the distinguished decide-0 message from ``i_{k-1}`` in round ``k``,
 so chains can be read off a trace: the ground-truth chain relation is what the
 correctness proofs (Proposition 6.1) and the safety condition reason about.
-
-The *hears-from* relation (Definition A.1) is also provided at trace level: it
-is the transitive closure of "received a non-``⊥`` message", with the built-in
-persistence that a message received at round ``m + 1`` is remembered at all
-later times.
 """
 
 from __future__ import annotations
@@ -114,53 +109,9 @@ def zero_chains(trace: RunTrace) -> List[ZeroChain]:
     return list(chains.values())
 
 
-def received_zero_chain(trace: RunTrace, agent: AgentId, time: int) -> Optional[ZeroChain]:
-    """The 0-chain of length ``time`` ending at ``agent``, if one exists in the trace."""
-    for chain in zero_chains(trace):
-        if chain.last_agent == agent and chain.length == time:
-            return chain
-    return None
-
-
 def longest_zero_chain(trace: RunTrace) -> Optional[ZeroChain]:
     """The longest 0-chain in the trace (``None`` if no agent ever decides 0)."""
     chains = zero_chains(trace)
     if not chains:
         return None
     return max(chains, key=lambda chain: chain.length)
-
-
-def hears_from_frontier(trace: RunTrace, agent: AgentId, time: int) -> List[int]:
-    """Ground-truth ``last_{agent,j}(r, time)`` for every ``j`` (``-1`` = never heard from).
-
-    Uses the actual deliveries recorded in the trace, i.e. the run's hears-from
-    relation rather than any single agent's knowledge of it.
-    """
-    frontier = [-1] * trace.n
-    frontier[agent] = time
-    changed = True
-    while changed:
-        changed = False
-        for record in trace.rounds:
-            round_index = record.round_index
-            if round_index + 1 > time:
-                continue
-            for receiver in range(trace.n):
-                if frontier[receiver] < round_index + 1:
-                    continue
-                for sender in range(trace.n):
-                    if record.delivered[receiver][sender] is None:
-                        continue
-                    if frontier[sender] < round_index:
-                        frontier[sender] = round_index
-                        changed = True
-    return frontier
-
-
-def hears_from(trace: RunTrace, source: Tuple[AgentId, int],
-               target: Tuple[AgentId, int]) -> bool:
-    """Whether the point ``source`` hears-into the point ``target`` in the trace."""
-    source_agent, source_time = source
-    target_agent, target_time = target
-    frontier = hears_from_frontier(trace, target_agent, target_time)
-    return frontier[source_agent] >= source_time

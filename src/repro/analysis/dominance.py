@@ -18,11 +18,11 @@ baseline).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.types import AgentId
-from ..protocols.base import ActionProtocol
-from ..simulation.trace import RunTrace, Scenario
+from ..simulation.trace import RunTrace
+
 
 @dataclass(frozen=True)
 class DominanceCounterexample:
@@ -150,29 +150,3 @@ def compare_traces(first: Sequence[RunTrace], second: Sequence[RunTrace]) -> Dom
         counterexamples_to_first=counter_first,
         counterexamples_to_second=counter_second,
     )
-
-
-def compare_protocols(first: ActionProtocol, second: ActionProtocol, n: int,
-                      scenarios: Iterable[Scenario],
-                      horizon: Optional[int] = None) -> DominanceResult:
-    """Run both protocols over the scenarios and compare decision times.
-
-    Note that the two protocols may use *different* information-exchange
-    protocols; the comparison is then between ``(E_1, P_1)`` and ``(E_2, P_2)``
-    pairs — this is how Section 8 compares the minimal, basic, and
-    full-information settings, and is coarser than the paper's
-    per-information-exchange optimality notion.
-    """
-    from ..api import run_sweep
-    results = run_sweep([first, second], scenarios, n=n, horizon=horizon)
-    return results.compare(first.name, second.name)
-
-
-def pairwise_comparison(protocols: Sequence[ActionProtocol], n: int,
-                        scenarios: Sequence[Scenario],
-                        horizon: Optional[int] = None,
-                        ) -> Dict[Tuple[str, str], DominanceResult]:
-    """All pairwise dominance results over a shared workload."""
-    from ..api import run_sweep
-    results = run_sweep(list(protocols), scenarios, n=n, horizon=horizon)
-    return results.pairwise()

@@ -21,7 +21,7 @@ import ast
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Type
+from typing import Dict, Iterable, List, Mapping, Tuple, Type
 
 from .findings import Finding, at_node
 
@@ -144,14 +144,3 @@ def module_path_for(path: Path) -> str:
         if parts[index] == "repro":
             return "/".join(parts[index:])
     return path.name
-
-
-def walk_with_parents(tree: ast.AST) -> Iterator[Tuple[ast.AST, List[ast.AST]]]:
-    """Yield ``(node, ancestors)`` pairs, ancestors outermost-first."""
-    stack: List[Tuple[ast.AST, List[ast.AST]]] = [(tree, [])]
-    while stack:
-        node, ancestors = stack.pop()
-        yield node, ancestors
-        child_ancestors = ancestors + [node]
-        for child in ast.iter_child_nodes(node):
-            stack.append((child, child_ancestors))

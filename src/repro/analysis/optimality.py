@@ -21,7 +21,7 @@ states, not just the handful of named baselines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.types import Action, DECIDE_0, DECIDE_1, NOOP
 from ..exchange.base import LocalState
@@ -105,17 +105,6 @@ def context_scenarios(context: EBAContext) -> List[Scenario]:
         for pattern in patterns
         for preferences in enumerate_preferences(context.n)
     ]
-
-
-def reachable_states(protocol: ActionProtocol, n: int, scenarios: Iterable[Scenario],
-                     horizon: int) -> List[LocalState]:
-    """The undecided local states that arise when running ``protocol`` over ``scenarios``.
-
-    Only states at times strictly below ``horizon`` are returned (a deviation at
-    the final time cannot make any decision earlier).
-    """
-    traces = BatchSimulator(protocol, n).simulate_scenarios(list(scenarios), horizon)
-    return _undecided_states(traces, horizon)
 
 
 def _undecided_states(traces: Sequence[RunTrace], horizon: int) -> List[LocalState]:

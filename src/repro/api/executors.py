@@ -53,11 +53,6 @@ _POOL_REBUILDS = _metrics.counter(
     "Broken process pools rebuilt mid-sweep by ParallelExecutor")
 
 
-def execute_task(task: RunTask) -> RunTrace:
-    """Execute one run task with the batched engine."""
-    return simulate_tasks([task])[0]
-
-
 def _execute_task_chunk(tasks: Sequence[RunTask]) -> List[RunTrace]:
     """One pool work item: a contiguous chunk of run tasks, in order.
 

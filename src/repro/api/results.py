@@ -11,8 +11,8 @@ and plugs directly into the analysis, specification, and reporting layers:
   :func:`repro.reporting.tables.format_table`.
 
 It can be read by protocol or by scenario: ``results["P_min"]`` is the
-protocol's trace tuple (:meth:`ResultSet.batch` wraps it as a ``BatchResult``)
-and ``results.corresponding(i)`` is the scenario's name→trace mapping.
+protocol's trace tuple and ``results.corresponding(i)`` is the scenario's
+name→trace mapping.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, TYPE_CHECKING, Tuple
 
 from ..core.errors import ConfigurationError
-from ..simulation.trace import BatchResult, RunTrace, Scenario
+from ..simulation.trace import RunTrace, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.dominance import DominanceResult
@@ -86,24 +86,7 @@ class ResultSet:
         """The trace of one protocol on one scenario."""
         return self[protocol_name][scenario_index]
 
-    def only(self) -> RunTrace:
-        """The single trace of a one-protocol, one-scenario result set."""
-        if len(self.protocol_names) != 1 or len(self.scenarios) != 1:
-            raise ConfigurationError(
-                f"only() needs a 1x1 result set, got {len(self.protocol_names)} "
-                f"protocol(s) x {len(self.scenarios)} scenario(s)"
-            )
-        return self.traces[0][0]
-
     # ------------------------------------------------------------------ views
-
-    def batch(self, protocol_name: str) -> BatchResult:
-        """One protocol's results as a ``BatchResult``."""
-        return BatchResult(protocol_name=protocol_name, traces=self[protocol_name])
-
-    def batches(self) -> Dict[str, BatchResult]:
-        """Every protocol's results (name → BatchResult)."""
-        return {name: self.batch(name) for name in self.protocol_names}
 
     def corresponding(self, scenario_index: int = 0) -> Dict[str, RunTrace]:
         """One scenario's family of corresponding runs (name → trace)."""
@@ -118,7 +101,7 @@ class ResultSet:
         return compare_traces(self[first], self[second])
 
     def pairwise(self) -> Dict[Tuple[str, str], "DominanceResult"]:
-        """All pairwise dominance results, keyed like ``pairwise_comparison``."""
+        """All pairwise dominance results, keyed by ``(first, second)`` protocol name."""
         from ..analysis.dominance import compare_traces
         results: Dict[Tuple[str, str], "DominanceResult"] = {}
         for i, first in enumerate(self.protocol_names):

@@ -131,11 +131,6 @@ class RunSpec:
             return CachingExecutor(resolved_store, executor).run_tasks([task])[0]
         return resolve_executor(executor).run_tasks([task])[0]
 
-    def as_sweep(self) -> "SweepSpec":
-        """Lift the single run into a one-protocol, one-scenario sweep."""
-        return SweepSpec(protocols=(self.protocol,), n=self.n,
-                         scenarios=(self.scenario,), horizon=self.horizon)
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -295,10 +290,6 @@ class Sweep:
         """Start a sweep over the given action protocols."""
         return cls(_protocols=tuple(protocols))
 
-    def also(self, *protocols: ActionProtocol) -> "Sweep":
-        """Add more protocols to the sweep."""
-        return replace(self, _protocols=self._protocols + tuple(protocols))
-
     def on(self, scenarios: Iterable[Scenario], n: Optional[int] = None) -> "Sweep":
         """Set the workload.  ``n`` is inferred from the scenarios if omitted.
 
@@ -330,10 +321,6 @@ class Sweep:
                                                      seed=seed, **kwargs))
         return replace(self, _scenarios=scenarios, _n=n, _seed=seed)
 
-    def with_n(self, n: int) -> "Sweep":
-        """Set the system size explicitly (otherwise inferred from the workload)."""
-        return replace(self, _n=n)
-
     def with_horizon(self, horizon: Optional[int]) -> "Sweep":
         """Simulate exactly ``horizon`` rounds per run (``None`` = until decided)."""
         return replace(self, _horizon=horizon)
@@ -350,7 +337,7 @@ class Sweep:
         if n is None:
             if not self._scenarios:
                 raise ConfigurationError("cannot infer n from an empty workload; "
-                                         "use .with_n(...) or .on(scenarios, n=...)")
+                                         "use .on(scenarios, n=...)")
             n = len(self._scenarios[0][0])
         return SweepSpec(protocols=self._protocols, n=n, scenarios=self._scenarios,
                          horizon=self._horizon, seed=self._seed)

@@ -1,13 +1,12 @@
 """Core value types, agent helpers, and exceptions."""
 
-from .agents import all_agents, complement, format_agent_set, validate_agent, validate_agent_set
+from .agents import complement, validate_agent, validate_agent_set
 from .errors import (
     ConfigurationError,
     FailureModelError,
     ModelCheckingError,
     ProtocolError,
     ReproError,
-    SpecificationViolation,
 )
 from .types import (
     Action,
@@ -21,7 +20,6 @@ from .types import (
     VALUES,
     Value,
     decide,
-    other_value,
     validate_preferences,
     validate_value,
 )
@@ -39,15 +37,11 @@ __all__ = [
     "PreferenceVector",
     "ProtocolError",
     "ReproError",
-    "SpecificationViolation",
     "UNDECIDED",
     "VALUES",
     "Value",
-    "all_agents",
     "complement",
     "decide",
-    "format_agent_set",
-    "other_value",
     "validate_agent",
     "validate_agent_set",
     "validate_preferences",

@@ -7,17 +7,10 @@ those small utilities in one place.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Sequence
+from typing import FrozenSet, Iterable
 
 from .errors import ConfigurationError
 from .types import AgentId
-
-
-def all_agents(n: int) -> tuple[AgentId, ...]:
-    """Return the tuple of agent identifiers ``(0, 1, ..., n-1)``."""
-    if n <= 0:
-        raise ConfigurationError(f"number of agents must be positive, got {n}")
-    return tuple(range(n))
 
 
 def validate_agent(agent: AgentId, n: int) -> AgentId:
@@ -41,8 +34,3 @@ def complement(agents: Iterable[AgentId], n: int) -> FrozenSet[AgentId]:
     """Return the agents in ``0..n-1`` that are *not* in ``agents``."""
     present = validate_agent_set(agents, n)
     return frozenset(range(n)) - present
-
-
-def format_agent_set(agents: Sequence[AgentId] | FrozenSet[AgentId]) -> str:
-    """Render an agent set compactly for reports (e.g. ``{0, 2, 5}``)."""
-    return "{" + ", ".join(str(a) for a in sorted(agents)) + "}"

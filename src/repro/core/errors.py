@@ -36,14 +36,6 @@ class ProtocolError(ReproError):
     """
 
 
-class SpecificationViolation(ReproError):
-    """Raised (optionally) when a trace violates the EBA specification.
-
-    The checkers in :mod:`repro.spec.eba` normally return a report object; this
-    exception is used by the ``require_*`` convenience wrappers.
-    """
-
-
 class ModelCheckingError(ReproError):
     """Raised when an epistemic formula cannot be evaluated on a system.
 

@@ -91,13 +91,6 @@ DECIDE_0: Action = decide(0)
 DECIDE_1: Action = decide(1)
 
 
-def other_value(value: Value) -> Value:
-    """Return ``1 - value`` after validating that ``value`` is binary."""
-    if value not in VALUES:
-        raise ValueError(f"expected a binary value, got {value!r}")
-    return 1 - value
-
-
 def validate_value(value: Value) -> Value:
     """Validate that ``value`` is 0 or 1 and return it."""
     if value not in VALUES:

@@ -9,7 +9,6 @@ from .messages import (
     GraphMessage,
     InitOneHeartbeat,
     Message,
-    is_decide_notification,
     message_bits,
 )
 from .minimal import MinimalExchange
@@ -28,6 +27,5 @@ __all__ = [
     "LocalState",
     "Message",
     "MinimalExchange",
-    "is_decide_notification",
     "message_bits",
 ]

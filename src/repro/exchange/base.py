@@ -70,11 +70,6 @@ class LocalState:
     decided: Optional[Value]
     jd: Optional[Value]
 
-    @property
-    def is_decided(self) -> bool:
-        """Whether the agent has already decided."""
-        return self.decided is not None
-
 
 class InformationExchange(abc.ABC):
     """Abstract base class for information-exchange protocols."""

@@ -143,16 +143,6 @@ class CommGraph:
         """All initial preferences recorded in the graph."""
         return {j: v for j, v in enumerate(self._prefs) if v is not None}
 
-    def labelled_edges(self) -> FrozenSet[LabelledEdge]:
-        """The set of edges with a known (0/1) label, decoded from the bits."""
-        n, known, edges = self.n, self._known, []
-        while known:
-            low = known & -known
-            round_index, slot = divmod(low.bit_length() - 1, n * n)
-            edges.append((round_index, slot // n, slot % n, bool(self._delivered & low)))
-            known ^= low
-        return frozenset(edges)
-
     def bit_size(self) -> int:
         """The encoded size of the graph in bits.
 
@@ -195,13 +185,6 @@ class CommGraph:
                     reached |= 1 << sender
             heard = reached
         return frontier
-
-    def hears_from(self, source: Tuple[AgentId, int], anchor_agent: AgentId,
-                   anchor_time: Optional[int] = None) -> bool:
-        """Whether the point ``source = (j, m')`` hears-into ``(anchor_agent, anchor_time)``."""
-        agent, time = source
-        frontier = self.heard_frontier(anchor_agent, anchor_time)
-        return frontier[agent] >= time
 
     def restrict(self, anchor_agent: AgentId, anchor_time: int) -> "CommGraph":
         """Reconstruct ``G_{anchor_agent, anchor_time}`` from this graph.
@@ -251,12 +234,6 @@ class CommGraph:
         for agent in agents:
             mask |= faulty[agent]
         return frozenset(j for j in range(n) if mask >> j & 1)
-
-    def possibly_nonfaulty(self, agent: AgentId, time: Optional[int] = None) -> FrozenSet[AgentId]:
-        """``f̄(agent, time, G)``: the agents this graph does not show to be faulty."""
-        if time is None:
-            time = self.time
-        return frozenset(range(self.n)) - self.known_faulty(agent, time)
 
     def known_values(self, agent: AgentId, time: int) -> FrozenSet[Value]:
         """``V(agent, time, G)``: the initial values known to ``agent`` at ``time``.

@@ -80,10 +80,3 @@ def message_bits(message: Message, n: int) -> int:
     if message is None:
         return 0
     return message.bit_size(n)
-
-
-def is_decide_notification(message: Message, value: Optional[Value] = None) -> bool:
-    """Whether ``message`` notifies a decision (optionally of a specific value)."""
-    if not isinstance(message, DecideNotification):
-        return False
-    return value is None or message.value == value

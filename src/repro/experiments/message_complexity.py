@@ -17,7 +17,7 @@ the stated bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..api import StoreLike, Sweep
 from ..failures.pattern import FailurePattern
@@ -72,17 +72,9 @@ def paper_bit_bound(protocol_name: str, n: int, t: int) -> int:
     return 4 * (n ** 4) * ((t + 1) ** 2)
 
 
-def default_protocols(t: int) -> List[ActionProtocol]:
-    """The three Section 8 protocols with failure bound ``t``."""
-    return [MinProtocol(t), BasicProtocol(t), OptimalFipProtocol(t)]
-
-
-def measure_bits(n: int, t: int,
-                 protocols: Optional[Sequence[ActionProtocol]] = None,
+def measure_bits(n: int, t: int, protocols: Sequence[ActionProtocol],
                  store: StoreLike = None) -> List[BitsMeasurement]:
     """Measure total bits for the two failure-free scenarios of Section 8."""
-    if protocols is None:
-        protocols = default_protocols(t)
     pattern = FailurePattern.failure_free(n)
     labelled = [
         ("one agent prefers 0", (single_zero(n), pattern)),

@@ -6,9 +6,8 @@ Proposition 6.1: every implementation of ``P0`` terminates after at most
 ``P1``) satisfies the same bound (Proposition 7.3).
 
 The experiment measures the worst (latest) decision round of each protocol over
-an adversarial workload (exhaustive for small systems, randomized plus the
-structured worst cases for larger ones) and checks the full EBA specification
-on every run.
+an adversarial workload (randomized plus the structured worst cases) and
+checks the full EBA specification on every run.
 """
 
 from __future__ import annotations
@@ -17,14 +16,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..api import StoreLike, Sweep
-from ..failures.models import SendingOmissionModel
 from ..protocols.base import ActionProtocol
 from ..protocols.pbasic import BasicProtocol
 from ..protocols.pmin import MinProtocol
 from ..protocols.popt import OptimalFipProtocol
 from ..reporting.tables import format_table
 from ..simulation.trace import Scenario
-from ..workloads.preferences import enumerate_preferences
 from ..workloads.scenarios import hidden_chain_scenario, random_scenarios
 
 
@@ -52,18 +49,6 @@ class TerminationMeasurement:
             "within bound": self.within_bound,
             "spec violations": self.spec_violations,
         }
-
-
-def exhaustive_workload(n: int, t: int, horizon: Optional[int] = None) -> List[Scenario]:
-    """Every (preference vector, SO(t) pattern) pair for a small system."""
-    if horizon is None:
-        horizon = t + 2
-    model = SendingOmissionModel(n=n, t=t)
-    scenarios: List[Scenario] = []
-    for pattern in model.enumerate(horizon):
-        for preferences in enumerate_preferences(n):
-            scenarios.append((preferences, pattern))
-    return scenarios
 
 
 def adversarial_workload(n: int, t: int, random_count: int = 30, seed: int = 3) -> List[Scenario]:

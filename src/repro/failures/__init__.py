@@ -4,10 +4,8 @@ from .adversaries import (
     crash_staircase_adversary,
     hidden_chain_adversary,
     intro_counterexample_adversary,
-    iter_faulty_sets,
     mixed_omission_chain_adversary,
     partition_adversary,
-    random_model_adversaries,
     random_omission_adversaries,
     silent_adversary,
     silent_receiver_adversary,
@@ -44,12 +42,10 @@ __all__ = [
     "crash_staircase_adversary",
     "hidden_chain_adversary",
     "intro_counterexample_adversary",
-    "iter_faulty_sets",
     "make_model",
     "mixed_omission_chain_adversary",
     "model_class",
     "partition_adversary",
-    "random_model_adversaries",
     "random_omission_adversaries",
     "register_model",
     "resolve_model",

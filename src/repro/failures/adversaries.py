@@ -24,18 +24,17 @@ and the receive-side constructions that the general/receive-omission models
   from the rest in both directions (their sends are dropped as sending
   omissions, their receives as receive omissions);
 * ``mixed_omission_chain_adversary`` — a chain of faulty agents each of which
-  only *talks to* its successor and only *listens to* its predecessor;
-* ``random_model_adversaries`` — random patterns from any registered model.
+  only *talks to* its successor and only *listens to* its predecessor.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from ..core.errors import ConfigurationError
 from ..core.types import AgentId
-from .models import CrashModel, FailureModel, SendingOmissionModel, resolve_model
+from .models import CrashModel, SendingOmissionModel
 from .pattern import FailurePattern
 
 
@@ -222,21 +221,6 @@ def mixed_omission_chain_adversary(n: int, chain: Sequence[AgentId],
                           receive_omissions=frozenset(receive))
 
 
-def random_model_adversaries(model: "FailureModel | str", n: int, t: int,
-                             horizon: int, count: int, seed: int = 0,
-                             **sample_kwargs) -> List[FailurePattern]:
-    """A reproducible list of random adversaries drawn from any registered model.
-
-    ``model`` is a :class:`~repro.failures.models.FailureModel` instance or a
-    registered name (``"general-omission"``, ``"ro"``, ``"crash"``, ...);
-    ``sample_kwargs`` are forwarded to the model's ``sample`` (for the
-    edge-omission models e.g. ``omission_probability=0.3``).
-    """
-    resolved = resolve_model(model, n, t)
-    rng = random.Random(seed)
-    return [resolved.sample(rng, horizon, **sample_kwargs) for _ in range(count)]
-
-
 def random_omission_adversaries(n: int, t: int, horizon: int, count: int,
                                 seed: int = 0,
                                 omission_probability: float = 0.5,
@@ -249,12 +233,3 @@ def random_omission_adversaries(n: int, t: int, horizon: int, count: int,
                      num_faulty=num_faulty)
         for _ in range(count)
     ]
-
-
-def iter_faulty_sets(n: int, t: int) -> Iterator[frozenset[AgentId]]:
-    """Iterate over all faulty sets of size at most ``t`` (including the empty set)."""
-    import itertools
-
-    for size in range(t + 1):
-        for combo in itertools.combinations(range(n), size):
-            yield frozenset(combo)

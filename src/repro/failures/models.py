@@ -225,6 +225,12 @@ class EdgeOmissionModel(FailureModel):
         raises that pattern's :class:`FailureModelError` before the faulty set
         yields anything, and the patterns themselves are assembled unchecked
         from shared parts (:meth:`_faulty_set_patterns`).
+
+        The enumeration is lazy across faulty sets but not within one: each
+        faulty set's send and receive axes are materialised before its first
+        pattern, 2^|send slots| + 2^|receive slots| frozensets (plus one
+        per-round code array per axis), so a caller streaming a huge
+        enumeration still holds one faulty set's axes at a time.
         """
         bound = self.t if max_faulty is None else min(self.t, max_faulty)
         for size in range(bound + 1):
@@ -364,8 +370,7 @@ class GeneralOmissionModel(EdgeOmissionModel):
     not sender) is faulty is opened as a receiver-charged slot — each
     droppable edge appears exactly once, so the enumeration has no
     delivery-equivalent duplicates, and restricting the enumeration to the
-    patterns with no receive omissions reproduces ``SO(t)`` exactly
-    (see :meth:`send_restriction`).
+    patterns with no receive omissions reproduces ``SO(t)`` exactly.
     """
 
     allows_send_omissions: ClassVar[bool] = True
@@ -393,10 +398,6 @@ class GeneralOmissionModel(EdgeOmissionModel):
             if sender != receiver and sender not in faulty_set
         ]
         return send, receive
-
-    def send_restriction(self) -> SendingOmissionModel:
-        """The ``SO(t)`` model this model degenerates to without receive events."""
-        return SendingOmissionModel(n=self.n, t=self.t)
 
 
 @dataclass(frozen=True)

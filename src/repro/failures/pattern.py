@@ -6,8 +6,7 @@ message sent by agent ``i`` to agent ``j`` in round ``m + 1`` is delivered.
 
 A failure pattern here is represented *extensionally* by the sets of blocked
 (round, sender, receiver) triples, together with the set of faulty agents.
-This keeps patterns hashable, comparable, and easy to enumerate/mutate when
-constructing the adversarial runs used by the optimality arguments.
+This keeps patterns hashable, comparable, and easy to enumerate.
 
 Every blocked triple is *charged* to a faulty agent, and the charge is part of
 the representation:
@@ -36,8 +35,7 @@ sent by ``i`` to ``j`` in round ``m + 1`` (i.e. during the transition from time
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.agents import complement, validate_agent_set
 from ..core.errors import ConfigurationError, FailureModelError
@@ -50,6 +48,28 @@ Omission = Tuple[int, AgentId, AgentId]
 
 #: The ``(sender, receiver)`` edges blocked in one round.
 EdgeSet = FrozenSet[Tuple[AgentId, AgentId]]
+
+
+class _lazy:
+    """``functools.cached_property`` without its lock.
+
+    Under Python 3.11 ``cached_property`` takes a per-descriptor ``RLock`` on
+    every first read.  This non-data descriptor stores the value in the
+    instance ``__dict__``, where every later read finds it first.
+    """
+
+    def __init__(self, func: Callable[[Any], Any]) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance: Any, owner: Optional[type] = None) -> Any:
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -155,7 +175,7 @@ class FailurePattern:
         """Every blocked triple, regardless of which endpoint it is charged to."""
         return self.omissions | self.receive_omissions
 
-    @cached_property
+    @_lazy
     def blocked_by_round(self) -> Tuple[EdgeSet, ...]:
         """Entry ``m``: the ``(sender, receiver)`` edges blocked in round ``m + 1``.
 
@@ -172,10 +192,6 @@ class FailurePattern:
                 by_round.setdefault(round_index, []).append((sender, receiver))
         return tuple([frozenset(by_round.get(round_index, ()))
                       for round_index in range(max(by_round, default=-1) + 1)])
-
-    def is_faulty(self, agent: AgentId) -> bool:
-        """Whether ``agent`` is faulty under this pattern."""
-        return agent in self.faulty
 
     def delivered(self, round_index: int, sender: AgentId, receiver: AgentId) -> bool:
         """Whether the message from ``sender`` to ``receiver`` in round ``round_index + 1`` arrives.
@@ -199,56 +215,6 @@ class FailurePattern:
             for (m, s, receiver) in self.all_blocked
             if m == round_index and s == sender
         )
-
-    def blocked_senders(self, round_index: int, receiver: AgentId) -> FrozenSet[AgentId]:
-        """The set of senders whose round message does *not* reach ``receiver``."""
-        return frozenset(
-            sender
-            for (m, sender, r) in self.all_blocked
-            if m == round_index and r == receiver
-        )
-
-    def exhibits_faulty_behaviour(self, agent: AgentId, horizon: Optional[int] = None) -> bool:
-        """Whether ``agent`` actually omits a message exchanged with *another* agent.
-
-        The optimality proofs of Section 7 rely on faulty agents that "act
-        nonfaulty" — they are charged to the failure pattern's faulty set but
-        never visibly omit a message (omissions to themselves are allowed and
-        invisible).  An agent misbehaves if it drops an outgoing message
-        (sending omission) or an incoming one (receive omission).  ``horizon``,
-        if given, restricts attention to rounds ``0 .. horizon - 1``.
-        """
-        for (round_index, sender, receiver) in self.omissions:
-            if sender != agent or receiver == agent:
-                continue
-            if horizon is not None and round_index >= horizon:
-                continue
-            return True
-        for (round_index, sender, receiver) in self.receive_omissions:
-            if receiver != agent or sender == agent:
-                continue
-            if horizon is not None and round_index >= horizon:
-                continue
-            return True
-        return False
-
-    def silent_senders(self, round_index: int) -> FrozenSet[AgentId]:
-        """Agents whose messages to *all other* agents are blocked in the given round."""
-        silent = []
-        for agent in range(self.n):
-            others = set(range(self.n)) - {agent}
-            if others and others <= set(self.blocked_receivers(round_index, agent)):
-                silent.append(agent)
-        return frozenset(silent)
-
-    def deaf_receivers(self, round_index: int) -> FrozenSet[AgentId]:
-        """Agents that receive no message from *any other* agent in the given round."""
-        deaf = []
-        for agent in range(self.n):
-            others = set(range(self.n)) - {agent}
-            if others and others <= set(self.blocked_senders(round_index, agent)):
-                deaf.append(agent)
-        return frozenset(deaf)
 
     def max_round(self) -> int:
         """The largest round index mentioned by a blocked triple (``-1`` if none)."""
@@ -332,99 +298,6 @@ class FailurePattern:
         blocked_set = frozenset(blocked)
         faulty = frozenset(r for (_, _, r) in blocked_set) | frozenset(extra_faulty)
         return cls(n=n, faulty=faulty, receive_omissions=blocked_set)
-
-    # ------------------------------------------------------------------ transformations
-
-    def with_omission(self, round_index: int, sender: AgentId, receiver: AgentId) -> "FailurePattern":
-        """Return a copy with one extra blocked message charged to the sender."""
-        return FailurePattern(
-            n=self.n,
-            faulty=self.faulty | {sender},
-            omissions=self.omissions | {(round_index, sender, receiver)},
-            receive_omissions=self.receive_omissions,
-        )
-
-    def without_omission(self, round_index: int, sender: AgentId, receiver: AgentId) -> "FailurePattern":
-        """Return a copy with one sender-charged blocked message removed (the sender stays faulty)."""
-        return FailurePattern(
-            n=self.n,
-            faulty=self.faulty,
-            omissions=self.omissions - {(round_index, sender, receiver)},
-            receive_omissions=self.receive_omissions,
-        )
-
-    def with_receive_omission(self, round_index: int, sender: AgentId,
-                              receiver: AgentId) -> "FailurePattern":
-        """Return a copy with one extra blocked message charged to the receiver."""
-        return FailurePattern(
-            n=self.n,
-            faulty=self.faulty | {receiver},
-            omissions=self.omissions,
-            receive_omissions=self.receive_omissions | {(round_index, sender, receiver)},
-        )
-
-    def without_receive_omission(self, round_index: int, sender: AgentId,
-                                 receiver: AgentId) -> "FailurePattern":
-        """Return a copy with one receiver-charged blocked message removed (the receiver stays faulty)."""
-        return FailurePattern(
-            n=self.n,
-            faulty=self.faulty,
-            omissions=self.omissions,
-            receive_omissions=self.receive_omissions - {(round_index, sender, receiver)},
-        )
-
-    def with_faulty(self, *agents: AgentId) -> "FailurePattern":
-        """Return a copy where ``agents`` are additionally marked faulty."""
-        return FailurePattern(n=self.n, faulty=self.faulty | set(agents),
-                              omissions=self.omissions,
-                              receive_omissions=self.receive_omissions)
-
-    def swap_roles(self, a: AgentId, b: AgentId) -> "FailurePattern":
-        """Interchange the failure roles of two agents.
-
-        This is the "interchange the failures of ``i`` and ``i'``" operation
-        used repeatedly in the optimality proofs (Proposition 6.4, Section 7):
-        every omission *charged to* ``a`` becomes an omission charged to ``b``
-        and vice versa (the sender role for sending omissions, the receiver
-        role for receive omissions), and membership of ``a`` / ``b`` in the
-        faulty set is swapped.
-        """
-
-        def swap(agent: AgentId) -> AgentId:
-            if agent == a:
-                return b
-            if agent == b:
-                return a
-            return agent
-
-        new_faulty = frozenset(swap(agent) for agent in self.faulty)
-        new_omissions = frozenset(
-            (m, swap(sender), receiver) for (m, sender, receiver) in self.omissions
-        )
-        new_receive = frozenset(
-            (m, sender, swap(receiver)) for (m, sender, receiver) in self.receive_omissions
-        )
-        return FailurePattern(n=self.n, faulty=new_faulty, omissions=new_omissions,
-                              receive_omissions=new_receive)
-
-    def restrict_to(self, horizon: int) -> "FailurePattern":
-        """Drop blocked triples at or beyond ``horizon`` (useful for display and hashing)."""
-        return FailurePattern(
-            n=self.n,
-            faulty=self.faulty,
-            omissions=frozenset(o for o in self.omissions if o[0] < horizon),
-            receive_omissions=frozenset(o for o in self.receive_omissions if o[0] < horizon),
-        )
-
-    def send_restriction(self) -> "FailurePattern":
-        """The pattern with every receive omission dropped (faulty set unchanged).
-
-        Restricting a general-omission pattern to its sending events yields a
-        pattern of the sending-omissions model with the same charged agents —
-        the hook for the differential check that ``GO(t)`` degenerates to
-        ``SO(t)`` when no receive events are used.
-        """
-        return FailurePattern(n=self.n, faulty=self.faulty, omissions=self.omissions)
 
     # ------------------------------------------------------------------ misc
 

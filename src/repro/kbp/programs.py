@@ -24,7 +24,7 @@ clauses::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.types import Action, DECIDE_0, DECIDE_1, NOOP
 from ..logic.formula import (
@@ -41,7 +41,6 @@ from ..logic.formula import (
     someone_just_decided,
 )
 from ..logic.semantics import ModelChecker
-from ..systems.interpreted import InterpretedSystem
 from ..systems.points import Point
 
 
@@ -92,19 +91,6 @@ class KnowledgeBasedProgram:
             if checker.holds(clause.guard, point):
                 return clause.action
         return program.default
-
-    def prescribed_actions(self, system: InterpretedSystem,
-                           max_time: Optional[int] = None) -> Dict[Tuple[Point, int], Action]:
-        """The prescribed action at every point (up to ``max_time``) for every agent."""
-        checker = ModelChecker(system)
-        limit = system.horizon if max_time is None else max_time
-        result: Dict[Tuple[Point, int], Action] = {}
-        for point in system.points:
-            if point.time > limit:
-                continue
-            for agent in range(system.n):
-                result[(point, agent)] = self.prescribed_action(checker, agent, point)
-        return result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"KnowledgeBasedProgram({self.name!r}, n={self.n})"

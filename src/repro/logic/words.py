@@ -11,8 +11,8 @@ the Definition 6.2 safety scan are built from:
 * packing and unpacking between word arrays and per-point bit vectors (with
   careful handling of the garbage tail bits of the last word when the point
   count is not a multiple of 64 — pinned by the property tests in
-  ``tests/test_properties.py``, which use the ``int`` conversions
-  :func:`mask_to_words` / :func:`words_to_mask` as big-integer references);
+  ``tests/test_properties.py``, which use ``int`` bitmasks as big-integer
+  references);
 * word-level shift pipelines for the temporal operators (cross-word carries;
   callers mask the run boundaries);
 * per-equivalence-class reductions (``class_all`` / ``class_any``) over a
@@ -38,8 +38,6 @@ __all__ = [
     "word_count",
     "full_words",
     "zero_words",
-    "mask_to_words",
-    "words_to_mask",
     "unpack_words",
     "pack_bits",
     "indices_of_words",
@@ -84,24 +82,6 @@ def full_words(num_points: int) -> "npt.NDArray[Any]":
 def zero_words(num_points: int) -> "npt.NDArray[Any]":
     """The empty set as a word array over ``num_points`` points."""
     return np.zeros(word_count(num_points), dtype=WORD_DTYPE)
-
-
-def mask_to_words(mask: int, num_points: int) -> "npt.NDArray[Any]":
-    """Convert an ``int`` bitmask over ``num_points`` points to a word array."""
-    if mask < 0:
-        raise ValueError("a point-set mask must be non-negative")
-    if mask.bit_length() > num_points:
-        raise ValueError(
-            f"mask has bit {mask.bit_length() - 1} set but the system only has "
-            f"{num_points} points")
-    data = mask.to_bytes(word_count(num_points) * 8, "little")
-    return np.frombuffer(data, dtype=WORD_DTYPE).copy()
-
-
-def words_to_mask(words: "npt.NDArray[Any]") -> int:
-    """Convert a (canonical, tail-clean) word array back to an ``int`` bitmask."""
-    return int.from_bytes(np.ascontiguousarray(words, dtype=WORD_DTYPE).tobytes(),
-                          "little")
 
 
 def unpack_words(words: "npt.NDArray[Any]", num_points: int) -> "npt.NDArray[Any]":

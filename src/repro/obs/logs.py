@@ -23,10 +23,9 @@ from __future__ import annotations
 import logging
 import sys
 import threading
-from typing import Hashable, Optional, Set, Tuple
+from typing import Hashable, Set, Tuple
 
-__all__ = ["ROOT_LOGGER_NAME", "get_logger", "configure_logging",
-           "warn_once", "reset_once_cache"]
+__all__ = ["ROOT_LOGGER_NAME", "get_logger", "configure_logging", "warn_once"]
 
 #: The root of the library's logger namespace.
 ROOT_LOGGER_NAME = "repro"
@@ -99,14 +98,3 @@ def warn_once(logger: logging.Logger, key: Hashable, message: str,
         _once_seen.add(token)
     logger.warning(message, *args)
     return True
-
-
-def reset_once_cache(key_prefix: Optional[str] = None) -> None:
-    """Forget :func:`warn_once` history (test isolation)."""
-    with _once_lock:
-        if key_prefix is None:
-            _once_seen.clear()
-        else:
-            stale = [token for token in _once_seen if token[0].startswith(key_prefix)]
-            for token in stale:
-                _once_seen.discard(token)

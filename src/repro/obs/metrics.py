@@ -328,8 +328,3 @@ def render_table(snapshot: Dict[str, dict]) -> str:
     lines = [f"{name:<{name_width}}  {kind:<{kind_width}}  {value}"
              for name, kind, value in rows]
     return "\n".join(lines)
-
-
-def uptime_clock() -> float:
-    """Monotonic stamp helper shared by uptime reporters."""
-    return time.monotonic()

@@ -63,17 +63,12 @@ class ActionProtocol(abc.ABC):
         """Check the protocol's parameters against a system of ``n`` agents.
 
         The paper's optimality results require ``n - t >= 2``; correctness only
-        needs ``t < n``.  Callers that care about optimality should use
-        :meth:`supports_optimality`.
+        needs ``t < n``, which is what this checks.
         """
         if self.t >= n:
             raise ConfigurationError(
                 f"{self.name} requires t < n, got t={self.t}, n={n}"
             )
-
-    def supports_optimality(self, n: int) -> bool:
-        """Whether the paper's optimality guarantees apply (``n - t >= 2``)."""
-        return n - self.t >= 2
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.name}(t={self.t})"

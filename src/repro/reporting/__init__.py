@@ -1,13 +1,10 @@
 """Plain-text reporting helpers."""
 
-from .tables import format_comparison, format_histogram, format_table
-from .trace_view import render_comm_graph, render_decision_timeline, render_run
+from .tables import format_table
+from .trace_view import render_decision_timeline, render_run
 
 __all__ = [
-    "format_comparison",
-    "format_histogram",
     "format_table",
-    "render_comm_graph",
     "render_decision_timeline",
     "render_run",
 ]

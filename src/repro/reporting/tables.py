@@ -7,7 +7,7 @@ used; the renderer handles lists of dictionaries with scalar values.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 
 def format_table(rows: Sequence[Mapping[str, object]],
@@ -62,24 +62,4 @@ def format_table(rows: Sequence[Mapping[str, object]],
     lines.append(header)
     lines.append(separator)
     lines.extend(body)
-    return "\n".join(lines)
-
-
-def format_comparison(label: str, paper_value: object, measured_value: object,
-                      matches: bool) -> str:
-    """One line of a paper-vs-measured comparison report."""
-    status = "OK" if matches else "MISMATCH"
-    return f"[{status}] {label}: paper={paper_value}, measured={measured_value}"
-
-
-def format_histogram(histogram: Dict[int, int], label: str = "round") -> str:
-    """Render a small integer histogram as aligned ``key: count`` lines with bars."""
-    if not histogram:
-        return "(empty)"
-    max_count = max(histogram.values())
-    lines = []
-    for key in sorted(histogram):
-        count = histogram[key]
-        bar = "#" * max(1, round(40 * count / max_count)) if max_count else ""
-        lines.append(f"{label} {key:>3}: {count:>6} {bar}")
     return "\n".join(lines)

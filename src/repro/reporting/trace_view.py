@@ -1,23 +1,18 @@
-"""Human-readable rendering of runs and communication graphs.
+"""Human-readable rendering of runs.
 
-These helpers turn a :class:`~repro.simulation.trace.RunTrace` (or a
-:class:`~repro.exchange.commgraph.CommGraph`) into plain text for debugging,
-teaching, and the CLI:
+These helpers turn a :class:`~repro.simulation.trace.RunTrace` into plain text
+for debugging, teaching, and the CLI:
 
 * :func:`render_run` — a round-by-round account of who decided what, who sent
   what, and which messages the adversary dropped;
 * :func:`render_decision_timeline` — one line per agent with its decision round
-  marked on a time axis;
-* :func:`render_comm_graph` — the delivered/blocked/unknown matrix of a
-  communication graph, round by round.
+  marked on a time axis.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.types import AgentId
-from ..exchange.commgraph import CommGraph
 from ..exchange.messages import DecideNotification, GraphMessage, InitOneHeartbeat
 from ..simulation.trace import RunTrace
 
@@ -100,40 +95,4 @@ def render_decision_timeline(trace: RunTrace) -> str:
         lines.append(f"agent {agent}{marker} |{' '.join(cells)}| {note}")
     if trace.pattern.faulty:
         lines.append("(* = faulty agent)")
-    return "\n".join(lines)
-
-
-def render_comm_graph(graph: CommGraph, owner: Optional[AgentId] = None) -> str:
-    """Render a communication graph as per-round delivery matrices.
-
-    Each round is a matrix with senders as rows and receivers as columns:
-    ``1`` = known delivered, ``0`` = known not delivered, ``?`` = unknown.
-    Initial preferences known to the graph's owner are listed first.
-    """
-    lines: List[str] = []
-    title = f"communication graph at time {graph.time}"
-    if owner is not None:
-        title += f" (agent {owner})"
-    lines.append(title)
-    prefs = graph.known_preferences()
-    rendered_prefs = ", ".join(
-        f"{agent}:{prefs[agent]}" if agent in prefs else f"{agent}:?"
-        for agent in range(graph.n)
-    )
-    lines.append(f"known initial preferences: {rendered_prefs}")
-    for round_index in range(graph.time):
-        lines.append(f"round {round_index + 1} deliveries (rows = senders):")
-        header = "      " + " ".join(f"{receiver}" for receiver in range(graph.n))
-        lines.append(header)
-        for sender in range(graph.n):
-            cells = []
-            for receiver in range(graph.n):
-                label = graph.label(round_index, sender, receiver)
-                if label is True:
-                    cells.append("1")
-                elif label is False:
-                    cells.append("0")
-                else:
-                    cells.append("?")
-            lines.append(f"  {sender} | " + " ".join(cells))
     return "\n".join(lines)

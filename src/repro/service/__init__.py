@@ -47,7 +47,6 @@ from .wire import (
     decode_pattern,
     decode_request,
     encode_pattern,
-    encode_protocol,
     execute_request,
     render_result,
     request_key,
@@ -73,7 +72,6 @@ __all__ = [
     "decode_pattern",
     "decode_request",
     "encode_pattern",
-    "encode_protocol",
     "execute_request",
     "probe_warm",
     "render_result",

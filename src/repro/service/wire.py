@@ -106,21 +106,6 @@ def decode_protocol(data: JSONObject, where: str = "request") -> ActionProtocol:
     return PROTOCOL_FACTORIES[key](t)
 
 
-def encode_protocol(protocol: ActionProtocol) -> JSONObject:
-    """The wire encoding of a registered protocol (inverse of :func:`decode_protocol`).
-
-    Raises :class:`~repro.core.errors.ServiceError` for a protocol object no
-    registry key reconstructs — such a protocol cannot cross the wire.
-    """
-    for key, factory in PROTOCOL_FACTORIES.items():
-        candidate = factory(protocol.t)
-        if type(candidate) is type(protocol) and candidate.__dict__ == protocol.__dict__:
-            return {"protocol": key, "t": protocol.t}
-    raise ServiceError(
-        f"protocol {protocol!r} matches no wire registry key; "
-        "register a factory in repro.service.wire.PROTOCOL_FACTORIES")
-
-
 # ------------------------------------------------------------------ patterns
 
 def encode_pattern(pattern: FailurePattern) -> JSONObject:
@@ -463,7 +448,6 @@ __all__ = [
     "decode_protocol",
     "decode_request",
     "encode_pattern",
-    "encode_protocol",
     "execute_request",
     "render_result",
     "request_key",

@@ -9,10 +9,9 @@ Executors live in :mod:`repro.api`.
 
 from .batch import BatchSimulator, RunTask, simulate_tasks
 from .engine import simulate, step
-from .trace import BatchResult, RoundRecord, RunTrace, Scenario
+from .trace import RoundRecord, RunTrace, Scenario
 
 __all__ = [
-    "BatchResult",
     "BatchSimulator",
     "RoundRecord",
     "RunTask",

@@ -219,17 +219,3 @@ class RunTrace:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"RunTrace({self.protocol_name}, n={self.n}, horizon={self.horizon}, "
                 f"pattern={self.pattern.describe()!r})")
-
-
-@dataclass(frozen=True)
-class BatchResult:
-    """The traces produced by running one protocol over a workload."""
-
-    protocol_name: str
-    traces: Tuple[RunTrace, ...]
-
-    def __len__(self) -> int:
-        return len(self.traces)
-
-    def __iter__(self):
-        return iter(self.traces)

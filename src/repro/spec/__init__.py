@@ -7,7 +7,6 @@ from .eba import (
     check_termination,
     check_unique_decision,
     check_validity,
-    require_eba,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "check_termination",
     "check_unique_decision",
     "check_validity",
-    "require_eba",
 ]

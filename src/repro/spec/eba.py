@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.errors import SpecificationViolation
 from ..simulation.trace import RunTrace
 
 #: Per-agent decision record: the 1-based rounds in which the agent performed a
@@ -156,12 +155,3 @@ def check_eba(trace: RunTrace, deadline: Optional[int] = None,
                                       include_faulty=termination_for_faulty,
                                       decisions=decisions),
     )
-
-
-def require_eba(trace: RunTrace, deadline: Optional[int] = None,
-                validity_for_faulty: bool = False) -> SpecReport:
-    """Like :func:`check_eba` but raises :class:`SpecificationViolation` on failure."""
-    report = check_eba(trace, deadline=deadline, validity_for_faulty=validity_for_faulty)
-    if not report.ok:
-        raise SpecificationViolation("; ".join(report.violations()))
-    return report

@@ -12,7 +12,6 @@ from .interpreted import (
     AgentPartition,
     InterpretedSystem,
     build_system,
-    build_system_for_model,
 )
 from .points import Point
 
@@ -22,7 +21,6 @@ __all__ = [
     "InterpretedSystem",
     "Point",
     "build_system",
-    "build_system_for_model",
     "gamma_basic",
     "gamma_fip",
     "gamma_min",

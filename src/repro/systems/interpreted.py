@@ -601,12 +601,3 @@ def _build_stored(protocol: ActionProtocol, n: int, horizon: int,
         if resolved_store is not None and stored_key is not None:
             resolved_store.put(stored_key, system, kind="system")
         return system
-
-
-def build_system_for_model(protocol: ActionProtocol, model: FailureModel, horizon: int,
-                           max_faulty: Optional[int] = None,
-                           store: "StoreLike" = None) -> InterpretedSystem:
-    """Convenience wrapper: build the system for every pattern of a failure model."""
-    patterns: Iterable[FailurePattern] = model.enumerate(
-        horizon) if max_faulty is None else model.enumerate(horizon, max_faulty=max_faulty)
-    return build_system(protocol, model.n, horizon, patterns, store=store)

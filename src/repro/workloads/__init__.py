@@ -7,9 +7,7 @@ from .preferences import (
     enumerate_preferences,
     random_preferences,
     resolve_rng,
-    single_one,
     single_zero,
-    with_zero_fraction,
 )
 from .scenarios import (
     example_7_1,
@@ -41,7 +39,5 @@ __all__ = [
     "resolve_rng",
     "silent_fault_sweep",
     "silent_receiver_scenario",
-    "single_one",
     "single_zero",
-    "with_zero_fraction",
 ]

@@ -45,17 +45,6 @@ def single_zero(n: int, holder: int = 0) -> PreferenceVector:
     return tuple(0 if agent == holder else 1 for agent in range(n))
 
 
-def single_one(n: int, holder: int = 0) -> PreferenceVector:
-    """All agents prefer 0 except ``holder``, who prefers 1."""
-    return tuple(1 if agent == holder else 0 for agent in range(n))
-
-
-def with_zero_fraction(n: int, fraction: float) -> PreferenceVector:
-    """The first ``round(fraction * n)`` agents prefer 0, the rest prefer 1."""
-    zeros = round(fraction * n)
-    return tuple(0 if agent < zeros else 1 for agent in range(n))
-
-
 def enumerate_preferences(n: int) -> Iterator[PreferenceVector]:
     """All ``2^n`` preference vectors (smallest-index agent varies fastest last)."""
     for combo in itertools.product((0, 1), repeat=n):

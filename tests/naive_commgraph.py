@@ -1,14 +1,15 @@
 """The naive communication graph: the differential oracle for ``repro.exchange.CommGraph``.
 
 This is the dict-plus-frozenset representation that ``repro.exchange.commgraph``
-used before it packed labels into two ints, kept verbatim (only the imports
-are absolute) so ``test_exchange_commgraph_oracle.py`` can check the packed
-graph against it query by query.  It is test code, not a second production
-path.
+used before it packed labels into two ints, kept with the queries the packed
+graph still has (the imports are absolute) so ``test_exchange_commgraph_oracle.py``
+can check the packed graph against it query by query.  It is test code, not a
+second production path.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import ModelCheckingError
@@ -158,13 +159,6 @@ class CommGraph:
                     changed = True
         return frontier
 
-    def hears_from(self, source: Tuple[AgentId, int], anchor_agent: AgentId,
-                   anchor_time: Optional[int] = None) -> bool:
-        """Whether the point ``source = (j, m')`` hears-into ``(anchor_agent, anchor_time)``."""
-        agent, time = source
-        frontier = self.heard_frontier(anchor_agent, anchor_time)
-        return frontier[agent] >= time
-
     def restrict(self, anchor_agent: AgentId, anchor_time: int) -> "CommGraph":
         """Reconstruct ``G_{anchor_agent, anchor_time}`` from this graph.
 
@@ -226,12 +220,6 @@ class CommGraph:
             result |= self._known_faulty(agent, time, memo)
         return frozenset(result)
 
-    def possibly_nonfaulty(self, agent: AgentId, time: Optional[int] = None) -> FrozenSet[AgentId]:
-        """``f̄(agent, time, G)``: the agents this graph does not show to be faulty."""
-        if time is None:
-            time = self.time
-        return frozenset(range(self.n)) - self.known_faulty(agent, time)
-
     def known_values(self, agent: AgentId, time: int) -> FrozenSet[Value]:
         """``V(agent, time, G)``: the initial values known to ``agent`` at ``time``.
 
@@ -268,3 +256,13 @@ class CommGraph:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CommGraph(n={self.n}, time={self.time}, "
                 f"known_prefs={len(self.known_preferences())}, labels={len(self._labels)})")
+
+
+def labels_of(graph) -> FrozenSet[LabelledEdge]:
+    """Every ``(round, sender, receiver, delivered)`` label a graph records, read
+    one ``label()`` query at a time (the packed graph has no edge-set view)."""
+    n = graph.n
+    return frozenset(
+        (m, s, r, flag)
+        for m, s, r in itertools.product(range(graph.time), range(n), range(n))
+        if (flag := graph.label(m, s, r)) is not None)

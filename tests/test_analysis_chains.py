@@ -1,15 +1,6 @@
-"""Unit tests for 0-chain extraction and the hears-from relation."""
+"""Unit tests for 0-chain extraction."""
 
-
-from repro.analysis import (
-    hears_from,
-    hears_from_frontier,
-    longest_zero_chain,
-    received_zero_chain,
-    zero_chains,
-    zero_deciders_by_round,
-)
-from repro.failures import FailurePattern
+from repro.analysis import longest_zero_chain, zero_chains, zero_deciders_by_round
 from repro.protocols import MinProtocol, OptimalFipProtocol
 from repro.simulation import simulate
 from repro.workloads import all_ones, hidden_chain_scenario
@@ -44,12 +35,6 @@ class TestZeroChains:
         assert longest.agents[:3] == (0, 1, 2)
         assert longest.length >= 2
 
-    def test_received_zero_chain_lookup(self):
-        preferences, pattern = hidden_chain_scenario(5, chain_length=2)
-        trace = simulate(MinProtocol(2), 5, preferences, pattern)
-        assert received_zero_chain(trace, agent=2, time=2) is not None
-        assert received_zero_chain(trace, agent=2, time=5) is None
-
     def test_no_chains_without_zero_decisions(self):
         trace = simulate(MinProtocol(1), 4, all_ones(4))
         assert zero_chains(trace) == []
@@ -60,25 +45,3 @@ class TestZeroChains:
         lengths = {chain.last_agent: chain.length for chain in zero_chains(trace)}
         assert lengths[0] == 0
         assert lengths[2] == 1
-
-
-class TestHearsFrom:
-    def test_failure_free_everyone_hears_everyone(self):
-        trace = simulate(MinProtocol(1), 4, all_ones(4), horizon=3)
-        frontier = hears_from_frontier(trace, agent=0, time=2)
-        assert frontier[0] == 2
-        # With E_min nobody sends anything in an all-ones run before deciding,
-        # so nothing is ever heard from the other agents.
-        assert frontier[1] == -1
-
-    def test_fip_frontier_tracks_deliveries(self):
-        pattern = FailurePattern.silent(4, faulty=[3], horizon=4)
-        trace = simulate(OptimalFipProtocol(1), 4, all_ones(4), pattern, horizon=3)
-        frontier = hears_from_frontier(trace, agent=0, time=2)
-        assert frontier[1] == 1
-        assert frontier[3] == -1
-
-    def test_hears_from_predicate(self):
-        trace = simulate(OptimalFipProtocol(1), 4, all_ones(4), horizon=3)
-        assert hears_from(trace, (1, 1), (0, 2))
-        assert not hears_from(trace, (1, 2), (0, 2))

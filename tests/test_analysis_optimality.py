@@ -6,7 +6,6 @@ from repro.analysis.optimality import (
     context_scenarios,
     earlier_decision_candidates,
     probe_optimality,
-    reachable_states,
 )
 from repro.core.types import DECIDE_0, DECIDE_1, NOOP
 from repro.protocols import DelayedMinProtocol, MinProtocol
@@ -37,12 +36,6 @@ class TestHelpers:
     def test_context_scenarios_is_exhaustive(self, small_context):
         scenarios = context_scenarios(small_context)
         assert len(scenarios) == len(list(small_context.patterns())) * 8
-
-    def test_reachable_states_are_undecided(self, small_context, small_workload):
-        states = reachable_states(MinProtocol(1), 3, small_workload, small_context.horizon)
-        assert states
-        assert all(state.decided is None for state in states)
-        assert all(state.time < small_context.horizon for state in states)
 
 
 class TestProbe:

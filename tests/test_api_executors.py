@@ -11,9 +11,7 @@ from repro.api import (
     ResultSet,
     SerialExecutor,
     Sweep,
-    corresponding,
     resolve_executor,
-    run_sweep,
 )
 from repro.core.errors import ConfigurationError
 from repro.protocols import BasicProtocol, MinProtocol, NaiveZeroBiasedProtocol, OptimalFipProtocol
@@ -94,7 +92,7 @@ class TestParallelExecutor:
     def test_single_task_avoids_the_pool(self):
         trace = (Sweep.of(MinProtocol(1))
                  .on([intro_counterexample(n=4, t=1)], n=4)
-                 .run(ParallelExecutor())).only()
+                 .run(ParallelExecutor()))["P_min"][0]
         assert trace.protocol_name == "P_min"
 
 
@@ -162,13 +160,7 @@ class TestResultSet:
     @pytest.fixture(scope="class")
     def results(self):
         protocols = (MinProtocol(1), BasicProtocol(1))
-        return run_sweep(protocols, random_scenarios(4, 1, count=3, seed=1), n=4)
-
-    def test_batch_view_matches_legacy_shape(self, results):
-        batch = results.batch("P_min")
-        assert batch.protocol_name == "P_min"
-        assert len(batch) == 3
-        assert set(results.batches()) == {"P_min", "P_basic"}
+        return Sweep.of(*protocols).on(random_scenarios(4, 1, count=3, seed=1), n=4).run()
 
     def test_corresponding_view(self, results):
         runs = results.corresponding(1)
@@ -197,11 +189,6 @@ class TestResultSet:
         assert len(rows) == 6
         table = results.table(title="demo")
         assert "P_min" in table and "demo" in table
-
-    def test_corresponding_helper(self):
-        preferences, pattern = intro_counterexample(n=4, t=1)
-        runs = corresponding([MinProtocol(1), BasicProtocol(1)], 4, preferences, pattern)
-        assert set(runs) == {"P_min", "P_basic"}
 
     def test_mismatched_shape_rejected(self, results):
         with pytest.raises(ConfigurationError):

@@ -208,14 +208,14 @@ class TestSweepResumeMessage:
                 .on([scenario for _, scenario in labelled], n=n).build())
 
     def test_partial_cache_prints_resume_line(self, tmp_path, capsys):
-        from repro.api.executors import execute_task
+        from repro.simulation import simulate_tasks
         from repro.store import default_store, run_task_key
         cache_dir = tmp_path / "cache"
         spec = self._e2_spec(3, 1)
         tasks = spec.tasks()
         # Simulate an interrupted sweep: exactly one run already cached.
         store = default_store(cache_dir)
-        store.put(run_task_key(tasks[0]), execute_task(tasks[0]), kind="run")
+        store.put(run_task_key(tasks[0]), simulate_tasks(tasks[:1])[0], kind="run")
         assert main(["experiment", "e2", "--n", "3", "--t", "1",
                      "--cache-dir", str(cache_dir)]) == 0
         err = capsys.readouterr().err

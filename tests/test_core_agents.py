@@ -3,22 +3,11 @@
 import pytest
 
 from repro.core.agents import (
-    all_agents,
     complement,
-    format_agent_set,
     validate_agent,
     validate_agent_set,
 )
 from repro.core.errors import ConfigurationError
-
-
-class TestAllAgents:
-    def test_enumerates_range(self):
-        assert all_agents(4) == (0, 1, 2, 3)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ConfigurationError):
-            all_agents(0)
 
 
 class TestValidation:
@@ -49,7 +38,3 @@ class TestComplement:
 
     def test_complement_of_everything_is_empty(self):
         assert complement(range(3), 3) == frozenset()
-
-
-def test_format_agent_set_sorts():
-    assert format_agent_set(frozenset({3, 1})) == "{1, 3}"

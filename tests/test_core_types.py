@@ -9,7 +9,6 @@ from repro.core.types import (
     DECIDE_1,
     NOOP,
     decide,
-    other_value,
     validate_preferences,
     validate_value,
 )
@@ -48,13 +47,6 @@ class TestAction:
 
 
 class TestValueHelpers:
-    def test_other_value_flips(self):
-        assert other_value(0) == 1
-        assert other_value(1) == 0
-
-    def test_other_value_rejects_junk(self):
-        with pytest.raises(ValueError):
-            other_value(3)
 
     def test_validate_value_accepts_binary(self):
         assert validate_value(0) == 0

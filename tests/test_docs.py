@@ -88,6 +88,22 @@ REMOVED_NAMES = (
     "BatchTask", "_execute_batch_chunk", "_CancelGuard", "executor_from_flags",
     "_make_executor", "PatternOrbit", "enumerate_orbits", "count_orbits",
     "symmetry_reduced_workload", "_is_current", "_theorem_parts", "_selection",
+    "run_metrics", "aggregate_metrics", "decision_round_histogram",
+    "nonfaulty_decision_rounds", "last_nonfaulty_decision_round", "RunMetrics",
+    "AggregateMetrics", "swap_roles", "exhibits_faulty_behaviour", "with_omission",
+    "without_omission", "with_receive_omission", "without_receive_omission",
+    "restrict_to", "with_faulty", "silent_senders", "deaf_receivers",
+    "blocked_senders", "send_restriction", "random_model_adversaries",
+    "iter_faulty_sets", "hears_from", "hears_from_frontier", "received_zero_chain",
+    "build_system_for_model", "mask_to_words", "words_to_mask", "render_comm_graph",
+    "format_histogram", "format_comparison", "run_sweep", "compare_protocols",
+    "pairwise_comparison", "as_sweep", "with_n", "exhaustive_workload",
+    "default_protocols", "with_zero_fraction", "single_one", "all_agents",
+    "format_agent_set", "other_value", "labelled_edges", "possibly_nonfaulty",
+    "encode_protocol", "require_eba", "prescribed_actions", "reachable_states",
+    "BatchResult", "SpecificationViolation", "uptime_clock", "reset_once_cache",
+    "walk_with_parents", "is_decide_notification", "execute_task",
+    "supports_optimality",
 )
 
 

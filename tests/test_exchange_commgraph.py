@@ -33,7 +33,7 @@ class TestInitialGraph:
         assert graph.preference(2) == 0
         assert graph.preference(0) is None
         assert graph.known_preferences() == {2: 0}
-        assert graph.labelled_edges() == frozenset()
+        assert not any(graph.label(0, s, r) is not None for s in range(4) for r in range(4))
 
     def test_bit_size_at_time_zero(self):
         graph = CommGraph.initial(5, agent=0, init=1)
@@ -92,12 +92,6 @@ class TestHearsFrom:
         assert frontier[0] == -1
         assert frontier[2] == 1
 
-    def test_hears_from_predicate(self, failure_free_trace):
-        graph = graph_of(failure_free_trace, 0, 2)
-        assert graph.hears_from((1, 1), 0, 2)
-        assert graph.hears_from((1, 0), 0, 2)
-        assert not graph.hears_from((1, 2), 0, 2)
-
 
 class TestRestriction:
     def test_restrict_reconstructs_other_agents_graph(self, failure_free_trace):
@@ -136,10 +130,6 @@ class TestFailureKnowledge:
         graph = graph_of(silent_trace, 1, 2)
         assert graph.distributed_faulty({1, 2, 3}, 1) == frozenset({0})
         assert graph.distributed_faulty({1, 2, 3}, 0) == frozenset()
-
-    def test_possibly_nonfaulty_complements(self, silent_trace):
-        graph = graph_of(silent_trace, 1, 1)
-        assert graph.possibly_nonfaulty(1) == frozenset({1, 2, 3})
 
 
 class TestValueKnowledge:

@@ -7,7 +7,6 @@ from repro.exchange.messages import (
     DecideNotification,
     GraphMessage,
     InitOneHeartbeat,
-    is_decide_notification,
     message_bits,
 )
 
@@ -47,10 +46,3 @@ class TestHelpers:
 
     def test_message_bits_of_notification(self):
         assert message_bits(DecideNotification(1), 5) == 1
-
-    def test_is_decide_notification(self):
-        assert is_decide_notification(DecideNotification(0))
-        assert is_decide_notification(DecideNotification(0), value=0)
-        assert not is_decide_notification(DecideNotification(0), value=1)
-        assert not is_decide_notification(InitOneHeartbeat())
-        assert not is_decide_notification(None)

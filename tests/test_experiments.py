@@ -16,6 +16,8 @@ from repro.experiments import (
     message_complexity,
     termination_bound,
 )
+from repro.failures import SendingOmissionModel
+from repro.workloads import enumerate_preferences
 
 
 class TestMessageComplexity:
@@ -125,7 +127,9 @@ class TestTermination:
     @pytest.mark.parametrize("n, t, workload", [
         (5, 2, lambda: termination_bound.adversarial_workload(5, 2, random_count=8, seed=2)),
         (8, 3, lambda: termination_bound.adversarial_workload(8, 3, random_count=30, seed=3)),
-        pytest.param(3, 1, lambda: termination_bound.exhaustive_workload(3, 1),
+        pytest.param(3, 1, lambda: [(preferences, pattern) for pattern in
+                                    SendingOmissionModel(n=3, t=1).enumerate(3)
+                                    for preferences in enumerate_preferences(3)],
                      marks=pytest.mark.slow),
     ], ids=["adversarial_n5", "adversarial_n8", "exhaustive_n3"])
     def test_worst_case_within_bound(self, n, t, workload):
@@ -133,10 +137,6 @@ class TestTermination:
             assert measurement.within_bound
             assert measurement.spec_violations == 0
             assert measurement.worst_decision_round <= t + 2
-
-    def test_exhaustive_small_workload(self):
-        scenarios = termination_bound.exhaustive_workload(3, 1, horizon=1)
-        assert len(scenarios) == (1 + 3 * 4) * 8
 
     def test_report_renders(self):
         assert "Proposition 6.1" in termination_bound.report(n=4, t=1, random_count=4)

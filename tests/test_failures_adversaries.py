@@ -7,7 +7,6 @@ from repro.failures import (
     crash_staircase_adversary,
     hidden_chain_adversary,
     intro_counterexample_adversary,
-    iter_faulty_sets,
     random_omission_adversaries,
     silent_adversary,
 )
@@ -106,12 +105,3 @@ class TestRandomAdversaries:
         patterns = random_omission_adversaries(5, 2, horizon=3, count=6, seed=1)
         assert len(patterns) == 6
         assert all(p.num_faulty <= 2 for p in patterns)
-
-
-def test_iter_faulty_sets_enumerates_all_small_subsets():
-    sets = list(iter_faulty_sets(4, 2))
-    assert frozenset() in sets
-    assert frozenset({3}) in sets
-    assert frozenset({1, 2}) in sets
-    assert all(len(s) <= 2 for s in sets)
-    assert len(sets) == 1 + 4 + 6

@@ -41,11 +41,6 @@ class TestSilent:
                 expected = receiver == 1
                 assert pattern.delivered(round_index, 1, receiver) is expected
 
-    def test_silent_senders_detection(self):
-        pattern = FailurePattern.silent(4, faulty=[1, 2], horizon=2)
-        assert pattern.silent_senders(0) == frozenset({1, 2})
-        assert pattern.silent_senders(5) == frozenset()
-
 
 class TestQueries:
     def test_blocked_receivers(self):
@@ -54,58 +49,9 @@ class TestQueries:
         assert pattern.blocked_receivers(1, 1) == frozenset({2})
         assert pattern.blocked_receivers(0, 2) == frozenset()
 
-    def test_exhibits_faulty_behaviour(self):
-        visible = FailurePattern.from_blocked(3, [(0, 1, 2)])
-        assert visible.exhibits_faulty_behaviour(1)
-        assert not visible.exhibits_faulty_behaviour(0)
-
-    def test_self_omission_is_not_visible_behaviour(self):
-        pattern = FailurePattern(n=3, faulty=frozenset({1}),
-                                 omissions=frozenset({(0, 1, 1)}))
-        assert not pattern.exhibits_faulty_behaviour(1)
-
-    def test_exhibits_faulty_behaviour_respects_horizon(self):
-        pattern = FailurePattern.from_blocked(3, [(5, 1, 2)])
-        assert not pattern.exhibits_faulty_behaviour(1, horizon=3)
-        assert pattern.exhibits_faulty_behaviour(1, horizon=6)
-
     def test_max_round(self):
         assert FailurePattern.failure_free(3).max_round() == -1
         assert FailurePattern.from_blocked(3, [(2, 1, 0), (4, 1, 2)]).max_round() == 4
-
-
-class TestTransformations:
-    def test_with_and_without_omission(self):
-        base = FailurePattern(n=3, faulty=frozenset({2}))
-        extended = base.with_omission(1, 2, 0)
-        assert not extended.delivered(1, 2, 0)
-        restored = extended.without_omission(1, 2, 0)
-        assert restored.delivered(1, 2, 0)
-        assert restored.faulty == frozenset({2})
-
-    def test_with_faulty_marks_agent(self):
-        pattern = FailurePattern.failure_free(3).with_faulty(1)
-        assert pattern.faulty == frozenset({1})
-        assert not pattern.exhibits_faulty_behaviour(1)
-
-    def test_swap_roles_exchanges_failures(self):
-        pattern = FailurePattern.from_blocked(4, [(0, 1, 2), (1, 1, 3)])
-        swapped = pattern.swap_roles(1, 0)
-        assert swapped.faulty == frozenset({0})
-        assert not swapped.delivered(0, 0, 2)
-        assert not swapped.delivered(1, 0, 3)
-        assert swapped.delivered(0, 1, 2)
-
-    def test_swap_roles_is_involutive(self):
-        pattern = FailurePattern.from_blocked(4, [(0, 1, 2)], extra_faulty=[3])
-        assert pattern.swap_roles(1, 3).swap_roles(1, 3) == pattern
-
-    def test_restrict_to_horizon(self):
-        pattern = FailurePattern.from_blocked(3, [(0, 1, 2), (5, 1, 0)])
-        restricted = pattern.restrict_to(3)
-        assert not restricted.delivered(0, 1, 2)
-        assert restricted.delivered(5, 1, 0)
-        assert restricted.faulty == pattern.faulty
 
 
 class TestValueSemantics:

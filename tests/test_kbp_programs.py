@@ -71,9 +71,3 @@ class TestPrescriptions:
         for points in list(classes.values())[:10]:
             actions = {program.prescribed_action(checker, 0, point) for point in points}
             assert len(actions) == 1
-
-    def test_prescribed_actions_bulk(self, min_system):
-        program = make_p0(3)
-        table = program.prescribed_actions(min_system, max_time=1)
-        assert all(point.time <= 1 for (point, _agent) in table)
-        assert all(action in (NOOP, DECIDE_0, DECIDE_1) for action in table.values())

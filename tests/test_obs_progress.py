@@ -148,9 +148,9 @@ class TestProgressReporter:
 class TestSweepResumeEvent:
     def test_sweep_resume_event_reaches_bus(self, tmp_path):
         from repro.api import Sweep
-        from repro.api.executors import execute_task
         from repro.failures import FailurePattern
         from repro.protocols import MinProtocol
+        from repro.simulation import simulate_tasks
         from repro.store import default_store, run_task_key
 
         pattern = FailurePattern.failure_free(3)
@@ -160,7 +160,7 @@ class TestSweepResumeEvent:
         store = default_store(tmp_path / "cache")
         # Simulate an interrupted sweep: one of four runs already cached.
         task = spec.tasks()[0]
-        store.put(run_task_key(task), execute_task(task), kind="run")
+        store.put(run_task_key(task), simulate_tasks([task])[0], kind="run")
 
         bus_events = []
         BUS.subscribe("sweep.resume", bus_events.append)

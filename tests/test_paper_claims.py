@@ -7,7 +7,7 @@ drivers, at larger sizes as well.
 
 import pytest
 
-from repro.analysis import compare_protocols
+from repro.api import Sweep
 from repro.experiments import decision_rounds, implementation_check, message_complexity
 from repro.failures import SendingOmissionModel
 from repro.protocols import (
@@ -110,7 +110,8 @@ class TestExample71:
 
 class TestProposition81:
     def test_bit_complexity_shape(self):
-        rows = message_complexity.measure_bits(8, 3)
+        rows = message_complexity.measure_bits(
+            8, 3, [MinProtocol(3), BasicProtocol(3), OptimalFipProtocol(3)])
         bits = {}
         for row in rows:
             bits.setdefault(row.protocol, set()).add(row.bits)
@@ -136,6 +137,7 @@ class TestCorollary67:
                     model.sample(__import__("random").Random(1), horizon=3)]
         scenarios = [(prefs, pattern)
                      for pattern in patterns for prefs in enumerate_preferences(n)]
-        result = compare_protocols(DelayedMinProtocol(t, delay=1), MinProtocol(t), n, scenarios)
+        result = (Sweep.of(DelayedMinProtocol(t, delay=1), MinProtocol(t)).on(scenarios, n=n)
+                  .run().compare("P_min_delayed(1)", "P_min"))
         assert not result.first_strictly_dominates
         assert result.second_dominates

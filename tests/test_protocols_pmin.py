@@ -55,10 +55,6 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             MinProtocol(4).validate_for(4)
 
-    def test_optimality_requires_two_nonfaulty(self):
-        assert MinProtocol(2).supports_optimality(4)
-        assert not MinProtocol(3).supports_optimality(4)
-
     def test_rejects_foreign_state_types(self):
         protocol = MinProtocol(1)
         # BasicLocalState is acceptable (it extends LocalState); an arbitrary

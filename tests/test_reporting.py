@@ -1,6 +1,6 @@
 """Unit tests for the plain-text reporting helpers."""
 
-from repro.reporting import format_comparison, format_histogram, format_table
+from repro.reporting import format_table
 
 
 class TestFormatTable:
@@ -32,20 +32,3 @@ class TestFormatTable:
     def test_none_renders_blank(self):
         text = format_table([{"x": None, "y": 1}])
         assert "None" not in text
-
-
-class TestComparisonAndHistogram:
-    def test_format_comparison(self):
-        line = format_comparison("bits", 25, 25, matches=True)
-        assert line.startswith("[OK]")
-        line = format_comparison("bits", 25, 26, matches=False)
-        assert line.startswith("[MISMATCH]")
-
-    def test_format_histogram(self):
-        text = format_histogram({2: 5, 1: 1})
-        lines = text.splitlines()
-        assert lines[0].startswith("round   1")
-        assert "#" in lines[1]
-
-    def test_empty_histogram(self):
-        assert format_histogram({}) == "(empty)"

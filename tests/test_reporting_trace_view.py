@@ -4,7 +4,7 @@ import pytest
 
 from repro.failures import FailurePattern
 from repro.protocols import BasicProtocol, MinProtocol, OptimalFipProtocol
-from repro.reporting import render_comm_graph, render_decision_timeline, render_run
+from repro.reporting import render_decision_timeline, render_run
 from repro.simulation import simulate
 
 
@@ -59,22 +59,3 @@ class TestDecisionTimeline:
     def test_no_faulty_marker_without_failures(self):
         trace = simulate(MinProtocol(1), 3, [0, 1, 1])
         assert "(* = faulty agent)" not in render_decision_timeline(trace)
-
-
-class TestCommGraphView:
-    def test_renders_preferences_and_rounds(self):
-        trace = simulate(OptimalFipProtocol(1), 3, [1, 0, 1], horizon=2)
-        graph = trace.state_of(0, 2).graph
-        text = render_comm_graph(graph, owner=0)
-        assert "agent 0" in text
-        assert "known initial preferences: 0:1, 1:0, 2:1" in text
-        assert "round 1 deliveries" in text
-        assert "round 2 deliveries" in text
-
-    def test_unknown_labels_rendered_as_question_marks(self):
-        pattern = FailurePattern.silent(3, faulty=[2], horizon=3)
-        trace = simulate(OptimalFipProtocol(1), 3, [1, 1, 1], pattern, horizon=2)
-        graph = trace.state_of(0, 1).graph
-        text = render_comm_graph(graph)
-        assert "?" in text
-        assert "0" in text

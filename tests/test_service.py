@@ -33,7 +33,6 @@ from repro.service import (
     ServiceClient,
     decode_request,
     encode_pattern,
-    encode_protocol,
     probe_warm,
     render_result,
     run_request,
@@ -142,11 +141,11 @@ class TestWireFormat:
 
     def test_protocol_round_trip(self):
         for key in ("min", "basic", "opt", "naive0", "delayed"):
-            body = {"protocol": key, "t": 2}
             protocol = decode_request(
                 {"type": "run", "protocol": key, "t": 2, "n": 5,
                  "preferences": [1] * 5}).spec.protocol
-            assert encode_protocol(protocol) == body
+            expected = wire.PROTOCOL_FACTORIES[key](2)
+            assert type(protocol) is type(expected) and vars(protocol) == vars(expected)
 
     def test_pattern_round_trip(self):
         pattern = FailurePattern.silent(4, faulty=[1], horizon=3)
@@ -208,12 +207,6 @@ class TestWireFormat:
     def test_builder_rejects_ambiguous_sweep(self):
         with pytest.raises(ServiceError):
             sweep_request([("min", 1)])  # neither scenarios nor workload
-
-    def test_encode_protocol_rejects_unregistered(self):
-        class OddProtocol(MinProtocol):
-            pass
-        with pytest.raises(ServiceError, match="registry"):
-            encode_protocol(OddProtocol(1))
 
     def test_request_bodies_are_json_serialisable(self):
         pattern = FailurePattern.silent(3, faulty=[0], horizon=2)

@@ -519,7 +519,9 @@ def scripted_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
     server.script = []
     server.hits = 0
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll: shutdown() waits for serve_forever's next poll, 0.5 s by default.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     try:
         yield server

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.errors import SpecificationViolation
 from repro.protocols import MinProtocol, NaiveZeroBiasedProtocol
 from repro.simulation import simulate
 from repro.spec import (
@@ -11,7 +10,6 @@ from repro.spec import (
     check_termination,
     check_unique_decision,
     check_validity,
-    require_eba,
 )
 from repro.workloads import all_ones, intro_counterexample
 
@@ -91,10 +89,3 @@ class TestReport:
         assert not report.ok
         assert report.agreement
         assert "violation" in repr(report)
-
-    def test_require_eba_raises(self, split_trace):
-        with pytest.raises(SpecificationViolation):
-            require_eba(split_trace)
-
-    def test_require_eba_returns_report_when_ok(self, good_trace):
-        assert require_eba(good_trace).ok

@@ -16,7 +16,6 @@ from repro.systems import (
     InterpretedSystem,
     Point,
     build_system,
-    build_system_for_model,
     gamma_basic,
     gamma_fip,
     gamma_min,
@@ -34,20 +33,20 @@ class TestBuildSystem:
 
     def test_points_enumerate_all_times(self):
         model = SendingOmissionModel(n=3, t=0)
-        system = build_system_for_model(MinProtocol(0), model, horizon=2)
+        system = build_system(MinProtocol(0), model.n, 2, model.enumerate(2))
         assert len(system.points) == len(system.runs) * 3
         assert Point(0, 0) in system.points
 
     def test_local_state_lookup(self):
         model = SendingOmissionModel(n=3, t=0)
-        system = build_system_for_model(MinProtocol(0), model, horizon=2)
+        system = build_system(MinProtocol(0), model.n, 2, model.enumerate(2))
         state = system.local_state(Point(0, 1), 2)
         assert state.time == 1
         assert state.agent == 2
 
     def test_nonfaulty_lookup(self):
         model = SendingOmissionModel(n=3, t=1)
-        system = build_system_for_model(MinProtocol(1), model, horizon=1)
+        system = build_system(MinProtocol(1), model.n, 1, model.enumerate(1))
         for run_index, run in enumerate(system.runs):
             assert system.nonfaulty(Point(run_index, 0)) == run.nonfaulty
 
@@ -62,7 +61,7 @@ class TestBuildSystem:
 class TestDenseIndexing:
     def test_point_index_round_trip(self):
         model = SendingOmissionModel(n=3, t=0)
-        system = build_system_for_model(MinProtocol(0), model, horizon=2)
+        system = build_system(MinProtocol(0), model.n, 2, model.enumerate(2))
         for index, point in enumerate(system.points):
             assert system.point_index(point) == index
             assert system.point_at(index) == point
@@ -71,7 +70,7 @@ class TestDenseIndexing:
 
     def test_class_words_partition_the_full_set(self):
         model = SendingOmissionModel(n=3, t=1)
-        system = build_system_for_model(MinProtocol(1), model, horizon=2)
+        system = build_system(MinProtocol(1), model.n, 2, model.enumerate(2))
         for agent in range(3):
             partition = system.partition(agent)
             union = words.zero_words(system.num_points)
@@ -87,7 +86,7 @@ class TestDenseIndexing:
 
     def test_atom_words_match_pointwise_definitions(self):
         model = SendingOmissionModel(n=3, t=1)
-        system = build_system_for_model(MinProtocol(1), model, horizon=2)
+        system = build_system(MinProtocol(1), model.n, 2, model.enumerate(2))
 
         def members(atom):
             return words.unpack_words(atom, system.num_points).astype(bool).tolist()
@@ -266,14 +265,14 @@ class TestAgentPartition:
 class TestEquivalenceClasses:
     def test_classes_partition_points(self):
         model = SendingOmissionModel(n=3, t=1)
-        system = build_system_for_model(MinProtocol(1), model, horizon=1)
+        system = build_system(MinProtocol(1), model.n, 1, model.enumerate(1))
         classes = system.equivalence_classes(0)
         covered = [point for points in classes.values() for point in points]
         assert sorted(covered) == sorted(system.points)
 
     def test_indistinguishable_points_share_local_state(self):
         model = SendingOmissionModel(n=3, t=1)
-        system = build_system_for_model(MinProtocol(1), model, horizon=1)
+        system = build_system(MinProtocol(1), model.n, 1, model.enumerate(1))
         point = Point(3, 1)
         peers = system.indistinguishable(1, point)
         assert point in peers
@@ -282,7 +281,7 @@ class TestEquivalenceClasses:
 
     def test_synchrony_keeps_times_separate(self):
         model = SendingOmissionModel(n=3, t=1)
-        system = build_system_for_model(MinProtocol(1), model, horizon=2)
+        system = build_system(MinProtocol(1), model.n, 2, model.enumerate(2))
         for agent in range(3):
             for points in system.equivalence_classes(agent).values():
                 assert len({point.time for point in points}) == 1

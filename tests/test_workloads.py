@@ -13,9 +13,7 @@ from repro.workloads import (
     random_preferences,
     random_scenarios,
     silent_fault_sweep,
-    single_one,
     single_zero,
-    with_zero_fraction,
 )
 
 
@@ -26,12 +24,6 @@ class TestPreferenceGenerators:
 
     def test_single_dissenters(self):
         assert single_zero(4, holder=2) == (1, 1, 0, 1)
-        assert single_one(4, holder=0) == (1, 0, 0, 0)
-
-    def test_zero_fraction(self):
-        assert with_zero_fraction(4, 0.5) == (0, 0, 1, 1)
-        assert with_zero_fraction(4, 0.0) == (1, 1, 1, 1)
-        assert with_zero_fraction(4, 1.0) == (0, 0, 0, 0)
 
     def test_enumeration_is_complete_and_unique(self):
         vectors = list(enumerate_preferences(3))
@@ -53,7 +45,8 @@ class TestScenarios:
         preferences, pattern = example_7_1(n=8, t=3)
         assert preferences == (1,) * 8
         assert pattern.faulty == frozenset({0, 1, 2})
-        assert pattern.silent_senders(0) == frozenset({0, 1, 2})
+        assert {agent for agent in range(8) if pattern.blocked_receivers(0, agent)
+                == frozenset(range(8)) - {agent}} == {0, 1, 2}
 
     def test_intro_counterexample_shape(self):
         preferences, pattern = intro_counterexample(n=4, t=1)

@@ -52,9 +52,16 @@ def quickstart_request() -> dict:
                          scenarios=[(preferences, pattern)], n=n)
 
 
+def child_env() -> dict:
+    """This environment with ``src`` first on the children's ``PYTHONPATH``."""
+    inherited = os.environ.get("PYTHONPATH")
+    path = str(ROOT / "src") + (os.pathsep + inherited if inherited else "")
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def start_server(cache_dir: Path) -> tuple:
     """Start ``repro-eba serve`` on a free port; return (process, base_url)."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = child_env()
     process = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro.cli", "serve", "--port", "0",
          "--workers", "2", "--cache-dir", str(cache_dir)],
@@ -146,7 +153,7 @@ def main() -> int:
                  "--theorem", "6.5", "--n", "3", "--t", "1", "--wait",
                  "--url", url],
                 capture_output=True, text=True, timeout=300,
-                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), cwd=ROOT)
+                env=child_env(), cwd=ROOT)
             check(submit_run.returncode == 0,
                   f"CLI submit --wait exits 0 (stderr: {submit_run.stderr.strip()})")
             check("holds" in submit_run.stdout,
