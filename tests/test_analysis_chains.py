@@ -1,6 +1,7 @@
-"""Unit tests for 0-chain extraction."""
+"""Unit tests for 0-chain extraction and the hears-from relation of a run."""
 
 from repro.analysis import longest_zero_chain, zero_chains, zero_deciders_by_round
+from repro.failures import FailurePattern
 from repro.protocols import MinProtocol, OptimalFipProtocol
 from repro.simulation import simulate
 from repro.workloads import all_ones, hidden_chain_scenario
@@ -35,6 +36,13 @@ class TestZeroChains:
         assert longest.agents[:3] == (0, 1, 2)
         assert longest.length >= 2
 
+    def test_received_zero_chain_lookup(self):
+        preferences, pattern = hidden_chain_scenario(5, chain_length=2)
+        trace = simulate(MinProtocol(2), 5, preferences, pattern)
+        ending_at_2 = {chain.length for chain in zero_chains(trace) if chain.last_agent == 2}
+        assert 2 in ending_at_2
+        assert 5 not in ending_at_2
+
     def test_no_chains_without_zero_decisions(self):
         trace = simulate(MinProtocol(1), 4, all_ones(4))
         assert zero_chains(trace) == []
@@ -45,3 +53,30 @@ class TestZeroChains:
         lengths = {chain.last_agent: chain.length for chain in zero_chains(trace)}
         assert lengths[0] == 0
         assert lengths[2] == 1
+
+
+class TestHearsFrom:
+    """The hears-from relation, read off the FIP communication graph of a trace."""
+
+    def test_failure_free_everyone_hears_everyone(self):
+        trace = simulate(OptimalFipProtocol(1), 4, all_ones(4), horizon=3)
+        frontier = trace.state_of(0, 2).graph.heard_frontier(0, 2)
+        assert frontier == [2, 1, 1, 1]
+        # With E_min nobody sends anything in an all-ones run before deciding,
+        # so nothing is ever heard from the other agents.
+        trace = simulate(MinProtocol(1), 4, all_ones(4), horizon=3)
+        assert all(record.delivered[0][sender] is None
+                   for record in trace.rounds[:2] for sender in (1, 2, 3))
+
+    def test_fip_frontier_tracks_deliveries(self):
+        pattern = FailurePattern.silent(4, faulty=[3], horizon=4)
+        trace = simulate(OptimalFipProtocol(1), 4, all_ones(4), pattern, horizon=3)
+        frontier = trace.state_of(0, 2).graph.heard_frontier(0, 2)
+        assert frontier[1] == 1
+        assert frontier[3] == -1
+
+    def test_hears_from_predicate(self):
+        trace = simulate(OptimalFipProtocol(1), 4, all_ones(4), horizon=3)
+        frontier = trace.state_of(0, 2).graph.heard_frontier(0, 2)
+        assert frontier[1] >= 1      # (1, 1) hears-into (0, 2)
+        assert not frontier[1] >= 2  # (1, 2) does not

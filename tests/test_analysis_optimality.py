@@ -37,6 +37,13 @@ class TestHelpers:
         scenarios = context_scenarios(small_context)
         assert len(scenarios) == len(list(small_context.patterns())) * 8
 
+    def test_reachable_states_are_undecided(self, small_context, small_workload):
+        report = probe_optimality(MinProtocol(1), small_context, small_workload)
+        states = [outcome.state for outcome in report.outcomes]
+        assert states
+        assert all(state.decided is None for state in states)
+        assert all(state.time < small_context.horizon for state in states)
+
 
 class TestProbe:
     def test_pmin_probe_is_consistent_with_optimality(self, small_context):

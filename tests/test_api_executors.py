@@ -162,6 +162,12 @@ class TestResultSet:
         protocols = (MinProtocol(1), BasicProtocol(1))
         return Sweep.of(*protocols).on(random_scenarios(4, 1, count=3, seed=1), n=4).run()
 
+    def test_batch_view_matches_legacy_shape(self, results):
+        batch = results["P_min"]
+        assert {trace.protocol_name for trace in batch} == {"P_min"}
+        assert len(batch) == len(results) == 3
+        assert set(results) == {"P_min", "P_basic"}
+
     def test_corresponding_view(self, results):
         runs = results.corresponding(1)
         assert set(runs) == {"P_min", "P_basic"}
@@ -189,6 +195,14 @@ class TestResultSet:
         assert len(rows) == 6
         table = results.table(title="demo")
         assert "P_min" in table and "demo" in table
+
+    def test_corresponding_helper(self):
+        preferences, pattern = intro_counterexample(n=4, t=1)
+        runs = (Sweep.of(MinProtocol(1), BasicProtocol(1))
+                .on([(preferences, pattern)], n=4).run().corresponding())
+        assert set(runs) == {"P_min", "P_basic"}
+        assert all(run.preferences == preferences and run.pattern == pattern
+                   for run in runs.values())
 
     def test_mismatched_shape_rejected(self, results):
         with pytest.raises(ConfigurationError):

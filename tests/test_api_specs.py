@@ -33,6 +33,11 @@ class TestRunSpec:
         with pytest.raises(AttributeError):
             spec.n = 5
 
+    def test_as_sweep_round_trips(self):
+        spec = RunSpec(MinProtocol(1), n=4, preferences=(0, 1, 1, 1))
+        results = Sweep.of(spec.protocol).on([spec.scenario], n=spec.n).run()
+        assert results.trace("P_min") == spec.run()
+
 
 class TestSweepSpecValidation:
     def test_duplicate_protocol_names_raise_configuration_error(self):

@@ -8,6 +8,19 @@ from repro.core.agents import (
     validate_agent_set,
 )
 from repro.core.errors import ConfigurationError
+from repro.failures import FailurePattern
+
+
+class TestAllAgents:
+    def test_enumerates_range(self):
+        assert complement((), 4) == frozenset({0, 1, 2, 3})
+        assert FailurePattern.failure_free(4).nonfaulty == frozenset(range(4))
+
+    def test_rejects_non_positive(self):
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            FailurePattern(n=0)
+        with pytest.raises(ConfigurationError):
+            validate_agent(0, 0)
 
 
 class TestValidation:
@@ -38,3 +51,8 @@ class TestComplement:
 
     def test_complement_of_everything_is_empty(self):
         assert complement(range(3), 3) == frozenset()
+
+
+def test_format_agent_set_sorts():
+    pattern = FailurePattern(n=4, faulty=frozenset({3, 1}))
+    assert pattern.describe().startswith("faulty=[1, 3]")

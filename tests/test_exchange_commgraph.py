@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.agents import complement
 from repro.exchange import CommGraph, FullInformationExchange
 from repro.failures import FailurePattern
 from repro.protocols import OptimalFipProtocol
@@ -92,6 +93,12 @@ class TestHearsFrom:
         assert frontier[0] == -1
         assert frontier[2] == 1
 
+    def test_hears_from_predicate(self, failure_free_trace):
+        frontier = graph_of(failure_free_trace, 0, 2).heard_frontier(0, 2)
+        assert frontier[1] >= 1      # (1, 1) hears-into (0, 2)
+        assert frontier[1] >= 0      # and so does (1, 0)
+        assert not frontier[1] >= 2  # (1, 2) does not
+
 
 class TestRestriction:
     def test_restrict_reconstructs_other_agents_graph(self, failure_free_trace):
@@ -130,6 +137,10 @@ class TestFailureKnowledge:
         graph = graph_of(silent_trace, 1, 2)
         assert graph.distributed_faulty({1, 2, 3}, 1) == frozenset({0})
         assert graph.distributed_faulty({1, 2, 3}, 0) == frozenset()
+
+    def test_possibly_nonfaulty_complements(self, silent_trace):
+        graph = graph_of(silent_trace, 1, 1)
+        assert complement(graph.known_faulty(1, 1), 4) == frozenset({1, 2, 3})
 
 
 class TestValueKnowledge:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.chains import reveals_zero_decision
 from repro.exchange import CommGraph
 from repro.exchange.messages import (
     DecideNotification,
@@ -46,3 +47,9 @@ class TestHelpers:
 
     def test_message_bits_of_notification(self):
         assert message_bits(DecideNotification(1), 5) == 1
+
+    def test_is_decide_notification(self):
+        assert reveals_zero_decision(DecideNotification(0))
+        assert not reveals_zero_decision(DecideNotification(1))
+        assert not reveals_zero_decision(InitOneHeartbeat())
+        assert not reveals_zero_decision(None)

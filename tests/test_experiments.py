@@ -138,6 +138,12 @@ class TestTermination:
             assert measurement.spec_violations == 0
             assert measurement.worst_decision_round <= t + 2
 
+    def test_exhaustive_small_workload(self):
+        patterns = list(SendingOmissionModel(n=3, t=1).enumerate(1))
+        scenarios = [(preferences, pattern) for pattern in patterns
+                     for preferences in enumerate_preferences(3)]
+        assert len(scenarios) == (1 + 3 * 4) * 8
+
     def test_report_renders(self):
         assert "Proposition 6.1" in termination_bound.report(n=4, t=1, random_count=4)
 

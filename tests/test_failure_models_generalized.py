@@ -29,7 +29,8 @@ from repro.failures import (
     resolve_model,
     silent_receiver_adversary,
 )
-from repro.protocols import MinProtocol
+from repro.protocols import MinProtocol, OptimalFipProtocol
+from repro.simulation import simulate
 from repro.systems import build_system, gamma_min
 from repro.workloads import (
     mixed_chain_scenario,
@@ -66,6 +67,31 @@ class TestReceiveOmissionEvents:
         assert pattern.delivered(0, 2, 1)
         assert pattern.all_blocked == frozenset({(0, 0, 2), (1, 2, 1)})
 
+    def test_blocked_senders_and_deaf_receivers(self):
+        pattern = FailurePattern.deaf(4, faulty=[2], horizon=2)
+
+        def deaf_agents(round_index):
+            return {receiver for receiver in range(4)
+                    if not any(pattern.delivered(round_index, sender, receiver)
+                               for sender in range(4) if sender != receiver)}
+
+        assert {s for s in range(4) if not pattern.delivered(0, s, 2)} == {0, 1, 3}
+        assert deaf_agents(0) == {2}
+        assert deaf_agents(5) == set()
+
+    def test_exhibits_faulty_behaviour_via_receives(self):
+        pattern = FailurePattern.from_receive_blocked(3, [(0, 1, 2)])
+        trace = simulate(OptimalFipProtocol(1), 3, [1, 1, 1], pattern, horizon=1)
+        (record,) = trace.rounds
+        assert record.sent[1][2] is not None and record.delivered[2][1] is None
+        assert all(record.delivered[receiver][sender] is not None
+                   for sender in range(3) for receiver in range(3)
+                   if (sender, receiver) != (1, 2))
+        # The lost message is charged to the receiver, so only RO/GO admit it.
+        assert ReceiveOmissionModel(n=3, t=1).admits(pattern)
+        assert not SendingOmissionModel(n=3, t=1).admits(pattern)
+        assert simulate(OptimalFipProtocol(1), 3, [1, 1, 1], pattern, horizon=0).rounds == []
+
     def test_pickle_round_trip_is_canonical(self):
         a = FailurePattern(n=4, faulty=frozenset({1, 2}),
                            omissions=frozenset({(0, 1, 3), (1, 1, 0)}),
@@ -76,6 +102,50 @@ class TestReceiveOmissionEvents:
         assert a == b
         assert pickle.dumps(a) == pickle.dumps(b)
         assert pickle.loads(pickle.dumps(a)) == a
+
+    def test_with_and_without_receive_omission(self):
+        base = FailurePattern(n=3, faulty=frozenset({2}))
+        extended = FailurePattern(n=3, faulty=frozenset({2}),
+                                  receive_omissions=frozenset({(1, 0, 2)}))
+        assert extended.faulty == frozenset({2})
+        assert not extended.delivered(1, 0, 2)
+        assert base.delivered(1, 0, 2)
+        model = ReceiveOmissionModel(n=3, t=1)
+        assert model.admits(base) and model.admits(extended)
+
+    def test_swap_roles_swaps_the_charged_receiver(self):
+        pattern = FailurePattern.from_receive_blocked(4, [(0, 1, 2), (1, 3, 2)])
+        swapped = FailurePattern.from_receive_blocked(4, [(0, 1, 0), (1, 3, 0)])
+        assert swapped.faulty == frozenset({0})
+        assert not swapped.delivered(0, 1, 0)
+        assert not swapped.delivered(1, 3, 0)
+        assert swapped.delivered(0, 1, 2)
+        # Exchanging the names of agents 0 and 2 maps one run onto the other.
+        before, after = (simulate(OptimalFipProtocol(1), 4, [1, 1, 1, 1], p, horizon=3)
+                         for p in (pattern, swapped))
+        rename = [2, 1, 0, 3]
+        assert all(before.decisions()[agent] == after.decisions()[rename[agent]]
+                   for agent in range(4))
+
+    def test_restrict_to_filters_receive_omissions(self):
+        pattern = FailurePattern.from_receive_blocked(3, [(0, 1, 2), (5, 1, 2)])
+        assert pattern.max_round() == 5
+        # A run of three rounds only meets the round-1 receive omission.
+        trace = simulate(OptimalFipProtocol(1), 3, [1, 1, 1], pattern, horizon=3)
+        lost = {(record.round_index, sender, receiver) for record in trace.rounds
+                for sender in range(3) for receiver in range(3)
+                if record.delivered[receiver][sender] is None}
+        assert lost == {(0, 1, 2)}
+
+    def test_send_restriction_drops_receive_events_only(self):
+        pattern = FailurePattern(n=3, faulty=frozenset({0, 1}),
+                                 omissions=frozenset({(0, 0, 2)}),
+                                 receive_omissions=frozenset({(0, 2, 1)}))
+        restricted = FailurePattern(n=3, faulty=pattern.faulty, omissions=pattern.omissions)
+        so, go = SendingOmissionModel(n=3, t=2), GeneralOmissionModel(n=3, t=2)
+        assert go.admits(pattern) and not so.admits(pattern)
+        assert so.admits(restricted) and go.admits(restricted)
+        assert restricted.all_blocked == pattern.omissions
 
     def test_describe_mentions_receives(self):
         pattern = FailurePattern.from_receive_blocked(3, [(0, 1, 2)])
@@ -422,6 +492,13 @@ class TestReceiveSideAdversaries:
         assert not pattern.delivered(0, 0, 3)   # chain agent talks off-chain
         assert not pattern.delivered(0, 3, 1)   # off-chain agent talks to chain
         assert not pattern.delivered(0, 1, 0)   # backward along the chain
+
+    def test_random_model_adversaries_admissible_per_model(self):
+        for key in ("sending-omission", "receive-omission", "general-omission"):
+            model = make_model(key, 4, 2)
+            scenarios = random_model_scenarios(4, 2, count=5, model=key, seed=9, horizon=3)
+            assert len(scenarios) == 5
+            assert all(model.admits(pattern) for _preferences, pattern in scenarios)
 
 
 class TestModelScenarios:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.failures import (
+    SendingOmissionModel,
     crash_staircase_adversary,
     hidden_chain_adversary,
     intro_counterexample_adversary,
@@ -105,3 +106,12 @@ class TestRandomAdversaries:
         patterns = random_omission_adversaries(5, 2, horizon=3, count=6, seed=1)
         assert len(patterns) == 6
         assert all(p.num_faulty <= 2 for p in patterns)
+
+
+def test_iter_faulty_sets_enumerates_all_small_subsets():
+    sets = {pattern.faulty for pattern in SendingOmissionModel(n=4, t=2).enumerate(1)}
+    assert frozenset() in sets
+    assert frozenset({3}) in sets
+    assert frozenset({1, 2}) in sets
+    assert all(len(s) <= 2 for s in sets)
+    assert len(sets) == 1 + 4 + 6

@@ -71,3 +71,12 @@ class TestPrescriptions:
         for points in list(classes.values())[:10]:
             actions = {program.prescribed_action(checker, 0, point) for point in points}
             assert len(actions) == 1
+
+    def test_prescribed_actions_bulk(self, min_system):
+        program = make_p0(3)
+        checker = ModelChecker(min_system)
+        table = {(point, agent): program.prescribed_action(checker, agent, point)
+                 for point in min_system.points if point.time <= 1
+                 for agent in range(3)}
+        assert {point.time for (point, _agent) in table} == {0, 1}
+        assert all(action in (NOOP, DECIDE_0, DECIDE_1) for action in table.values())

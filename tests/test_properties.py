@@ -320,3 +320,34 @@ class TestCounterexampleScanProperties:
         assert all(not word_checker.holds(formula, point) for point in result)
         # The vectorized recovery agrees with the reference extraction exactly.
         assert result == reference.counterexamples(formula, limit=limit)
+
+
+def swap_agents(n, preferences, pattern, a, b):
+    """The scenario with the names of agents ``a`` and ``b`` exchanged everywhere."""
+    def relabel(agent):
+        return {a: b, b: a}.get(agent, agent)
+    swapped = FailurePattern(
+        n=n, faulty=frozenset(map(relabel, pattern.faulty)),
+        omissions=frozenset((m, relabel(s), relabel(r)) for (m, s, r) in pattern.omissions))
+    return tuple(preferences[relabel(agent)] for agent in range(n)), swapped
+
+
+class TestFailurePatternProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=eba_scenarios())
+    def test_swap_roles_is_involutive(self, scenario):
+        n, t, preferences, pattern = scenario
+        if pattern.num_faulty == 0:
+            return
+        faulty_agent = min(pattern.faulty)
+        other = min(set(range(n)) - pattern.faulty)
+        swapped_preferences, swapped = swap_agents(n, preferences, pattern, faulty_agent, other)
+        assert swap_agents(n, swapped_preferences, swapped, faulty_agent, other) \
+            == (preferences, pattern)
+        # Runs do not depend on agent names: interchanging the roles of the two
+        # agents interchanges their decisions and leaves everyone else's alone.
+        before = simulate(MinProtocol(t), n, preferences, pattern)
+        after = simulate(MinProtocol(t), n, swapped_preferences, swapped)
+        rename = {faulty_agent: other, other: faulty_agent}
+        assert all(before.decisions()[agent] == after.decisions()[rename.get(agent, agent)]
+                   for agent in range(n))

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.analysis.optimality import probe_optimality
 from repro.core.errors import ConfigurationError, ProtocolError
 from repro.core.types import DECIDE_0, DECIDE_1, NOOP
 from repro.exchange import BasicExchange, MinimalExchange
 from repro.exchange.base import LocalState
 from repro.protocols import MinProtocol
+from repro.systems import gamma_min
 
 
 def state(agent=0, n=4, time=0, init=1, decided=None, jd=None):
@@ -54,6 +56,13 @@ class TestConfiguration:
     def test_validate_for_requires_t_below_n(self):
         with pytest.raises(ConfigurationError):
             MinProtocol(4).validate_for(4)
+
+    def test_optimality_requires_two_nonfaulty(self):
+        # Correctness only needs t < n, but with a single nonfaulty agent
+        # (n - t = 1) a one-step deviation decides earlier and stays correct.
+        MinProtocol(1).validate_for(2)
+        assert not probe_optimality(MinProtocol(1), gamma_min(2, 1)).consistent_with_optimality
+        assert probe_optimality(MinProtocol(1), gamma_min(3, 1)).consistent_with_optimality
 
     def test_rejects_foreign_state_types(self):
         protocol = MinProtocol(1)

@@ -59,3 +59,23 @@ class TestDecisionTimeline:
     def test_no_faulty_marker_without_failures(self):
         trace = simulate(MinProtocol(1), 3, [0, 1, 1])
         assert "(* = faulty agent)" not in render_decision_timeline(trace)
+
+
+class TestCommGraphView:
+    def test_renders_preferences_and_rounds(self):
+        trace = simulate(OptimalFipProtocol(1), 3, [1, 0, 1], horizon=2)
+        assert trace.state_of(0, 2).graph.known_preferences() == {0: 1, 1: 0, 2: 1}
+        text = render_run(trace)
+        assert "preferences : [1, 0, 1]" in text
+        assert "round 1: agent 1 decides 0" in text
+        assert "round 2: agent 0 decides 0; agent 2 decides 0" in text
+        assert "    0 -> [G G G]" in text
+
+    def test_unknown_labels_rendered_as_question_marks(self):
+        pattern = FailurePattern.silent(3, faulty=[2], horizon=3)
+        trace = simulate(OptimalFipProtocol(1), 3, [1, 1, 1], pattern, horizon=2)
+        graph = trace.state_of(0, 1).graph
+        assert graph.label(0, 2, 0) is False   # agent 0 saw 2's message go missing
+        assert graph.label(0, 2, 1) is None    # whether 1 got it is unknown to 0
+        assert graph.known_preferences() == {0: 1, 1: 1}
+        assert "    2 -> [x x G]" in render_run(trace)

@@ -208,6 +208,11 @@ class TestWireFormat:
         with pytest.raises(ServiceError):
             sweep_request([("min", 1)])  # neither scenarios nor workload
 
+    def test_encode_protocol_rejects_unregistered(self):
+        with pytest.raises(ServiceError, match="unknown protocol key 'odd'"):
+            decode_request({"type": "run", "protocol": "odd", "t": 1, "n": 4,
+                            "preferences": [1] * 4})
+
     def test_request_bodies_are_json_serialisable(self):
         pattern = FailurePattern.silent(3, faulty=[0], horizon=2)
         for body in (tiny_run_body(), tiny_sweep_body(),

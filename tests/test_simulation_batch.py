@@ -179,8 +179,10 @@ class TestEngineEquivalenceInBuildSystem:
 
     @pytest.mark.parametrize("build", [
         lambda: build_system(MinProtocol(1), 3, 3, [], engine="per-run"),
+        lambda: build_system(MinProtocol(1), 3, 3, SendingOmissionModel(n=3, t=1).enumerate(3),
+                             engine="per-run"),
         lambda: gamma_min(3, 1).build_system(MinProtocol(1), engine="per-run"),
-    ], ids=["build_system", "EBAContext.build_system"])
+    ], ids=["build_system", "build_system_for_model", "EBAContext.build_system"])
     def test_there_is_no_engine_selector(self, build):
         with pytest.raises(TypeError):
             build()

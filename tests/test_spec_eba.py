@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main
 from repro.protocols import MinProtocol, NaiveZeroBiasedProtocol
 from repro.simulation import simulate
 from repro.spec import (
@@ -89,3 +90,18 @@ class TestReport:
         assert not report.ok
         assert report.agreement
         assert "violation" in repr(report)
+
+    def test_require_eba_raises(self, split_trace, capsys):
+        code = main(["run", "--protocol", "naive0", "--scenario", "intro", "--n", "4", "--t", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        violations = check_eba(split_trace, deadline=3).violations()
+        assert violations
+        assert all(f"  - {violation}" in out for violation in violations)
+
+    def test_require_eba_returns_report_when_ok(self, good_trace, capsys):
+        code = main(["run", "--protocol", "min", "--n", "4", "--t", "1",
+                     "--preferences", "0,1,1,1"])
+        assert code == 0
+        assert check_eba(good_trace, deadline=3).ok
+        assert "EBA specification: OK" in capsys.readouterr().out

@@ -25,6 +25,12 @@ class TestPreferenceGenerators:
     def test_single_dissenters(self):
         assert single_zero(4, holder=2) == (1, 1, 0, 1)
 
+    def test_zero_fraction(self):
+        assert random_preferences(4, 3, seed=5, zero_probability=0.0) == [(1, 1, 1, 1)] * 3
+        assert random_preferences(4, 3, seed=5, zero_probability=1.0) == [(0, 0, 0, 0)] * 3
+        zeros = sum(v.count(0) for v in random_preferences(10, 40, seed=5, zero_probability=0.5))
+        assert 100 < zeros < 300
+
     def test_enumeration_is_complete_and_unique(self):
         vectors = list(enumerate_preferences(3))
         assert len(vectors) == 8
