@@ -8,8 +8,7 @@ orchestration layer:
    or ``P_opt`` — each brings its own information-exchange protocol), the
    initial preferences, and a failure pattern (the adversary);
 2. execute the spec — a single :class:`repro.api.RunSpec`, or a
-   :class:`repro.api.Sweep` over all three protocols at once (swap in
-   ``ParallelExecutor()`` to use every core);
+   :class:`repro.api.Sweep` over all three protocols at once;
 3. inspect the traces and check the EBA specification.
 
 Run it with:  ``python examples/quickstart.py``
@@ -40,7 +39,7 @@ def main() -> None:
     print()
 
     # One sweep executes all three protocols on the same initial global state
-    # (corresponding runs).  Pass ParallelExecutor() to run on a process pool.
+    # (corresponding runs).  Pass store=... to cache the runs across calls.
     results = (Sweep.of(MinProtocol(t), BasicProtocol(t), OptimalFipProtocol(t))
                .on([(preferences, pattern)])
                .run())

@@ -15,9 +15,9 @@ The package implements, from scratch:
 * the knowledge-based programs ``P0`` and ``P1`` and implementation checking
   (:mod:`repro.kbp`);
 * a synchronous simulator and the declarative orchestration layer that drives
-  it serially or over a process pool (:mod:`repro.simulation`,
-  :mod:`repro.api`), EBA specification checkers, and the analyses used by the
-  paper's Section 8 cost comparison (:mod:`repro.spec`, :mod:`repro.analysis`);
+  it (:mod:`repro.simulation`, :mod:`repro.api`), EBA specification
+  checkers, and the analyses used by the paper's Section 8 cost comparison
+  (:mod:`repro.spec`, :mod:`repro.analysis`);
 * the experiments that regenerate every quantitative claim of the paper
   (:mod:`repro.experiments`).
 
@@ -33,24 +33,22 @@ True
 >>> trace.decision_value(1)
 0
 
-Sweeps run several protocols over a whole workload — on all cores, if asked:
+Sweeps run several protocols over a whole workload:
 
->>> from repro import OptimalFipProtocol, ParallelExecutor, Sweep
+>>> from repro import OptimalFipProtocol, Sweep
 >>> from repro.workloads import random_scenarios
 >>> results = (Sweep.of(MinProtocol(t=1), OptimalFipProtocol(t=1))
 ...            .on(random_scenarios(n=4, t=1, count=10))
-...            .run(ParallelExecutor()))
+...            .run())
 >>> results.compare("P_opt", "P_min").first_dominates
 True
 """
 
 from .analysis import DominanceResult, zero_chains
 from .api import (
-    Executor,
     ParallelExecutor,
     ResultSet,
     RunSpec,
-    SerialExecutor,
     Sweep,
     SweepSpec,
 )
@@ -113,7 +111,6 @@ __all__ = [
     "DelayedMinProtocol",
     "DominanceResult",
     "EagerOneProtocol",
-    "Executor",
     "FailureFreeModel",
     "FailureModel",
     "FailurePattern",
@@ -133,7 +130,6 @@ __all__ = [
     "RunSpec",
     "RunTrace",
     "SendingOmissionModel",
-    "SerialExecutor",
     "SpecReport",
     "Sweep",
     "SweepSpec",

@@ -6,14 +6,9 @@ three concerns:
 * **What to run** — :class:`RunSpec` and :class:`SweepSpec`, frozen declarative
   descriptions of runs (protocols, system size, workload, horizon, seed),
   built directly or through the fluent :class:`Sweep` builder;
-* **How to run it** — the :class:`Executor` backends: :class:`SerialExecutor`
-  (in-process, the default) and :class:`ParallelExecutor` (process pool),
-  both honouring the same deterministic task→trace ordering, optionally
-  wrapped by the content-addressed artifact cache (``store=`` on every
-  ``run`` method / :class:`~repro.store.CachingExecutor`, see
-  :mod:`repro.store`).  Only :meth:`RunSpec.run`, :meth:`SweepSpec.run` and
-  :meth:`Sweep.run` take an executor; the experiments, the analysis helpers,
-  the service and the CLI all run in-process;
+* **How to run it** — the ``run`` method of every spec, which simulates the
+  runs in-process in deterministic task order, optionally through the
+  content-addressed artifact store (``store=``, see :mod:`repro.store`);
 * **What comes back** — :class:`ResultSet`, which plugs into the analysis
   (:meth:`~ResultSet.compare`, :meth:`~ResultSet.pairwise`), specification
   (:meth:`~ResultSet.check_eba`), and reporting (:meth:`~ResultSet.table`)
@@ -33,32 +28,22 @@ Typical usage::
     print(results.compare("P_opt", "P_min").summary())
 """
 
-from ..store import ArtifactStore, CachingExecutor, StoreLike, default_store, resolve_store
-from .executors import (
-    Executor,
-    ParallelExecutor,
-    RunTask,
-    SerialExecutor,
-    resolve_executor,
-)
+from ..store import ArtifactStore, StoreLike, default_store, resolve_store
+from .executors import ParallelExecutor, RunTask
 from .results import ResultSet
 from .specs import RunSpec, Scenario, Sweep, SweepSpec
 
 __all__ = [
     "ArtifactStore",
-    "CachingExecutor",
-    "Executor",
     "ParallelExecutor",
     "ResultSet",
     "RunSpec",
     "RunTask",
     "Scenario",
-    "SerialExecutor",
     "StoreLike",
     "Sweep",
     "SweepSpec",
     "default_store",
-    "resolve_executor",
     "resolve_store",
 ]
 

@@ -1,34 +1,20 @@
-"""Pluggable execution backends for run specs.
+"""The process-pool backend: :class:`ParallelExecutor`.
 
-An :class:`Executor` turns a sequence of *run tasks* — ``(protocol, n,
-preferences, pattern, horizon)`` tuples, the pure-data description of one run —
-into the corresponding sequence of :class:`~repro.simulation.trace.RunTrace`
-objects, **in the same order**.  That ordering contract is what lets
-:meth:`repro.api.specs.SweepSpec.run` produce identical
-:class:`~repro.api.results.ResultSet` contents on every backend: the executor
-only decides *where* runs execute, never what the result looks like.  Either
-way the runs come from the batched engine,
-:func:`~repro.simulation.batch.simulate_tasks`.
+A :class:`ParallelExecutor` turns a sequence of *run tasks* — ``(protocol, n,
+preferences, pattern, horizon)`` tuples, the pure-data description of one run
+— into the traces :func:`~repro.simulation.batch.simulate_tasks` returns for
+them, **in the same order**, by fanning contiguous task chunks out over a
+:class:`concurrent.futures.ProcessPoolExecutor`; each chunk is one
+``simulate_tasks`` call in a worker.
 
-Two backends are provided:
-
-* :class:`SerialExecutor` — runs everything in-process; the default.
-* :class:`ParallelExecutor` — fans contiguous task chunks out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`; each chunk is one
-  ``simulate_tasks`` call in a worker.
-
-Only the run API — :meth:`~repro.api.specs.RunSpec.run`,
-:meth:`~repro.api.specs.SweepSpec.run` and :meth:`~repro.api.specs.Sweep.run`
-— takes an executor.  Every layer above it (experiments, analysis, the
-service, the CLI) runs in-process: the batched engine shares transitions
-across the runs of one process, and a pool splits that sharing, so on the
-CLI's experiments and the service's sweeps the pool was slower than serial
-(docs/performance.md, "Where runs execute").
-
-System construction (:func:`repro.systems.interpreted.build_system`) always
-runs in-process through one :class:`~repro.simulation.batch.BatchSimulator`
-and takes no executor.  Cancellation is the cancel scope's
-(:mod:`repro.core.cancel`), never the executor's.
+Nothing in the library uses it: the run API
+(:meth:`~repro.api.specs.RunSpec.run`, :meth:`~repro.api.specs.SweepSpec.run`,
+:meth:`~repro.api.specs.Sweep.run`) and every layer above it run in-process,
+because the batched engine shares transitions across the runs of one process
+and a pool splits that sharing (docs/performance.md, "Where runs execute").
+It stays for the benchmark's ``models-jobs2`` workload.  Cancellation is the
+cancel scope's (:mod:`repro.core.cancel`): the parent polls it as each chunk
+completes.
 
 Tasks and traces cross process boundaries by pickling, which every protocol,
 failure pattern, and trace in the library supports (they are plain dataclasses
@@ -38,7 +24,7 @@ and plain classes).
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Protocol, Sequence, runtime_checkable
+from typing import List, Optional, Sequence
 
 from ..core.cancel import checkpoint
 from ..core.errors import ConfigurationError
@@ -67,27 +53,6 @@ def _execute_task_chunk(tasks: Sequence[RunTask]) -> List[RunTrace]:
         return simulate_tasks(tasks)
 
 
-@runtime_checkable
-class Executor(Protocol):
-    """The execution-backend interface.
-
-    Implementations must return exactly one trace per task, in task order.
-    """
-
-    def run_tasks(self, tasks: Sequence[RunTask]) -> List[RunTrace]:  # pragma: no cover
-        ...
-
-
-class SerialExecutor:
-    """Run every task in the calling process."""
-
-    def run_tasks(self, tasks: Sequence[RunTask]) -> List[RunTrace]:
-        return simulate_tasks(tasks)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "SerialExecutor()"
-
-
 class ParallelExecutor:
     """Fan tasks out over a process pool, preserving task order.
 
@@ -112,7 +77,7 @@ class ParallelExecutor:
     Chunks are indexed by position and their results reassembled in
     submission order regardless of which worker (or which pool incarnation)
     finishes first, and every simulation run is itself a pure function of its
-    task, so the returned traces are identical to :class:`SerialExecutor`'s
+    task, so the returned traces are identical to ``simulate_tasks(tasks)``'s
     for any workload, any worker count, and any number of pool rebuilds.
     """
 
@@ -217,15 +182,4 @@ class ParallelExecutor:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ParallelExecutor(max_workers={self.max_workers}, "
                 f"chunksize={self.chunksize}, pool_retries={self.pool_retries})")
-
-
-def resolve_executor(executor: Optional[Executor]) -> Executor:
-    """Default-resolve an executor argument (``None`` → :class:`SerialExecutor`)."""
-    if executor is None:
-        return SerialExecutor()
-    if not isinstance(executor, Executor):
-        raise ConfigurationError(
-            f"{executor!r} is not an Executor (needs a run_tasks(tasks) method)"
-        )
-    return executor
 

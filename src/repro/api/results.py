@@ -36,7 +36,7 @@ class ResultSet:
     ``scenarios[s]``; column ``s`` across protocols is a family of
     corresponding runs (same initial global state).  Equality is structural,
     so two result sets are equal exactly when every trace matches — the
-    property the executor-equivalence guarantee is stated in terms of.
+    property cached and uncached runs are compared by.
     """
 
     protocol_names: Tuple[str, ...]

@@ -5,8 +5,9 @@ Every quantitative claim of the paper reduces to one shape of computation: run
 a set of action protocols over a workload of ``(preferences, failure-pattern)``
 scenarios and compare corresponding runs.  A :class:`SweepSpec` captures that
 shape declaratively — protocols, system size, workload, horizon, and the seed
-the workload was generated from — so the *what* of an experiment is separated
-from the *how* of its execution (see :mod:`repro.api.executors`).
+the workload was generated from.  Running a spec simulates its runs in-process
+with :func:`~repro.simulation.batch.simulate_tasks`, through the artifact store
+when one is given.
 
 Specs are frozen: building one never runs anything, and the fluent builder
 returns a new :class:`Sweep` at every step, so partially built sweeps can be
@@ -14,13 +15,13 @@ shared and forked freely::
 
     base = Sweep.of(MinProtocol(t=1), OptimalFipProtocol(t=1))
     spec = base.on(random_scenarios(n=7, t=2, count=500)).with_horizon(5).build()
-    results = spec.run(ParallelExecutor())
+    results = spec.run()
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence, TYPE_CHECKING, Tuple
+from typing import Iterable, List, Optional, Sequence, TYPE_CHECKING, Tuple
 
 from ..core.errors import ConfigurationError
 from ..core.types import PreferenceVector, validate_preferences
@@ -28,11 +29,11 @@ from ..failures.pattern import FailurePattern
 from ..obs import trace as _trace
 from ..obs.bus import BUS
 from ..protocols.base import ActionProtocol
+from ..simulation.batch import RunTask, simulate_tasks
 from ..simulation.trace import RunTrace, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..store import StoreLike
-    from .executors import Executor
+    from ..store import ArtifactStore, StoreLike
     from .results import ResultSet
 
 
@@ -80,13 +81,35 @@ def _normalize_scenarios(scenarios: Iterable[Scenario], n: Optional[int]
     return n, tuple(frozen)
 
 
+def _run_tasks(tasks: Sequence[RunTask], store: Optional["ArtifactStore"]
+               ) -> List[RunTrace]:
+    """Simulate ``tasks`` and return their traces in task order.
+
+    With a store, every task is first looked up by its content key; only the
+    misses are simulated (in one call, in task order), and each fresh trace is
+    persisted before returning, so an interrupted sweep keeps its completed
+    runs.
+    """
+    if store is None:
+        return simulate_tasks(tasks)
+    from ..store import run_task_key
+    keys = [run_task_key(task) for task in tasks]
+    traces: List = [store.get(key) for key in keys]
+    missing = [index for index, trace in enumerate(traces) if trace is None]
+    if missing:
+        fresh = simulate_tasks([tasks[index] for index in missing])
+        for index, trace in zip(missing, fresh):
+            store.put(keys[index], trace, kind="run")
+            traces[index] = trace
+    return traces
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """A declarative description of one simulated run.
 
     The spec is pure data: constructing it validates the configuration but runs
-    nothing.  Call :meth:`run` (optionally with an executor) to obtain the
-    :class:`~repro.simulation.trace.RunTrace`.
+    nothing.  Call :meth:`run` to obtain the :class:`~repro.simulation.trace.RunTrace`.
     """
 
     protocol: ActionProtocol
@@ -110,8 +133,7 @@ class RunSpec:
         pattern = self.pattern if self.pattern is not None else FailurePattern.failure_free(self.n)
         return (self.preferences, pattern)
 
-    def run(self, executor: Optional["Executor"] = None,
-            store: "StoreLike" = None) -> RunTrace:
+    def run(self, *, store: "StoreLike" = None) -> RunTrace:
         """Execute the run and return its trace.
 
         ``store`` (an :class:`~repro.store.ArtifactStore`, a cache-directory
@@ -119,17 +141,13 @@ class RunSpec:
         artifact store when an identical run was executed before, and persists
         it otherwise.
         """
-        from ..store import CachingExecutor, resolve_store
-        from .executors import resolve_executor
+        from ..store import resolve_store
         # Normalize pattern=None to the explicit failure-free pattern (as
         # .scenario and SweepSpec.tasks() do), so the same run shares one
         # cache key whether it was executed directly or inside a sweep.
         preferences, pattern = self.scenario
         task = (self.protocol, self.n, preferences, pattern, self.horizon)
-        resolved_store = resolve_store(store)
-        if resolved_store is not None:
-            return CachingExecutor(resolved_store, executor).run_tasks([task])[0]
-        return resolve_executor(executor).run_tasks([task])[0]
+        return _run_tasks([task], resolve_store(store))[0]
 
 
 @dataclass(frozen=True)
@@ -186,10 +204,10 @@ class SweepSpec:
         return len(self.protocols) * len(self.scenarios)
 
     def tasks(self) -> Tuple[tuple, ...]:
-        """The sweep's runs as executor tasks, in canonical (protocol-major) order.
+        """The sweep's runs as run tasks, in canonical (protocol-major) order.
 
-        The order is deterministic and independent of the executor, which is
-        what guarantees scenario→result ordering in the :class:`ResultSet`.
+        The order is deterministic, which is what guarantees scenario→result
+        ordering in the :class:`ResultSet`.
         """
         return tuple(
             (protocol, self.n, preferences, pattern, self.horizon)
@@ -214,21 +232,16 @@ class SweepSpec:
         return tuple(task for task in self.tasks()
                      if not resolved.contains(run_task_key(task)))
 
-    def run(self, executor: Optional["Executor"] = None,
-            store: "StoreLike" = None) -> "ResultSet":
+    def run(self, *, store: "StoreLike" = None) -> "ResultSet":
         """Execute every run of the sweep and collect a :class:`ResultSet`.
 
-        The result is identical (including ordering) for every executor; the
-        backend only changes *where* the runs execute.
-
         With a ``store``, the whole result set is first looked up under the
-        sweep's content key; on a miss, execution goes through a
-        :class:`~repro.store.CachingExecutor`, so each completed run is
-        checkpointed individually (an interrupted sweep resumes at the first
-        missing key) and the assembled result set is persisted at the end.
+        sweep's content key.  On a miss, runs already in the store are served
+        by their own keys and each computed run is checkpointed individually
+        (an interrupted sweep resumes at the first missing key); the
+        assembled result set is persisted at the end.
         """
-        from ..store import CachingExecutor, resolve_store, sweep_key
-        from .executors import resolve_executor
+        from ..store import resolve_store, sweep_key
         from .results import ResultSet
         resolved_store = resolve_store(store)
         spec_key = None
@@ -242,16 +255,13 @@ class SweepSpec:
                 if 0 < remaining < len(self):
                     BUS.emit("sweep.resume", spec=self, remaining=remaining,
                              total=len(self))
-            runner: "Executor" = CachingExecutor(resolved_store, executor)
-        else:
-            runner = resolve_executor(executor)
         sweep_span = _trace.NOOP
         if _trace.is_active():
             sweep_span = _trace.span("sweep.run", "build", {
                 "protocols": list(self.protocol_names), "n": self.n,
-                "horizon": self.horizon, "tasks": len(self.tasks())})
+                "horizon": self.horizon, "tasks": len(self)})
         with sweep_span:
-            traces = runner.run_tasks(self.tasks())
+            traces = _run_tasks(self.tasks(), resolved_store)
         per_protocol = []
         count = len(self.scenarios)
         for index in range(len(self.protocols)):
@@ -342,7 +352,6 @@ class Sweep:
         return SweepSpec(protocols=self._protocols, n=n, scenarios=self._scenarios,
                          horizon=self._horizon, seed=self._seed)
 
-    def run(self, executor: Optional["Executor"] = None,
-            store: "StoreLike" = None) -> "ResultSet":
+    def run(self, *, store: "StoreLike" = None) -> "ResultSet":
         """Build the spec and execute it in one step (see :meth:`SweepSpec.run`)."""
-        return self.build().run(executor, store=store)
+        return self.build().run(store=store)

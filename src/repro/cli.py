@@ -40,8 +40,7 @@ Examples
 Every command runs in-process through the :mod:`repro.api` orchestration
 layer: the batched engine shares transitions across the runs of one process,
 so a process pool only splits that sharing (docs/performance.md, "Where runs
-execute").  An API user who wants a pool passes
-:class:`~repro.api.ParallelExecutor` to ``RunSpec.run`` / ``Sweep.run``.
+execute").
 ``--cache`` (optionally with ``--cache-dir PATH``) serves repeated runs,
 sweeps, system builds, and theorem reports from the content-addressed
 artifact store (:mod:`repro.store`).

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..api import Executor, StoreLike, Sweep
+from ..api import StoreLike, Sweep
 from ..failures.models import FailureModel, make_model, model_class
 from ..kbp.implementation import check_implements
 from ..kbp.programs import make_p0
@@ -190,7 +190,7 @@ def measure_behaviour(n: int = 4, t: int = 1,
 
 
 def check_theorems(model: "FailureModel | str", n: int = 3, t: int = 1,
-                   executor: Optional[Executor] = None,
+                   executor: object = None,
                    store: StoreLike = None) -> List[TheoremCheckRow]:
     """Run the Theorem 6.5 / 6.6 implementation checks with the given failure model.
 

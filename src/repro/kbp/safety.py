@@ -55,7 +55,6 @@ from ..systems.interpreted import InterpretedSystem
 from ..systems.points import Point
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.executors import Executor
     from ..store import StoreLike
 
 
@@ -185,7 +184,7 @@ def _chain_receipt_kernel(system: InterpretedSystem, start: int, stop: int) -> n
 def check_safety(protocol: ActionProtocol, context: EBAContext,
                  system: Optional[InterpretedSystem] = None,
                  max_violations: int = 10,
-                 executor: Optional["Executor"] = None,
+                 executor: object = None,
                  store: "StoreLike" = None) -> SafetyReport:
     """Check the Definition 6.2 safety condition for ``protocol`` in ``context``.
 

@@ -2,9 +2,8 @@
 
 :class:`BatchSimulator` is the batched round-major engine that advances many
 runs together, sharing work across runs; every production run comes from it
-(:func:`simulate_tasks` runs executor tasks).  :func:`simulate` steps one run
-at a time and is only the oracle the differential tests compare against.
-Executors live in :mod:`repro.api`.
+(:func:`simulate_tasks` runs the run API's tasks).  :func:`simulate` steps one
+run at a time and is only the oracle the differential tests compare against.
 """
 
 from .batch import BatchSimulator, RunTask, simulate_tasks

@@ -2,7 +2,7 @@
 
 Every production run comes from here: system construction
 (:func:`repro.systems.interpreted.build_system`), sweeps and single runs
-(:func:`simulate_tasks`, the body of every executor) and the optimality probe.
+(:func:`simulate_tasks`, which the run API calls) and the optimality probe.
 :func:`~repro.simulation.engine.simulate`, which steps one run at a time, is
 only the oracle the differential tests compare against.
 
@@ -892,7 +892,7 @@ class BatchSimulator:
 
 
 def simulate_tasks(tasks: Sequence[RunTask]) -> List[RunTrace]:
-    """Simulate run tasks in task order: the body of every executor.
+    """Simulate run tasks in task order: what every spec's ``run`` calls.
 
     Consecutive tasks of the same ``(protocol, n)`` share one
     :class:`BatchSimulator`, and with it every memoised transition; each

@@ -13,9 +13,8 @@ package caches those artifacts once and addresses them by *content*:
 * :mod:`repro.store.store` — :class:`ArtifactStore`: compressed self-labelled
   payloads, corruption-as-miss recovery, an in-memory LRU layer, size
   accounting, and LRU eviction;
-* :mod:`repro.store.caching` — the domain keys and the
-  :class:`CachingExecutor` wrapper that makes caching compose with any
-  executor passed to the run API and makes sweeps resumable.
+* :mod:`repro.store.caching` — the domain keys, among them the per-run
+  key the run API caches each run under, which makes sweeps resumable.
 
 Everything that computes an expensive artifact takes a ``store=`` argument
 (``RunSpec.run`` / ``SweepSpec.run`` / ``Sweep.run``, ``build_system``,
@@ -28,7 +27,6 @@ The CLI exposes the store as ``--cache`` / ``--cache-dir`` flags and the
 
 from .backends import FilesystemBackend, MemoryBackend, StoreBackend, StoreEntry
 from .caching import (
-    CachingExecutor,
     context_system_key,
     equivalence_report_key,
     implementation_report_key,
@@ -50,7 +48,6 @@ from .store import (
 
 __all__ = [
     "ArtifactStore",
-    "CachingExecutor",
     "FilesystemBackend",
     "MemoryBackend",
     "STORE_VERSION",

@@ -1,13 +1,9 @@
-"""Cache-aware execution: domain keys plus the :class:`CachingExecutor`.
-
-This module is where content addressing meets the ``repro.api`` execution
-model.  It provides the canonical keys for the artifact families the library
-caches —
+"""The domain keys: one content key per artifact family the library caches.
 
 ========================  =====================================================
 kind                      keyed by
 ========================  =====================================================
-``run``                   one executor task (protocol, n, preferences,
+``run``                   one run task (protocol, n, preferences,
                           pattern, horizon)
 ``resultset``             a whole :class:`~repro.api.specs.SweepSpec`
 ``system``                (protocol, n, horizon, patterns, preference vectors)
@@ -25,15 +21,11 @@ kind                      keyed by
                           context (``programs_equivalent``)
 ========================  =====================================================
 
-— and the :class:`CachingExecutor`, an :class:`~repro.api.executors.Executor`
-wrapper that serves cached traces and forwards only the *missing* tasks to its
-inner backend.  Because caching composes as an executor, it stacks freely with
-any executor an API user passes to ``RunSpec.run`` / ``Sweep.run``: with a
-:class:`~repro.api.executors.ParallelExecutor`, misses fan out over the
-process pool while hits cost one store read.  Per-task caching is also what makes sweeps resumable: an
-interrupted sweep has already persisted every completed run, so rerunning it
-restarts at the first missing key (see
-:meth:`repro.api.specs.SweepSpec.missing_tasks`).
+The run API (``RunSpec.run`` / ``SweepSpec.run`` / ``Sweep.run`` with a
+store) serves each run it has a ``run`` entry for and simulates only the
+others.  Per-run caching is what makes sweeps resumable: an interrupted sweep
+has already persisted every completed run, so rerunning it restarts at the
+first missing key (see :meth:`repro.api.specs.SweepSpec.missing_tasks`).
 
 A context-built system is a pure function of the context's definition and the
 protocol, so ``context-system`` keys that definition instead of listing and
@@ -48,20 +40,19 @@ instead.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import Optional, Sequence, TYPE_CHECKING
 
 from .keys import content_key
-from .store import ArtifactStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.executors import Executor, RunTask
     from ..api.specs import SweepSpec
+    from ..simulation.batch import RunTask
 
 
 # ------------------------------------------------------------------ domain keys
 
 def run_task_key(task: "RunTask") -> str:
-    """The content key of one simulation run (an executor task)."""
+    """The content key of one simulation run (a run task)."""
     protocol, n, preferences, pattern, horizon = task
     return content_key("run", protocol, n, tuple(preferences), pattern, horizon)
 
@@ -116,36 +107,3 @@ def equivalence_report_key(first, second, protocol, context,
     verdict over ``context.build_system(protocol)``'s system."""
     return content_key("equivalence-report", first, second, protocol, context, max_time)
 
-
-# ------------------------------------------------------------------ the executor
-
-class CachingExecutor:
-    """An executor that consults an :class:`ArtifactStore` before computing.
-
-    Wraps any inner :class:`~repro.api.executors.Executor` (``None`` = the
-    serial default).  ``run_tasks`` looks every task up by content key, runs
-    only the misses on the inner backend — preserving the library-wide
-    task-order determinism contract — and persists the fresh traces before
-    returning, so a crash mid-sweep loses at most the in-flight batch.
-    """
-
-    def __init__(self, store: ArtifactStore,
-                 inner: Optional["Executor"] = None) -> None:
-        from ..api.executors import resolve_executor
-        self.store = store
-        self.inner = resolve_executor(inner)
-
-    def run_tasks(self, tasks: Sequence["RunTask"]) -> List:
-        tasks = list(tasks)
-        keys = [run_task_key(task) for task in tasks]
-        results: List = [self.store.get(key) for key in keys]
-        missing = [index for index, trace in enumerate(results) if trace is None]
-        if missing:
-            fresh = self.inner.run_tasks([tasks[index] for index in missing])
-            for index, trace in zip(missing, fresh):
-                self.store.put(keys[index], trace, kind="run")
-                results[index] = trace
-        return results
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CachingExecutor(store={self.store!r}, inner={self.inner!r})"

@@ -1,18 +1,12 @@
-"""Tests for the execution backends: serial/parallel equivalence and the ResultSet."""
+"""Tests for where runs execute: the run API's signature, pool/in-process
+equivalence of :class:`ParallelExecutor`, and the ResultSet."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-from repro.api import (
-    Executor,
-    ParallelExecutor,
-    ResultSet,
-    SerialExecutor,
-    Sweep,
-    resolve_executor,
-)
+from repro.api import ParallelExecutor, ResultSet, RunSpec, Sweep
 from repro.core.errors import ConfigurationError
 from repro.protocols import BasicProtocol, MinProtocol, NaiveZeroBiasedProtocol, OptimalFipProtocol
 from repro.workloads import example_7_1, intro_counterexample, random_scenarios
@@ -28,19 +22,26 @@ def intro_spec(n=4, t=1):
     return Sweep.of(*protocols).on([intro_counterexample(n=n, t=t)], n=n).build()
 
 
+def task_order(results):
+    """A result set's traces in its spec's task (protocol-major) order."""
+    return [trace for row in results.traces for trace in row]
+
+
 class TestExecutorEquivalence:
+    """The pool returns ``spec.run()``'s traces, in task order."""
+
     def test_example_7_1_serial_equals_parallel(self):
         spec = example_7_1_spec()
-        serial = spec.run(SerialExecutor())
-        parallel = spec.run(ParallelExecutor(max_workers=2))
-        assert serial == parallel
+        serial = spec.run()
+        parallel = ParallelExecutor(max_workers=2).run_tasks(spec.tasks())
+        assert task_order(serial) == parallel
         assert serial.trace("P_opt").last_decision_round(nonfaulty_only=True) == 3
 
     def test_intro_counterexample_serial_equals_parallel(self):
         spec = intro_spec()
-        serial = spec.run(SerialExecutor())
-        parallel = spec.run(ParallelExecutor(max_workers=2))
-        assert serial == parallel
+        serial = spec.run()
+        parallel = ParallelExecutor(max_workers=2).run_tasks(spec.tasks())
+        assert task_order(serial) == parallel
 
     @pytest.mark.parametrize("n, t, count, seed", [(4, 1, 200, 13), (6, 2, 500, 5)])
     def test_fixed_seed_sweep_is_byte_identical_across_backends(
@@ -48,38 +49,34 @@ class TestExecutorEquivalence:
         import pickle
         spec = (Sweep.of(MinProtocol(t), BasicProtocol(t))
                 .on_random(n, t, count=count, seed=seed).build())
-        serial = spec.run(SerialExecutor())
-        parallel = spec.run(ParallelExecutor(max_workers=3, chunksize=7))
+        serial = spec.run()
+        parallel = ParallelExecutor(max_workers=3, chunksize=7).run_tasks(spec.tasks())
         assert len(serial) == count
-        assert serial == parallel
+        assert task_order(serial) == parallel
         # Byte-identical contents: every trace serializes to the same bytes.
-        # (Whole-ResultSet pickles can differ in memoization topology only:
-        # the serial traces share scenario objects with the spec, the
-        # parallel ones are worker-side copies.)
-        for serial_row, parallel_row in zip(serial.traces, parallel.traces):
-            for serial_trace, parallel_trace in zip(serial_row, parallel_row):
-                assert pickle.dumps(serial_trace) == pickle.dumps(parallel_trace)
+        # (Whole-list pickles can differ in memoization topology only: the
+        # serial traces share scenario objects with the spec, the parallel
+        # ones are worker-side copies.)
+        for serial_trace, parallel_trace in zip(task_order(serial), parallel):
+            assert pickle.dumps(serial_trace) == pickle.dumps(parallel_trace)
 
     def test_popt_traces_byte_identical_across_backends(self):
         import pickle
         spec = (Sweep.of(OptimalFipProtocol(2), MinProtocol(2))
                 .on([example_7_1(n=6, t=2)], n=6).build())
-        serial = spec.run(SerialExecutor())
-        parallel = spec.run(ParallelExecutor(max_workers=2, chunksize=1))
-        for name in spec.protocol_names:
-            assert pickle.dumps(serial.trace(name)) == pickle.dumps(parallel.trace(name))
-
-    def test_default_executor_is_serial(self):
-        spec = intro_spec()
-        assert spec.run() == spec.run(SerialExecutor())
+        serial = spec.run()
+        parallel = ParallelExecutor(max_workers=2, chunksize=1).run_tasks(spec.tasks())
+        for serial_trace, parallel_trace in zip(task_order(serial), parallel, strict=True):
+            assert pickle.dumps(serial_trace) == pickle.dumps(parallel_trace)
 
 
 class TestParallelExecutor:
     def test_order_is_scenario_order_not_completion_order(self):
         scenarios = random_scenarios(4, 1, count=10, seed=2)
-        results = Sweep.of(MinProtocol(1)).on(scenarios, n=4).run(
-            ParallelExecutor(max_workers=2, chunksize=1))
-        for scenario, trace in zip(scenarios, results["P_min"]):
+        spec = Sweep.of(MinProtocol(1)).on(scenarios, n=4).build()
+        traces = ParallelExecutor(max_workers=2, chunksize=1).run_tasks(spec.tasks())
+        assert traces == task_order(spec.run())
+        for scenario, trace in zip(scenarios, traces, strict=True):
             assert trace.preferences == tuple(scenario[0])
             assert trace.pattern == scenario[1]
 
@@ -90,9 +87,8 @@ class TestParallelExecutor:
             ParallelExecutor(chunksize=0)
 
     def test_single_task_avoids_the_pool(self):
-        trace = (Sweep.of(MinProtocol(1))
-                 .on([intro_counterexample(n=4, t=1)], n=4)
-                 .run(ParallelExecutor()))["P_min"][0]
+        spec = Sweep.of(MinProtocol(1)).on([intro_counterexample(n=4, t=1)], n=4).build()
+        [trace] = ParallelExecutor().run_tasks(spec.tasks())
         assert trace.protocol_name == "P_min"
 
 
@@ -113,9 +109,9 @@ def _executor_parameters(tree, prefix=""):
 
 
 class TestWhereRunsExecute:
-    def test_only_the_run_api_takes_an_executor(self):
-        """Every layer above the run API runs in-process.  ``check_safety``
-        and ``check_theorems`` keep an unused, documented ``executor``."""
+    def test_only_two_unused_executor_parameters_remain(self):
+        """Every run executes in-process.  ``check_safety`` and
+        ``check_theorems`` keep an unused, documented ``executor``."""
         source = Path(__file__).resolve().parent.parent / "src"
         found = set()
         for path in sorted(source.rglob("*.py")):
@@ -123,37 +119,23 @@ class TestWhereRunsExecute:
             module = path.relative_to(source).with_suffix("").as_posix()
             found.update(f"{module}:{name}" for name in _executor_parameters(tree))
         assert found == {
-            "repro/api/specs:RunSpec.run",
-            "repro/api/specs:SweepSpec.run",
-            "repro/api/specs:Sweep.run",
-            "repro/api/executors:resolve_executor",
             "repro/kbp/safety:check_safety",
             "repro/experiments/failure_model_comparison:check_theorems",
         }
 
 
-class TestResolveExecutor:
-    def test_none_resolves_to_serial(self):
-        assert isinstance(resolve_executor(None), SerialExecutor)
+class TestRunSignature:
+    """``store`` is keyword-only: an executor passed the old way fails at the
+    call, not later as a store it is not."""
 
-    def test_custom_executor_passes_through(self):
-        class Recording:
-            def __init__(self):
-                self.calls = 0
-
-            def run_tasks(self, tasks):
-                self.calls += 1
-                return SerialExecutor().run_tasks(tasks)
-
-        recording = Recording()
-        assert isinstance(recording, Executor)
-        spec = intro_spec()
-        spec.run(recording)
-        assert recording.calls == 1
-
-    def test_non_executor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_executor(object())
+    @pytest.mark.parametrize("target", [
+        lambda: RunSpec(MinProtocol(1), 4, (0, 1, 1, 1)),
+        intro_spec,
+        lambda: Sweep.of(MinProtocol(1)).on([intro_counterexample(n=4, t=1)], n=4),
+    ], ids=["RunSpec", "SweepSpec", "Sweep"])
+    def test_a_positional_argument_raises_type_error(self, target):
+        with pytest.raises(TypeError, match="positional argument"):
+            target().run(ParallelExecutor())
 
 
 class TestResultSet:
@@ -228,23 +210,22 @@ class TestPoolRebuild:
         # Parallel first: exactly one pool worker wins the sentinel race and
         # dies hard mid-chunk, breaking the pool; the executor rebuilds it and
         # retries only the unfinished chunks.
-        parallel = spec.run(ParallelExecutor(max_workers=2, chunksize=1))
+        parallel = ParallelExecutor(max_workers=2, chunksize=1).run_tasks(spec.tasks())
         assert sentinel.exists()  # the crash really happened
         # Serial afterwards: the sentinel now exists, so every act() is plain
         # P_min — the honest baseline the retried chunks must match.
-        serial = spec.run(SerialExecutor())
+        serial = task_order(spec.run())
         assert serial == parallel
-        for serial_row, parallel_row in zip(serial.traces, parallel.traces):
-            for serial_trace, parallel_trace in zip(serial_row, parallel_row):
-                assert pickle.dumps(serial_trace) == pickle.dumps(parallel_trace)
+        for serial_trace, parallel_trace in zip(serial, parallel, strict=True):
+            assert pickle.dumps(serial_trace) == pickle.dumps(parallel_trace)
 
     def test_exhausted_pool_retries_raises_broken_pool(self, tmp_path):
         from concurrent.futures.process import BrokenProcessPool
         sentinel = tmp_path / "crash-once-no-budget"
         spec = self.crash_spec(sentinel)
         with pytest.raises(BrokenProcessPool, match="giving up"):
-            spec.run(ParallelExecutor(max_workers=2, chunksize=1,
-                                      pool_retries=0))
+            ParallelExecutor(max_workers=2, chunksize=1,
+                             pool_retries=0).run_tasks(spec.tasks())
 
     def test_ordinary_task_exceptions_are_not_retried(self, tmp_path):
         """A task *raising* (vs dying) is a real error: it propagates."""
@@ -253,7 +234,7 @@ class TestPoolRebuild:
         spec = (Sweep.of(FailOnceProtocol(1, sentinel))
                 .on_random(4, 1, count=8, seed=3).build())
         with pytest.raises(InjectedFault):
-            spec.run(ParallelExecutor(max_workers=2, chunksize=1))
+            ParallelExecutor(max_workers=2, chunksize=1).run_tasks(spec.tasks())
 
     def test_negative_pool_retries_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -103,7 +103,7 @@ REMOVED_NAMES = (
     "encode_protocol", "require_eba", "prescribed_actions", "reachable_states",
     "BatchResult", "SpecificationViolation", "uptime_clock", "reset_once_cache",
     "walk_with_parents", "is_decide_notification", "execute_task",
-    "supports_optimality",
+    "supports_optimality", "SerialExecutor", "resolve_executor", "CachingExecutor",
 )
 
 

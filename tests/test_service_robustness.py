@@ -324,7 +324,7 @@ class TestCooperativeCancel:
         the chunks that have not started."""
         # 48 one-task chunks of several sleeping act calls each: ~7.5 s on
         # two workers, were the sweep to run to the end.
-        sweep = Sweep.of(SlowProtocol(1, delay=0.05)).on_random(3, 1, count=48, seed=0)
+        spec = Sweep.of(SlowProtocol(1, delay=0.05)).on_random(3, 1, count=48, seed=0).build()
         cancel = threading.Event()
 
         def check():
@@ -336,7 +336,7 @@ class TestCooperativeCancel:
         timer.start()
         try:
             with cancellable(check), pytest.raises(JobCancelled):
-                sweep.run(ParallelExecutor(max_workers=2, chunksize=1))
+                ParallelExecutor(max_workers=2, chunksize=1).run_tasks(spec.tasks())
         finally:
             timer.cancel()
         assert time.monotonic() - started < 3.0

@@ -566,20 +566,18 @@ class TestConcurrentAccess:
         final = default_store(tmp_path).get(key)
         assert final is not None and final["round"] == 19
 
-    def test_concurrent_caching_executor_runs_share_one_store(self, tmp_path):
-        """Two threads executing the identical run through CachingExecutor:
-        both get the correct trace and the store ends with one entry."""
-        from repro.api import SerialExecutor
+    def test_concurrent_cached_runs_share_one_store(self, tmp_path):
+        """Two threads executing the identical run with one store: both get
+        the correct trace and the store ends with one entry."""
+        from repro.api import RunSpec
         from repro.protocols import MinProtocol
-        from repro.failures import FailurePattern as Pattern
-        from repro.store import CachingExecutor
         store = default_store(tmp_path)
-        task = (MinProtocol(1), 3, (1, 0, 1), Pattern.failure_free(3), None)
-        reference = SerialExecutor().run_tasks([task])[0]
+        spec = RunSpec(MinProtocol(1), 3, (1, 0, 1))
+        reference = spec.run()
         results = [None, None]
 
         def run(slot):
-            results[slot] = CachingExecutor(store).run_tasks([task])[0]
+            results[slot] = spec.run(store=store)
 
         threads = [threading.Thread(target=run, args=(slot,))
                    for slot in range(2)]

@@ -2,8 +2,8 @@
 
 The pipeline-level correctness properties:
 
-* the :class:`CachingExecutor` serves hits, computes only misses, and
-  preserves task order (so cached and uncached sweeps are byte-identical);
+* a run with a store serves hits, simulates only misses, and preserves task
+  order (so cached and uncached sweeps are byte-identical);
 * ``RunSpec.run`` / ``SweepSpec.run`` with a store are warm-idempotent, and an
   interrupted sweep resumes at the first missing key (``missing_tasks``);
 * ``build_system`` / ``check_implements`` / ``check_safety`` and E7's
@@ -22,33 +22,22 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import time
-from typing import List, Sequence
+from typing import List
 
 import pytest
 
-from repro.api import RunSpec, SerialExecutor, Sweep
+from repro.api import RunSpec, Sweep, specs
 from repro.cli import main as cli_main
 from repro.experiments import decision_rounds, implementation_check
 from repro.failures import FailurePattern, ReceiveOmissionModel, SendingOmissionModel
 from repro.kbp import check_implements, make_p0
 from repro.kbp.safety import check_safety
 from repro.protocols import BasicProtocol, MinProtocol
-from repro.store import CachingExecutor, context_system_key, default_store, system_key
+from repro.simulation.batch import simulate_tasks
+from repro.store import context_system_key, default_store, system_key
 from repro.systems import EBAContext, build_system, gamma_basic, gamma_min
 from repro.workloads import random_scenarios
 from repro.workloads.preferences import enumerate_preferences
-
-
-class CountingExecutor:
-    """A serial executor that records how many tasks it actually ran."""
-
-    def __init__(self) -> None:
-        self.tasks_run: List[tuple] = []
-        self._inner = SerialExecutor()
-
-    def run_tasks(self, tasks: Sequence[tuple]):
-        self.tasks_run.extend(tasks)
-        return self._inner.run_tasks(tasks)
 
 
 @pytest.fixture
@@ -56,30 +45,49 @@ def store(tmp_path):
     return default_store(tmp_path / "cache")
 
 
-# --------------------------------------------------------------------------- executor
+@pytest.fixture
+def simulated(monkeypatch) -> List[tuple]:
+    """Every task the run API simulates, in the order it simulates them."""
+    tasks_run: List[tuple] = []
+
+    def counting(tasks):
+        tasks_run.extend(tasks)
+        return simulate_tasks(tasks)
+    monkeypatch.setattr(specs, "simulate_tasks", counting)
+    return tasks_run
 
 
-class TestCachingExecutor:
-    def test_miss_then_hit(self, store):
-        inner = CountingExecutor()
-        executor = CachingExecutor(store, inner)
-        tasks = [(MinProtocol(1), 3, (1, 1, 0), FailurePattern.failure_free(3), None)]
-        first = executor.run_tasks(tasks)
-        second = executor.run_tasks(tasks)
+_P_MIN = MinProtocol(1)
+
+
+def _sweep(scenarios) -> "specs.SweepSpec":
+    """A P_min sweep; every call shares one protocol, so tasks compare equal."""
+    return Sweep.of(_P_MIN).on(scenarios, n=3).build()
+
+
+# --------------------------------------------------------------------------- runs
+
+
+class TestPerRunCaching:
+    """Per-run caching: hits are served, only misses are simulated."""
+
+    def test_miss_then_hit(self, store, simulated):
+        spec = RunSpec(MinProtocol(1), 3, (1, 1, 0), FailurePattern.failure_free(3))
+        first = spec.run(store=store)
+        second = spec.run(store=store)
         assert first == second
-        assert len(inner.tasks_run) == 1  # the second call was a pure hit
+        assert len(simulated) == 1  # the second call was a pure hit
 
-    def test_partial_hits_preserve_order(self, store):
+    def test_partial_hits_preserve_order(self, store, simulated):
         scenarios = random_scenarios(3, 1, count=4, seed=5)
-        tasks = [(MinProtocol(1), 3, prefs, pattern, None)
-                 for prefs, pattern in scenarios]
+        tasks = _sweep(scenarios).tasks()
         # Pre-cache tasks 1 and 3 only.
-        CachingExecutor(store, CountingExecutor()).run_tasks([tasks[1], tasks[3]])
-        inner = CountingExecutor()
-        traces = CachingExecutor(store, inner).run_tasks(tasks)
-        assert [task for task in inner.tasks_run] == [tasks[0], tasks[2]]
-        reference = SerialExecutor().run_tasks(tasks)
-        assert traces == reference  # order and content identical to uncached
+        _sweep([scenarios[1], scenarios[3]]).run(store=store)
+        simulated.clear()
+        results = _sweep(scenarios).run(store=store)
+        assert [task for task in simulated] == [tasks[0], tasks[2]]
+        reference = simulate_tasks(tasks)
+        assert list(results["P_min"]) == reference  # order and content identical to uncached
 
 
 # --------------------------------------------------------------------------- specs
@@ -109,7 +117,7 @@ class TestSpecCaching:
         assert cold == warm  # ResultSet equality is structural over every trace
         assert warm == sweep.run()  # and identical to the uncached result
 
-    def test_sweep_resume_restarts_at_first_missing_key(self, store):
+    def test_sweep_resume_restarts_at_first_missing_key(self, store, simulated):
         # Distinct scenarios by construction: random workloads may repeat a
         # scenario, and the content-addressed store would (correctly) dedup it.
         pattern = FailurePattern.failure_free(3)
@@ -118,23 +126,23 @@ class TestSpecCaching:
         spec = Sweep.of(MinProtocol(1)).on(scenarios, n=3).build()
         assert len(spec.missing_tasks(store)) == 6
         # Simulate an interrupted sweep: only the first 2 tasks completed.
-        CachingExecutor(store).run_tasks(spec.tasks()[:2])
+        _sweep(spec.scenarios[:2]).run(store=store)
         missing = spec.missing_tasks(store)
         assert missing == spec.tasks()[2:]
-        inner = CountingExecutor()
-        spec.run(executor=inner, store=store)
-        assert list(inner.tasks_run) == list(missing)  # resumed, not restarted
+        simulated.clear()
+        spec.run(store=store)
+        assert list(simulated) == list(missing)  # resumed, not restarted
 
     def test_missing_tasks_without_store_is_everything(self):
         spec = Sweep.of(MinProtocol(1)).on_random(3, 1, count=3, seed=1).build()
         assert spec.missing_tasks(None) == spec.tasks()
 
-    def test_spec_field_change_forces_recompute(self, store):
+    def test_spec_field_change_forces_recompute(self, store, simulated):
         base = Sweep.of(MinProtocol(1)).on_random(3, 1, count=2, seed=7)
         base.run(store=store)
-        inner = CountingExecutor()
-        base.with_horizon(4).run(executor=inner, store=store)
-        assert len(inner.tasks_run) == 2  # different horizon => full recompute
+        simulated.clear()
+        base.with_horizon(4).run(store=store)
+        assert len(simulated) == 2  # different horizon => full recompute
 
 
 # --------------------------------------------------------------------------- systems and reports

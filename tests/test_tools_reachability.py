@@ -82,3 +82,19 @@ def test_lists_exactly_the_unreached_functions(tmp_path):
 def test_every_allowlist_entry_has_a_reason():
     assert reachability.ALLOWLIST
     assert all(reason.strip() for reason in reachability.ALLOWLIST.values())
+
+
+class _Everything:
+    """An entered set that holds every function, so the walk descends into all."""
+
+    def __contains__(self, record):
+        return True
+
+
+def test_every_allowlist_entry_matches_a_function():
+    """Static: no probe run.  Nested functions count, hence ``_Everything``."""
+    found = [function for function, _ in
+             reachability.functions(reachability.PACKAGE, _Everything())]
+    stale = [pattern for pattern in reachability.ALLOWLIST
+             if not any(reachability._matches(function, pattern) for function in found)]
+    assert stale == []

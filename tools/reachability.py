@@ -118,7 +118,6 @@ ALLOWLIST: Dict[str, str] = {
     "repro/protocols/base.py:ActionProtocol.*": "interface: abstract base method",
     "repro/store/backends.py:StoreBackend.*": "interface: abstract base method",
     "repro/analysis/lint/registry.py:Checker.check": "interface: abstract base method",
-    "repro/api/executors.py:Executor.run_tasks": "interface: the executor protocol",
     "repro/store/backends.py:MemoryBackend.*": "interface: StoreBackend on the in-memory backend",
     "repro/kbp/implementation.py:TableProtocol.*":
         "interface: the ActionProtocol synthesised from a knowledge-based program",
