@@ -49,6 +49,7 @@ artifact store (:mod:`repro.store`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -71,6 +72,7 @@ from .experiments import (
 )
 from .failures.models import available_models
 from .failures.pattern import FailurePattern
+from .kbp import safety as kbp_safety
 from .obs import trace as obs_trace
 from .obs.bus import BUS
 from .obs.logs import configure_logging
@@ -79,7 +81,7 @@ from .protocols.base import ActionProtocol
 from .reporting.trace_view import render_decision_timeline, render_run
 from .service.wire import PROTOCOL_FACTORIES, THEOREMS
 from .spec.eba import check_eba
-from .store import ArtifactStore, default_cache_dir, default_store
+from .store import ArtifactStore, default_cache_dir, default_store, safety_report_key
 from .workloads import scenarios as scenario_lib
 
 #: Protocol name -> constructor taking the failure bound t.  This *is* the
@@ -325,28 +327,45 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     # warm: pre-build the expensive model-checking artifacts for (n, t) so the
     # first real experiment/CI run starts hot.
-    from .experiments import implementation_check, safety_check
     print(f"warming artifact store at {location} for n={args.n}, t={args.t} ...")
-    for label, check in (
-        ("Theorem 6.5 (P_min implements P0 in gamma_min)",
-         implementation_check.check_theorem_6_5),
-        ("Theorem 6.6 (P_basic implements P0 in gamma_basic)",
-         implementation_check.check_theorem_6_6),
-    ):
-        report = check(args.n, args.t, store=store)
-        print(f"  {label}: {'ok' if report.ok else 'MISMATCHES'} "
-              f"({report.checked_states} states)")
-    if args.safety:
-        for label, check in (
-            ("Definition 6.2 safety in gamma_min", safety_check.check_gamma_min),
-            ("Definition 6.2 safety in gamma_basic", safety_check.check_gamma_basic),
-        ):
-            report = check(args.n, args.t, store=store)
-            print(f"  {label}: {'safe' if report.safe else 'VIOLATIONS'} "
-                  f"({report.points_checked} points)")
+    for label, _, check in _cache_artifacts(args.n, args.t, args.safety):
+        print(f"  {label.format(report='')}: {check(store)}")
     stats = store.stats()
     print(f"done: {stats.entries} entries, {stats.puts} written this run")
     return 0
+
+
+def _cache_artifacts(n: int, t: int, safety: bool) -> List[Tuple[str, str, Callable]]:
+    """``(label, store key, check)`` for each artifact ``cache warm`` builds.
+
+    ``cache missing`` looks up the same keys, so what one writes is what the
+    other reads.  A label's ``{report}`` is where ``missing`` says "report";
+    ``check(store)`` computes the artifact and returns ``warm``'s verdict text.
+    """
+    artifacts = []
+    for theorem in implementation_check.LIMITED:
+        protocol, program, context = implementation_check.THEOREM_PARTS[theorem](n, t)
+        artifacts.append((
+            f"Theorem {theorem}{{report}} ({protocol.name} implements {program.name} "
+            f"in {context.name})",
+            implementation_check.theorem_report_key(theorem, n, t),
+            functools.partial(_warm_theorem, theorem, n, t)))
+    for theorem in implementation_check.LIMITED if safety else ():
+        protocol, _, context = implementation_check.THEOREM_PARTS[theorem](n, t)
+        artifacts.append((f"Definition 6.2 safety{{report}} in {context.name}",
+                          safety_report_key(protocol, context, 10),
+                          functools.partial(_warm_safety, protocol, context)))
+    return artifacts
+
+
+def _warm_theorem(theorem: str, n: int, t: int, store: ArtifactStore) -> str:
+    report = implementation_check.check_theorem(theorem, n, t, store=store)
+    return f"{'ok' if report.ok else 'MISMATCHES'} ({report.checked_states} states)"
+
+
+def _warm_safety(protocol: ActionProtocol, context, store: ArtifactStore) -> str:
+    report = kbp_safety.check_safety(protocol, context, store=store)
+    return f"{'safe' if report.safe else 'VIOLATIONS'} ({report.points_checked} points)"
 
 
 def _cache_missing(args: argparse.Namespace, store: ArtifactStore, location) -> int:
@@ -356,31 +375,14 @@ def _cache_missing(args: argparse.Namespace, store: ArtifactStore, location) -> 
     build are already present, without computing anything.  Exit code 1 when
     at least one is missing, so scripts can gate a warm run on it.
     """
-    from .experiments.implementation_check import theorem_report_key
-    from .protocols.pbasic import BasicProtocol
-    from .protocols.pmin import MinProtocol
-    from .store import safety_report_key
-    from .systems.contexts import gamma_basic, gamma_min
     n, t = args.n, args.t
-    artifacts = [
-        ("Theorem 6.5 report (P_min implements P0 in gamma_min)",
-         theorem_report_key("6.5", n, t)),
-        ("Theorem 6.6 report (P_basic implements P0 in gamma_basic)",
-         theorem_report_key("6.6", n, t)),
-    ]
-    if args.safety:
-        artifacts.extend([
-            ("Definition 6.2 safety report in gamma_min",
-             safety_report_key(MinProtocol(t), gamma_min(n, t), 10)),
-            ("Definition 6.2 safety report in gamma_basic",
-             safety_report_key(BasicProtocol(t), gamma_basic(n, t), 10)),
-        ])
+    artifacts = _cache_artifacts(n, t, args.safety)
     print(f"artifact store at {location}, n={n}, t={t}:")
     missing = 0
-    for label, key in artifacts:
+    for label, key, _ in artifacts:
         present = store.contains(key)
         missing += 0 if present else 1
-        print(f"  [{'cached ' if present else 'MISSING'}] {label}")
+        print(f"  [{'cached ' if present else 'MISSING'}] {label.format(report=' report')}")
     if missing:
         print(f"{missing} of {len(artifacts)} artifacts missing; "
               f"'repro-eba cache warm --n {n} --t {t}"

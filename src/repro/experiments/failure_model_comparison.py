@@ -32,8 +32,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..api import StoreLike, Sweep
 from ..failures.models import FailureModel, make_model, model_class
-from ..kbp.implementation import check_implements
-from ..kbp.programs import make_p0
 from ..protocols.base import ActionProtocol
 from ..protocols.pbasic import BasicProtocol
 from ..protocols.pmin import MinProtocol
@@ -41,7 +39,6 @@ from ..protocols.popt import OptimalFipProtocol
 from ..reporting.tables import format_table
 from ..simulation.trace import Scenario
 from ..spec.eba import check_agreement, check_termination, check_validity
-from ..systems.contexts import gamma_basic, gamma_min
 from ..workloads.scenarios import (
     mixed_chain_scenario,
     partition_scenario,
@@ -49,6 +46,7 @@ from ..workloads.scenarios import (
     silent_receiver_scenario,
 )
 from .crash_comparison import crash_workload
+from .implementation_check import LIMITED, check_theorem, theorem_claim
 
 #: The models this experiment compares by default (canonical registry names).
 DEFAULT_MODELS: Tuple[str, ...] = (
@@ -208,18 +206,13 @@ def check_theorems(model: "FailureModel | str", n: int = 3, t: int = 1,
         # re-instantiate the caller's model at the theorem-check (n, t).
         cls = type(model)
         model = cls(n) if cls is model_class("failure-free") else cls(n=n, t=t)
-    model_name = model.name
     rows: List[TheoremCheckRow] = []
-    for claim, protocol, gamma, context_name in (
-        ("Theorem 6.5: P_min implements P0", MinProtocol(t), gamma_min, "gamma_min"),
-        ("Theorem 6.6: P_basic implements P0", BasicProtocol(t), gamma_basic, "gamma_basic"),
-    ):
-        context = gamma(n, t, failure_model=model)
-        report = check_implements(protocol, make_p0(n), context, store=store)
+    for theorem in LIMITED:
+        report = check_theorem(theorem, n, t, failure_model=model, store=store)
         rows.append(TheoremCheckRow(
-            model=model_name,
-            claim=claim,
-            context=context_name,
+            model=model.name,
+            claim=theorem_claim(theorem, report),
+            context=report.context_name,
             n=n,
             t=t,
             states_checked=report.checked_states,

@@ -16,8 +16,9 @@ protocol's actions at every reachable local state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Tuple
 
+from ..failures.models import FailureModel
 from ..kbp.implementation import ImplementationReport, check_implements, programs_equivalent
 from ..kbp.programs import make_p0, make_p1
 from ..protocols.pbasic import BasicProtocol
@@ -50,20 +51,23 @@ class ImplementationMeasurement:
 
 
 #: Theorem id -> (protocol, program, context) constructor at ``(n, t)``: the
-#: one table of what each implementation theorem checks.  The service's
-#: ``theorem`` requests and the CLI's ``cache missing`` read it too, so their
-#: keys equal the report keys these checks cache under.
+#: one table of what each implementation claim checks.  E7, E10, E11, E12, the
+#: CLI's ``cache warm`` / ``cache missing`` and the service's ``theorem``
+#: requests all read it, so their keys equal the report keys these checks cache
+#: under.  Appendix theorems are keyed ``a<number>``.
 THEOREM_PARTS: Dict[str, Callable[..., tuple]] = {
-    "6.5": lambda n, t, max_faulty_enumerated=None: (
-        MinProtocol(t), make_p0(n),
-        gamma_min(n, t, max_faulty_enumerated=max_faulty_enumerated)),
-    "6.6": lambda n, t, max_faulty_enumerated=None: (
-        BasicProtocol(t), make_p0(n),
-        gamma_basic(n, t, max_faulty_enumerated=max_faulty_enumerated)),
-    "a21": lambda n, t, max_faulty_enumerated=None: (
-        OptimalFipProtocol(t), make_p1(n, t),
-        gamma_fip(n, t, max_faulty_enumerated=max_faulty_enumerated)),
+    "6.5": lambda n, t, failure_model=None: (
+        MinProtocol(t), make_p0(n), gamma_min(n, t, failure_model=failure_model)),
+    "6.6": lambda n, t, failure_model=None: (
+        BasicProtocol(t), make_p0(n), gamma_basic(n, t, failure_model=failure_model)),
+    "a21": lambda n, t, failure_model=None: (
+        OptimalFipProtocol(t), make_p1(n, t), gamma_fip(n, t, failure_model=failure_model)),
 }
+
+#: The rows in a limited-information context: Theorems 6.5 and 6.6, whose
+#: protocols Proposition 6.4 (safety), Corollary 6.7 (optimality) and Section
+#: 7 (``P1 ≡ P0``) are also about.
+LIMITED: Tuple[str, ...] = ("6.5", "6.6")
 
 
 def theorem_report_key(theorem: str, n: int, t: int) -> str:
@@ -77,35 +81,23 @@ def theorem_report_key(theorem: str, n: int, t: int) -> str:
 
 
 def check_theorem(theorem: str, n: int = 3, t: int = 1,
-                  max_faulty_enumerated: Optional[int] = None,
+                  failure_model: "FailureModel | str | None" = None,
                   store=None) -> ImplementationReport:
-    """Check the implementation theorem ``theorem`` (a key of :data:`THEOREM_PARTS`)."""
-    protocol, program, context = THEOREM_PARTS[theorem](n, t, max_faulty_enumerated)
+    """Check the implementation theorem ``theorem`` (a key of :data:`THEOREM_PARTS`).
+
+    ``failure_model`` swaps the context's failure model (``SO(t)`` if omitted).
+    Theorem A.21 (Proposition 7.9) is the paper's polynomial-time claim checked
+    against the knowledge-based program itself: ``P_opt``'s communication-graph
+    tests must agree with the model-checked ``P1`` at every reachable state.
+    """
+    protocol, program, context = THEOREM_PARTS[theorem](n, t, failure_model)
     return check_implements(protocol, program, context, store=store)
 
 
-def check_theorem_6_5(n: int = 3, t: int = 1,
-                      max_faulty_enumerated: Optional[int] = None, store=None) -> ImplementationReport:
-    """Theorem 6.5: ``P_min`` implements ``P0`` in ``γ_min,n,t``."""
-    return check_theorem("6.5", n, t, max_faulty_enumerated, store)
-
-
-def check_theorem_6_6(n: int = 3, t: int = 1,
-                      max_faulty_enumerated: Optional[int] = None, store=None) -> ImplementationReport:
-    """Theorem 6.6: ``P_basic`` implements ``P0`` in ``γ_basic,n,t``."""
-    return check_theorem("6.6", n, t, max_faulty_enumerated, store)
-
-
-def check_theorem_a21(n: int = 3, t: int = 1,
-                      max_faulty_enumerated: Optional[int] = None, store=None) -> ImplementationReport:
-    """Theorem A.21 / Proposition 7.9: ``P_opt`` implements ``P1`` in ``γ_fip,n,t``.
-
-    This is the paper's polynomial-time-implementation claim checked against the
-    knowledge-based program itself: the concrete communication-graph tests
-    (``common_v`` / ``cond0`` / ``cond1``) must agree with the model-checked
-    knowledge and common-knowledge conditions at every reachable local state.
-    """
-    return check_theorem("a21", n, t, max_faulty_enumerated, store)
+def theorem_claim(theorem: str, report: ImplementationReport) -> str:
+    """The row label of ``theorem``'s report, e.g. ``Theorem 6.5: P_min implements P0``."""
+    number = f"A.{theorem[1:]}" if theorem.startswith("a") else theorem
+    return f"Theorem {number}: {report.protocol_name} implements {report.program_name}"
 
 
 def _equivalence_verdict(protocol, context, store) -> bool:
@@ -132,24 +124,27 @@ def _equivalence_verdict(protocol, context, store) -> bool:
 
 def check_p0_p1_equivalence(n: int = 3, t: int = 1, store=None) -> Dict[str, bool]:
     """Section 7: ``P0`` and ``P1`` prescribe the same actions in the limited contexts."""
-    return {
-        "gamma_min": _equivalence_verdict(MinProtocol(t), gamma_min(n, t), store),
-        "gamma_basic": _equivalence_verdict(BasicProtocol(t), gamma_basic(n, t), store),
-    }
+    verdicts = {}
+    for theorem in LIMITED:
+        protocol, _, context = THEOREM_PARTS[theorem](n, t)
+        verdicts[context.name] = _equivalence_verdict(protocol, context, store)
+    return verdicts
 
 
 def measure(n: int = 3, t: int = 1, include_equivalence: bool = True,
             include_fip: bool = True, store=None) -> List[ImplementationMeasurement]:
-    """Run every implementation check at the given system size."""
-    checks = [("Theorem A.21: P_opt implements P1", "gamma_fip", check_theorem_a21)] if include_fip else []
-    checks += [("Theorem 6.5: P_min implements P0", "gamma_min", check_theorem_6_5),
-               ("Theorem 6.6: P_basic implements P0", "gamma_basic", check_theorem_6_6)]
+    """Run every implementation check at the given system size.
+
+    The full-information rows (Theorem A.21) come first; ``include_fip=False``
+    leaves them out.
+    """
+    fip = [theorem for theorem in THEOREM_PARTS if theorem not in LIMITED] if include_fip else []
     measurements: List[ImplementationMeasurement] = []
-    for claim, context, check in checks:
-        checked = check(n, t, store=store)
+    for theorem in fip + list(LIMITED):
+        checked = check_theorem(theorem, n, t, store=store)
         measurements.append(ImplementationMeasurement(
-            claim=claim, context=context, n=n, t=t,
-            states_checked=checked.checked_states, holds=checked.ok))
+            claim=theorem_claim(theorem, checked), context=checked.context_name,
+            n=n, t=t, states_checked=checked.checked_states, holds=checked.ok))
     if include_equivalence:
         for context, holds in check_p0_p1_equivalence(n, t, store=store).items():
             measurements.append(ImplementationMeasurement(

@@ -15,13 +15,11 @@ a rumour" speed-ups that the paper's counterexamples are built around.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..analysis.optimality import OptimalityProbeReport, probe_optimality
-from ..protocols.pbasic import BasicProtocol
-from ..protocols.pmin import MinProtocol
 from ..reporting.tables import format_table
-from ..systems.contexts import gamma_basic, gamma_min
+from .implementation_check import LIMITED, THEOREM_PARTS
 
 
 @dataclass(frozen=True)
@@ -69,24 +67,13 @@ def summarize(report: OptimalityProbeReport, n: int, t: int) -> ProbeRow:
     )
 
 
-def probe_pmin(n: int = 3, t: int = 1,
-               max_deviations: Optional[int] = None) -> OptimalityProbeReport:
-    """Probe ``P_min`` in the exhaustively enumerated ``γ_min(n, t)``."""
-    return probe_optimality(MinProtocol(t), gamma_min(n, t), max_deviations=max_deviations)
-
-
-def probe_pbasic(n: int = 3, t: int = 1,
-                 max_deviations: Optional[int] = None) -> OptimalityProbeReport:
-    """Probe ``P_basic`` in the exhaustively enumerated ``γ_basic(n, t)``."""
-    return probe_optimality(BasicProtocol(t), gamma_basic(n, t), max_deviations=max_deviations)
-
-
 def measure(n: int = 3, t: int = 1) -> List[ProbeRow]:
-    """Run both probes and summarize."""
-    return [
-        summarize(probe_pmin(n, t), n, t),
-        summarize(probe_pbasic(n, t), n, t),
-    ]
+    """Probe ``P_min`` in ``γ_min`` and ``P_basic`` in ``γ_basic`` and summarize."""
+    rows = []
+    for theorem in LIMITED:
+        protocol, _, context = THEOREM_PARTS[theorem](n, t)
+        rows.append(summarize(probe_optimality(protocol, context), n, t))
+    return rows
 
 
 def report(n: int = 3, t: int = 1) -> str:

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..kbp.safety import SafetyReport, check_safety
-from ..protocols.pbasic import BasicProtocol
-from ..protocols.pmin import MinProtocol
 from ..reporting.tables import format_table
-from ..systems.contexts import gamma_basic, gamma_min
+from .implementation_check import LIMITED, THEOREM_PARTS
 
 
 @dataclass(frozen=True)
@@ -68,22 +66,13 @@ def summarize(report: SafetyReport, n: int, t: int) -> SafetyRow:
     )
 
 
-def check_gamma_min(n: int = 3, t: int = 1, store=None) -> SafetyReport:
-    """Check the safety condition in ``γ_min(n, t)`` (generated by ``P_min``)."""
-    return check_safety(MinProtocol(t), gamma_min(n, t), store=store)
-
-
-def check_gamma_basic(n: int = 3, t: int = 1, store=None) -> SafetyReport:
-    """Check the safety condition in ``γ_basic(n, t)`` (generated by ``P_basic``)."""
-    return check_safety(BasicProtocol(t), gamma_basic(n, t), store=store)
-
-
 def measure(n: int = 3, t: int = 1, store=None) -> List[SafetyRow]:
-    """Run both safety checks and summarize."""
-    return [
-        summarize(check_gamma_min(n, t, store=store), n, t),
-        summarize(check_gamma_basic(n, t, store=store), n, t),
-    ]
+    """Check the safety condition in ``γ_min`` and ``γ_basic`` and summarize."""
+    rows = []
+    for theorem in LIMITED:
+        protocol, _, context = THEOREM_PARTS[theorem](n, t)
+        rows.append(summarize(check_safety(protocol, context, store=store), n, t))
+    return rows
 
 
 def report(n: int = 3, t: int = 1, store=None) -> str:

@@ -23,7 +23,7 @@ This module provides
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
+from typing import Dict, Iterator, List, Optional, TYPE_CHECKING, Tuple
 
 from ..core.cancel import checkpoint
 from ..core.types import Action, NOOP
@@ -75,6 +75,26 @@ class ImplementationReport:
                 f"in {self.context_name}: {status}, {self.checked_states} states checked)")
 
 
+def _class_anchors(system: InterpretedSystem,
+                   max_time: int) -> Iterator[Tuple[int, LocalState, Point]]:
+    """``(agent, local state, first point)`` of each class anchored at time ≤ ``max_time``.
+
+    Identical local states always get identical prescriptions (guards are
+    agent-local), so one comparison at the first point of each interned
+    indistinguishability class suffices.  Synchrony puts a whole class at one
+    time, so skipping classes anchored past ``max_time`` skips exactly the
+    states a per-point scan would skip.  Polls the cancel scope once per agent.
+    """
+    for agent in range(system.n):
+        checkpoint()
+        partition = system.partition(agent)
+        for state, first_index in zip(partition.class_states,
+                                      partition.class_first_indices):
+            point = system.point_at(first_index)
+            if point.time <= max_time:
+                yield agent, state, point
+
+
 def check_implements(protocol: ActionProtocol, program: KnowledgeBasedProgram,
                      context: EBAContext,
                      system: Optional[InterpretedSystem] = None,
@@ -122,31 +142,19 @@ def check_implements(protocol: ActionProtocol, program: KnowledgeBasedProgram,
         program_name=program.name,
         context_name=context.name,
     )
-    # Identical local states always get identical prescriptions (guards are
-    # agent-local), so one comparison at the first point of each interned
-    # indistinguishability class suffices.  Synchrony puts a whole class at one
-    # time, so skipping classes anchored past ``max_time`` skips exactly the
-    # states a per-point scan would skip.
     mismatches: List[Mismatch] = []
-    for agent in range(system.n):
-        checkpoint()
-        partition = system.partition(agent)
-        for state, first_index in zip(partition.class_states,
-                                      partition.class_first_indices):
-            point = system.point_at(first_index)
-            if point.time > max_time:
-                continue
-            prescribed = program.prescribed_action(checker, agent, point)
-            concrete = protocol.act(state)
-            report.checked_states += 1
-            if concrete != prescribed:
-                mismatches.append(Mismatch(
-                    agent=agent,
-                    point=point,
-                    time=point.time,
-                    concrete_action=concrete,
-                    prescribed_action=prescribed,
-                ))
+    for agent, state, point in _class_anchors(system, max_time):
+        prescribed = program.prescribed_action(checker, agent, point)
+        concrete = protocol.act(state)
+        report.checked_states += 1
+        if concrete != prescribed:
+            mismatches.append(Mismatch(
+                agent=agent,
+                point=point,
+                time=point.time,
+                concrete_action=concrete,
+                prescribed_action=prescribed,
+            ))
     # Report mismatches in point-major system order (the order a per-point
     # scan encounters them), truncated to the requested cap.
     mismatches.sort(key=lambda m: (m.point.run_index, m.point.time, m.agent))
@@ -167,15 +175,9 @@ def programs_equivalent(first: KnowledgeBasedProgram, second: KnowledgeBasedProg
     if max_time is None:
         max_time = system.horizon - 1
     checker = ModelChecker(system)
-    for agent in range(system.n):
-        for first_index in system.partition(agent).class_first_indices:
-            point = system.point_at(first_index)
-            if point.time > max_time:
-                continue
-            if (first.prescribed_action(checker, agent, point)
-                    != second.prescribed_action(checker, agent, point)):
-                return False
-    return True
+    return all(first.prescribed_action(checker, agent, point)
+               == second.prescribed_action(checker, agent, point)
+               for agent, _, point in _class_anchors(system, max_time))
 
 
 class TableProtocol(ActionProtocol):
@@ -227,15 +229,8 @@ def derive_implementation(program: KnowledgeBasedProgram, context: EBAContext,
     for _ in range(max_iterations):
         system = context.build_system(current, store=resolved_store)
         checker = ModelChecker(system)
-        table = {}
-        for agent in range(system.n):
-            partition = system.partition(agent)
-            for state, first_index in zip(partition.class_states,
-                                          partition.class_first_indices):
-                point = system.point_at(first_index)
-                if point.time > system.horizon - 1:
-                    continue
-                table[(agent, state)] = program.prescribed_action(checker, agent, point)
+        table = {(agent, state): program.prescribed_action(checker, agent, point)
+                 for agent, state, point in _class_anchors(system, system.horizon - 1)}
         candidate = TableProtocol(
             t=seed.t,
             exchange_factory=seed.make_exchange,

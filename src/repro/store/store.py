@@ -4,10 +4,8 @@
 :class:`~repro.store.backends.StoreBackend`:
 
 * **Serialization** — artifacts are written as a small self-describing payload
-  (magic, artifact kind, format, then a gzip-compressed body).  Built systems,
-  run traces, and reports use compressed pickle; JSON is available for
-  artifacts that should stay tool-readable (experiment report text, sweep
-  checkpoint manifests).
+  (magic, artifact kind, the ``pickle`` format tag, then a gzip-compressed
+  pickle body).  A payload with any other format tag reads as corrupt.
 * **Corruption recovery** — a payload that fails to parse, decompress, or
   deserialize is *deleted and treated as a miss*, never raised: a damaged
   cache degrades to recomputation, it cannot crash a pipeline.  Backend IO
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 import gzip
 import io
-import json
 import os
 import pickle
 import threading
@@ -82,8 +79,6 @@ CACHE_ENABLE_ENV = "REPRO_EBA_CACHE"
 
 #: Environment variable bounding the default store's on-disk size, in bytes.
 CACHE_MAX_BYTES_ENV = "REPRO_EBA_CACHE_MAX_BYTES"
-
-_SERIALIZERS = ("pickle", "json")
 
 
 @dataclass
@@ -146,34 +141,28 @@ def _format_bytes(size: int) -> str:
     return f"{int(size)} B"  # pragma: no cover - unreachable
 
 
-def _encode(obj: object, kind: str, serializer: str) -> bytes:
-    if serializer == "json":
-        body = json.dumps(obj, sort_keys=True).encode("utf-8")
-    else:
-        body = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+def _encode(obj: object, kind: str) -> bytes:
+    body = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     # mtime=0 keeps gzip output deterministic for identical artifacts.  Level 1
     # compresses a built n=4 system over 10x faster than the default level 9
     # for an entry ~16% bigger; _decode reads any level.
     buffer = io.BytesIO()
     with gzip.GzipFile(fileobj=buffer, mode="wb", compresslevel=1, mtime=0) as zipped:
         zipped.write(body)
-    return b"\n".join([MAGIC, kind.encode("utf-8"), serializer.encode("utf-8"),
-                       buffer.getvalue()])
+    return b"\n".join([MAGIC, kind.encode("utf-8"), b"pickle", buffer.getvalue()])
 
 
 def _decode(payload: bytes) -> object:
-    magic, kind, serializer, body = payload.split(b"\n", 3)
+    magic, kind, body_format, body = payload.split(b"\n", 3)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}")
     del kind  # informational; stats reads it via _payload_kind
+    if body_format != b"pickle":
+        raise ValueError(f"unknown body format {body_format!r}")
     body = gzip.decompress(body)
-    if serializer == b"json":
-        return json.loads(body.decode("utf-8"))
-    if serializer == b"pickle":
-        # A stored system unpickles into a large acyclic graph: no GC passes.
-        with bulk_allocation():
-            return pickle.loads(body)
-    raise ValueError(f"unknown serializer {serializer!r}")
+    # A stored system unpickles into a large acyclic graph: no GC passes.
+    with bulk_allocation():
+        return pickle.loads(body)
 
 
 def _payload_kind(payload: bytes) -> Optional[str]:
@@ -312,21 +301,16 @@ class ArtifactStore:
             self._remember_locked(key, artifact)
             return artifact
 
-    def put(self, key: str, artifact: object, kind: str = "artifact",
-            serializer: str = "pickle") -> None:
+    def put(self, key: str, artifact: object, kind: str = "artifact") -> None:
         """Store an artifact under its content key.
 
-        ``kind`` labels the artifact family for ``cache stats``; ``serializer``
-        is ``"pickle"`` (default; any library object) or ``"json"`` (kept
-        tool-readable on disk — report text, checkpoint manifests).
+        ``kind`` labels the artifact family for ``cache stats``.
         """
-        if serializer not in _SERIALIZERS:
-            raise StoreError(f"unknown serializer {serializer!r}; use one of {_SERIALIZERS}")
         # The kind is one line of the payload header: a newline in it would
         # shift the header, and every later get() would drop the entry.
         if not isinstance(kind, str) or "\n" in kind:
             raise StoreError(f"artifact kind must be a str without newlines, got {kind!r}")
-        payload = _encode(artifact, kind, serializer)
+        payload = _encode(artifact, kind)
         if not _trace.is_active():
             self._put_impl(key, payload, artifact)
             return

@@ -191,6 +191,14 @@ class TestCacheInspection:
                      "--cache-dir", cache_dir]) == 1
         out = capsys.readouterr().out
         assert out.count("MISSING") == 2 and out.count("cached ") == 2
+        # What `warm --safety` writes is what `missing --safety` reads.
+        assert main(["cache", "warm", "--n", "3", "--t", "1", "--safety",
+                     "--cache-dir", cache_dir]) == 0
+        capsys.readouterr()
+        assert main(["cache", "missing", "--n", "3", "--t", "1", "--safety",
+                     "--cache-dir", cache_dir]) == 0
+        out = capsys.readouterr().out
+        assert "MISSING" not in out and "all 4 artifacts cached" in out
 
 
 class TestSweepResumeMessage:

@@ -104,6 +104,8 @@ REMOVED_NAMES = (
     "BatchResult", "SpecificationViolation", "uptime_clock", "reset_once_cache",
     "walk_with_parents", "is_decide_notification", "execute_task",
     "supports_optimality", "SerialExecutor", "resolve_executor", "CachingExecutor",
+    "check_theorem_6_5", "check_theorem_6_6", "check_theorem_a21", "check_gamma_min",
+    "check_gamma_basic", "probe_pmin", "probe_pbasic",
 )
 
 

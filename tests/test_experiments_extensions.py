@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis.optimality import probe_optimality
 from repro.experiments import crash_comparison, optimality_probe
+from repro.experiments.implementation_check import THEOREM_PARTS
 
 
 class TestCrashComparison:
@@ -45,13 +47,19 @@ class TestCrashComparison:
 
 class TestOptimalityProbe:
     # The exhaustive probes take ~10 s each.
-    @pytest.mark.parametrize("probe, max_deviations", [
-        (optimality_probe.probe_pmin, 8),
-        pytest.param(optimality_probe.probe_pmin, None, marks=pytest.mark.slow),
-        pytest.param(optimality_probe.probe_pbasic, None, marks=pytest.mark.slow),
+    @staticmethod
+    def _probe(theorem, max_deviations):
+        """Probe the protocol of ``theorem``'s row in its exhaustive SO(1) context at n=3."""
+        protocol, _, context = THEOREM_PARTS[theorem](3, 1)
+        return probe_optimality(protocol, context, max_deviations=max_deviations)
+
+    @pytest.mark.parametrize("theorem, max_deviations", [
+        ("6.5", 8),
+        pytest.param("6.5", None, marks=pytest.mark.slow),
+        pytest.param("6.6", None, marks=pytest.mark.slow),
     ], ids=["pmin_8", "pmin_exhaustive", "pbasic_exhaustive"])
-    def test_probe_summary(self, probe, max_deviations):
-        report = probe(n=3, t=1, max_deviations=max_deviations)
+    def test_probe_summary(self, theorem, max_deviations):
+        report = self._probe(theorem, max_deviations)
         if max_deviations is None:
             assert report.deviations_tried >= 20
         else:
@@ -59,7 +67,7 @@ class TestOptimalityProbe:
         assert report.consistent_with_optimality
 
     def test_summarize_row_accounting(self):
-        report = optimality_probe.probe_pmin(n=3, t=1, max_deviations=5)
+        report = self._probe("6.5", max_deviations=5)
         row = optimality_probe.summarize(report, 3, 1)
         assert row.deviations == 5
         assert row.refuting == 0

@@ -80,7 +80,7 @@ class TestTheoremA21:
         # Proposition 7.9 / Theorem A.21: the communication-graph tests of
         # P_opt coincide with the model-checked knowledge-based program P1 at
         # every reachable local state of the full-information context.
-        report = implementation_check.check_theorem_a21(n=3, t=1)
+        report = implementation_check.check_theorem("a21", n=3, t=1)
         assert report.ok, report.mismatches
         assert report.checked_states > 400
 

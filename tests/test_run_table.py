@@ -61,7 +61,7 @@ def _build(case, n3_system):
 
 
 def _round_trip(system):
-    return store_module._decode(store_module._encode(system, "system", "pickle"))
+    return store_module._decode(store_module._encode(system, "system"))
 
 
 def _trace_bytes(system, step=1):
@@ -140,7 +140,7 @@ from repro.protocols import MinProtocol
 from repro.store import store
 from repro.systems import gamma_min
 system = gamma_min(3, 1).build_system(MinProtocol(1))
-print(hashlib.sha256(store._encode(system, "system", "pickle")).hexdigest())
+print(hashlib.sha256(store._encode(system, "system")).hexdigest())
 """
 
 
@@ -155,7 +155,7 @@ def test_encoding_is_identical_in_every_process():
         digests.add(result.stdout.strip())
     system = gamma_min(3, 1).build_system(MinProtocol(1))
     digests.add(hashlib.sha256(
-        store_module._encode(system, "system", "pickle")).hexdigest())
+        store_module._encode(system, "system")).hexdigest())
     assert len(digests) == 1
 
 

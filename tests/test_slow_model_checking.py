@@ -99,17 +99,17 @@ class TestTheoremA21AtN4:
     """
 
     def test_p_opt_implements_p1_in_gamma_fip_4_1(self):
-        from repro.experiments.implementation_check import check_theorem_a21
+        from repro.experiments.implementation_check import check_theorem
 
-        report = check_theorem_a21(4, 1)
+        report = check_theorem("a21", 4, 1)
         assert report.ok, report.mismatches
         assert report.checked_states == 3_464
 
     def test_peak_rss_stays_under_300_mb(self):
         """The whole check, imports included, in its own process."""
         peak_mb = _peak_rss_mb(
-            "from repro.experiments.implementation_check import check_theorem_a21\n"
-            "assert check_theorem_a21(4, 1).ok\n")
+            "from repro.experiments.implementation_check import check_theorem\n"
+            "assert check_theorem('a21', 4, 1).ok\n")
         assert peak_mb <= A21_N4_PEAK_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
 
 
@@ -122,9 +122,9 @@ class TestTheoremA21AtN5:
     """
 
     def test_p_opt_implements_p1_in_gamma_fip_5_1(self):
-        from repro.experiments.implementation_check import check_theorem_a21
+        from repro.experiments.implementation_check import check_theorem
 
-        report = check_theorem_a21(5, 1)
+        report = check_theorem("a21", 5, 1)
         assert report.ok, report.mismatches
         assert report.checked_states == 22_570
 
@@ -172,7 +172,7 @@ class TestTheorem65AtN5:
 
         stored = tmp_path / "gamma_min_5_1.system"
         stored.write_bytes(store._encode(gamma_min(5, 1).build_system(MinProtocol(1)),
-                                         "system", "pickle"))
+                                         "system"))
         peak_mb = _peak_rss_mb(
             "from pathlib import Path\n"
             "from repro.store import store\n"

@@ -6,7 +6,7 @@ Covers the correctness properties the cache must not lose:
   any key-relevant field change (including :data:`repro.store.STORE_VERSION`
   and the code fingerprint) mints a fresh key;
 * backend mechanics — put/get/delete/entries, atomic overwrite;
-* store mechanics — hit/miss accounting, JSON and pickle payloads, the
+* store mechanics — hit/miss accounting, the pickle payload format, the
   in-memory LRU layer, size accounting, LRU eviction, and corrupted-entry
   recovery (miss + delete, never an exception).
 """
@@ -188,18 +188,6 @@ class TestArtifactStore:
         assert (stats.misses, stats.hits, stats.puts) == (1, 1, 1)
         assert stats.by_kind == {"test": 1}
 
-    def test_json_payload_is_tool_readable(self, tmp_path):
-        store = default_store(tmp_path)
-        store.put("b" * 64, {"rows": [1, 2]}, kind="report", serializer="json")
-        fresh = default_store(tmp_path)
-        assert fresh.get("b" * 64) == {"rows": [1, 2]}
-        payload = fresh.backend.get("b" * 64)
-        assert payload.startswith(b"REBA1\nreport\njson\n")
-
-    def test_unknown_serializer_rejected(self):
-        with pytest.raises(StoreError, match="serializer"):
-            ArtifactStore().put("c" * 64, 1, serializer="yaml")
-
     @pytest.mark.parametrize("kind", ["report\nv2", "\n", 7, None, b"report"])
     def test_unreadable_kind_rejected_before_writing(self, kind, tmp_path):
         """A kind that cannot be one header line would write an entry no get() reads."""
@@ -239,6 +227,33 @@ class TestArtifactStore:
             stats = fresh.stats()
             assert stats.corrupted == 1
             assert stats.entries == 0  # the damaged entry was deleted
+
+    def test_payload_header_names_kind_and_pickle_format(self, tmp_path):
+        """An entry on disk starts with magic, kind and ``pickle``, and reads back fresh."""
+        store = default_store(tmp_path)
+        store.put("b" * 64, {"rows": [1, 2]}, kind="report")
+        fresh = default_store(tmp_path)  # bypass the memory layer
+        assert fresh.get("b" * 64) == {"rows": [1, 2]}
+        assert fresh.backend.get("b" * 64).startswith(b"REBA1\nreport\npickle\n")
+        assert fresh.stats().by_kind == {"report": 1}
+
+    def test_serializer_keyword_is_refused_before_writing(self, tmp_path):
+        """A caller still asking for a JSON body fails at the call; nothing is stored."""
+        store = default_store(tmp_path)
+        with pytest.raises(TypeError, match="serializer"):
+            store.put("c" * 64, {"rows": [1, 2]}, kind="report", serializer="json")
+        stats = store.stats()
+        assert (stats.entries, stats.puts) == (0, 0)
+
+    def test_json_payload_reads_as_a_corrupt_miss(self, tmp_path):
+        """Only ``pickle`` bodies decode: any other format tag is a corrupt entry."""
+        key = "b" * 64
+        body = gzip.compress(json.dumps({"rows": [1, 2]}).encode("utf-8"), mtime=0)
+        store = default_store(tmp_path)
+        store.backend.put(key, b"\n".join([store_module.MAGIC, b"report", b"json", body]))
+        assert store.get(key) is None
+        stats = store.stats()
+        assert (stats.corrupted, stats.misses, stats.entries) == (1, 1, 0)
 
     def test_eviction_is_lru_and_protects_new_key(self, tmp_path):
         store = default_store(tmp_path)
@@ -405,12 +420,10 @@ class TestPayloadFormat:
         pattern = FailurePattern.silent(3, faulty=[0], horizon=4)
         return simulate(OptimalFipProtocol(1), 3, [0, 1, 1], pattern)
 
-    @pytest.mark.parametrize("serializer", ["pickle", "json"])
-    def test_level_9_payload_decodes_to_the_same_object(self, serializer, tmp_path):
-        artifact = self._fip_trace() if serializer == "pickle" else {"rows": [1, 2], "ok": True}
-        body = (pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL) if serializer == "pickle"
-                else json.dumps(artifact, sort_keys=True).encode("utf-8"))
-        legacy = b"\n".join([store_module.MAGIC, b"trace", serializer.encode("utf-8"),
+    def test_level_9_payload_decodes_to_the_same_object(self, tmp_path):
+        artifact = self._fip_trace()
+        body = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
+        legacy = b"\n".join([store_module.MAGIC, b"trace", b"pickle",
                              gzip.compress(body, compresslevel=9, mtime=0)])
         assert store_module._decode(legacy) == artifact
         store = default_store(tmp_path)
@@ -419,10 +432,10 @@ class TestPayloadFormat:
 
     def test_encoding_is_deterministic_at_level_1(self):
         trace = self._fip_trace()
-        payload = store_module._encode(trace, "trace", "pickle")
-        assert store_module._encode(trace, "trace", "pickle") == payload
+        payload = store_module._encode(trace, "trace")
+        assert store_module._encode(trace, "trace") == payload
         # An equal artifact built separately encodes to the same bytes.
-        assert store_module._encode(self._fip_trace(), "trace", "pickle") == payload
+        assert store_module._encode(self._fip_trace(), "trace") == payload
         body = payload.split(b"\n", 3)[3]
         assert body[8] == 4  # RFC 1952 XFL: 4 = fastest compression (level 1)
         assert store_module._decode(payload) == trace
